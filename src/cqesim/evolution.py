@@ -46,7 +46,7 @@ from .fock import (
     SparseOperator,
     StateVector,
     TwoBodyTensor,
-    _pair_lowering,
+    _excitations,
     pair_adjoint,
 )
 from .residuals import compute_2rdm, energy
@@ -290,16 +290,26 @@ def canonical_elements(n_spin_orbitals: int) -> tuple[tuple[int, int, int, int],
 
 
 def pair_excitation_matrix(basis: Basis, i: int, j: int, k: int, l: int) -> np.ndarray:
-    """Dense sector matrix of ``a+_i a+_j a_l a_k`` from the lowering tables."""
-    for block in _pair_lowering(basis):
-        if (i, j) in block.pair_index and (k, l) in block.pair_index:
-            dim_sub = len(block.sub_basis)
-            row = block.pair_index[(i, j)]
-            col = block.pair_index[(k, l)]
-            left = block.stacked[row * dim_sub : (row + 1) * dim_sub, :]
-            right = block.stacked[col * dim_sub : (col + 1) * dim_sub, :]
-            return (left.T @ right).toarray().astype(complex)
-    return np.zeros((len(basis), len(basis)), dtype=complex)
+    """Dense sector matrix of ``a+_i a+_j a_l a_k``: one column of the excitation pattern.
+
+    The column is that of the canonical index order ``k < l``, ``i < j``,
+    each swap flipping the sign; a repeated index gives zero.
+    """
+    n = basis.n_spin_orbitals
+    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    if i == j or k == l:
+        return out
+    sign = 0.25  # the pattern stores 4 <D'| a+_i a+_j a_l a_k |D>
+    if i > j:
+        i, j, sign = j, i, -sign
+    if k > l:
+        k, l, sign = l, k, -sign
+    ex = _excitations(basis)
+    col = ((k * n + l) * n + i) * n + j
+    span = slice(ex.by_index.indptr[col], ex.by_index.indptr[col + 1])
+    links = ex.by_index.indices[span]
+    out[ex.rows[links], ex.indices[links]] = sign * ex.by_index.data[span]
+    return out
 
 
 def _fill_images(out: np.ndarray, i, j, k, l, value: complex, sign_adjoint: float):

@@ -17,11 +17,17 @@ Conventions used throughout the package:
   so the pair-matrix adjoint ``conj(T^{kl;ij})`` represents ``J[T]^+``.
   Coefficient tensors are antisymmetric under ``i <-> j`` and ``k <-> l``.
 
+* Every two-body contraction runs through one cached sparse excitation
+  pattern per sector (see ``_excitations``): operator assembly here,
+  transition 2-RDMs and residuals in ``residuals``, and pair-excitation
+  matrices in ``evolution``.
+
 Functions
 ---------
 build_basis          enumerate a fixed (N, 2*Sz) determinant sector
 apply_string         act with a product of creation/annihilation operators
 two_body_to_operator assemble the sector matrix of a two-body tensor
+one_body_to_operator the same for a one-body matrix (N >= 2)
 apply_operator       apply a sector operator to a state vector
 """
 
@@ -324,98 +330,80 @@ def pair_matrix(coeffs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Sector lowering tables
+# Sector excitation pattern
 #
-# For each ordered orbital pair (i, j) the map  det -> a_j a_i det  is a
-# signed injection into an (N-2)-electron sector; stacking all pairs of one
-# spin signature gives a sparse matrix "Lambda" used both to assemble
-# two-body operators and to contract transition 2-RDMs without Python loops.
+# Every in-sector matrix element of a two-body operator comes from canonical
+# excitations  a^+_k a^+_l a_j a_i  (i < j, k < l)  that link two sector
+# determinants through a common (N-2)-electron image M:
+#
+#     <D'| a^+_k a^+_l a_j a_i |D> = s' s   where  a_j a_i |D> = s |M>,
+#                                                  a_l a_k |D'> = s' |M>.
+#
+# The pattern P lists these links once per basis (the string-driven
+# excitation lists of determinant FCI; Knowles & Handy, CPL 111, 315 (1984);
+# Olsen et al., JCP 89, 2185 (1988)).  Row r of P is the r-th structural
+# nonzero of the sector matrix in CSR order, column ((i n + j) n + k) n + l
+# a tensor index, and the entry 4 s' s, the 4 counting the index-pair images
+# of an antisymmetric tensor.  So  P @ T.ravel()  is the CSR data of J[T],
+# and  P^T (conj(bra)[rows] * ket[cols])  holds the canonical elements of
+# 4 <bra| a^+_k a^+_l a_j a_i |ket>.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class _LoweringBlock:
-    pairs: tuple[tuple[int, int], ...]   # ordered (i, j): a_i acts first, then a_j
-    pair_index: dict
-    sub_basis: Basis
-    stacked: sp.csr_matrix               # (len(pairs) * len(sub_basis), len(basis))
+class _Excitations:
+    pattern: sp.csc_matrix   # (sector nonzeros, n^4), entries 4 s' s
+    by_index: sp.csr_matrix  # pattern.T, sharing its arrays
+    rows: np.ndarray         # sector row of each nonzero
+    indices: np.ndarray      # sector column of each nonzero (CSR indices)
+    indptr: np.ndarray       # CSR row pointer of the sector matrix
 
-    def pair_vectors(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Rows ``w[p] = a_j a_i psi`` for each pair ``p = (i, j)``."""
-        return (self.stacked @ amplitudes).reshape(len(self.pairs), len(self.sub_basis))
+
+def _lowerings(basis: Basis):
+    """Every canonical lowering ``a_j a_i |D> = s |M>`` (i < j) of the sector.
+
+    Returns the determinant index, pair code ``i n + j``, sign and image
+    bitmask of each lowering.
+    """
+    n = basis.n_spin_orbitals
+    dets = np.array(basis.determinants, dtype=np.int64)
+    occ = (dets[:, None] >> np.arange(n)) & 1
+    below = np.cumsum(occ, axis=1) - occ  # occupied orbitals under p
+    ii, jj = np.triu_indices(n, 1)
+    det, pair = np.nonzero(occ[:, ii] & occ[:, jj])
+    i, j = ii[pair], jj[pair]
+    # a_i passes below(i) electrons, then a_j passes below(j) - 1 once i is gone
+    sign = 1 - 2 * ((below[det, i] + below[det, j] + 1) & 1)
+    image = dets[det] ^ (1 << i) ^ (1 << j)
+    return det, i * n + j, sign, image
 
 
 @lru_cache(maxsize=64)
-def _pair_lowering(basis: Basis) -> tuple[_LoweringBlock, ...]:
+def _excitations(basis: Basis) -> _Excitations:
+    """The excitation pattern of a sector: the table of lowerings joined with
+    itself on the (N-2)-electron image."""
     n = basis.n_spin_orbitals
     dim = len(basis)
-    blocks = []
-    # Spin signature of (i, j) fixes the target sector's sz.
-    for sz_shift, keep in (
-        (-2, lambda i, j: i % 2 == 0 and j % 2 == 0),
-        (0, lambda i, j: i % 2 != j % 2),
-        (+2, lambda i, j: i % 2 == 1 and j % 2 == 1),
-    ):
-        if basis.n_electrons < 2:
-            continue
-        try:
-            sub = build_basis(n, basis.n_electrons - 2, basis.sz_twice + sz_shift)
-        except ValueError:
-            continue
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j and keep(i, j)]
-        if not pairs:
-            continue
-        sub_dim = len(sub)
-        rows, cols, vals = [], [], []
-        for p_idx, (i, j) in enumerate(pairs):
-            for col, det in enumerate(basis.determinants):
-                hit = apply_string(det, [(ANNIHILATE, j), (ANNIHILATE, i)])
-                if hit is None:
-                    continue
-                tgt, sign = hit
-                rows.append(p_idx * sub_dim + sub.index_of(tgt))
-                cols.append(col)
-                vals.append(sign)
-        stacked = sp.csr_matrix(
-            (np.array(vals, dtype=float), (rows, cols)),
-            shape=(len(pairs) * sub_dim, dim),
-        )
-        blocks.append(
-            _LoweringBlock(tuple(pairs), {p: k for k, p in enumerate(pairs)}, sub, stacked)
-        )
-    return tuple(blocks)
-
-
-@lru_cache(maxsize=64)
-def _single_lowering(basis: Basis):
-    """Stacked single-orbital lowering maps, one block per spin."""
-    n = basis.n_spin_orbitals
-    dim = len(basis)
-    blocks = []
-    for sz_shift, parity in ((-1, 0), (+1, 1)):
-        if basis.n_electrons < 1:
-            continue
-        try:
-            sub = build_basis(n, basis.n_electrons - 1, basis.sz_twice + sz_shift)
-        except ValueError:
-            continue
-        orbitals = [p for p in range(n) if p % 2 == parity]
-        sub_dim = len(sub)
-        rows, cols, vals = [], [], []
-        for o_idx, p in enumerate(orbitals):
-            for col, det in enumerate(basis.determinants):
-                hit = apply_string(det, [(ANNIHILATE, p)])
-                if hit is None:
-                    continue
-                tgt, sign = hit
-                rows.append(o_idx * sub_dim + sub.index_of(tgt))
-                cols.append(col)
-                vals.append(sign)
-        stacked = sp.csr_matrix(
-            (np.array(vals, dtype=float), (rows, cols)), shape=(len(orbitals) * sub_dim, dim)
-        )
-        blocks.append((tuple(orbitals), sub, stacked))
-    return tuple(blocks)
+    det, pair, sign, image = _lowerings(basis)
+    order = np.argsort(image, kind="stable")
+    det, pair, sign, image = det[order], pair[order], sign[order], image[order]
+    start = np.flatnonzero(np.diff(image, prepend=-1))
+    size = np.diff(np.append(start, len(image)))
+    # pair every lowering (ket side) with each lowering of its image (bra side)
+    group_start = np.repeat(start, size)
+    reach = np.repeat(size, size)
+    ket = np.repeat(np.arange(len(image)), reach)
+    bra = group_start[ket] + np.arange(len(ket)) - np.repeat(np.cumsum(reach) - reach, reach)
+    key = det[bra] * dim + det[ket]
+    unique, nonzero = np.unique(key, return_inverse=True)
+    rows, cols = np.divmod(unique, dim)
+    # complex entries spare a cast in every product with complex tensors and states
+    pattern = sp.csc_matrix(
+        (4.0 * sign[bra] * sign[ket] + 0j, (nonzero, pair[ket] * n * n + pair[bra])),
+        shape=(len(unique), n**4),
+    )
+    indptr = np.searchsorted(rows, np.arange(dim + 1))
+    return _Excitations(pattern, pattern.T, rows, cols.astype(np.int32), indptr.astype(np.int32))
 
 
 def two_body_to_operator(tensor: TwoBodyTensor, basis: Basis) -> SparseOperator:
@@ -426,38 +414,40 @@ def two_body_to_operator(tensor: TwoBodyTensor, basis: Basis) -> SparseOperator:
     """
     if tensor.n_spin_orbitals != basis.n_spin_orbitals:
         raise ValueError("tensor and basis have different orbital counts")
+    ex = _excitations(basis)
+    data = ex.pattern @ tensor.coeffs.ravel()
     dim = len(basis)
-    total = sp.csr_matrix((dim, dim), dtype=complex)
-    for block in _pair_lowering(basis):
-        ii = np.array([p[0] for p in block.pairs])
-        jj = np.array([p[1] for p in block.pairs])
-        t_block = tensor.coeffs[ii[:, None], jj[:, None], ii[None, :], jj[None, :]]
-        if not np.any(t_block):
-            continue
-        mid = sp.kron(sp.csr_matrix(t_block.T), sp.identity(len(block.sub_basis), format="csr"))
-        total = total + (block.stacked.T @ mid @ block.stacked).tocsr()
-    return SparseOperator(basis, total)
+    # the operator gets its own structure arrays, so in-place edits of it leave the pattern be
+    matrix = sp.csr_matrix((data, ex.indices.copy(), ex.indptr.copy()), shape=(dim, dim))
+    return SparseOperator(basis, matrix)
+
+
+def _one_body_coeffs(h_so: np.ndarray, n_electrons: int) -> np.ndarray:
+    """Raw two-body tensor ``h_so[k, i] delta_jl / (N - 1)`` of a one-body term.
+
+    By ``sum_l a^+_k a^+_l a_l a_i = (N - 1) a^+_k a_i`` on N-electron
+    states it represents ``sum_pq h_so[p, q] a^+_p a_q`` there; it needs
+    ``N >= 2``.
+    """
+    if n_electrons < 2:
+        raise ValueError("folding a one-body term into a two-body tensor needs at least two electrons")
+    n = h_so.shape[0]
+    return np.einsum("ki,jl->ijkl", h_so, np.eye(n)) / (n_electrons - 1)
 
 
 def one_body_to_operator(h_so: np.ndarray, basis: Basis) -> SparseOperator:
     """Sector matrix of ``sum_{pq} h_so[p, q] a^+_p a_q`` over spin orbitals.
 
-    Spin-off-diagonal elements of ``h_so`` would leave the Sz sector and are
-    dropped, mirroring the two-body assembly.
+    Assembled through ``_one_body_coeffs``, so the sector needs at least two
+    electrons.  Spin-off-diagonal elements of ``h_so`` would leave the Sz
+    sector and are dropped, mirroring the two-body assembly.
     """
     n = basis.n_spin_orbitals
     h_so = np.asarray(h_so)
     if h_so.shape != (n, n):
         raise ValueError(f"one-body matrix shape {h_so.shape} does not match {n} spin orbitals")
-    dim = len(basis)
-    total = sp.csr_matrix((dim, dim), dtype=complex)
-    for orbitals, sub, stacked in _single_lowering(basis):
-        block = h_so[np.ix_(orbitals, orbitals)]
-        if not np.any(block):
-            continue
-        mid = sp.kron(sp.csr_matrix(block), sp.identity(len(sub), format="csr"))
-        total = total + (stacked.T @ mid @ stacked).tocsr()
-    return SparseOperator(basis, total)
+    coeffs = antisymmetrize(_one_body_coeffs(h_so, basis.n_electrons))
+    return two_body_to_operator(TwoBodyTensor(n, coeffs), basis)
 
 
 def apply_operator(op: SparseOperator, psi: StateVector) -> StateVector:

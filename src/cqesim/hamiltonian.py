@@ -11,7 +11,8 @@ Integrals live in a spatial-orbital basis with chemist notation
 coefficient tensor K (core excluded): on the N-electron sector,
 ``J[K] + core * I`` equals the Hamiltonian exactly, which is the property
 tests pin down.  This makes the full energy and the energy variance
-expressible through two-body expectation values alone.
+expressible through two-body expectation values alone, and it is how
+``build_hamiltonian`` assembles the sector matrix.
 """
 
 from __future__ import annotations
@@ -23,14 +24,15 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fock import (
     Basis,
     SparseOperator,
     TwoBodyTensor,
+    _one_body_coeffs,
     antisymmetrize,
     build_basis,
-    one_body_to_operator,
     two_body_to_operator,
 )
 
@@ -238,6 +240,8 @@ def build_hamiltonian(
 
     The sector defaults to the electron count and spin projection recorded
     in the integral header; pass ``basis`` to reuse an existing enumeration.
+    The matrix is ``J[K] + core`` with K from ``reduced_hamiltonian_K``, so
+    the sector needs at least two electrons.
     """
     if basis is None:
         n_elec = integrals.n_electrons if n_electrons is None else n_electrons
@@ -246,12 +250,10 @@ def build_hamiltonian(
     elif basis.n_spin_orbitals != integrals.n_spin_orbitals:
         raise ValueError("basis orbital count does not match integrals")
 
-    coeffs = antisymmetrize(_two_body_coeffs(integrals.eri))
-    two_body = two_body_to_operator(TwoBodyTensor(integrals.n_spin_orbitals, coeffs), basis)
-    one_body = one_body_to_operator(_spin_one_body(integrals.h), basis)
-    matrix = two_body.matrix + one_body.matrix
+    k_tensor = reduced_hamiltonian_K(integrals, basis.n_electrons)
+    matrix = two_body_to_operator(k_tensor, basis).matrix
     if integrals.core:
-        matrix = matrix + integrals.core * np.eye(len(basis))
+        matrix = matrix + integrals.core * sp.identity(len(basis), format="csr")
     return SparseOperator(basis, matrix)
 
 
@@ -263,14 +265,8 @@ def reduced_hamiltonian_K(integrals: IntegralSet, n_electrons: int | None = None
     the tensor depends on the electron count it is built for.
     """
     n_elec = integrals.n_electrons if n_electrons is None else n_electrons
-    if n_elec < 2:
-        raise ValueError("the reduced two-body form needs at least two electrons")
-    h_so = _spin_one_body(integrals.h)
-    m = integrals.n_spin_orbitals
-    raw = _two_body_coeffs(integrals.eri)
-    # One-body embedding: T[i,j,k,l] += h_so[k,i] delta_{jl} / (N - 1).
-    raw = raw + np.einsum("ki,jl->ijkl", h_so, np.eye(m)) / (n_elec - 1)
-    return TwoBodyTensor(m, antisymmetrize(raw))
+    raw = _two_body_coeffs(integrals.eri) + _one_body_coeffs(_spin_one_body(integrals.h), n_elec)
+    return TwoBodyTensor(integrals.n_spin_orbitals, antisymmetrize(raw))
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,8 @@ from .fock import (
     SparseOperator,
     StateVector,
     TwoBodyTensor,
-    _pair_lowering,
-    antihermitian_part,
-    hermitian_part,
+    _excitations,
+    antisymmetrize,
     pair_adjoint,
 )
 
@@ -48,6 +47,7 @@ __all__ = [
     "residual_hcse",
     "residual_acse",
     "residual",
+    "residual_channel",
     "tensor_overlap",
     "energy_slope",
     "RESIDUAL_VARIANTS",
@@ -98,10 +98,10 @@ class Rdm2:
 def compute_2rdm(bra: StateVector, ket: StateVector | None = None) -> Rdm2:
     """Transition 2-RDM between two states of the same sector.
 
-    Contracted class by class: for each spin signature the stacked
-    pair-lowering map sends both states into the (N-2)-electron sector and
-    one GEMM yields every tensor element of that block; blocks that change
-    the spin projection vanish identically and are never touched.
+    One transposed product with the basis's excitation pattern yields every
+    canonical element (i < j, k < l); antisymmetrization fills in the other
+    index images.  Elements that change the spin projection vanish
+    identically and are never touched.
     """
     if ket is None:
         ket = bra
@@ -110,15 +110,11 @@ def compute_2rdm(bra: StateVector, ket: StateVector | None = None) -> Rdm2:
     if bra.n_ancilla or ket.n_ancilla:
         raise ValueError("compute_2rdm expects ancilla-free states")
     n = bra.basis.n_spin_orbitals
-    out = np.zeros((n, n, n, n), dtype=complex)
-    for block in _pair_lowering(bra.basis):
-        w_bra = block.pair_vectors(bra.amplitudes)
-        w_ket = w_bra if ket is bra else block.pair_vectors(ket.amplitudes)
-        gram = w_bra.conj() @ w_ket.T
-        ii = np.array([p[0] for p in block.pairs])
-        jj = np.array([p[1] for p in block.pairs])
-        out[ii[:, None], jj[:, None], ii[None, :], jj[None, :]] = gram
-    return Rdm2(n, out)
+    ex = _excitations(bra.basis)
+    links = bra.amplitudes.conj()[ex.rows] * ket.amplitudes[ex.indices]
+    # canonical [i,j,k,l] holds 4 <a+_k a+_l a_j a_i>; the tensor is indexed [k,l,i,j]
+    canonical = (ex.by_index @ links).reshape(n, n, n, n)
+    return Rdm2(n, antisymmetrize(canonical).transpose(2, 3, 0, 1))
 
 
 def energy(ham: SparseOperator, psi: StateVector) -> float:
@@ -144,32 +140,37 @@ def _raw_residual(ham: SparseOperator, psi: StateVector) -> np.ndarray:
     return compute_2rdm(psi, phi).tensor
 
 
+def residual_channel(raw: np.ndarray, variant: str) -> np.ndarray:
+    """The channel of a raw residual tensor: R for 'cse', ``S = R + R^+`` for
+    'hcse' and ``A = R - R^+`` for 'acse'."""
+    if variant == "cse":
+        return raw
+    if variant == "hcse":
+        return raw + pair_adjoint(raw)
+    if variant == "acse":
+        return raw - pair_adjoint(raw)
+    raise ValueError(f"unknown residual variant {variant!r}; expected one of {RESIDUAL_VARIANTS}")
+
+
+def residual(ham: SparseOperator, psi: StateVector, variant: str) -> TwoBodyTensor:
+    """Contracted residual of channel ``variant`` ('cse', 'hcse' or 'acse')."""
+    channel = residual_channel(_raw_residual(ham, psi), variant)
+    return TwoBodyTensor(psi.basis.n_spin_orbitals, channel)
+
+
 def residual_cse(ham: SparseOperator, psi: StateVector) -> TwoBodyTensor:
     """Full contracted residual R (Hermitian plus anti-Hermitian content)."""
-    return TwoBodyTensor(psi.basis.n_spin_orbitals, _raw_residual(ham, psi))
+    return residual(ham, psi, "cse")
 
 
 def residual_hcse(ham: SparseOperator, psi: StateVector) -> TwoBodyTensor:
     """Anticommutator residual ``S = R + R^+`` (pair-Hermitian)."""
-    raw = _raw_residual(ham, psi)
-    return TwoBodyTensor(psi.basis.n_spin_orbitals, raw + pair_adjoint(raw))
+    return residual(ham, psi, "hcse")
 
 
 def residual_acse(ham: SparseOperator, psi: StateVector) -> TwoBodyTensor:
     """Commutator residual ``A = R - R^+`` (pair-anti-Hermitian)."""
-    raw = _raw_residual(ham, psi)
-    return TwoBodyTensor(psi.basis.n_spin_orbitals, raw - pair_adjoint(raw))
-
-
-def residual(ham: SparseOperator, psi: StateVector, variant: str) -> TwoBodyTensor:
-    """Dispatch on the residual variant name ('cse', 'hcse' or 'acse')."""
-    if variant == "cse":
-        return residual_cse(ham, psi)
-    if variant == "hcse":
-        return residual_hcse(ham, psi)
-    if variant == "acse":
-        return residual_acse(ham, psi)
-    raise ValueError(f"unknown residual variant {variant!r}; expected one of {RESIDUAL_VARIANTS}")
+    return residual(ham, psi, "acse")
 
 
 def tensor_overlap(a: TwoBodyTensor | np.ndarray, b: TwoBodyTensor | np.ndarray) -> complex:

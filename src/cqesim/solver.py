@@ -67,13 +67,10 @@ from .fock import (
     SparseOperator,
     StateVector,
     TwoBodyTensor,
-    antihermitian_part,
-    hermitian_part,
-    pair_adjoint,
     tensor_norm,
     two_body_to_operator,
 )
-from .residuals import RESIDUAL_VARIANTS, energy, residual_cse, variance
+from .residuals import RESIDUAL_VARIANTS, energy, residual_channel, residual_cse, variance
 
 __all__ = [
     "LineSearch",
@@ -104,7 +101,9 @@ class LineSearch:
     does not increase; "backtracking" shrinks from ``eta0`` by ``shrink``
     until the Armijo sufficient-decrease test with slope ``c1`` passes;
     "golden" runs a bounded golden-section minimization of E(eta) on
-    [0, eta0].
+    [0, eta0] and, when its minimizer does not lower the energy (E(eta)
+    need not be unimodal), falls back to the Armijo backtracking from
+    ``eta0``.  A trial whose exponential overflows counts as E = +inf.
 
     In exact and dilated execution the first eta of the backtracking
     sequence that passes the Armijo test opens an expanding bracket: eta
@@ -213,24 +212,11 @@ def direction_from_residual(tensor: TwoBodyTensor, variant: str) -> TwoBodyTenso
 
     The projection is a no-op for exactly contracted residuals and removes
     sampling noise that would leak into the wrong symmetry sector for
-    estimated ones.
+    estimated ones.  For hcse and acse the projection is half the channel
+    of ``-residual``: ``(J + J^+) / 2`` or ``(J - J^+) / 2``.
     """
-    coeffs = -tensor.coeffs
-    if variant == "hcse":
-        coeffs = hermitian_part(coeffs)
-    elif variant == "acse":
-        coeffs = antihermitian_part(coeffs)
-    elif variant != "cse":
-        raise ValueError(f"unknown variant {variant!r}; expected one of {RESIDUAL_VARIANTS}")
-    return TwoBodyTensor(tensor.n_spin_orbitals, coeffs)
-
-
-def _variant_coeffs(raw: np.ndarray, variant: str) -> np.ndarray:
-    if variant == "cse":
-        return raw
-    if variant == "hcse":
-        return raw + pair_adjoint(raw)
-    return raw - pair_adjoint(raw)
+    coeffs = residual_channel(-tensor.coeffs, variant)
+    return TwoBodyTensor(tensor.n_spin_orbitals, coeffs if variant == "cse" else 0.5 * coeffs)
 
 
 def _slope(variant: str, direction: TwoBodyTensor, steepest: TwoBodyTensor) -> float:
@@ -275,13 +261,20 @@ class _StepPlan:
         self.psi = psi
         self.op_a = two_body_to_operator(direction.antihermitian_part(), psi.basis)
         self.op_h = two_body_to_operator(direction.hermitian_part(), psi.basis)
-        self._trials: dict[float, tuple[StateVector, float]] = {}
+        self._trials: dict[float, tuple[StateVector | None, float]] = {}
 
-    def _realize(self, eta: float) -> tuple[StateVector, float]:
+    def _realize(self, eta: float) -> tuple[StateVector | None, float]:
+        """Trial state and energy; a step whose exponential fails (a Taylor
+        series that overflows) is booked at energy +inf, so every search
+        rejects it."""
         if eta not in self._trials:
-            out = apply_exp_exact(self.op_a, self.psi, scale=eta, renormalize=True)
-            out = apply_exp_exact(self.op_h, out, scale=eta, renormalize=True)
-            self._trials[eta] = (out, energy(self.ham, out))
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    out = apply_exp_exact(self.op_a, self.psi, scale=eta, renormalize=True)
+                    out = apply_exp_exact(self.op_h, out, scale=eta, renormalize=True)
+                self._trials[eta] = (out, energy(self.ham, out))
+            except RuntimeError:
+                self._trials[eta] = (None, math.inf)
         return self._trials[eta]
 
     def trial(self, eta: float) -> StateVector:
@@ -366,7 +359,8 @@ def _search_golden(plan: _StepPlan, ls: LineSearch, e0: float, slope: float) -> 
     eta = 0.5 * (a + b)
     if eta > 0 and plan.trial_energy(eta) <= e0 + _MONOTONE_SLACK:
         return eta
-    raise _Stalled
+    # E(eta) of a unitary flow need not be unimodal on [0, eta0]
+    return _search_armijo(plan, ls, e0, slope)
 
 
 _SEARCHES = {
@@ -454,7 +448,7 @@ def cqe_run(
                 delta=est.delta, shots=est.shots, seed=step_seed,
             )
             return est_tensor.norm(), direction_from_residual(est_tensor, config.variant)
-        tensor = TwoBodyTensor(state.basis.n_spin_orbitals, _variant_coeffs(raw, config.variant))
+        tensor = TwoBodyTensor(state.basis.n_spin_orbitals, residual_channel(raw, config.variant))
         return tensor.norm(), direction_from_residual(tensor, config.variant)
 
     for n in range(config.max_iterations):
@@ -465,9 +459,7 @@ def cqe_run(
         var_now = variance(ham, psi)
         prob_now = psi.success_prob
         raw = residual_cse(ham, psi).coeffs
-        norm_r = tensor_norm(raw)
-        norm_s = tensor_norm(raw + pair_adjoint(raw))
-        norm_a = tensor_norm(raw - pair_adjoint(raw))
+        norm_r, norm_s, norm_a = (tensor_norm(residual_channel(raw, v)) for v in RESIDUAL_VARIANTS)
         res_norm, steepest = measured_norm_and_direction(psi, n, raw)
 
         def record(eta_taken: float):
@@ -516,7 +508,7 @@ def cqe_run(
     if sampled:
         final_norm, _ = measured_norm_and_direction(psi, config.max_iterations, final_raw)
     else:
-        final_norm = tensor_norm(_variant_coeffs(final_raw, config.variant))
+        final_norm = tensor_norm(residual_channel(final_raw, config.variant))
     return CqeResult(
         status=status,
         iterations=tuple(records),

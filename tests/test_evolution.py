@@ -226,7 +226,11 @@ def test_canonical_elements_counts():
 def test_pair_excitation_matrix_matches_oracle():
     basis = build_basis(6, 3, 1)
     idx = np.array(basis.determinants)
-    for i, j, k, l in [(0, 1, 0, 1), (0, 2, 1, 3), (1, 4, 2, 5), (0, 1, 2, 4)]:
+    # the last four orders are non-canonical, and (2, 2, 1, 3) repeats an index
+    for i, j, k, l in [
+        (0, 1, 0, 1), (0, 2, 1, 3), (1, 4, 2, 5), (0, 1, 2, 4),
+        (1, 0, 2, 4), (0, 1, 4, 2), (2, 2, 1, 3), (4, 1, 5, 2),
+    ]:
         got = pair_excitation_matrix(basis, i, j, k, l)
         full = (
             jw.creator(6, i) @ jw.creator(6, j) @ jw.annihilator(6, l) @ jw.annihilator(6, k)

@@ -16,6 +16,7 @@ from cqesim.fock import (
     build_basis,
     hermitian_part,
     antihermitian_part,
+    one_body_to_operator,
     pair_adjoint,
     pair_matrix,
     tensor_norm,
@@ -210,7 +211,8 @@ def test_two_body_tensor_validates_antisymmetry():
 
 @pytest.mark.parametrize(
     "n, n_elec, sz",
-    [(4, 2, 0), (6, 2, 0), (6, 3, 1), (8, 4, 0)],
+    # the last four sectors have empty and near-full excitation patterns
+    [(4, 2, 0), (6, 2, 0), (6, 3, 1), (8, 4, 0), (4, 1, 1), (4, 0, 0), (6, 5, 1), (6, 6, 0)],
 )
 def test_two_body_to_operator_matches_jordan_wigner(n, n_elec, sz):
     rng = np.random.default_rng(n * 100 + n_elec * 10 + sz)
@@ -219,6 +221,26 @@ def test_two_body_to_operator_matches_jordan_wigner(n, n_elec, sz):
     op = two_body_to_operator(TwoBodyTensor(n, t), basis)
     dense = jw.project(basis, jw.two_body_matrix(n, t))
     np.testing.assert_allclose(op.dense(), dense, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, n_elec, sz", [(4, 2, 0), (6, 3, 1), (8, 4, 0)])
+def test_one_body_to_operator_matches_jordan_wigner(n, n_elec, sz):
+    rng = np.random.default_rng(n * 100 + n_elec * 10 + sz + 1)
+    basis = build_basis(n, n_elec, sz)
+    # complex Hermitian, spin-flip entries included: they leave the sector
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = h + h.conj().T
+    op = one_body_to_operator(h, basis)
+    dense = jw.project(basis, jw.one_body_matrix(n, h))
+    np.testing.assert_allclose(op.dense(), dense, atol=1e-12)
+
+
+def test_one_body_to_operator_needs_two_electrons():
+    # assembled through the pair identity sum_l a+_k a+_l a_l a_i = (N - 1) a+_k a_i
+    with pytest.raises(ValueError):
+        one_body_to_operator(np.eye(4), build_basis(4, 1, 1))
+    with pytest.raises(ValueError):
+        one_body_to_operator(np.eye(4), build_basis(4, 0, 0))
 
 
 def test_two_body_to_operator_hermitian_and_adjoint():

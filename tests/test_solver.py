@@ -18,6 +18,7 @@ from cqesim.models import (
     SpherePoint,
     build_pairing_hamiltonian,
     equator_state,
+    random_sphere_point,
     sphere_state,
 )
 from cqesim.oracle import fci_solve
@@ -460,3 +461,25 @@ def test_sampled_descends_toward_ground():
     best = min(rec.energy for rec in result.iterations)
     assert best < e_hf
     assert best - e_fci < 0.02 * (e_hf - e_fci)
+
+
+def test_overflowing_fixed_step_is_rejected_not_raised():
+    # a fixed step this large overflows the Taylor action of the
+    # non-unitary factor; the trial must count as a rejected step
+    model = PairingModel()
+    ham = build_pairing_hamiltonian(model)
+    rng = np.random.default_rng(11)
+    config = CqeConfig(line_search=LineSearch(kind="fixed", eta0=40.0))
+    for _ in range(3):
+        start = sphere_state(model, random_sphere_point(rng))
+        assert cqe_run(ham, config, initial=start).status == "stalled"
+
+
+def test_golden_falls_back_when_energy_is_not_unimodal():
+    # E(eta) of the unitary acse flow is not unimodal on [0, 2] here, so the
+    # golden minimizer alone would not lower the energy at the first step
+    ham = build_hamiltonian(load_fixture("h4_d1.00"))
+    (e_fci,), _ = fci_solve(ham)
+    config = CqeConfig(variant="acse", line_search=LineSearch(kind="golden", eta0=2.0))
+    result = cqe_run(ham, config)
+    assert abs(result.energy - e_fci) < 1e-6
