@@ -136,18 +136,18 @@ def _build_source(args):
 
 
 def _build_config(args) -> CqeConfig:
-    estimator = None
-    if args.execution == "sampled" or args.shots is not None:
-        estimator = EstimatorConfig(
-            variant=args.variant, delta=args.delta, shots=args.shots, seed=args.seed
-        )
-    dilation = DilationPolicy(
-        epsilon=args.epsilon,
-        reset_mode=args.reset_mode,
-        wolfe_c1=1e-4,
-        max_steps_between_resets=args.reset_cap,
-    )
     try:
+        estimator = None
+        if args.execution == "sampled" or args.shots is not None:
+            estimator = EstimatorConfig(
+                variant=args.variant, delta=args.delta, shots=args.shots, seed=args.seed
+            )
+        dilation = DilationPolicy(
+            epsilon=args.epsilon,
+            reset_mode=args.reset_mode,
+            wolfe_c1=1e-4,
+            max_steps_between_resets=args.reset_cap,
+        )
         return CqeConfig(
             variant=args.variant,
             execution=args.execution,

@@ -28,15 +28,21 @@ Residual estimator
 excitation ``a+_i a+_j a_l a_k`` yields the anticommutator residual S and
 the ancilla-Y channel the commutator residual A, each with O(d^2) bias and
 exactly even in d for real problems.  With ``shots`` set, every Hermitian
-observable (real and imaginary part per channel) is sampled from its
-eigenbasis with multinomial counts, which reproduces hardware shot noise
-exactly rather than through a Gaussian surrogate.
+observable (real and imaginary part per channel) is sampled with
+multinomial counts over its outcome classes, which reproduces hardware
+shot noise exactly rather than through a Gaussian surrogate.  A pair
+excitation is a signed partial matching of determinants, so each part has
+at most the three outcome values {-v, 0, +v}; the class probabilities are
+quadratic forms read off the sector's excitation pattern, and no
+eigenbasis is ever formed (``pair_excitation_matrix`` with a dense
+``eigh`` is the test oracle).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -228,6 +234,12 @@ class EstimatorConfig:
     shots: int | None = None
     seed: int | None = None
 
+    def __post_init__(self):
+        if self.shots is not None and self.shots <= 0:
+            raise ValueError("shots must be positive")
+        if self.delta is not None and self.delta == 0.0:
+            raise ValueError("delta must be nonzero")
+
 
 RESET_MODES = ("never", "wolfe", "every_k")
 
@@ -312,12 +324,28 @@ def pair_excitation_matrix(basis: Basis, i: int, j: int, k: int, l: int) -> np.n
     return out
 
 
-def _fill_images(out: np.ndarray, i, j, k, l, value: complex, sign_adjoint: float):
-    """Scatter one canonical element to all index images of an S/A tensor."""
+@lru_cache(maxsize=8)
+def _canonical_columns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical elements as an (m, 4) array, the excitation-pattern column of
+    each (as in ``pair_excitation_matrix``) and the diagonal mask (i, j) == (k, l)."""
+    elements = np.array(canonical_elements(n), dtype=np.int64)
+    i, j, k, l = elements.T
+    out = (elements, ((k * n + l) * n + i) * n + j, (i == k) & (j == l))
+    for arr in out:
+        arr.setflags(write=False)  # shared by every caller of the cache
+    return out
+
+
+def _scatter_images(n: int, elements: np.ndarray, values: np.ndarray, sign_adjoint: float):
+    """An S/A tensor from its canonical elements: every antisymmetric index
+    image and its pair adjoint (times ``sign_adjoint``)."""
+    out = np.zeros((n, n, n, n), dtype=complex)
+    i, j, k, l = elements.T
     for a, b, sa in ((i, j, 1.0), (j, i, -1.0)):
         for c, d, sb in ((k, l, 1.0), (l, k, -1.0)):
-            out[a, b, c, d] = sa * sb * value
-            out[c, d, a, b] = sa * sb * sign_adjoint * np.conj(value)
+            out[a, b, c, d] = sa * sb * values
+            out[c, d, a, b] = sa * sb * sign_adjoint * np.conj(values)
+    return out
 
 
 def estimate_residual_w(
@@ -332,9 +360,10 @@ def estimate_residual_w(
 
     Exact mode (``shots=None``) evaluates every channel expectation in
     closed form on the probe; the only deviation from the true residual is
-    the O(delta^2) dilation bias.  Shot mode draws multinomial samples from
-    the eigenbasis of each canonically independent Hermitian observable and
-    requires a seed.
+    the O(delta^2) dilation bias.  Shot mode draws one multinomial over the
+    outcome classes {+v, -v, 0} of each canonically independent Hermitian
+    observable (see ``_outcome_classes``), which gives the sample mean the
+    same distribution as sampling its eigenbasis, and requires a seed.
 
     Returns the S tensor for ``variant='hcse'``, A for ``'acse'`` and
     ``(S + A) / 2`` for ``'cse'``.
@@ -382,6 +411,52 @@ def estimate_residual_w(
     return TwoBodyTensor(n, out)
 
 
+def _outcome_classes(basis: Basis, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form outcome classes of one probe channel for every canonical element.
+
+    The channel reads the Hermitian part ``(G + G^+)/2`` ("Re") and the
+    anti-Hermitian part ``(G - G^+)/2i`` ("Im") of ``G = a+_i a+_j a_l a_k``:
+    an eigenvalue ``lam`` of the part counts as ``+lam`` on ``x`` and as
+    ``-lam`` on ``y``.  Since ``G|D> = s|D'>`` is a signed partial matching
+    of determinants, an off-diagonal element has both parts with spectrum
+    {-1/2, 0, 1/2} on disjoint 2x2 blocks, and with
+
+        m(x) = 1/2 sum_links (|x_D|^2 + |x_D'|^2),   g(x) = <x|G|x>
+
+    the classes are ``P(+1/2) = m(x) + Re g(x) + m(y) - Re g(y)`` and
+    ``P(-1/2) = m(x) - Re g(x) + m(y) + Re g(y)`` (Im g for the Im part).  A
+    diagonal element is ``n_i n_j`` with spectrum {0, 1}: ``P(+1) = m(x)``,
+    ``P(-1) = m(y)``, and its Im part vanishes.  ``P(0)`` is the rest of
+    ``|x|^2 + |y|^2``.
+
+    Returns the outcome value v (1/2, or 1 on the diagonal) of each element
+    of ``_canonical_columns`` and the probabilities of +v, -v and 0, shape
+    (2, elements, 3) for the Re and Im parts.
+    """
+    ex = _excitations(basis)
+    _, cols, diag = _canonical_columns(basis.n_spin_orbitals)
+    links = abs(ex.by_index)  # 4 on every link, as the pattern stores 4 s
+
+    def m(v):
+        weight = np.abs(v) ** 2
+        return (links @ (weight[ex.rows] + weight[ex.indices]))[cols] / 8.0
+
+    def g(v):
+        return (ex.by_index @ (v.conj()[ex.rows] * v[ex.indices]))[cols] / 4.0
+
+    mx, my, gx, gy = m(x), m(y), g(x), g(y)
+    probs = np.empty((2, len(cols), 3))
+    for part, (gx_part, gy_part) in enumerate(((gx.real, gy.real), (gx.imag, gy.imag))):
+        probs[part, :, 0] = mx + gx_part + my - gy_part
+        probs[part, :, 1] = mx - gx_part + my + gy_part
+    probs[0, diag, 0] = mx[diag]
+    probs[0, diag, 1] = my[diag]
+    probs[1, diag, :2] = 0.0
+    total = float(np.vdot(x, x).real + np.vdot(y, y).real)
+    probs[..., 2] = total - probs[..., 0] - probs[..., 1]
+    return np.where(diag, 1.0, 0.5), probs
+
+
 def _sample_probe(
     basis: Basis,
     top: np.ndarray,
@@ -392,51 +467,36 @@ def _sample_probe(
     need_s: bool,
     need_a: bool,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Multinomial shot sampling of every canonical channel observable."""
+    """Multinomial shot sampling of every canonical channel observable.
+
+    Each part of an element with at least one link gets one three-way draw
+    over its outcome classes; the Im part of a diagonal element is zero and
+    gets none.
+    """
     n = basis.n_spin_orbitals
     rng = np.random.default_rng(seed)
-    s_out = np.zeros((n, n, n, n), dtype=complex) if need_s else None
-    a_out = np.zeros((n, n, n, n), dtype=complex) if need_a else None
+    elements, cols, diag = _canonical_columns(n)
+    linked = np.diff(_excitations(basis).by_index.indptr)[cols] > 0
+    drawn = np.stack([linked, linked & ~diag])
 
-    def sample_mean(values: np.ndarray, probs: np.ndarray) -> float:
-        probs = np.clip(probs.real, 0.0, None)
-        total = probs.sum()
-        if not np.isfinite(total) or total <= 0:
+    def sample_mean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        value, probs = _outcome_classes(basis, x, y)
+        probs = np.clip(probs[drawn], 0.0, None)
+        total = probs.sum(axis=1, keepdims=True)
+        if not np.all(np.isfinite(total)) or np.any(total <= 0):
             raise RuntimeError("invalid outcome distribution in shot sampler")
         counts = rng.multinomial(shots, probs / total)
-        return float(counts @ values) / shots
+        mean = np.zeros(drawn.shape)
+        mean[drawn] = (counts[:, 0] - counts[:, 1]) / shots
+        return value * (mean[0] + 1j * mean[1])
 
-    for i, j, k, l in canonical_elements(n):
-        gamma = pair_excitation_matrix(basis, i, j, k, l)
-        if not gamma.any():
-            continue
-        z_val = 0.0 + 0.0j
-        y_val = 0.0 + 0.0j
-        for part, weight in (("re", 1.0), ("im", 1j)):
-            herm = 0.5 * (gamma + gamma.conj().T) if part == "re" else (
-                (gamma - gamma.conj().T) / 2j
-            )
-            evals, evecs = np.linalg.eigh(herm)
-            o_top = evecs.conj().T @ top
-            o_bot = evecs.conj().T @ bottom
-            values = np.concatenate([evals, -evals])
-            if need_s:
-                probs = np.concatenate([np.abs(o_top) ** 2, np.abs(o_bot) ** 2])
-                z_val += weight * sample_mean(values, probs)
-            if need_a:
-                plus = (o_top - 1j * o_bot) / np.sqrt(2.0)
-                minus = (o_top + 1j * o_bot) / np.sqrt(2.0)
-                probs = np.concatenate([np.abs(plus) ** 2, np.abs(minus) ** 2])
-                y_val += weight * sample_mean(values, probs)
-        diag = (i, j) == (k, l)
-        if need_s:
-            s_el = z_val / delta
-            if diag:
-                s_el = 0.5 * (s_el + np.conj(s_el))
-            _fill_images(s_out, i, j, k, l, s_el, +1.0)
-        if need_a:
-            a_el = -1j * y_val / delta
-            if diag:
-                a_el = 0.5 * (a_el - np.conj(a_el))
-            _fill_images(a_out, i, j, k, l, a_el, -1.0)
+    s_out = a_out = None
+    if need_s:
+        z_val = sample_mean(top, bottom)
+        s_out = _scatter_images(n, elements, z_val / delta, +1.0)
+    if need_a:
+        plus = (top - 1j * bottom) / np.sqrt(2.0)
+        minus = (top + 1j * bottom) / np.sqrt(2.0)
+        y_val = sample_mean(plus, minus)
+        a_out = _scatter_images(n, elements, -1j * y_val / delta, -1.0)
     return s_out, a_out

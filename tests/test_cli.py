@@ -129,6 +129,20 @@ def test_sampled_without_seed_is_input_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--execution", "sampled", "--shots", "0", "--seed", "1"],
+        ["--execution", "sampled", "--shots", "100", "--seed", "1", "--delta", "0"],
+        ["--epsilon", "0"],
+    ],
+)
+def test_bad_estimator_or_dilation_setting_is_input_error(tmp_path, flags):
+    code, out = _run(tmp_path, "b.json", ["run", "--fcidump", "h2_d0.74"] + flags)
+    assert code == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------

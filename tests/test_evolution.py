@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from cqesim import evolution
 from cqesim.evolution import (
     DilationPolicy,
     EstimatorConfig,
+    _canonical_columns,
+    _outcome_classes,
     ancilla_branch,
     apply_dilated,
     apply_exp_exact,
@@ -347,6 +350,67 @@ def test_shot_mode_converges_to_exact_probe_value():
     assert np.linalg.norm(sampled.coeffs - exact.coeffs) < 0.1
 
 
+def _merged_eigh_classes(gamma, part, x, y, value):
+    """Oracle: sample-mean outcome classes from a dense eigh of one Hermitian part."""
+    herm = (gamma + gamma.conj().T) / 2 if part == 0 else (gamma - gamma.conj().T) / 2j
+    evals, evecs = np.linalg.eigh(herm)
+    outcomes = np.concatenate([evals, -evals])
+    probs = np.concatenate([np.abs(evecs.conj().T @ x) ** 2, np.abs(evecs.conj().T @ y) ** 2])
+    classes = [np.isclose(outcomes, v, atol=1e-9) for v in (value, -value, 0.0)]
+    stray = probs[~(classes[0] | classes[1] | classes[2])].sum()
+    return np.array([probs[c].sum() for c in classes]), stray
+
+
+@pytest.mark.parametrize("fixture", ["h2_d0.74", "h4_d1.00"])
+def test_outcome_classes_match_eigh_oracle(fixture):
+    rng = np.random.default_rng(85)
+    ham = build_hamiltonian(load_fixture(fixture))
+    basis = ham.basis
+    psi = _random_state(rng, basis, complex_valued=True)
+    delta = 0.1
+    probe = probe_state(ham, psi, delta)
+    top = ancilla_branch(probe, 0).amplitudes
+    bottom = ancilla_branch(probe, 1).amplitudes
+    channels = {
+        "z": (top, bottom),
+        "y": ((top - 1j * bottom) / np.sqrt(2.0), (top + 1j * bottom) / np.sqrt(2.0)),
+    }
+    elements, _, _ = _canonical_columns(basis.n_spin_orbitals)
+    assert [tuple(e) for e in elements] == list(canonical_elements(basis.n_spin_orbitals))
+    readout = {}
+    for name, (x, y) in channels.items():
+        value, probs = _outcome_classes(basis, x, y)
+        for e, (i, j, k, l) in enumerate(elements):
+            gamma = pair_excitation_matrix(basis, i, j, k, l)
+            for part in (0, 1):
+                ref, stray = _merged_eigh_classes(gamma, part, x, y, value[e])
+                np.testing.assert_allclose(probs[part, e], ref, rtol=0, atol=1e-12)
+                assert stray < 1e-12
+        # the mean of the channel, sum v (P+ - P-), is its exact expectation
+        mean = value * (probs[:, :, 0] - probs[:, :, 1])
+        readout[name] = mean[0] + 1j * mean[1]
+    s_exact = estimate_residual_w(ham, psi, variant="hcse", delta=delta).coeffs
+    a_exact = estimate_residual_w(ham, psi, variant="acse", delta=delta).coeffs
+    i, j, k, l = elements.T
+    assert np.abs(readout["z"].imag).max() > 1e-6  # the complex state reaches Im g
+    np.testing.assert_allclose(readout["z"] / delta, s_exact[i, j, k, l], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(-1j * readout["y"] / delta, a_exact[i, j, k, l], rtol=0, atol=1e-12)
+
+
+def test_shot_mode_forms_no_eigenbasis(monkeypatch):
+    rng = np.random.default_rng(86)
+    ham = build_hamiltonian(load_fixture("h4_d1.00"))
+    psi = _random_state(rng, ham.basis, complex_valued=True)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the shot path must not form an eigenbasis")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(evolution, "pair_excitation_matrix", forbidden)
+    est = estimate_residual_w(ham, psi, variant="cse", shots=1000, seed=4)
+    assert np.all(np.isfinite(est.coeffs)) and np.abs(est.coeffs).max() > 0
+
+
 def test_config_dataclasses_have_expected_defaults():
     cfg = EstimatorConfig()
     assert cfg.variant == "cse" and cfg.delta is None and cfg.shots is None
@@ -363,3 +427,9 @@ def test_config_dataclasses_have_expected_defaults():
         DilationPolicy(wolfe_c1=1.0)
     with pytest.raises(ValueError):
         DilationPolicy(max_steps_between_resets=0)
+
+
+@pytest.mark.parametrize("kwargs", [{"shots": 0, "seed": 1}, {"shots": -3, "seed": 1}, {"delta": 0.0}])
+def test_estimator_config_rejects_bad_values_at_construction(kwargs):
+    with pytest.raises(ValueError):
+        EstimatorConfig(**kwargs)
