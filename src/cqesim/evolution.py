@@ -1,11 +1,17 @@
 """Non-unitary two-body exponentials: exact action and ancilla dilation.
 
+Every exponential below runs through one Taylor kernel, ``_taylor_action``:
+it takes the action of the generator on a vector and the generator's exact
+1-norm (read off the CSR arrays by ``_norm1``) and sums segmented Taylor
+series from matrix-vector products alone, so no matrix (scaled, shifted,
+block or exponential) is built per call.
+
 Exact route
 -----------
-``apply_exp_exact`` applies ``exp(scale * J)`` to a state with a scaled
-Taylor recursion (never forming a matrix exponential); with
-``renormalize=True`` the output is normalized and the retained weight
-``min(1, |out|^2 / |in|^2)`` is folded into ``success_prob``.
+``apply_exp_exact`` applies ``exp(scale * J)`` to a state through the
+action ``scale * (J v)``; with ``renormalize=True`` the output is
+normalized and the retained weight ``min(1, |out|^2 / |in|^2)`` is folded
+into ``success_prob``.
 
 Dilated route
 -------------
@@ -15,7 +21,9 @@ A single ancilla qubit turns ``exp(d J)`` into the unitary
 
     U [u; v] = [cos(dJ) u + sin(dJ) v,  -sin(dJ) u + cos(dJ) v].
 
-Starting from the ancilla in ``|+>`` the ancilla-0 branch carries
+Its generator ``[[0, dJ], [-dJ, 0]]`` is applied as its action
+``[dJ v; -dJ u]`` on the stacked branches, and its 1-norm is ``|d|`` times
+that of J.  Starting from the ancilla in ``|+>`` the ancilla-0 branch carries
 ``(cos + sin)(dJ) psi / sqrt(2) = exp(dJ) psi / sqrt(2) + O(d^2)``, so one
 V-step realizes the non-unitary product-ansatz factor up to a second-order
 dilation error; ``reset_ancilla`` performs the post-selection and books the
@@ -24,10 +32,11 @@ success probability.
 Residual estimator
 ------------------
 ``estimate_residual_w`` reads contracted residuals off the probe state
-``exp(i d Y_a x (H - E)) |+> psi``: the ancilla-Z channel of the pair
-excitation ``a+_i a+_j a_l a_k`` yields the anticommutator residual S and
-the ancilla-Y channel the commutator residual A, each with O(d^2) bias and
-exactly even in d for real problems.  With ``shots`` set, every Hermitian
+``exp(i d Y_a x (H - E)) |+> psi``, a V-step with the action
+``(H - E) v = H v - E v`` (no shifted H is built).  The ancilla-Z channel
+of the pair excitation ``a+_i a+_j a_l a_k`` yields the anticommutator
+residual S and the ancilla-Y channel the commutator residual A, each with
+O(d^2) bias and exactly even in d for real problems.  With ``shots`` set, every Hermitian
 observable (real and imaginary part per channel) is sampled with
 multinomial counts over its outcome classes, which reproduces hardware
 shot noise exactly rather than through a Gaussian surrogate.  A pair
@@ -53,6 +62,7 @@ from .fock import (
     StateVector,
     TwoBodyTensor,
     _excitations,
+    _link_magnitudes,
     pair_adjoint,
 )
 from .residuals import compute_2rdm, energy
@@ -81,37 +91,53 @@ _TERM_STOP = 1e-16
 _TERM_FAIL = 1e-13
 
 
-def _expm_multiply(matrix, vec: np.ndarray) -> np.ndarray:
-    """``exp(matrix) @ vec`` by segmented Taylor summation.
+def _norm1(matrix: sp.csr_matrix, shift: complex = 0.0) -> float:
+    """Exact 1-norm of ``matrix - shift * I``, read off the CSR arrays.
 
-    The matrix is split into ``2^s`` segments so each has 1-norm at most
-    0.5, then each segment is summed to machine precision.  Raises if the
-    series fails to converge (NaN/Inf or slow term decay), which would
-    signal a bogus norm estimate rather than a physics problem.
+    Column sums of ``|data|``, with ``|a_jj - shift|`` in place of
+    ``|a_jj|`` on the diagonal (``a_jj = 0`` where the entry is structurally
+    absent); no matrix is built.
     """
-    norm1 = float(np.max(np.abs(matrix).sum(axis=0))) if matrix.nnz else 0.0
+    cols = np.bincount(matrix.indices, np.abs(matrix.data), minlength=matrix.shape[1])
+    if shift:
+        diag = matrix.diagonal()
+        cols += np.abs(diag - shift) - np.abs(diag)
+    return float(cols.max(initial=0.0))
+
+
+def _taylor_action(matvec, norm1: float, vec: np.ndarray) -> np.ndarray:
+    """``exp(G) @ vec`` from the action ``matvec(v) = G v`` and the 1-norm of G.
+
+    G is split into ``2^s`` segments so each has 1-norm at most 0.5, then
+    each segment's Taylor series is summed to machine precision from
+    matrix-vector products alone (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+    488 (2011)).  Raises if the series fails to converge (NaN/Inf or slow
+    term decay), which would signal a bogus norm rather than a physics
+    problem.
+    """
     if not math.isfinite(norm1):
         raise RuntimeError("generator matrix contains non-finite entries")
-    if norm1 == 0.0:
-        return vec.astype(complex, copy=True)
-    segments = 1 << max(0, math.ceil(math.log2(norm1 / 0.5)))
-    seg_matrix = matrix * (1.0 / segments)
     out = vec.astype(complex, copy=True)
+    if norm1 == 0.0:
+        return out
+    segments = 1 << max(0, math.ceil(math.log2(norm1 / 0.5)))
     for _ in range(segments):
         acc = out.copy()
         term = out
         small_streak = 0
         for k in range(1, _MAX_TAYLOR_TERMS + 1):
-            term = seg_matrix @ term / k
+            term = matvec(term) * (1.0 / (segments * k))
             acc += term
-            ratio = np.linalg.norm(term) / max(np.linalg.norm(acc), 1e-300)
-            if not np.isfinite(ratio):
+            # squared norms: the ratio test |term| < tol |acc| without square roots
+            term2 = np.vdot(term, term).real
+            acc2 = np.vdot(acc, acc).real
+            if not (math.isfinite(term2) and math.isfinite(acc2)):
                 raise RuntimeError("matrix exponential series produced non-finite values")
-            small_streak = small_streak + 1 if ratio < _TERM_STOP else 0
+            small_streak = small_streak + 1 if term2 <= _TERM_STOP**2 * acc2 else 0
             if small_streak >= 2:
                 break
         else:
-            if ratio > _TERM_FAIL:
+            if term2 > _TERM_FAIL**2 * acc2:
                 raise RuntimeError(
                     f"matrix exponential series still decaying at term {_MAX_TAYLOR_TERMS}"
                 )
@@ -133,18 +159,24 @@ def apply_exp_exact(
     """
     if op.basis != psi.basis:
         raise ValueError("operator and state use different bases")
+    matrix = op.matrix
+    norm1 = abs(scale) * _norm1(matrix)
+
+    def action(v):
+        return scale * (matrix @ v)
+
     if psi.n_ancilla == 1:
         if renormalize:
             raise ValueError("renormalize is not meaningful on a dilated state")
         dim = len(psi.basis)
         out = np.concatenate(
             [
-                _expm_multiply(op.matrix * scale, psi.amplitudes[:dim]),
-                _expm_multiply(op.matrix * scale, psi.amplitudes[dim:]),
+                _taylor_action(action, norm1, psi.amplitudes[:dim]),
+                _taylor_action(action, norm1, psi.amplitudes[dim:]),
             ]
         )
         return StateVector(psi.basis, out, 1, psi.success_prob)
-    out = _expm_multiply(op.matrix * scale, psi.amplitudes)
+    out = _taylor_action(action, norm1, psi.amplitudes)
     if not renormalize:
         return StateVector(psi.basis, out, 0, psi.success_prob)
     norm_in = np.linalg.norm(psi.amplitudes)
@@ -171,20 +203,30 @@ def prepare_dilated(psi: StateVector) -> StateVector:
 def apply_dilated(psi: StateVector, op: SparseOperator, delta: float) -> StateVector:
     """Evolve a dilated state by ``exp(i delta Y_a x op)``.
 
-    The generator is assembled as the block matrix
-    ``[[0, delta*J], [-delta*J, 0]]`` and applied with the same Taylor
-    recursion as the exact route.  For Hermitian ``op`` (the intended use:
-    dilating a non-unitary Hermitian generator) the step is exactly
-    unitary; norm conservation is never assumed downstream either way.
+    The generator ``[[0, delta*J], [-delta*J, 0]]`` is applied as its action
+    ``[delta J v; -delta J u]`` on the stacked branches ``[u; v]``, with the
+    same Taylor kernel as the exact route; its 1-norm is ``|delta|`` times
+    that of J.  For Hermitian ``op`` (the intended use: dilating a
+    non-unitary Hermitian generator) the step is exactly unitary; norm
+    conservation is never assumed downstream either way.
     """
     if psi.n_ancilla != 1:
         raise ValueError("apply_dilated expects a single-ancilla state")
     if op.basis != psi.basis:
         raise ValueError("operator and state use different bases")
-    block = sp.bmat(
-        [[None, delta * op.matrix], [-delta * op.matrix, None]], format="csr"
-    )
-    out = _expm_multiply(block, psi.amplitudes)
+    return _dilated_step(psi, op.matrix.__matmul__, _norm1(op.matrix), delta)
+
+
+def _dilated_step(psi: StateVector, apply_j, norm1: float, delta: float) -> StateVector:
+    """``exp(i delta Y_a x J)`` on a dilated state from the 1-norm of J and
+    its action ``apply_j`` on the (dim, 2) block of both branches."""
+    dim = len(psi.basis)
+
+    def action(w):
+        jw = apply_j(w.reshape(2, dim).T)  # columns J u and J v
+        return np.concatenate([delta * jw[:, 1], -delta * jw[:, 0]])
+
+    out = _taylor_action(action, abs(delta) * norm1, psi.amplitudes)
     return StateVector(psi.basis, out, 1, psi.success_prob)
 
 
@@ -276,13 +318,19 @@ class DilationPolicy:
 
 
 def probe_state(ham: SparseOperator, psi: StateVector, delta: float) -> StateVector:
-    """Dilated probe ``exp(i delta Y_a x (H - E)) |+> psi`` (psi normalized first)."""
+    """Dilated probe ``exp(i delta Y_a x (H - E)) |+> psi`` (psi normalized first).
+
+    The V-step of ``apply_dilated`` with the action ``(H - E) v = H v - E v``
+    and the exact 1-norm of ``H - E``; no shifted matrix is built.
+    """
     psi = psi.normalized()
     e = energy(ham, psi)
-    shifted = SparseOperator(
-        ham.basis, ham.matrix - e * sp.identity(len(ham.basis), format="csr")
-    )
-    return apply_dilated(prepare_dilated(psi), shifted, delta)
+    matrix = ham.matrix
+
+    def apply_shifted(v):
+        return matrix @ v - e * v
+
+    return _dilated_step(prepare_dilated(psi), apply_shifted, _norm1(matrix, e), delta)
 
 
 def canonical_elements(n_spin_orbitals: int) -> tuple[tuple[int, int, int, int], ...]:
@@ -435,7 +483,7 @@ def _outcome_classes(basis: Basis, x: np.ndarray, y: np.ndarray) -> tuple[np.nda
     """
     ex = _excitations(basis)
     _, cols, diag = _canonical_columns(basis.n_spin_orbitals)
-    links = abs(ex.by_index)  # 4 on every link, as the pattern stores 4 s
+    links = _link_magnitudes(basis)
 
     def m(v):
         weight = np.abs(v) ** 2

@@ -231,32 +231,49 @@ class TwoBodyTensor:
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
+    @classmethod
+    def _closed(cls, n_spin_orbitals: int, coeffs: np.ndarray) -> "TwoBodyTensor":
+        """A tensor from an operation closed over antisymmetric tensors.
+
+        Skips the n^4 antisymmetry check of the public constructor; ``coeffs``
+        must be a fresh complex array, which becomes read-only.
+        """
+        if coeffs.shape != (n_spin_orbitals,) * 4:
+            raise ValueError(f"coeffs shape {coeffs.shape} does not match n_spin_orbitals={n_spin_orbitals}")
+        out = object.__new__(cls)
+        coeffs.setflags(write=False)
+        object.__setattr__(out, "n_spin_orbitals", n_spin_orbitals)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
+
     def norm(self) -> float:
         """Frobenius norm over all four indices (no deduplication)."""
         return float(np.linalg.norm(self.coeffs))
 
     def adjoint(self) -> "TwoBodyTensor":
-        return TwoBodyTensor(self.n_spin_orbitals, pair_adjoint(self.coeffs))
+        return TwoBodyTensor._closed(self.n_spin_orbitals, pair_adjoint(self.coeffs))
 
     def hermitian_part(self) -> "TwoBodyTensor":
-        return TwoBodyTensor(self.n_spin_orbitals, hermitian_part(self.coeffs))
+        return TwoBodyTensor._closed(self.n_spin_orbitals, hermitian_part(self.coeffs))
 
     def antihermitian_part(self) -> "TwoBodyTensor":
-        return TwoBodyTensor(self.n_spin_orbitals, antihermitian_part(self.coeffs))
+        return TwoBodyTensor._closed(self.n_spin_orbitals, antihermitian_part(self.coeffs))
 
     def __add__(self, other):
-        return TwoBodyTensor(self.n_spin_orbitals, self.coeffs + other.coeffs)
+        return TwoBodyTensor._closed(self.n_spin_orbitals, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
-        return TwoBodyTensor(self.n_spin_orbitals, self.coeffs - other.coeffs)
+        return TwoBodyTensor._closed(self.n_spin_orbitals, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar):
-        return TwoBodyTensor(self.n_spin_orbitals, self.coeffs * scalar)
+        if np.ndim(scalar):
+            raise TypeError("a two-body tensor scales only by a scalar")
+        return TwoBodyTensor._closed(self.n_spin_orbitals, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return TwoBodyTensor(self.n_spin_orbitals, -self.coeffs)
+        return TwoBodyTensor._closed(self.n_spin_orbitals, -self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -404,6 +421,13 @@ def _excitations(basis: Basis) -> _Excitations:
     )
     indptr = np.searchsorted(rows, np.arange(dim + 1))
     return _Excitations(pattern, pattern.T, rows, cols.astype(np.int32), indptr.astype(np.int32))
+
+
+@lru_cache(maxsize=64)
+def _link_magnitudes(basis: Basis) -> sp.csr_matrix:
+    """``|P^T|`` of the sector's excitation pattern (4 on every link), which
+    weighs the links of each canonical element in the shot estimator."""
+    return abs(_excitations(basis).by_index)
 
 
 def two_body_to_operator(tensor: TwoBodyTensor, basis: Basis) -> SparseOperator:

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from cqesim import evolution
 from cqesim.evolution import (
     DilationPolicy,
     EstimatorConfig,
     _canonical_columns,
+    _norm1,
     _outcome_classes,
     ancilla_branch,
     apply_dilated,
@@ -57,7 +59,11 @@ def _random_generator(rng, basis, hermitian=False, scale=1.0):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("scale", [0.05, 1.0, -3.5])
+# +-12 needs 512 Taylor segments on the generator below (1-norm 19.4)
+EXP_SCALES = [0.05, 1.0, -3.5, 12.0, -12.0]
+
+
+@pytest.mark.parametrize("scale", EXP_SCALES)
 def test_apply_exp_exact_matches_dense_expm(scale):
     rng = np.random.default_rng(70)
     basis = build_basis(6, 2, 0)
@@ -67,6 +73,21 @@ def test_apply_exp_exact_matches_dense_expm(scale):
     ref = dense_expm_apply(op, psi, scale=scale)
     np.testing.assert_allclose(got.amplitudes, ref.amplitudes, atol=1e-11)
     assert got.success_prob == psi.success_prob
+
+
+# a Hermitian generator, so the imaginary scale stays unitary
+@pytest.mark.parametrize("scale", [0.05, -3.5, 12j])
+def test_apply_exp_exact_acts_per_branch_on_dilated_state(scale):
+    rng = np.random.default_rng(70)
+    basis = build_basis(6, 2, 0)
+    op = _random_generator(rng, basis, hermitian=True)
+    amps = rng.normal(size=2 * len(basis)) + 1j * rng.normal(size=2 * len(basis))
+    dilated = StateVector(basis, amps / np.linalg.norm(amps), 1, 0.5)
+    got = apply_exp_exact(op, dilated, scale=scale)
+    assert got.n_ancilla == 1 and got.success_prob == 0.5
+    for outcome in (0, 1):
+        ref = dense_expm_apply(op, ancilla_branch(dilated, outcome), scale=scale)
+        np.testing.assert_allclose(ancilla_branch(got, outcome).amplitudes, ref.amplitudes, atol=1e-11)
 
 
 def test_apply_exp_exact_renormalize_books_contraction():
@@ -148,6 +169,25 @@ def test_apply_dilated_matches_block_cosine_sine():
     assert dilated.norm() == pytest.approx(1.0, abs=1e-12)
 
 
+def _dense_block_expm_apply(matrix, delta, amplitudes):
+    """Oracle: ``expm([[0, delta J], [-delta J, 0]])`` formed densely."""
+    block = sp.bmat([[None, delta * matrix], [-delta * matrix, None]])
+    return scipy.linalg.expm(block.toarray()) @ amplitudes
+
+
+@pytest.mark.parametrize("hermitian, delta", [(True, 0.37), (False, 0.37), (False, -1.6)])
+def test_apply_dilated_matches_dense_block_expm(hermitian, delta):
+    rng = np.random.default_rng(73)
+    basis = build_basis(6, 2, 0)
+    op = _random_generator(rng, basis, hermitian=hermitian)
+    amps = rng.normal(size=2 * len(basis)) + 1j * rng.normal(size=2 * len(basis))
+    dilated = StateVector(basis, amps / np.linalg.norm(amps), 1, 0.25)
+    got = apply_dilated(dilated, op, delta)
+    ref = _dense_block_expm_apply(op.matrix, delta, dilated.amplitudes)
+    np.testing.assert_allclose(got.amplitudes, ref, atol=1e-11)
+    assert got.n_ancilla == 1 and got.success_prob == 0.25
+
+
 def test_apply_dilated_composes_for_shared_generator():
     rng = np.random.default_rng(74)
     basis = build_basis(4, 2, 0)
@@ -217,6 +257,100 @@ def test_probe_state_branches():
     top_ref = (scipy.linalg.cosm(delta * m) + scipy.linalg.sinm(delta * m)) @ u
     np.testing.assert_allclose(ancilla_branch(probe, 0).amplitudes, top_ref, atol=1e-11)
     assert probe.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def _hermitian_without_diagonal(rng, basis):
+    """A Hermitian operator whose diagonal entries are all structurally absent."""
+    m = _random_generator(rng, basis, hermitian=True).dense()
+    np.fill_diagonal(m, 0.0)
+    op = SparseOperator(basis, sp.csr_matrix(m))
+    assert not np.any(op.matrix.tocoo().row == op.matrix.tocoo().col)
+    return op
+
+
+def _probe_operator(name, rng):
+    if name == "no_diagonal":
+        return _hermitian_without_diagonal(rng, build_basis(6, 2, 0))
+    return build_hamiltonian(load_fixture(name))
+
+
+@pytest.mark.parametrize("name", ["h4_d1.00", "no_diagonal"])
+@pytest.mark.parametrize("delta", [0.2, -1.3])
+def test_probe_state_matches_dense_block_expm(name, delta):
+    rng = np.random.default_rng(77)
+    ham = _probe_operator(name, rng)
+    psi = _random_state(rng, ham.basis, complex_valued=True)
+    probe = probe_state(ham, psi, delta)
+    shifted = ham.matrix - energy(ham, psi) * sp.identity(len(ham.basis))
+    ref = _dense_block_expm_apply(shifted, delta, prepare_dilated(psi).amplitudes)
+    np.testing.assert_allclose(probe.amplitudes, ref, atol=1e-11)
+    assert probe.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["h4_d1.00", "no_diagonal"])
+def test_norm1_matches_dense_column_sums(name):
+    rng = np.random.default_rng(87)
+    ham = _probe_operator(name, rng)
+    e = energy(ham, _random_state(rng, ham.basis))
+    assert e != 0.0
+    for shift in (0.0, e):
+        dense = np.abs(ham.dense() - shift * np.eye(len(ham.basis))).sum(axis=0).max()
+        assert _norm1(ham.matrix, shift) == pytest.approx(dense, rel=1e-14)
+
+
+def test_kernel_gets_the_exact_generator_norm(monkeypatch):
+    rng = np.random.default_rng(89)
+    basis = build_basis(6, 2, 0)
+    op = _random_generator(rng, basis)
+    ham = _hermitian_without_diagonal(rng, basis)
+    psi = _random_state(rng, basis, complex_valued=True)
+    norms = []
+
+    def spy(matvec, norm1, vec):
+        norms.append(norm1)
+        return kernel(matvec, norm1, vec)
+
+    kernel = evolution._taylor_action
+    monkeypatch.setattr(evolution, "_taylor_action", spy)
+    apply_exp_exact(op, psi, scale=-2.5j)
+    apply_dilated(prepare_dilated(psi), op, 0.7)
+    probe_state(ham, psi, -0.3)
+    shifted = ham.matrix - energy(ham, psi) * sp.identity(len(basis))
+    generators = [
+        -2.5j * op.dense(),
+        sp.bmat([[None, 0.7 * op.matrix], [-0.7 * op.matrix, None]]).toarray(),
+        sp.bmat([[None, -0.3 * shifted], [0.3 * shifted, None]]).toarray(),
+    ]
+    assert norms == pytest.approx([np.abs(g).sum(axis=0).max() for g in generators], rel=1e-14)
+
+
+def test_dilated_step_and_probe_reject_nonfinite():
+    basis = build_basis(4, 2, 0)
+    bad = np.zeros((4, 4))
+    bad[0, 1] = bad[1, 0] = np.inf
+    op = SparseOperator(basis, bad)
+    psi = StateVector(basis, np.ones(4) / 2.0)
+    with pytest.raises(RuntimeError):
+        apply_dilated(prepare_dilated(psi), op, 0.1)
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError):
+        probe_state(op, psi, 0.1)
+
+
+def test_dilated_paths_build_no_matrix(monkeypatch):
+    rng = np.random.default_rng(88)
+    ham = build_hamiltonian(load_fixture("h4_d1.00"))
+    psi = _random_state(rng, ham.basis, complex_valued=True)
+    op = _random_generator(rng, ham.basis, hermitian=True, scale=0.1)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a V-step or probe built a sparse matrix")
+
+    monkeypatch.setattr(sp, "bmat", forbidden)
+    monkeypatch.setattr(sp, "identity", forbidden)
+    assert apply_dilated(prepare_dilated(psi), op, 0.3).norm() == pytest.approx(1.0)
+    assert probe_state(ham, psi, 0.1).norm() == pytest.approx(1.0)
+    est = estimate_residual_w(ham, psi, variant="cse", shots=1000, seed=4)
+    assert np.all(np.isfinite(est.coeffs)) and np.abs(est.coeffs).max() > 0
 
 
 def test_canonical_elements_counts():

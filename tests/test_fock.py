@@ -204,6 +204,54 @@ def test_two_body_tensor_validates_antisymmetry():
     np.testing.assert_allclose((2.0 * t - t).coeffs, good, atol=1e-15)
 
 
+def test_derived_tensors_skip_the_antisymmetry_check(monkeypatch):
+    rng = np.random.default_rng(12)
+    a = antisymmetrize(rng.normal(size=(4,) * 4) + 1j * rng.normal(size=(4,) * 4))
+    b = antisymmetrize(rng.normal(size=(4,) * 4))
+    s, t = TwoBodyTensor(4, a), TwoBodyTensor(4, b)
+    expected = {
+        "adjoint": pair_adjoint(a),
+        "hermitian_part": hermitian_part(a),
+        "antihermitian_part": antihermitian_part(a),
+        "add": a + b,
+        "sub": a - b,
+        "neg": -a,
+        "mul": a * 1.5j,
+        "rmul": -2.0 * a,
+    }
+
+    def derive():
+        return {
+            "adjoint": s.adjoint(),
+            "hermitian_part": s.hermitian_part(),
+            "antihermitian_part": s.antihermitian_part(),
+            "add": s + t,
+            "sub": s - t,
+            "neg": -s,
+            "mul": s * 1.5j,
+            "rmul": -2.0 * s,
+        }
+
+    def forbidden(self):
+        raise AssertionError("a derived tensor re-ran the antisymmetry check")
+
+    monkeypatch.setattr(TwoBodyTensor, "__post_init__", forbidden)
+    derived = derive()
+    monkeypatch.undo()
+    for name, tensor in derived.items():
+        assert tensor.n_spin_orbitals == 4
+        assert tensor.coeffs.dtype == complex
+        assert not tensor.coeffs.flags.writeable, name
+        np.testing.assert_array_equal(tensor.coeffs, expected[name])
+        TwoBodyTensor(4, tensor.coeffs)  # the public check accepts every result
+    bad = a.copy()
+    bad[0, 1, 2, 3] += 1.0
+    with pytest.raises(ValueError):
+        TwoBodyTensor(4, bad)
+    with pytest.raises(TypeError):
+        s * bad  # an elementwise product need not stay antisymmetric
+
+
 # ---------------------------------------------------------------------------
 # Two-body operator assembly
 # ---------------------------------------------------------------------------
