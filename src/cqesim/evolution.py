@@ -4,7 +4,12 @@ Every exponential below runs through one Taylor kernel, ``_taylor_action``:
 it takes the action of the generator on a vector and the generator's exact
 1-norm (read off the CSR arrays by ``_norm1``) and sums segmented Taylor
 series from matrix-vector products alone, so no matrix (scaled, shifted,
-block or exponential) is built per call.
+block or exponential) is built per call.  Segments have 1-norm at most
+theta_40 = 6.0 of Al-Mohy & Higham, and a segment's series stops on two
+negligible terms only where the 1-norm bound already makes the terms
+contract.  Every product with a CSR generator goes through
+``fock._csr_product``, the sparsetools kernel behind scipy's ``@`` without
+its dispatch, so products are bit-identical to ``@``.
 
 Exact route
 -----------
@@ -51,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,6 +66,7 @@ from .fock import (
     SparseOperator,
     StateVector,
     TwoBodyTensor,
+    _csr_product,
     _excitations,
     _link_magnitudes,
     pair_adjoint,
@@ -86,6 +92,7 @@ __all__ = [
 DELTA_EXACT_DEFAULT = 1e-3
 DELTA_SHOT_DEFAULT = 0.1
 
+_THETA = 6.0  # 1-norm per Taylor segment: theta_40 of Al-Mohy & Higham
 _MAX_TAYLOR_TERMS = 60
 _TERM_STOP = 1e-16
 _TERM_FAIL = 1e-13
@@ -108,19 +115,25 @@ def _norm1(matrix: sp.csr_matrix, shift: complex = 0.0) -> float:
 def _taylor_action(matvec, norm1: float, vec: np.ndarray) -> np.ndarray:
     """``exp(G) @ vec`` from the action ``matvec(v) = G v`` and the 1-norm of G.
 
-    G is split into ``2^s`` segments so each has 1-norm at most 0.5, then
-    each segment's Taylor series is summed to machine precision from
-    matrix-vector products alone (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-    488 (2011)).  Raises if the series fails to converge (NaN/Inf or slow
-    term decay), which would signal a bogus norm rather than a physics
-    problem.
+    G is split into ``s = max(1, ceil(|G|_1 / theta))`` equal segments with
+    ``theta = 6.0``, the theta_40 of Al-Mohy & Higham (SIAM J. Sci. Comput.
+    33, 488 (2011)): a degree-40 Taylor polynomial of a segment of 1-norm at
+    most theta_40 meets double precision.  Each segment's series is summed
+    from matrix-vector products alone and stops after two consecutive terms
+    below ``_TERM_STOP`` relative to the partial sum, but only once
+    ``(k + 1) s > |G|_1``: from there every later term is bounded by the
+    last one times ``|G|_1 / (s (k + 1)) < 1``, so a small term cannot be
+    followed by a large one.  A generator of 1-norm at most 0.5 takes one
+    segment.  Raises if the series fails to converge (NaN/Inf, or terms
+    still decaying at ``_MAX_TAYLOR_TERMS``), which would signal a bogus
+    norm rather than a physics problem.
     """
     if not math.isfinite(norm1):
         raise RuntimeError("generator matrix contains non-finite entries")
     out = vec.astype(complex, copy=True)
     if norm1 == 0.0:
         return out
-    segments = 1 << max(0, math.ceil(math.log2(norm1 / 0.5)))
+    segments = max(1, math.ceil(norm1 / _THETA))
     for _ in range(segments):
         acc = out.copy()
         term = out
@@ -134,7 +147,7 @@ def _taylor_action(matvec, norm1: float, vec: np.ndarray) -> np.ndarray:
             if not (math.isfinite(term2) and math.isfinite(acc2)):
                 raise RuntimeError("matrix exponential series produced non-finite values")
             small_streak = small_streak + 1 if term2 <= _TERM_STOP**2 * acc2 else 0
-            if small_streak >= 2:
+            if small_streak >= 2 and (k + 1) * segments > norm1:
                 break
         else:
             if term2 > _TERM_FAIL**2 * acc2:
@@ -163,7 +176,7 @@ def apply_exp_exact(
     norm1 = abs(scale) * _norm1(matrix)
 
     def action(v):
-        return scale * (matrix @ v)
+        return scale * _csr_product(matrix, v)
 
     if psi.n_ancilla == 1:
         if renormalize:
@@ -214,7 +227,7 @@ def apply_dilated(psi: StateVector, op: SparseOperator, delta: float) -> StateVe
         raise ValueError("apply_dilated expects a single-ancilla state")
     if op.basis != psi.basis:
         raise ValueError("operator and state use different bases")
-    return _dilated_step(psi, op.matrix.__matmul__, _norm1(op.matrix), delta)
+    return _dilated_step(psi, partial(_csr_product, op.matrix), _norm1(op.matrix), delta)
 
 
 def _dilated_step(psi: StateVector, apply_j, norm1: float, delta: float) -> StateVector:
@@ -279,8 +292,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.shots is not None and self.shots <= 0:
             raise ValueError("shots must be positive")
-        if self.delta is not None and self.delta == 0.0:
-            raise ValueError("delta must be nonzero")
+        if self.delta is not None and not (math.isfinite(self.delta) and self.delta != 0.0):
+            raise ValueError("delta must be finite and nonzero")
 
 
 RESET_MODES = ("never", "wolfe", "every_k")
@@ -307,8 +320,8 @@ class DilationPolicy:
     max_steps_between_resets: int = 10
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be positive and finite")
         if self.reset_mode not in RESET_MODES:
             raise ValueError(f"unknown reset_mode {self.reset_mode!r}; expected one of {RESET_MODES}")
         if not 0.0 < self.wolfe_c1 < 1.0:
@@ -328,7 +341,7 @@ def probe_state(ham: SparseOperator, psi: StateVector, delta: float) -> StateVec
     matrix = ham.matrix
 
     def apply_shifted(v):
-        return matrix @ v - e * v
+        return _csr_product(matrix, v) - e * v
 
     return _dilated_step(prepare_dilated(psi), apply_shifted, _norm1(matrix, e), delta)
 
@@ -456,7 +469,7 @@ def estimate_residual_w(
         out = a_tensor
     else:
         out = 0.5 * (s_tensor + a_tensor)
-    return TwoBodyTensor(n, out)
+    return TwoBodyTensor._closed(n, out)
 
 
 def _outcome_classes(basis: Basis, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -33,6 +33,7 @@ from .fock import (
     SparseOperator,
     StateVector,
     TwoBodyTensor,
+    _csr_product,
     _excitations,
     antisymmetrize,
     pair_adjoint,
@@ -123,20 +124,24 @@ def energy(ham: SparseOperator, psi: StateVector) -> float:
     norm2 = float(np.real(np.vdot(amps, amps)))
     if norm2 == 0.0:
         raise ValueError("energy of the zero vector is undefined")
-    return float(np.real(np.vdot(amps, ham.matrix @ amps)) / norm2)
+    return float(np.real(np.vdot(amps, _csr_product(ham.matrix, amps))) / norm2)
 
 
 def variance(ham: SparseOperator, psi: StateVector) -> float:
     """Energy variance ``<(H - E)^2>`` on the normalized state."""
-    amps = psi.amplitudes / np.linalg.norm(psi.amplitudes)
-    resid = ham.matrix @ amps - np.vdot(amps, ham.matrix @ amps) * amps
+    norm = np.linalg.norm(psi.amplitudes)
+    if norm == 0.0:
+        raise ValueError("variance of the zero vector is undefined")
+    amps = psi.amplitudes / norm
+    h_amps = _csr_product(ham.matrix, amps)
+    resid = h_amps - np.vdot(amps, h_amps) * amps
     return float(np.real(np.vdot(resid, resid)))
 
 
 def _raw_residual(ham: SparseOperator, psi: StateVector) -> np.ndarray:
     psi = psi.normalized()
     e = energy(ham, psi)
-    phi = StateVector(psi.basis, ham.matrix @ psi.amplitudes - e * psi.amplitudes)
+    phi = StateVector(psi.basis, _csr_product(ham.matrix, psi.amplitudes) - e * psi.amplitudes)
     return compute_2rdm(psi, phi).tensor
 
 
@@ -155,7 +160,7 @@ def residual_channel(raw: np.ndarray, variant: str) -> np.ndarray:
 def residual(ham: SparseOperator, psi: StateVector, variant: str) -> TwoBodyTensor:
     """Contracted residual of channel ``variant`` ('cse', 'hcse' or 'acse')."""
     channel = residual_channel(_raw_residual(ham, psi), variant)
-    return TwoBodyTensor(psi.basis.n_spin_orbitals, channel)
+    return TwoBodyTensor._closed(psi.basis.n_spin_orbitals, channel)
 
 
 def residual_cse(ham: SparseOperator, psi: StateVector) -> TwoBodyTensor:

@@ -125,8 +125,8 @@ class LineSearch:
     def __post_init__(self):
         if self.kind not in LINE_SEARCH_KINDS:
             raise ValueError(f"unknown line search {self.kind!r}; expected one of {LINE_SEARCH_KINDS}")
-        if self.eta0 <= 0:
-            raise ValueError("eta0 must be positive")
+        if not (math.isfinite(self.eta0) and self.eta0 > 0):
+            raise ValueError("eta0 must be positive and finite")
         if not 0.0 < self.shrink < 1.0:
             raise ValueError("shrink must lie in (0, 1)")
         if not 0.0 < self.c1 < 1.0:
@@ -154,8 +154,8 @@ class CqeConfig:
             raise ValueError(f"unknown execution {self.execution!r}; expected one of {EXECUTION_MODES}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.residual_tolerance <= 0:
-            raise ValueError("residual_tolerance must be positive")
+        if not (math.isfinite(self.residual_tolerance) and self.residual_tolerance > 0):
+            raise ValueError("residual_tolerance must be positive and finite")
         if self.execution == "sampled":
             est = self.estimator
             if est is None or est.shots is None or est.seed is None:
@@ -216,7 +216,7 @@ def direction_from_residual(tensor: TwoBodyTensor, variant: str) -> TwoBodyTenso
     of ``-residual``: ``(J + J^+) / 2`` or ``(J - J^+) / 2``.
     """
     coeffs = residual_channel(-tensor.coeffs, variant)
-    return TwoBodyTensor(tensor.n_spin_orbitals, coeffs if variant == "cse" else 0.5 * coeffs)
+    return TwoBodyTensor._closed(tensor.n_spin_orbitals, coeffs if variant == "cse" else 0.5 * coeffs)
 
 
 def _slope(variant: str, direction: TwoBodyTensor, steepest: TwoBodyTensor) -> float:
@@ -448,7 +448,7 @@ def cqe_run(
                 delta=est.delta, shots=est.shots, seed=step_seed,
             )
             return est_tensor.norm(), direction_from_residual(est_tensor, config.variant)
-        tensor = TwoBodyTensor(state.basis.n_spin_orbitals, residual_channel(raw, config.variant))
+        tensor = TwoBodyTensor._closed(state.basis.n_spin_orbitals, residual_channel(raw, config.variant))
         return tensor.norm(), direction_from_residual(tensor, config.variant)
 
     for n in range(config.max_iterations):

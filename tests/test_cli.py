@@ -135,6 +135,10 @@ def test_sampled_without_seed_is_input_error(tmp_path):
         ["--execution", "sampled", "--shots", "0", "--seed", "1"],
         ["--execution", "sampled", "--shots", "100", "--seed", "1", "--delta", "0"],
         ["--epsilon", "0"],
+        ["--execution", "sampled", "--shots", "100", "--seed", "1", "--delta", "nan"],
+        ["--execution", "dilated", "--epsilon", "inf"],
+        ["--tolerance", "nan"],
+        ["--line-search", "fixed:inf"],
     ],
 )
 def test_bad_estimator_or_dilation_setting_is_input_error(tmp_path, flags):

@@ -10,6 +10,7 @@ from cqesim.evolution import (
     DilationPolicy,
     EstimatorConfig,
     _canonical_columns,
+    _csr_product,
     _norm1,
     _outcome_classes,
     ancilla_branch,
@@ -26,6 +27,7 @@ from cqesim.fock import (
     SparseOperator,
     StateVector,
     TwoBodyTensor,
+    antihermitian_part,
     antisymmetrize,
     hermitian_part,
     build_basis,
@@ -59,7 +61,7 @@ def _random_generator(rng, basis, hermitian=False, scale=1.0):
 # ---------------------------------------------------------------------------
 
 
-# +-12 needs 512 Taylor segments on the generator below (1-norm 19.4)
+# +-12 takes 39 Taylor segments on the generator below (1-norm 12 x 19.4 = 233)
 EXP_SCALES = [0.05, 1.0, -3.5, 12.0, -12.0]
 
 
@@ -353,6 +355,141 @@ def test_dilated_paths_build_no_matrix(monkeypatch):
     assert np.all(np.isfinite(est.coeffs)) and np.abs(est.coeffs).max() > 0
 
 
+# ---------------------------------------------------------------------------
+# Taylor segments and the CSR product
+# ---------------------------------------------------------------------------
+
+
+THETA = 6.0  # the kernel's per-segment 1-norm: theta_40 of Al-Mohy & Higham
+
+
+def _kernel_generator(rng, kind, basis):
+    n = basis.n_spin_orbitals
+    t = antisymmetrize(rng.normal(size=(n,) * 4))
+    t = hermitian_part(t) if kind == "hermitian" else antihermitian_part(t)
+    return two_body_to_operator(TwoBodyTensor(n, t), basis)
+
+
+@pytest.mark.parametrize("norm", [0.98 * THETA, 1.02 * THETA, 2.5 * THETA])
+@pytest.mark.parametrize("kind, sign", [("hermitian", 1.0), ("hermitian", -1.0), ("antihermitian", 1.0)])
+def test_exact_step_across_segment_boundaries_matches_dense_expm(norm, kind, sign):
+    rng = np.random.default_rng(90)
+    basis = build_basis(8, 4, 0)
+    op = _kernel_generator(rng, kind, basis)
+    psi = _random_state(rng, basis, complex_valued=True)
+    scale = sign * norm / _norm1(op.matrix)
+    got = apply_exp_exact(op, psi, scale=scale).amplitudes
+    ref = scipy.linalg.expm(scale * op.dense()) @ psi.amplitudes
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("norm", [0.98 * THETA, 1.02 * THETA, 2.5 * THETA])
+@pytest.mark.parametrize("kind", ["hermitian", "antihermitian"])
+def test_dilated_step_across_segment_boundaries_matches_dense_expm(norm, kind):
+    rng = np.random.default_rng(91)
+    basis = build_basis(8, 4, 0)
+    op = _kernel_generator(rng, kind, basis)
+    amps = rng.normal(size=2 * len(basis)) + 1j * rng.normal(size=2 * len(basis))
+    dilated = StateVector(basis, amps / np.linalg.norm(amps), 1)
+    delta = norm / _norm1(op.matrix)
+    got = apply_dilated(dilated, op, delta).amplitudes
+    ref = _dense_block_expm_apply(op.matrix, delta, dilated.amplitudes)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def _count_products(matvec, norm1, vec):
+    calls = []
+
+    def counted(v):
+        calls.append(None)
+        return matvec(v)
+
+    evolution._taylor_action(counted, norm1, vec)
+    return len(calls)
+
+
+@pytest.mark.parametrize("seed", [92, 93, 94])
+def test_kernel_segments_follow_the_theta_bound(seed):
+    rng = np.random.default_rng(seed)
+    basis = build_basis(8, 4, 0)
+    op = _kernel_generator(rng, "hermitian", basis)
+    vec = _random_state(rng, basis, complex_valued=True).amplitudes
+    norm1 = _norm1(op.matrix)
+    products = {}
+    for target in (6.0, 13.0):
+        scale = target / norm1
+        products[target] = _count_products(lambda v: scale * (op.matrix @ v), target, vec)
+    # one segment of at most 42 terms at 1-norm 6, three at 13
+    assert products[6.0] <= 42
+    assert 42 < products[13.0] <= 3 * 42
+
+
+@pytest.mark.parametrize("norm1, segments, per_segment", [(0.3, 1, 2), (6.0, 1, 6), (13.0, 3, 4)])
+def test_kernel_stops_only_where_terms_contract(norm1, segments, per_segment):
+    # A zero action makes every term vanish at once; the two-term streak may
+    # end a segment only once (k + 1) * segments > norm1.
+    vec = np.arange(1.0, 5.0) + 0j
+    count = _count_products(np.zeros_like, norm1, vec)
+    assert count == segments * per_segment
+
+
+def _csr_cases():
+    rng = np.random.default_rng(95)
+    dense = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+    dense[rng.random((7, 7)) < 0.5] = 0.0
+    empty_rows = dense.copy()
+    empty_rows[[0, 3, 6]] = 0.0
+    wide = sp.csr_matrix(dense)
+    wide.indices = wide.indices.astype(np.int64)
+    wide.indptr = wide.indptr.astype(np.int64)
+    return {
+        "plain": sp.csr_matrix(dense),
+        "empty_rows": sp.csr_matrix(empty_rows),
+        "int64": wide,
+    }
+
+
+@pytest.mark.parametrize("case", ["plain", "empty_rows", "int64"])
+def test_csr_product_is_bitwise_matmul(case):
+    matrix = _csr_cases()[case]
+    assert case != "int64" or matrix.indices.dtype == np.int64
+    assert case != "empty_rows" or np.any(np.diff(matrix.indptr) == 0)
+    rng = np.random.default_rng(96)
+    stacked = rng.normal(size=14) + 1j * rng.normal(size=14)
+    vector = stacked[:7]
+    block = stacked.reshape(2, 7).T  # F-ordered view of both branches
+    assert not block.flags.c_contiguous
+    for operand in (vector, block):
+        got = _csr_product(matrix, operand)
+        want = matrix @ operand
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_exponentials_bypass_scipy_matmul(monkeypatch):
+    rng = np.random.default_rng(97)
+    ham = build_hamiltonian(load_fixture("h4_d1.00"))
+    psi = _random_state(rng, ham.basis, complex_valued=True)
+    op = _random_generator(rng, ham.basis, hermitian=True, scale=0.1)
+    before = (
+        apply_exp_exact(op, psi, scale=-0.7),
+        apply_dilated(prepare_dilated(psi), op, 0.3),
+        probe_state(ham, psi, 0.1),
+    )
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an exponential went through scipy's @ dispatch")
+
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", forbidden)
+    after = (
+        apply_exp_exact(op, psi, scale=-0.7),
+        apply_dilated(prepare_dilated(psi), op, 0.3),
+        probe_state(ham, psi, 0.1),
+    )
+    for x, y in zip(before, after):
+        assert np.array_equal(x.amplitudes, y.amplitudes)
+
+
 def test_canonical_elements_counts():
     assert len(canonical_elements(4)) == 21   # 6 pairs -> 6*7/2
     assert len(canonical_elements(8)) == 406  # 28 pairs -> 28*29/2
@@ -563,7 +700,17 @@ def test_config_dataclasses_have_expected_defaults():
         DilationPolicy(max_steps_between_resets=0)
 
 
-@pytest.mark.parametrize("kwargs", [{"shots": 0, "seed": 1}, {"shots": -3, "seed": 1}, {"delta": 0.0}])
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"shots": 0, "seed": 1}, {"shots": -3, "seed": 1}, {"delta": 0.0},
+     {"delta": float("nan")}, {"delta": float("inf")}],
+)
 def test_estimator_config_rejects_bad_values_at_construction(kwargs):
     with pytest.raises(ValueError):
         EstimatorConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_dilation_policy_rejects_nonfinite_epsilon(value):
+    with pytest.raises(ValueError, match="finite"):
+        DilationPolicy(epsilon=value)

@@ -107,6 +107,15 @@ def test_energy_and_variance_against_dense():
     assert variance(ham, scaled) == pytest.approx(var_ref, abs=1e-10)
 
 
+def test_energy_and_variance_reject_the_zero_vector():
+    ham = build_hamiltonian(load_fixture("h2_d0.74"))
+    zero = StateVector(ham.basis, np.zeros(len(ham.basis)))
+    with pytest.raises(ValueError):
+        energy(ham, zero)
+    with np.errstate(all="raise"), pytest.raises(ValueError):
+        variance(ham, zero)
+
+
 def test_variance_vanishes_exactly_on_eigenstates():
     ham = build_hamiltonian(load_fixture("h2_d0.74"))
     energies, states = fci_solve(ham, n_states=2)

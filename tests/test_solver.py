@@ -59,6 +59,14 @@ def test_config_rejects_bad_fields():
         CqeConfig(residual_tolerance=0.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_configs_reject_nonfinite_tolerance_and_step(value):
+    with pytest.raises(ValueError, match="finite"):
+        CqeConfig(residual_tolerance=value)
+    with pytest.raises(ValueError, match="finite"):
+        LineSearch(eta0=value)
+
+
 def test_line_search_validation():
     with pytest.raises(ValueError):
         LineSearch(kind="newton")
@@ -443,6 +451,35 @@ def test_sampled_is_deterministic_per_seed():
         ),
     )
     assert [rec.energy for rec in r3.iterations] != [rec.energy for rec in r1.iterations]
+
+
+def _run_digest(result):
+    records = [
+        (r.n, r.energy, r.variance, r.norm_r, r.norm_s, r.norm_a, r.eta, r.success_prob)
+        for r in result.iterations
+    ]
+    return result.status, records, result.state.amplitudes.tobytes(), result.residual_norm
+
+
+def test_solver_loop_skips_the_antisymmetry_check(monkeypatch):
+    # Residuals, directions and estimates are antisymmetric by construction,
+    # so the loop builds none of them through the checking constructor.
+    _, ham = _h4()
+    with pytest.raises(ValueError, match="antisymmetric"):
+        TwoBodyTensor(8, np.ones((8,) * 4))
+    configs = [CqeConfig(variant=v, max_iterations=8) for v in ("cse", "hcse", "acse")]
+    configs.append(
+        CqeConfig(execution="sampled", max_iterations=4, estimator=EstimatorConfig(shots=2000, seed=3))
+    )
+    checked = [_run_digest(cqe_run(ham, cfg)) for cfg in configs]
+
+    def forbidden(self):
+        raise AssertionError("the solver loop ran the n^4 antisymmetry check")
+
+    monkeypatch.setattr(TwoBodyTensor, "__post_init__", forbidden)
+    with pytest.raises(AssertionError):
+        TwoBodyTensor(8, np.zeros((8,) * 4))
+    assert [_run_digest(cqe_run(ham, cfg)) for cfg in configs] == checked
 
 
 def test_sampled_descends_toward_ground():
