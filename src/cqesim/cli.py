@@ -138,14 +138,11 @@ def _build_source(args):
 def _build_config(args) -> CqeConfig:
     try:
         estimator = None
-        if args.execution == "sampled" or args.shots is not None:
-            estimator = EstimatorConfig(
-                variant=args.variant, delta=args.delta, shots=args.shots, seed=args.seed
-            )
+        if args.execution == "sampled":
+            estimator = EstimatorConfig(delta=args.delta, shots=args.shots, seed=args.seed)
         dilation = DilationPolicy(
             epsilon=args.epsilon,
             reset_mode=args.reset_mode,
-            wolfe_c1=1e-4,
             max_steps_between_resets=args.reset_cap,
         )
         return CqeConfig(
@@ -267,6 +264,7 @@ def cmd_residual_study(args) -> int:
         raise CliError("need at least one variant")
     norm_field = {"cse": "norm_r", "hcse": "norm_s", "acse": "norm_a"}
     lines = [",".join(STUDY_COLUMNS)]
+    initial = _initial_state(args.init, ham, None)
     for variant in variants:
         config = CqeConfig(
             variant=variant,
@@ -274,7 +272,6 @@ def cmd_residual_study(args) -> int:
             residual_tolerance=args.tolerance,
             line_search=_parse_line_search(args.line_search),
         )
-        initial = _initial_state(args.init, ham, None)
         result = cqe_run(ham, config, initial=initial)
         for rec in result.iterations:
             norm2 = getattr(rec, norm_field[variant]) ** 2
@@ -300,6 +297,16 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--output", default=None, help="write here instead of stdout")
 
 
+def _add_execution_flags(p: argparse.ArgumentParser):
+    p.add_argument("--execution", choices=EXECUTION_MODES, default="exact")
+    p.add_argument("--shots", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--delta", type=float, default=None, help="probe step for the estimator")
+    p.add_argument("--epsilon", type=float, default=0.5, help="dilated V-step cap")
+    p.add_argument("--reset-mode", choices=RESET_MODES, default="wolfe")
+    p.add_argument("--reset-cap", type=int, default=10, help="V-steps between forced resets")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cqesim",
@@ -311,28 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--fcidump", default=None, help="FCIDUMP file path or packaged fixture name")
     run.add_argument("--model", default=None, help="built-in model name (pairing)")
     run.add_argument("--pairing-constants", default="0,1,2,0.5", help="e0,e1,e3,t")
-    run.add_argument("--execution", choices=EXECUTION_MODES, default="exact")
-    run.add_argument("--shots", type=int, default=None)
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--delta", type=float, default=None, help="probe step for the estimator")
-    run.add_argument("--epsilon", type=float, default=0.5, help="dilated V-step cap")
-    run.add_argument("--reset-mode", choices=RESET_MODES, default="wolfe")
-    run.add_argument("--reset-cap", type=int, default=10, help="V-steps between forced resets")
     run.add_argument("--init", default=None,
                      help="hf | fci | equator:THETA | sphere:G,M,X (default hf; equator:0.3 for --model pairing)")
+    _add_execution_flags(run)
     _add_solver_flags(run)
     run.set_defaults(func=cmd_run)
 
     scan = sub.add_parser("scan", help="per-fixture summary CSV across a geometry family")
     scan.add_argument("--fixtures", nargs="+", required=True,
                       help="fixture name globs (h2_*) or FCIDUMP paths")
-    scan.add_argument("--execution", choices=EXECUTION_MODES, default="exact")
-    scan.add_argument("--shots", type=int, default=None)
-    scan.add_argument("--seed", type=int, default=None)
-    scan.add_argument("--delta", type=float, default=None)
-    scan.add_argument("--epsilon", type=float, default=0.5)
-    scan.add_argument("--reset-mode", choices=RESET_MODES, default="wolfe")
-    scan.add_argument("--reset-cap", type=int, default=10)
+    _add_execution_flags(scan)
     _add_solver_flags(scan)
     scan.set_defaults(func=cmd_scan)
 
@@ -354,12 +349,6 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     if hasattr(args, "init") and args.init is None:
         args.init = "equator:0.3" if getattr(args, "model", None) == "pairing" else "hf"
-    if not hasattr(args, "execution"):
-        args.execution = "exact"
-    for name, default in (("shots", None), ("seed", None), ("delta", None),
-                          ("epsilon", 0.5), ("reset_mode", "wolfe"), ("reset_cap", 10)):
-        if not hasattr(args, name):
-            setattr(args, name, default)
     try:
         return args.func(args)
     except CliError as exc:

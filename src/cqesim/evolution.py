@@ -41,15 +41,17 @@ Residual estimator
 ``(H - E) v = H v - E v`` (no shifted H is built).  The ancilla-Z channel
 of the pair excitation ``a+_i a+_j a_l a_k`` yields the anticommutator
 residual S and the ancilla-Y channel the commutator residual A, each with
-O(d^2) bias and exactly even in d for real problems.  With ``shots`` set, every Hermitian
-observable (real and imaginary part per channel) is sampled with
-multinomial counts over its outcome classes, which reproduces hardware
-shot noise exactly rather than through a Gaussian surrogate.  A pair
-excitation is a signed partial matching of determinants, so each part has
-at most the three outcome values {-v, 0, +v}; the class probabilities are
-quadratic forms read off the sector's excitation pattern, and no
-eigenbasis is ever formed (``pair_excitation_matrix`` with a dense
-``eigh`` is the test oracle).
+O(d^2) bias and exactly even in d for real problems.  A pair excitation is
+a signed partial matching of determinants, so each Hermitian observable
+(real and imaginary part per channel) has at most the three outcome values
+{-v, 0, +v}; the class probabilities are quadratic forms read off the
+sector's excitation pattern, and no eigenbasis is ever formed
+(``pair_excitation_matrix`` with a dense ``eigh`` is the test oracle).
+Both modes read these classes: exact mode takes the expectation
+``v (P+ - P-)``, and with ``shots`` set every observable gets multinomial
+counts over its classes, which reproduces hardware shot noise exactly
+rather than through a Gaussian surrogate.  One scatter of the canonical S
+and A values then builds the requested channel.
 """
 
 from __future__ import annotations
@@ -69,9 +71,8 @@ from .fock import (
     _csr_product,
     _excitations,
     _link_magnitudes,
-    pair_adjoint,
 )
-from .residuals import compute_2rdm, energy
+from .residuals import RESIDUAL_VARIANTS, energy
 
 __all__ = [
     "apply_exp_exact",
@@ -282,16 +283,18 @@ def reset_ancilla(psi: StateVector) -> StateVector:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """How the sampled execution path measures residuals."""
+    """How the sampled execution path measures residuals; the one check of estimator inputs."""
 
-    variant: str = "cse"
     delta: float | None = None
     shots: int | None = None
     seed: int | None = None
 
     def __post_init__(self):
-        if self.shots is not None and self.shots <= 0:
-            raise ValueError("shots must be positive")
+        if self.shots is not None:
+            if self.shots <= 0:
+                raise ValueError("shots must be positive")
+            if self.seed is None:
+                raise ValueError("shot sampling requires a seed for reproducibility")
         if self.delta is not None and not (math.isfinite(self.delta) and self.delta != 0.0):
             raise ValueError("delta must be finite and nonzero")
 
@@ -397,15 +400,19 @@ def _canonical_columns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _scatter_images(n: int, elements: np.ndarray, values: np.ndarray, sign_adjoint: float):
-    """An S/A tensor from its canonical elements: every antisymmetric index
-    image and its pair adjoint (times ``sign_adjoint``)."""
+def _scatter_images(n: int, elements: np.ndarray, s: np.ndarray, a: np.ndarray, weight: float):
+    """``weight * (S + A)`` from canonical S and A values: ``weight * (s + a)`` at every
+    antisymmetric image of (i, j, k, l) and ``weight * conj(s - a)`` at its pair adjoints,
+    as S is pair-Hermitian and A pair-anti-Hermitian.  ``weight = 1/2`` gives R; ``weight = 1``
+    with ``a = 0`` gives S, and with ``s = 0`` gives A."""
+    forward = weight * (s + a)
+    adjoint = weight * np.conj(s - a)
     out = np.zeros((n, n, n, n), dtype=complex)
     i, j, k, l = elements.T
-    for a, b, sa in ((i, j, 1.0), (j, i, -1.0)):
-        for c, d, sb in ((k, l, 1.0), (l, k, -1.0)):
-            out[a, b, c, d] = sa * sb * values
-            out[c, d, a, b] = sa * sb * sign_adjoint * np.conj(values)
+    for bra, sign_bra in (((i, j), 1.0), ((j, i), -1.0)):
+        for ket, sign_ket in (((k, l), 1.0), ((l, k), -1.0)):
+            out[bra + ket] = sign_bra * sign_ket * forward
+            out[ket + bra] = sign_bra * sign_ket * adjoint
     return out
 
 
@@ -419,57 +426,59 @@ def estimate_residual_w(
 ) -> TwoBodyTensor:
     """Estimate a contracted residual tensor from the dilated probe state.
 
-    Exact mode (``shots=None``) evaluates every channel expectation in
-    closed form on the probe; the only deviation from the true residual is
-    the O(delta^2) dilation bias.  Shot mode draws one multinomial over the
-    outcome classes {+v, -v, 0} of each canonically independent Hermitian
-    observable (see ``_outcome_classes``), which gives the sample mean the
-    same distribution as sampling its eigenbasis, and requires a seed.
+    Every canonical element of a measured channel has the outcome classes
+    {+v, -v, 0} of ``_outcome_classes``.  Exact mode (``shots=None``) takes
+    their expectation ``v (P+ - P-)``, so the only deviation from the true
+    residual is the O(delta^2) dilation bias.  Shot mode draws one
+    multinomial per element and part over the same classes, which gives the
+    sample mean the distribution of sampling its eigenbasis, and requires a
+    seed.  ``delta``, ``shots`` and ``seed`` obey the rules of
+    ``EstimatorConfig``.
 
-    Returns the S tensor for ``variant='hcse'``, A for ``'acse'`` and
-    ``(S + A) / 2`` for ``'cse'``.
+    Returns the S tensor (Z channel only) for ``variant='hcse'``, A (Y
+    channel only) for ``'acse'`` and ``(S + A) / 2`` for ``'cse'``.
     """
-    if variant not in ("cse", "hcse", "acse"):
+    if variant not in RESIDUAL_VARIANTS:
         raise ValueError(f"unknown residual variant {variant!r}")
-    if shots is not None:
-        if shots <= 0:
-            raise ValueError("shots must be positive")
-        if seed is None:
-            raise ValueError("shot sampling requires a seed for reproducibility")
+    EstimatorConfig(delta=delta, shots=shots, seed=seed)  # raises on a bad delta, shots or seed
     if delta is None:
         delta = DELTA_EXACT_DEFAULT if shots is None else DELTA_SHOT_DEFAULT
-    if delta == 0.0:
-        raise ValueError("delta must be nonzero")
 
-    n = psi.basis.n_spin_orbitals
-    upsilon = probe_state(ham, psi, delta)
-    top = ancilla_branch(upsilon, 0)
-    bottom = ancilla_branch(upsilon, 1)
+    basis = psi.basis
+    n = basis.n_spin_orbitals
+    dim = len(basis)
+    probe = probe_state(ham, psi, delta).amplitudes
+    top, bottom = probe[:dim], probe[dim:]
+    elements, cols, diag = _canonical_columns(n)
+    if shots is not None:
+        rng = np.random.default_rng(seed)
+        # an element without links, and the Im part of a diagonal one, is zero: no draw
+        linked = np.diff(_excitations(basis).by_index.indptr)[cols] > 0
+        drawn = np.stack([linked, linked & ~diag])
 
-    need_s = variant in ("cse", "hcse")
-    need_a = variant in ("cse", "acse")
+    def channel_mean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        value, probs = _outcome_classes(basis, x, y)
+        if shots is None:
+            mean = probs[..., 0] - probs[..., 1]
+        else:
+            probs = np.clip(probs[drawn], 0.0, None)
+            total = probs.sum(axis=1, keepdims=True)
+            if not np.all(np.isfinite(total)) or np.any(total <= 0):
+                raise RuntimeError("invalid outcome distribution in shot sampler")
+            counts = rng.multinomial(shots, probs / total)
+            mean = np.zeros(drawn.shape)
+            mean[drawn] = (counts[:, 0] - counts[:, 1]) / shots
+        return value * (mean[0] + 1j * mean[1])
 
-    if shots is None:
-        s_tensor = a_tensor = None
-        if need_s:
-            z = compute_2rdm(top).tensor - compute_2rdm(bottom).tensor
-            s_tensor = z / delta
-        if need_a:
-            cross = compute_2rdm(top, bottom).tensor
-            y = -1j * (cross - pair_adjoint(cross))
-            a_tensor = -1j * y / delta
-    else:
-        s_tensor, a_tensor = _sample_probe(
-            psi.basis, top.amplitudes, bottom.amplitudes, delta, shots, seed, need_s, need_a
-        )
-
-    if variant == "hcse":
-        out = s_tensor
-    elif variant == "acse":
-        out = a_tensor
-    else:
-        out = 0.5 * (s_tensor + a_tensor)
-    return TwoBodyTensor._closed(n, out)
+    s = a = 0.0
+    if variant != "acse":  # ancilla Z
+        s = channel_mean(top, bottom) / delta
+    if variant != "hcse":  # ancilla Y
+        plus = (top - 1j * bottom) / np.sqrt(2.0)
+        minus = (top + 1j * bottom) / np.sqrt(2.0)
+        a = -1j * channel_mean(plus, minus) / delta
+    weight = 0.5 if variant == "cse" else 1.0
+    return TwoBodyTensor._closed(n, _scatter_images(n, elements, s, a, weight))
 
 
 def _outcome_classes(basis: Basis, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -516,48 +525,3 @@ def _outcome_classes(basis: Basis, x: np.ndarray, y: np.ndarray) -> tuple[np.nda
     total = float(np.vdot(x, x).real + np.vdot(y, y).real)
     probs[..., 2] = total - probs[..., 0] - probs[..., 1]
     return np.where(diag, 1.0, 0.5), probs
-
-
-def _sample_probe(
-    basis: Basis,
-    top: np.ndarray,
-    bottom: np.ndarray,
-    delta: float,
-    shots: int,
-    seed: int,
-    need_s: bool,
-    need_a: bool,
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Multinomial shot sampling of every canonical channel observable.
-
-    Each part of an element with at least one link gets one three-way draw
-    over its outcome classes; the Im part of a diagonal element is zero and
-    gets none.
-    """
-    n = basis.n_spin_orbitals
-    rng = np.random.default_rng(seed)
-    elements, cols, diag = _canonical_columns(n)
-    linked = np.diff(_excitations(basis).by_index.indptr)[cols] > 0
-    drawn = np.stack([linked, linked & ~diag])
-
-    def sample_mean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        value, probs = _outcome_classes(basis, x, y)
-        probs = np.clip(probs[drawn], 0.0, None)
-        total = probs.sum(axis=1, keepdims=True)
-        if not np.all(np.isfinite(total)) or np.any(total <= 0):
-            raise RuntimeError("invalid outcome distribution in shot sampler")
-        counts = rng.multinomial(shots, probs / total)
-        mean = np.zeros(drawn.shape)
-        mean[drawn] = (counts[:, 0] - counts[:, 1]) / shots
-        return value * (mean[0] + 1j * mean[1])
-
-    s_out = a_out = None
-    if need_s:
-        z_val = sample_mean(top, bottom)
-        s_out = _scatter_images(n, elements, z_val / delta, +1.0)
-    if need_a:
-        plus = (top - 1j * bottom) / np.sqrt(2.0)
-        minus = (top + 1j * bottom) / np.sqrt(2.0)
-        y_val = sample_mean(plus, minus)
-        a_out = _scatter_images(n, elements, -1j * y_val / delta, -1.0)
-    return s_out, a_out

@@ -156,10 +156,8 @@ class CqeConfig:
             raise ValueError("max_iterations must be at least 1")
         if not (math.isfinite(self.residual_tolerance) and self.residual_tolerance > 0):
             raise ValueError("residual_tolerance must be positive and finite")
-        if self.execution == "sampled":
-            est = self.estimator
-            if est is None or est.shots is None or est.seed is None:
-                raise ValueError("sampled execution needs an EstimatorConfig with shots and seed")
+        if self.execution == "sampled" and (self.estimator is None or self.estimator.shots is None):
+            raise ValueError("sampled execution needs an EstimatorConfig with shots")
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,14 @@ def test_sampled_without_seed_is_input_error(tmp_path):
     assert not out.exists()
 
 
+def test_shots_without_sampled_execution_builds_no_estimator(tmp_path):
+    code, out = _run(tmp_path, "e.json", ["run", "--fcidump", "h2_d0.74", "--shots", "100"])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    jsonschema.validate(doc, _schema())
+    assert doc["config"]["estimator"] is None
+
+
 @pytest.mark.parametrize(
     "flags",
     [

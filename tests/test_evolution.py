@@ -36,7 +36,7 @@ from cqesim.fock import (
 )
 from cqesim.hamiltonian import build_hamiltonian, load_fixture
 from cqesim.oracle import dense_expm_apply
-from cqesim.residuals import energy, residual_acse, residual_cse, residual_hcse
+from cqesim.residuals import compute_2rdm, energy, residual_acse, residual_cse, residual_hcse
 
 import _jw_dense as jw
 
@@ -578,6 +578,33 @@ def test_estimator_structure_and_validation():
         estimate_residual_w(ham, psi, shots=1000)  # no seed
     with pytest.raises(ValueError):
         estimate_residual_w(ham, psi, shots=-5, seed=1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="delta"):
+            estimate_residual_w(ham, psi, delta=bad)
+
+
+def _two_rdm_oracle(ham, psi, variant, delta):
+    """Exact channel means as transition 2-RDMs of the probe's ancilla branches:
+    S = (G(top) - G(bottom)) / delta and A = -(G(top, bottom) - G^+) / delta."""
+    probe = probe_state(ham, psi, delta)
+    top, bottom = ancilla_branch(probe, 0), ancilla_branch(probe, 1)
+    s = (compute_2rdm(top).tensor - compute_2rdm(bottom).tensor) / delta
+    cross = compute_2rdm(top, bottom).tensor
+    a = -(cross - pair_adjoint(cross)) / delta
+    return {"hcse": s, "acse": a, "cse": 0.5 * (s + a)}[variant]
+
+
+@pytest.mark.parametrize("fixture", ["h2_d0.74", "h4_d1.00"])
+@pytest.mark.parametrize("delta", [1e-3, 0.1, -0.07])
+@pytest.mark.parametrize("variant", ["cse", "hcse", "acse"])
+def test_exact_estimator_matches_transition_rdm_oracle(fixture, delta, variant):
+    rng = np.random.default_rng(87)
+    ham = build_hamiltonian(load_fixture(fixture))
+    psi = _random_state(rng, ham.basis, complex_valued=True)
+    got = estimate_residual_w(ham, psi, variant=variant, delta=delta).coeffs
+    ref = _two_rdm_oracle(ham, psi, variant, delta)
+    assert np.abs(ref).max() > 1e-3
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +711,7 @@ def test_shot_mode_forms_no_eigenbasis(monkeypatch):
 
 def test_config_dataclasses_have_expected_defaults():
     cfg = EstimatorConfig()
-    assert cfg.variant == "cse" and cfg.delta is None and cfg.shots is None
+    assert cfg.delta is None and cfg.shots is None
     policy = DilationPolicy()
     assert policy.epsilon == pytest.approx(0.5)
     assert policy.reset_mode == "wolfe"
@@ -703,7 +730,7 @@ def test_config_dataclasses_have_expected_defaults():
 @pytest.mark.parametrize(
     "kwargs",
     [{"shots": 0, "seed": 1}, {"shots": -3, "seed": 1}, {"delta": 0.0},
-     {"delta": float("nan")}, {"delta": float("inf")}],
+     {"delta": float("nan")}, {"delta": float("inf")}, {"shots": 100}],
 )
 def test_estimator_config_rejects_bad_values_at_construction(kwargs):
     with pytest.raises(ValueError):
