@@ -13,7 +13,7 @@ import argparse
 import fnmatch
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,6 @@ from .oracle import fci_solve
 from .residuals import RESIDUAL_VARIANTS, energy
 from .solver import (
     EXECUTION_MODES,
-    LINE_SEARCH_KINDS,
     CqeConfig,
     LineSearch,
     cqe_run,
@@ -64,11 +63,8 @@ class CliError(Exception):
 
 def _parse_line_search(text: str) -> LineSearch:
     kind, _, rest = text.partition(":")
-    if kind not in LINE_SEARCH_KINDS:
-        raise CliError(f"unknown line search {kind!r}; expected one of {LINE_SEARCH_KINDS}")
     try:
-        eta0 = float(rest) if rest else 0.5
-        return LineSearch(kind=kind, eta0=eta0)
+        return LineSearch(kind, float(rest)) if rest else LineSearch(kind)
     except ValueError as exc:
         raise CliError(f"bad line search spec {text!r}: {exc}") from exc
 
@@ -220,13 +216,7 @@ def _scan_points(patterns) -> list[str]:
         points.extend(hits)
     if not points:
         raise CliError(f"no scan points match {list(patterns)!r}; known fixtures: {known}")
-    seen = set()
-    unique = []
-    for p in points:
-        if p not in seen:
-            seen.add(p)
-            unique.append(p)
-    return unique
+    return list(dict.fromkeys(points))
 
 
 def cmd_scan(args) -> int:
@@ -262,17 +252,19 @@ def cmd_residual_study(args) -> int:
             raise CliError(f"unknown variant {v!r}; expected one of {RESIDUAL_VARIANTS}")
     if not variants:
         raise CliError("need at least one variant")
-    norm_field = {"cse": "norm_r", "hcse": "norm_s", "acse": "norm_a"}
-    lines = [",".join(STUDY_COLUMNS)]
-    initial = _initial_state(args.init, ham, None)
-    for variant in variants:
+    try:
         config = CqeConfig(
-            variant=variant,
             max_iterations=args.max_iterations,
             residual_tolerance=args.tolerance,
             line_search=_parse_line_search(args.line_search),
         )
-        result = cqe_run(ham, config, initial=initial)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    norm_field = {"cse": "norm_r", "hcse": "norm_s", "acse": "norm_a"}
+    lines = [",".join(STUDY_COLUMNS)]
+    initial = _initial_state(args.init, ham, None)
+    for variant in variants:
+        result = cqe_run(ham, replace(config, variant=variant), initial=initial)
         for rec in result.iterations:
             norm2 = getattr(rec, norm_field[variant]) ** 2
             lines.append(f"{variant},{rec.n},{norm2},{rec.variance}")
@@ -286,25 +278,28 @@ def cmd_residual_study(args) -> int:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser):
-    p.add_argument("--variant", choices=RESIDUAL_VARIANTS, default="cse")
-    p.add_argument("--tolerance", type=float, default=1e-6, help="residual Frobenius-norm target")
-    p.add_argument("--max-iterations", type=int, default=200)
-    p.add_argument("--line-search", default="backtracking",
-                   help="fixed:ETA | backtracking[:ETA0] | golden[:ETA_MAX]; outside sampled "
-                        "execution, backtracking grows its first accepted step while the "
-                        "energy falls and refines the bracket by parabolic steps, and every kind "
-                        "steps along Polak-Ribiere+ conjugate directions")
+    p.add_argument("--tolerance", type=float, default=CqeConfig.residual_tolerance,
+                   help="residual Frobenius-norm target")
+    p.add_argument("--max-iterations", type=int, default=CqeConfig.max_iterations)
+    p.add_argument("--line-search", default=LineSearch.kind,
+                   help=f"fixed[:ETA] | backtracking[:ETA0], eta {LineSearch.eta0} unless given; "
+                        "backtracking halves eta until the Armijo test passes; outside sampled "
+                        "execution it then grows the accepted step while the energy falls and "
+                        "refines the bracket by parabolic steps, and every kind steps along "
+                        "Polak-Ribiere+ conjugate directions")
     p.add_argument("--output", default=None, help="write here instead of stdout")
 
 
 def _add_execution_flags(p: argparse.ArgumentParser):
-    p.add_argument("--execution", choices=EXECUTION_MODES, default="exact")
+    p.add_argument("--variant", choices=RESIDUAL_VARIANTS, default=CqeConfig.variant)
+    p.add_argument("--execution", choices=EXECUTION_MODES, default=CqeConfig.execution)
     p.add_argument("--shots", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--delta", type=float, default=None, help="probe step for the estimator")
-    p.add_argument("--epsilon", type=float, default=0.5, help="dilated V-step cap")
-    p.add_argument("--reset-mode", choices=RESET_MODES, default="wolfe")
-    p.add_argument("--reset-cap", type=int, default=10, help="V-steps between forced resets")
+    p.add_argument("--epsilon", type=float, default=DilationPolicy.epsilon, help="dilated V-step cap")
+    p.add_argument("--reset-mode", choices=RESET_MODES, default=DilationPolicy.reset_mode)
+    p.add_argument("--reset-cap", type=int, default=DilationPolicy.max_steps_between_resets,
+                   help="V-steps between forced resets")
 
 
 def build_parser() -> argparse.ArgumentParser:

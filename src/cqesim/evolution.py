@@ -309,7 +309,8 @@ class DilationPolicy:
     ``epsilon`` caps the scale of one ancilla V-step; a larger Hermitian
     factor is realized as equal sub-steps.  ``reset_mode`` picks when the
     ancilla is projected back onto the kept branch and re-prepared: "wolfe"
-    resets on a failed sufficient-decrease check or after
+    resets on a failed sufficient-decrease check (the solver's Armijo
+    slope of 1e-4) or after
     ``max_steps_between_resets`` V-steps since the last reset, whichever
     fires first; "every_k" uses only the step cap; "never" leaves the
     register untouched until the final readout.  Consecutive V-steps of the
@@ -319,7 +320,6 @@ class DilationPolicy:
 
     epsilon: float = 0.5
     reset_mode: str = "wolfe"
-    wolfe_c1: float = 1e-4
     max_steps_between_resets: int = 10
 
     def __post_init__(self):
@@ -327,8 +327,6 @@ class DilationPolicy:
             raise ValueError("epsilon must be positive and finite")
         if self.reset_mode not in RESET_MODES:
             raise ValueError(f"unknown reset_mode {self.reset_mode!r}; expected one of {RESET_MODES}")
-        if not 0.0 < self.wolfe_c1 < 1.0:
-            raise ValueError("wolfe_c1 must lie in (0, 1)")
         if self.max_steps_between_resets < 1:
             raise ValueError("max_steps_between_resets must be at least 1")
 

@@ -118,8 +118,14 @@ def compute_2rdm(bra: StateVector, ket: StateVector | None = None) -> Rdm2:
     return Rdm2(n, antisymmetrize(canonical).transpose(2, 3, 0, 1))
 
 
+def _check_basis(ham: SparseOperator, psi: StateVector):
+    if ham.basis != psi.basis:
+        raise ValueError("hamiltonian and state use different bases")
+
+
 def energy(ham: SparseOperator, psi: StateVector) -> float:
     """Rayleigh quotient ``<psi|H|psi> / <psi|psi>`` (real for Hermitian H)."""
+    _check_basis(ham, psi)
     amps = psi.amplitudes
     norm2 = float(np.real(np.vdot(amps, amps)))
     if norm2 == 0.0:
@@ -129,6 +135,7 @@ def energy(ham: SparseOperator, psi: StateVector) -> float:
 
 def variance(ham: SparseOperator, psi: StateVector) -> float:
     """Energy variance ``<(H - E)^2>`` on the normalized state."""
+    _check_basis(ham, psi)
     norm = np.linalg.norm(psi.amplitudes)
     if norm == 0.0:
         raise ValueError("variance of the zero vector is undefined")

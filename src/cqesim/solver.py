@@ -6,8 +6,11 @@ anti-Hermitian (unitary) and Hermitian (non-unitary) parts, and moves
 
     psi  <-  normalize( exp(eta J_H) exp(eta J_A) psi ),
 
-with eta chosen by the configured line search.  The channel determines the
-fixed-point set:
+with eta chosen by the configured line search (``LineSearch``).  The step
+rules are constants of this module: backtracking halves eta at most 20
+times, and one sufficient-decrease slope of 1e-4 serves the Armijo test,
+the acceptance of a parabolically refined step and the dilated Wolfe
+reset.  The channel determines the fixed-point set:
 
     cse    J = -R        stationary only on eigenstates
     hcse   J = -S        stationary only on eigenstates (S Hermitian)
@@ -85,10 +88,11 @@ __all__ = [
 ]
 
 EXECUTION_MODES = ("exact", "dilated", "sampled")
-LINE_SEARCH_KINDS = ("fixed", "backtracking", "golden")
+LINE_SEARCH_KINDS = ("fixed", "backtracking")
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_ITERS = 32  # bracket shrinks by invphi each pass: 0.618**32 ~ 2e-7
+_SHRINK = 0.5
+_C1 = 1e-4  # sufficient-decrease slope: Armijo test, refined step, dilated Wolfe reset
+_MAX_SHRINKS = 20
 _PARABOLIC_STEPS = 3
 _MONOTONE_SLACK = 1e-12
 
@@ -98,41 +102,29 @@ class LineSearch:
     """Step-size rule for one iteration.
 
     kind "fixed" always proposes ``eta0`` and accepts it only if the energy
-    does not increase; "backtracking" shrinks from ``eta0`` by ``shrink``
-    until the Armijo sufficient-decrease test with slope ``c1`` passes;
-    "golden" runs a bounded golden-section minimization of E(eta) on
-    [0, eta0] and, when its minimizer does not lower the energy (E(eta)
-    need not be unimodal), falls back to the Armijo backtracking from
-    ``eta0``.  A trial whose exponential overflows counts as E = +inf.
+    does not increase; "backtracking" halves eta from ``eta0``, at most 20
+    times, until the Armijo sufficient-decrease test with slope 1e-4
+    passes.  A trial whose exponential overflows counts as E = +inf.
 
     In exact and dilated execution the first eta of the backtracking
     sequence that passes the Armijo test opens an expanding bracket: eta
-    grows by ``1 / shrink`` while the energy keeps falling, at most
-    ``max_shrinks`` times (trials already made are reused), and
-    up to three parabolic steps then refine the minimum inside the
-    bracket.  A refined eta is kept only if it passes the Armijo test and
-    lies below the best bracketed trial, and gains within the solver's
-    monotonicity slack count as none, so rounding-level wiggles of E(eta)
-    never displace an honest step.  Sampled execution backtracks only.
+    doubles while the energy keeps falling, at most 20 times (trials
+    already made are reused), and up to three parabolic steps then refine
+    the minimum inside the bracket.  A refined eta is kept only if it
+    passes the Armijo test and lies below the best bracketed trial, and
+    gains within the solver's monotonicity slack count as none, so
+    rounding-level wiggles of E(eta) never displace an honest step.
+    Sampled execution backtracks only.
     """
 
     kind: str = "backtracking"
     eta0: float = 0.5
-    shrink: float = 0.5
-    c1: float = 1e-4
-    max_shrinks: int = 20
 
     def __post_init__(self):
         if self.kind not in LINE_SEARCH_KINDS:
             raise ValueError(f"unknown line search {self.kind!r}; expected one of {LINE_SEARCH_KINDS}")
         if not (math.isfinite(self.eta0) and self.eta0 > 0):
             raise ValueError("eta0 must be positive and finite")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must lie in (0, 1)")
-        if not 0.0 < self.c1 < 1.0:
-            raise ValueError("c1 must lie in (0, 1)")
-        if self.max_shrinks < 0:
-            raise ValueError("max_shrinks must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -290,10 +282,10 @@ def _search_fixed(plan: _StepPlan, ls: LineSearch, e0: float, slope: float) -> f
 
 def _search_armijo(plan: _StepPlan, ls: LineSearch, e0: float, slope: float) -> float:
     eta = ls.eta0
-    for _ in range(ls.max_shrinks + 1):
-        if plan.trial_energy(eta) <= e0 + ls.c1 * eta * slope:
+    for _ in range(_MAX_SHRINKS + 1):
+        if plan.trial_energy(eta) <= e0 + _C1 * eta * slope:
             return eta
-        eta *= ls.shrink
+        eta *= _SHRINK
     raise _Stalled
 
 
@@ -307,8 +299,8 @@ def _search_backtracking(plan: _StepPlan, ls: LineSearch, e0: float, slope: floa
     """
     eta = _search_armijo(plan, ls, e0, slope)
     points = [(0.0, e0), (eta, plan.trial_energy(eta))]
-    for _ in range(ls.max_shrinks):
-        grown = points[-1][0] / ls.shrink
+    for _ in range(_MAX_SHRINKS):
+        grown = points[-1][0] / _SHRINK
         points.append((grown, plan.trial_energy(grown)))
         if points[-1][1] >= points[-2][1] - _MONOTONE_SLACK:
             break
@@ -335,36 +327,14 @@ def _search_backtracking(plan: _StepPlan, ls: LineSearch, e0: float, slope: floa
             a, fa = x, fx
         else:
             c, fc = x, fx
-    if fb < e_best - _MONOTONE_SLACK and fb <= e0 + ls.c1 * b * slope:
+    if fb < e_best - _MONOTONE_SLACK and fb <= e0 + _C1 * b * slope:
         return b
     return best
-
-
-def _search_golden(plan: _StepPlan, ls: LineSearch, e0: float, slope: float) -> float:
-    a, b = 0.0, ls.eta0
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = plan.trial_energy(c), plan.trial_energy(d)
-    for _ in range(_GOLDEN_ITERS):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = plan.trial_energy(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = plan.trial_energy(d)
-    eta = 0.5 * (a + b)
-    if eta > 0 and plan.trial_energy(eta) <= e0 + _MONOTONE_SLACK:
-        return eta
-    # E(eta) of a unitary flow need not be unimodal on [0, eta0]
-    return _search_armijo(plan, ls, e0, slope)
 
 
 _SEARCHES = {
     "fixed": _search_fixed,
     "backtracking": _search_backtracking,
-    "golden": _search_golden,
 }
 
 
@@ -401,7 +371,7 @@ class _DilatedRegister:
             self._maybe_cap_reset()
         if self.policy.reset_mode == "wolfe":
             achieved = energy(self.ham, ancilla_branch(self.state, 0))
-            if achieved > e0 + self.policy.wolfe_c1 * eta * slope:
+            if achieved > e0 + _C1 * eta * slope:
                 self._reset()
 
     def finish(self) -> StateVector:

@@ -34,6 +34,11 @@ def test_run_document_validates_and_converges(tmp_path):
     assert abs(doc["final_energy"] - doc["fci_energy"]) < 1e-6
     assert doc["source"] == "h2_d0.74"
     assert "wall_time" not in doc["iterations"][0]
+    for section, stale in [("line_search", "shrink"), ("dilation", "wolfe_c1")]:
+        doc["config"][section][stale] = 1e-4
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, _schema())
+        del doc["config"][section][stale]
 
 
 def test_run_is_byte_identical(tmp_path):
@@ -147,6 +152,7 @@ def test_shots_without_sampled_execution_builds_no_estimator(tmp_path):
         ["--execution", "dilated", "--epsilon", "inf"],
         ["--tolerance", "nan"],
         ["--line-search", "fixed:inf"],
+        ["--line-search", "golden"],
     ],
 )
 def test_bad_estimator_or_dilation_setting_is_input_error(tmp_path, flags):
@@ -232,6 +238,23 @@ def test_residual_study_fci_seed_single_tiny_row(tmp_path):
     _, _, norm2, var = rows[0].split(",")
     assert float(norm2) < 1e-12
     assert float(var) < 1e-12
+
+
+def test_residual_study_variant_flag_selects_one_channel(tmp_path):
+    code, out = _run(
+        tmp_path, "acse.csv",
+        ["residual-study", "--fixture", "h2_d0.74", "--variant", "acse"],
+    )
+    assert code == 0
+    rows = out.read_text().strip().split("\n")[1:]
+    assert rows and all(row.startswith("acse,") for row in rows)
+
+
+@pytest.mark.parametrize("flags", [["--max-iterations", "0"], ["--tolerance", "nan"]])
+def test_residual_study_bad_setting_exits_one(tmp_path, flags):
+    code, out = _run(tmp_path, "bad.csv", ["residual-study", "--fixture", "h2_d0.74"] + flags)
+    assert code == 1
+    assert not out.exists()
 
 
 def test_residual_study_bad_variant_exits_one(tmp_path):

@@ -715,14 +715,11 @@ def test_config_dataclasses_have_expected_defaults():
     policy = DilationPolicy()
     assert policy.epsilon == pytest.approx(0.5)
     assert policy.reset_mode == "wolfe"
-    assert policy.wolfe_c1 == pytest.approx(1e-4)
     assert policy.max_steps_between_resets == 10
     with pytest.raises(ValueError):
         DilationPolicy(reset_mode="sometimes")
     with pytest.raises(ValueError):
         DilationPolicy(epsilon=0.0)
-    with pytest.raises(ValueError):
-        DilationPolicy(wolfe_c1=1.0)
     with pytest.raises(ValueError):
         DilationPolicy(max_steps_between_resets=0)
 

@@ -116,6 +116,16 @@ def test_energy_and_variance_reject_the_zero_vector():
         variance(ham, zero)
 
 
+@pytest.mark.parametrize("sector", [(12, 2, 0), (4, 2, 0)])
+@pytest.mark.parametrize("fn", [energy, variance, residual_cse])
+def test_state_from_another_sector_is_rejected(fn, sector):
+    # (12, 2, 0) has H4's 36 determinants, so nothing fails by shape alone
+    ham = build_hamiltonian(load_fixture("h4_d1.00"))
+    psi = _random_state(np.random.default_rng(5), build_basis(*sector))
+    with pytest.raises(ValueError, match="different bases"):
+        fn(ham, psi)
+
+
 def test_variance_vanishes_exactly_on_eigenstates():
     ham = build_hamiltonian(load_fixture("h2_d0.74"))
     energies, states = fci_solve(ham, n_states=2)
