@@ -71,6 +71,7 @@ from .fock import (
     _csr_product,
     _excitations,
     _link_magnitudes,
+    _transition_elements,
 )
 from .residuals import RESIDUAL_VARIANTS, energy
 
@@ -510,7 +511,7 @@ def _outcome_classes(basis: Basis, x: np.ndarray, y: np.ndarray) -> tuple[np.nda
         return (links @ (weight[ex.rows] + weight[ex.indices]))[cols] / 8.0
 
     def g(v):
-        return (ex.by_index @ (v.conj()[ex.rows] * v[ex.indices]))[cols] / 4.0
+        return _transition_elements(basis, v, v)[cols] / 4.0
 
     mx, my, gx, gy = m(x), m(y), g(x), g(y)
     probs = np.empty((2, len(cols), 3))

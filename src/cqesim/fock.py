@@ -19,8 +19,9 @@ Conventions used throughout the package:
 
 * Every two-body contraction runs through one cached sparse excitation
   pattern per sector (see ``_excitations``): operator assembly here,
-  transition 2-RDMs and residuals in ``residuals``, and pair-excitation
-  matrices in ``evolution``.
+  transition 2-RDM elements (``_transition_elements``) for the residuals
+  and the estimator's outcome classes, and pair-excitation matrices in
+  ``evolution``.
 
 Functions
 ---------
@@ -301,16 +302,6 @@ class SparseOperator:
         d = self.matrix - self.matrix.getH()
         return d.nnz == 0 or float(np.max(np.abs(d.data))) <= tol
 
-    def __add__(self, other):
-        if self.basis != other.basis:
-            raise ValueError("operators act on different bases")
-        return SparseOperator(self.basis, self.matrix + other.matrix)
-
-    def __mul__(self, scalar):
-        return SparseOperator(self.basis, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
 
 def _csr_product(matrix: sp.csr_matrix, vec: np.ndarray) -> np.ndarray:
     """``matrix @ vec`` for a complex CSR matrix and a vector or (dim, k) block.
@@ -447,6 +438,13 @@ def _excitations(basis: Basis) -> _Excitations:
     )
     indptr = np.searchsorted(rows, np.arange(dim + 1))
     return _Excitations(pattern, pattern.T, rows, cols.astype(np.int32), indptr.astype(np.int32))
+
+
+def _transition_elements(basis: Basis, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """``P^T (conj(bra)[rows] * ket[cols])``: 4 <bra| a^+_k a^+_l a_j a_i |ket>
+    at every canonical index ``((i n + j) n + k) n + l``, flat over n^4."""
+    ex = _excitations(basis)
+    return ex.by_index @ (bra.conj()[ex.rows] * ket[ex.indices])
 
 
 @lru_cache(maxsize=64)

@@ -34,7 +34,7 @@ from .fock import (
     StateVector,
     TwoBodyTensor,
     _csr_product,
-    _excitations,
+    _transition_elements,
     antisymmetrize,
     pair_adjoint,
 )
@@ -111,16 +111,16 @@ def compute_2rdm(bra: StateVector, ket: StateVector | None = None) -> Rdm2:
     if bra.n_ancilla or ket.n_ancilla:
         raise ValueError("compute_2rdm expects ancilla-free states")
     n = bra.basis.n_spin_orbitals
-    ex = _excitations(bra.basis)
-    links = bra.amplitudes.conj()[ex.rows] * ket.amplitudes[ex.indices]
     # canonical [i,j,k,l] holds 4 <a+_k a+_l a_j a_i>; the tensor is indexed [k,l,i,j]
-    canonical = (ex.by_index @ links).reshape(n, n, n, n)
+    canonical = _transition_elements(bra.basis, bra.amplitudes, ket.amplitudes).reshape(n, n, n, n)
     return Rdm2(n, antisymmetrize(canonical).transpose(2, 3, 0, 1))
 
 
 def _check_basis(ham: SparseOperator, psi: StateVector):
     if ham.basis != psi.basis:
         raise ValueError("hamiltonian and state use different bases")
+    if psi.n_ancilla:
+        raise ValueError(f"expected an ancilla-free state, got {psi.n_ancilla} ancilla qubit(s)")
 
 
 def energy(ham: SparseOperator, psi: StateVector) -> float:

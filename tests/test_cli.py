@@ -7,11 +7,22 @@ import jsonschema
 import pytest
 
 from cqesim.cli import main
+from cqesim.evolution import RESET_MODES
+from cqesim.residuals import RESIDUAL_VARIANTS
+from cqesim.solver import EXECUTION_MODES, LINE_SEARCH_KINDS
 
 
 def _schema():
     text = (resources.files("cqesim") / "schemas" / "run_schema.json").read_text()
     return json.loads(text)
+
+
+def test_schema_enums_match_the_code():
+    config = _schema()["properties"]["config"]["properties"]
+    assert config["variant"]["enum"] == list(RESIDUAL_VARIANTS)
+    assert config["execution"]["enum"] == list(EXECUTION_MODES)
+    assert config["line_search"]["properties"]["kind"]["enum"] == list(LINE_SEARCH_KINDS)
+    assert config["dilation"]["properties"]["reset_mode"]["enum"] == list(RESET_MODES)
 
 
 def _run(tmp_path, name, argv):

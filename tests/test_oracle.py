@@ -1,4 +1,4 @@
-"""Eigensolver oracle: dense and Lanczos paths against independent references."""
+"""Eigensolver oracle: dense and sparse (ARPACK) paths against independent references."""
 
 import json
 import pathlib
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from cqesim import oracle
 from cqesim.fock import (
     Basis,
     SparseOperator,
@@ -17,6 +18,7 @@ from cqesim.fock import (
     build_basis,
     two_body_to_operator,
 )
+from cqesim.hamiltonian import build_hamiltonian, list_fixtures, load_fixture
 from cqesim.oracle import DENSE_CUTOFF, dense_expm_apply, fci_solve
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -80,6 +82,27 @@ def test_fci_solve_lanczos_matches_dense():
         assert resid < 1e-8
 
 
+@pytest.mark.parametrize("name", list_fixtures())
+def test_sparse_path_finds_the_lowest_states(monkeypatch, name):
+    # the square h4_d1.00 ground state is orthogonal to the uniform vector
+    ham = build_hamiltonian(load_fixture(name))
+    dim = len(ham.basis)
+    ref = np.linalg.eigvalsh(ham.dense())
+    monkeypatch.setattr(oracle, "DENSE_CUTOFF", 0)
+    for n_states in (1, min(4, dim - 2)):
+        energies, _ = fci_solve(ham, n_states=n_states)
+        np.testing.assert_allclose(energies, ref[:n_states], rtol=0, atol=1e-10)
+
+
+def test_sparse_path_returns_every_state(monkeypatch):
+    ham = build_hamiltonian(load_fixture("h2_d0.74"))
+    dim = len(ham.basis)
+    monkeypatch.setattr(oracle, "DENSE_CUTOFF", 0)
+    energies, states = fci_solve(ham, n_states=dim)
+    np.testing.assert_allclose(energies, np.linalg.eigvalsh(ham.dense()), rtol=0, atol=1e-10)
+    assert len(states) == dim
+
+
 def test_fci_solve_validates_input():
     basis = build_basis(4, 2, 0)
     herm = SparseOperator(basis, np.eye(4))
@@ -115,8 +138,6 @@ def test_golden_eigenvalues_match_committed_files():
     golden_files = sorted(GOLDEN_DIR.glob("*.json"))
     if not golden_files:
         pytest.skip("golden files not generated yet")
-    from cqesim.hamiltonian import build_hamiltonian, load_fixture
-
     for path in golden_files:
         record = json.loads(path.read_text())
         integrals = load_fixture(record["fixture"])

@@ -12,6 +12,7 @@ from cqesim.fock import (
     pair_adjoint,
     two_body_to_operator,
 )
+from cqesim.evolution import prepare_dilated
 from cqesim.hamiltonian import build_hamiltonian, load_fixture, reduced_hamiltonian_K
 from cqesim.oracle import dense_expm_apply, fci_solve
 from cqesim.residuals import (
@@ -123,6 +124,15 @@ def test_state_from_another_sector_is_rejected(fn, sector):
     ham = build_hamiltonian(load_fixture("h4_d1.00"))
     psi = _random_state(np.random.default_rng(5), build_basis(*sector))
     with pytest.raises(ValueError, match="different bases"):
+        fn(ham, psi)
+
+
+@pytest.mark.parametrize("fn", [energy, variance, residual_cse])
+def test_dilated_state_is_rejected(fn):
+    # same basis, twice the amplitudes: the check must name the ancilla
+    ham = build_hamiltonian(load_fixture("h4_d1.00"))
+    psi = prepare_dilated(_random_state(np.random.default_rng(6), ham.basis))
+    with pytest.raises(ValueError, match="ancilla"):
         fn(ham, psi)
 
 
