@@ -6,141 +6,29 @@ tensors, and drives products of two-body exponential transformations toward
 an eigenstate.  Three interchangeable execution styles cover idealized
 linear algebra, a single-ancilla dilated register with post-selection
 bookkeeping, and shot-sampled residual readout.
+
+Each module's ``__all__`` is the one list of its public names; the package
+re-exports all of them.
 """
 
-from .evolution import (
-    DilationPolicy,
-    EstimatorConfig,
-    ancilla_branch,
-    apply_dilated,
-    apply_exp_exact,
-    canonical_elements,
-    estimate_residual_w,
-    prepare_dilated,
-    probe_state,
-    reset_ancilla,
-)
-from .fock import (
-    Basis,
-    SparseOperator,
-    StateVector,
-    TwoBodyTensor,
-    antisymmetrize,
-    apply_operator,
-    apply_string,
-    build_basis,
-    hermitian_part,
-    antihermitian_part,
-    one_body_to_operator,
-    pair_adjoint,
-    two_body_to_operator,
-)
-from .hamiltonian import (
-    IntegralSet,
-    build_hamiltonian,
-    list_fixtures,
-    load_fixture,
-    parse_fcidump,
-    reduced_hamiltonian_K,
-    write_fcidump,
-)
-from .models import (
-    PairingModel,
-    SpherePoint,
-    build_pairing_hamiltonian,
-    dressed_states,
-    equator_state,
-    equator_states,
-    pairing_basis,
-    random_sphere_point,
-    sphere_state,
-    to_sphere,
-)
-from .oracle import fci_solve
-from .residuals import (
-    RESIDUAL_VARIANTS,
-    Rdm2,
-    compute_2rdm,
-    energy,
-    energy_slope,
-    residual,
-    residual_acse,
-    residual_cse,
-    residual_hcse,
-    tensor_overlap,
-    variance,
-)
-from .solver import (
-    EXECUTION_MODES,
-    CqeConfig,
-    CqeResult,
-    IterationRecord,
-    cqe_run,
-    direction_from_residual,
-    hf_state,
-)
+from . import evolution, fock, hamiltonian, models, oracle, residuals, solver
+from .evolution import *
+from .fock import *
+from .hamiltonian import *
+from .models import *
+from .oracle import *
+from .residuals import *
+from .solver import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Basis",
-    "StateVector",
-    "TwoBodyTensor",
-    "SparseOperator",
-    "build_basis",
-    "apply_string",
-    "apply_operator",
-    "antisymmetrize",
-    "pair_adjoint",
-    "hermitian_part",
-    "antihermitian_part",
-    "two_body_to_operator",
-    "one_body_to_operator",
-    "IntegralSet",
-    "parse_fcidump",
-    "write_fcidump",
-    "build_hamiltonian",
-    "reduced_hamiltonian_K",
-    "list_fixtures",
-    "load_fixture",
-    "fci_solve",
-    "Rdm2",
-    "compute_2rdm",
-    "energy",
-    "variance",
-    "residual",
-    "residual_cse",
-    "residual_hcse",
-    "residual_acse",
-    "RESIDUAL_VARIANTS",
-    "tensor_overlap",
-    "energy_slope",
-    "apply_exp_exact",
-    "prepare_dilated",
-    "apply_dilated",
-    "ancilla_branch",
-    "reset_ancilla",
-    "probe_state",
-    "canonical_elements",
-    "estimate_residual_w",
-    "EstimatorConfig",
-    "DilationPolicy",
-    "PairingModel",
-    "SpherePoint",
-    "pairing_basis",
-    "build_pairing_hamiltonian",
-    "dressed_states",
-    "sphere_state",
-    "to_sphere",
-    "equator_state",
-    "equator_states",
-    "random_sphere_point",
-    "CqeConfig",
-    "CqeResult",
-    "IterationRecord",
-    "cqe_run",
-    "hf_state",
-    "direction_from_residual",
-    "EXECUTION_MODES",
+    *fock.__all__,
+    *hamiltonian.__all__,
+    *oracle.__all__,
+    *residuals.__all__,
+    *evolution.__all__,
+    *models.__all__,
+    *solver.__all__,
     "__version__",
 ]

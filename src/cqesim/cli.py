@@ -166,12 +166,6 @@ def _write_text(path: str | None, text: str):
 # ---------------------------------------------------------------------------
 
 
-def _record_dict(rec) -> dict:
-    d = asdict(rec)
-    d.pop("wall_time")  # measured but excluded: keeps equal-seed reruns byte-identical
-    return d
-
-
 def _config_dict(config: CqeConfig, init: str, seed) -> dict:
     d = asdict(config)
     d["init"] = init
@@ -191,7 +185,7 @@ def cmd_run(args) -> int:
     document = {
         "source": label,
         "config": _config_dict(config, args.init, args.seed),
-        "iterations": [_record_dict(rec) for rec in result.iterations],
+        "iterations": [asdict(rec) for rec in result.iterations],
         "final_energy": result.energy,
         "final_residual_norm": result.residual_norm,
         "final_variance": result.variance,

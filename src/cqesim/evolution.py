@@ -87,6 +87,7 @@ __all__ = [
     "pair_excitation_matrix",
     "EstimatorConfig",
     "DilationPolicy",
+    "RESET_MODES",
     "DELTA_EXACT_DEFAULT",
     "DELTA_SHOT_DEFAULT",
 ]

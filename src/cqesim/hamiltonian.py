@@ -27,7 +27,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fock import (
-    Basis,
     SparseOperator,
     TwoBodyTensor,
     _one_body_coeffs,
@@ -234,22 +233,16 @@ def build_hamiltonian(
     integrals: IntegralSet,
     n_electrons: int | None = None,
     sz_twice: int | None = None,
-    basis: Basis | None = None,
 ) -> SparseOperator:
     """Sector matrix of the molecular Hamiltonian.
 
     The sector defaults to the electron count and spin projection recorded
-    in the integral header; pass ``basis`` to reuse an existing enumeration.
-    The matrix is ``J[K] + core`` with K from ``reduced_hamiltonian_K``, so
-    the sector needs at least two electrons.
+    in the integral header.  The matrix is ``J[K] + core`` with K from
+    ``reduced_hamiltonian_K``, so the sector needs at least two electrons.
     """
-    if basis is None:
-        n_elec = integrals.n_electrons if n_electrons is None else n_electrons
-        sz = integrals.ms2 if sz_twice is None else sz_twice
-        basis = build_basis(integrals.n_spin_orbitals, n_elec, sz)
-    elif basis.n_spin_orbitals != integrals.n_spin_orbitals:
-        raise ValueError("basis orbital count does not match integrals")
-
+    n_elec = integrals.n_electrons if n_electrons is None else n_electrons
+    sz = integrals.ms2 if sz_twice is None else sz_twice
+    basis = build_basis(integrals.n_spin_orbitals, n_elec, sz)
     k_tensor = reduced_hamiltonian_K(integrals, basis.n_electrons)
     matrix = two_body_to_operator(k_tensor, basis).matrix
     if integrals.core:

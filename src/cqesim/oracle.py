@@ -19,7 +19,6 @@ scaled Taylor applier.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .fock import SparseOperator, StateVector
 
@@ -86,5 +85,7 @@ def dense_expm_apply(op: SparseOperator, psi: StateVector, scale: complex = 1.0)
         raise ValueError("operator and state use different bases")
     if psi.n_ancilla != 0:
         raise ValueError("dense_expm_apply expects an ancilla-free state")
+    import scipy.linalg  # only the tests' cross-checks pay for the import
+
     mat = scipy.linalg.expm(scale * op.dense())
     return StateVector(psi.basis, mat @ psi.amplitudes, 0, psi.success_prob)

@@ -51,7 +51,6 @@ estimated norm, since that is all the measurement protocol can see.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,9 +157,7 @@ class IterationRecord:
 
     The three norms are the exactly contracted diagnostics of the full,
     Hermitian and anti-Hermitian residual channels.  ``eta`` is 0.0 when
-    the loop terminated here without stepping.  ``wall_time`` is measured
-    but deliberately excluded from serialized reports so equal-seed runs
-    stay byte-identical.
+    the loop terminated here without stepping.
     """
 
     n: int
@@ -171,7 +168,6 @@ class IterationRecord:
     norm_a: float
     eta: float
     success_prob: float
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -405,7 +401,7 @@ def cqe_run(
     status = "max_iterations"
     previous = None  # (steepest, taken) directions of the last step, for conjugacy
 
-    def measured_norm_and_direction(state: StateVector, iteration: int, raw: np.ndarray):
+    def measured_norm_and_direction(state: StateVector, iteration: int, channel: np.ndarray):
         if sampled:
             est = config.estimator
             step_seed = int(
@@ -416,19 +412,19 @@ def cqe_run(
                 delta=est.delta, shots=est.shots, seed=step_seed,
             )
             return est_tensor.norm(), direction_from_residual(est_tensor, config.variant)
-        tensor = TwoBodyTensor._closed(state.basis.n_spin_orbitals, residual_channel(raw, config.variant))
+        tensor = TwoBodyTensor._closed(state.basis.n_spin_orbitals, channel)
         return tensor.norm(), direction_from_residual(tensor, config.variant)
 
     for n in range(config.max_iterations):
-        tic = time.perf_counter()
         if register is not None:
             psi = register.peek()
         e_now = energy(ham, psi)
         var_now = variance(ham, psi)
         prob_now = psi.success_prob
         raw = residual_cse(ham, psi).coeffs
-        norm_r, norm_s, norm_a = (tensor_norm(residual_channel(raw, v)) for v in RESIDUAL_VARIANTS)
-        res_norm, steepest = measured_norm_and_direction(psi, n, raw)
+        channels = {v: residual_channel(raw, v) for v in RESIDUAL_VARIANTS}
+        norm_r, norm_s, norm_a = (tensor_norm(channels[v]) for v in RESIDUAL_VARIANTS)
+        res_norm, steepest = measured_norm_and_direction(psi, n, channels[config.variant])
 
         def record(eta_taken: float):
             records.append(
@@ -441,7 +437,6 @@ def cqe_run(
                     norm_a=norm_a,
                     eta=eta_taken,
                     success_prob=prob_now,
-                    wall_time=time.perf_counter() - tic,
                 )
             )
 
@@ -472,11 +467,8 @@ def cqe_run(
 
     if register is not None:
         psi = register.finish()
-    final_raw = residual_cse(ham, psi).coeffs
-    if sampled:
-        final_norm, _ = measured_norm_and_direction(psi, config.max_iterations, final_raw)
-    else:
-        final_norm = tensor_norm(residual_channel(final_raw, config.variant))
+    final_channel = residual_channel(residual_cse(ham, psi).coeffs, config.variant)
+    final_norm, _ = measured_norm_and_direction(psi, config.max_iterations, final_channel)
     return CqeResult(
         status=status,
         iterations=tuple(records),
