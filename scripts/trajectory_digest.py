@@ -1,0 +1,118 @@
+"""Print one digest per solver run and per residual estimate, to compare two checkouts.
+
+Usage:  python scripts/trajectory_digest.py SRC_DIR
+
+``cqesim`` is imported from ``SRC_DIR`` (a checkout's ``src`` directory),
+and one line per case goes to stdout: the case label and a SHA-256 of its
+outcome.  A run's digest covers the status, every field of every iteration
+record as ``float.hex``, the final state's amplitude bytes and the result's
+energy, residual norm, variance and success probability.  An estimate's
+digest covers the bytes of the returned tensor.  Every number is hashed
+plus 0.0, which maps -0.0 to +0.0 and leaves every other value as it is:
+the sign of an exact zero is not part of an outcome.
+
+The cases:
+
+* every bundled fixture x cse/hcse/acse, in exact execution, in dilated
+  execution with the default policy and with epsilon = 0.05 "wolfe", and
+  in exact execution with ``LineSearch("fixed", 0.3)``;
+* sampled runs with 16 000 shots, 12 iterations and seeds 5 and 9 on
+  h2_d0.74, h4_d1.40 and h4_d2.00, each variant;
+* ``estimate_residual_w`` on four fixtures x three states (Hartree-Fock, a
+  random real and a random complex one) x three variants x {delta = 1e-3,
+  delta = -0.07, 500 shots, 16 000 shots}.
+
+Digests hash float bits, which depend on the CPU, the BLAS and the
+numpy build: compare two checkouts on one machine only, e.g.
+
+    diff <(python scripts/trajectory_digest.py a/src) \\
+         <(python scripts/trajectory_digest.py b/src)
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SAMPLED_FIXTURES = ("h2_d0.74", "h4_d1.40", "h4_d2.00")
+ESTIMATOR_FIXTURES = ("h2_d0.74", "h4_d1.00", "h4_d1.40", "h4_d2.00")
+ESTIMATOR_SETTINGS = (
+    ("delta=1e-3", {"delta": 1e-3}),
+    ("delta=-0.07", {"delta": -0.07}),
+    ("shots=500", {"shots": 500, "seed": 3}),
+    ("shots=16000", {"shots": 16000, "seed": 3}),
+)
+
+
+def _hex(value) -> bytes:
+    return (float(value) + 0.0).hex().encode()
+
+
+def _array_bytes(array: np.ndarray) -> bytes:
+    return (array + 0.0).tobytes()
+
+
+def _run_digest(result) -> str:
+    h = hashlib.sha256(result.status.encode())
+    for rec in result.iterations:
+        for value in vars(rec).values():
+            h.update(_hex(value))
+    h.update(_array_bytes(result.state.amplitudes))
+    for value in (result.energy, result.residual_norm, result.variance, result.success_prob):
+        h.update(_hex(value))
+    return h.hexdigest()
+
+
+def main(src: str) -> None:
+    sys.path.insert(0, str(Path(src).resolve()))
+    import cqesim as cq
+
+    variants = cq.RESIDUAL_VARIANTS
+    hams = {stem: cq.build_hamiltonian(cq.load_fixture(stem)) for stem in cq.list_fixtures()}
+    configs = {
+        "exact": {},
+        "dilated": {"execution": "dilated"},
+        "dilated-eps0.05": {
+            "execution": "dilated",
+            "dilation": cq.DilationPolicy(epsilon=0.05, reset_mode="wolfe"),
+        },
+        "fixed0.3": {"line_search": cq.LineSearch("fixed", 0.3)},
+    }
+    for stem, ham in hams.items():
+        for variant in variants:
+            for name, kwargs in configs.items():
+                result = cq.cqe_run(ham, cq.CqeConfig(variant=variant, **kwargs))
+                print(f"run {stem} {variant} {name} {_run_digest(result)}")
+    for stem in SAMPLED_FIXTURES:
+        for variant in variants:
+            for seed in (5, 9):
+                config = cq.CqeConfig(
+                    variant=variant,
+                    execution="sampled",
+                    max_iterations=12,
+                    estimator=cq.EstimatorConfig(shots=16000, seed=seed),
+                )
+                result = cq.cqe_run(hams[stem], config)
+                print(f"run {stem} {variant} sampled-s{seed} {_run_digest(result)}")
+    for stem in ESTIMATOR_FIXTURES:
+        ham = hams[stem]
+        rng = np.random.default_rng(11)
+        dim = len(ham.basis)
+        states = {
+            "hf": cq.hf_state(ham),
+            "real": cq.StateVector(ham.basis, rng.normal(size=dim).astype(complex)),
+            "complex": cq.StateVector(ham.basis, rng.normal(size=dim) + 1j * rng.normal(size=dim)),
+        }
+        for state_name, psi in states.items():
+            for variant in variants:
+                for name, kwargs in ESTIMATOR_SETTINGS:
+                    tensor = cq.estimate_residual_w(ham, psi, variant=variant, **kwargs)
+                    digest = hashlib.sha256(_array_bytes(tensor.coeffs)).hexdigest()
+                    print(f"estimate {stem} {state_name} {variant} {name} {digest}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__)
+    main(sys.argv[1])

@@ -107,15 +107,16 @@ def _label(name: str) -> str:
     return name[: -len(".fcidump")] if name.endswith(".fcidump") else name
 
 
-def _resolve_fcidump(token: str):
-    """A token is a readable file path or a packaged fixture stem."""
+def _load_hamiltonian(token: str):
+    """(Hamiltonian, label) of a token: a readable FCIDUMP path or a packaged fixture stem."""
     path = Path(token)
-    if path.is_file():
-        return parse_fcidump(path.read_text()), _label(path.name)
     try:
-        return load_fixture(token), _label(Path(token).name)
+        integrals = parse_fcidump(path.read_text()) if path.is_file() else load_fixture(token)
+        return build_hamiltonian(integrals), _label(path.name)
     except FileNotFoundError as exc:
         raise CliError(str(exc)) from exc
+    except ValueError as exc:  # a malformed record or an impossible sector
+        raise CliError(f"{token}: {exc}") from exc
 
 
 def _build_source(args):
@@ -127,8 +128,8 @@ def _build_source(args):
         return build_pairing_hamiltonian(model), model, "pairing"
     if args.fcidump is None:
         raise CliError("pick an input: --fcidump PATH/NAME or --model pairing")
-    integrals, label = _resolve_fcidump(args.fcidump)
-    return build_hamiltonian(integrals), None, label
+    ham, label = _load_hamiltonian(args.fcidump)
+    return ham, None, label
 
 
 def _build_config(args) -> CqeConfig:
@@ -219,8 +220,7 @@ def cmd_scan(args) -> int:
     rows = []
     for token in points:
         try:
-            integrals, label = _resolve_fcidump(token)
-            ham = build_hamiltonian(integrals)
+            ham, label = _load_hamiltonian(token)
             (e_fci,), _ = fci_solve(ham)
             e_hf = energy(ham, hf_state(ham))
             result = cqe_run(ham, config)
@@ -238,8 +238,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_residual_study(args) -> int:
-    integrals, label = _resolve_fcidump(args.fixture)
-    ham = build_hamiltonian(integrals)
+    ham, label = _load_hamiltonian(args.fixture)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     for v in variants:
         if v not in RESIDUAL_VARIANTS:

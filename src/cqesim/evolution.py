@@ -50,8 +50,10 @@ sector's excitation pattern, and no eigenbasis is ever formed
 Both modes read these classes: exact mode takes the expectation
 ``v (P+ - P-)``, and with ``shots`` set every observable gets multinomial
 counts over its classes, which reproduces hardware shot noise exactly
-rather than through a Gaussian surrogate.  One scatter of the canonical S
-and A values then builds the requested channel.
+rather than through a Gaussian surrogate.  The canonical S and A values
+then form R = (S + A) / 2, whose index images ``fock.antisymmetrize``
+fills, and ``residuals.residual_channel`` maps R to the requested channel,
+as it does for the exactly contracted residual.
 """
 
 from __future__ import annotations
@@ -72,8 +74,9 @@ from .fock import (
     _excitations,
     _link_magnitudes,
     _transition_elements,
+    antisymmetrize,
 )
-from .residuals import RESIDUAL_VARIANTS, energy
+from .residuals import RESIDUAL_VARIANTS, energy, residual_channel
 
 __all__ = [
     "apply_exp_exact",
@@ -293,10 +296,12 @@ class EstimatorConfig:
 
     def __post_init__(self):
         if self.shots is not None:
-            if self.shots <= 0:
-                raise ValueError("shots must be positive")
+            if not isinstance(self.shots, (int, np.integer)) or self.shots <= 0:
+                raise ValueError("shots must be a positive integer")
             if self.seed is None:
                 raise ValueError("shot sampling requires a seed for reproducibility")
+        if self.seed is not None and not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer")
         if self.delta is not None and not (math.isfinite(self.delta) and self.delta != 0.0):
             raise ValueError("delta must be finite and nonzero")
 
@@ -329,8 +334,9 @@ class DilationPolicy:
             raise ValueError("epsilon must be positive and finite")
         if self.reset_mode not in RESET_MODES:
             raise ValueError(f"unknown reset_mode {self.reset_mode!r}; expected one of {RESET_MODES}")
-        if self.max_steps_between_resets < 1:
-            raise ValueError("max_steps_between_resets must be at least 1")
+        steps = self.max_steps_between_resets
+        if not isinstance(steps, (int, np.integer)) or steps < 1:
+            raise ValueError("max_steps_between_resets must be an integer of at least 1")
 
 
 def probe_state(ham: SparseOperator, psi: StateVector, delta: float) -> StateVector:
@@ -400,20 +406,20 @@ def _canonical_columns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _scatter_images(n: int, elements: np.ndarray, s: np.ndarray, a: np.ndarray, weight: float):
-    """``weight * (S + A)`` from canonical S and A values: ``weight * (s + a)`` at every
-    antisymmetric image of (i, j, k, l) and ``weight * conj(s - a)`` at its pair adjoints,
-    as S is pair-Hermitian and A pair-anti-Hermitian.  ``weight = 1/2`` gives R; ``weight = 1``
-    with ``a = 0`` gives S, and with ``s = 0`` gives A."""
-    forward = weight * (s + a)
-    adjoint = weight * np.conj(s - a)
-    out = np.zeros((n, n, n, n), dtype=complex)
+def _scatter_images(n: int, elements: np.ndarray, s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """R = (S + A) / 2 from canonical S and A values.
+
+    S is pair-Hermitian and A pair-anti-Hermitian, so R is ``(s + a) / 2`` at
+    each canonical (i, j, k, l) and ``conj(s - a) / 2`` at its pair adjoint
+    (k, l, i, j), which is canonical too.  ``antisymmetrize`` spreads a
+    quarter of each canonical entry over its four index images, so the
+    entries are written at four times these values, as in ``compute_2rdm``.
+    """
     i, j, k, l = elements.T
-    for bra, sign_bra in (((i, j), 1.0), ((j, i), -1.0)):
-        for ket, sign_ket in (((k, l), 1.0), ((l, k), -1.0)):
-            out[bra + ket] = sign_bra * sign_ket * forward
-            out[ket + bra] = sign_bra * sign_ket * adjoint
-    return out
+    canonical = np.zeros((n, n, n, n), dtype=complex)
+    canonical[i, j, k, l] = 2.0 * (s + a)
+    canonical[k, l, i, j] = 2.0 * np.conj(s - a)
+    return antisymmetrize(canonical)
 
 
 def estimate_residual_w(
@@ -435,8 +441,11 @@ def estimate_residual_w(
     seed.  ``delta``, ``shots`` and ``seed`` obey the rules of
     ``EstimatorConfig``.
 
-    Returns the S tensor (Z channel only) for ``variant='hcse'``, A (Y
-    channel only) for ``'acse'`` and ``(S + A) / 2`` for ``'cse'``.
+    The measured S and A form R = (S + A) / 2, with the channel not measured
+    set to zero, and the result is ``residual_channel(R, variant)``: R for
+    ``'cse'``, S (Z channel only) for ``'hcse'`` and A (Y channel only) for
+    ``'acse'``.  S comes out exactly pair-Hermitian and A exactly
+    pair-anti-Hermitian, in shot mode too.
     """
     if variant not in RESIDUAL_VARIANTS:
         raise ValueError(f"unknown residual variant {variant!r}")
@@ -477,8 +486,8 @@ def estimate_residual_w(
         plus = (top - 1j * bottom) / np.sqrt(2.0)
         minus = (top + 1j * bottom) / np.sqrt(2.0)
         a = -1j * channel_mean(plus, minus) / delta
-    weight = 0.5 if variant == "cse" else 1.0
-    return TwoBodyTensor._closed(n, _scatter_images(n, elements, s, a, weight))
+    channel = residual_channel(_scatter_images(n, elements, s, a), variant)
+    return TwoBodyTensor._closed(n, channel)
 
 
 def _outcome_classes(basis: Basis, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

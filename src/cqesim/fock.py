@@ -22,6 +22,9 @@ Conventions used throughout the package:
   transition 2-RDM elements (``_transition_elements``) for the residuals
   and the estimator's outcome classes, and pair-excitation matrices in
   ``evolution``.
+* ``antisymmetrize`` is the one image primitive: ``compute_2rdm``,
+  ``reduced_hamiltonian_K`` and the residual estimator build their tensors
+  from canonical or raw entries and let it fill every index image.
 
 Functions
 ---------
@@ -330,7 +333,11 @@ def _csr_product(matrix: sp.csr_matrix, vec: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def antisymmetrize(coeffs: np.ndarray) -> np.ndarray:
-    """Project onto the index-pair antisymmetric component (operator preserved)."""
+    """Project onto the index-pair antisymmetric component (operator preserved).
+
+    A tensor with entries at canonical indices (i < j, k < l) only comes out
+    with a quarter of each entry, signed, at its four index images.
+    """
     a = np.asarray(coeffs)
     return 0.25 * (
         a

@@ -31,9 +31,11 @@ where the step direction comes from:
               shot-sampled probe estimator with a per-iteration seed
               spawned deterministically from the configured one
 
-In exact and dilated execution the generator is a nonlinear conjugate
-direction rather than the bare negated residual: with ``sd`` the projected
-steepest direction of this iteration,
+The steepest direction ``sd`` of an iteration is the negated channel:
+``-R``, ``-S`` or ``-A``, exactly contracted or, in sampled execution,
+estimated.  Both carry the channel's symmetry exactly, so ``sd`` needs no
+projection.  In exact and dilated execution the generator is a nonlinear
+conjugate direction rather than ``sd`` itself:
 
     J = sd + beta J_prev,   beta = max(0, Re<sd, sd - sd_prev> / |sd_prev|^2)
 
@@ -81,7 +83,6 @@ __all__ = [
     "CqeResult",
     "cqe_run",
     "hf_state",
-    "direction_from_residual",
     "EXECUTION_MODES",
     "LINE_SEARCH_KINDS",
 ]
@@ -143,8 +144,8 @@ class CqeConfig:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {RESIDUAL_VARIANTS}")
         if self.execution not in EXECUTION_MODES:
             raise ValueError(f"unknown execution {self.execution!r}; expected one of {EXECUTION_MODES}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
+            raise ValueError("max_iterations must be an integer of at least 1")
         if not (math.isfinite(self.residual_tolerance) and self.residual_tolerance > 0):
             raise ValueError("residual_tolerance must be positive and finite")
         if self.execution == "sampled" and (self.estimator is None or self.estimator.shots is None):
@@ -191,18 +192,6 @@ def hf_state(ham: SparseOperator) -> StateVector:
     amps = np.zeros(len(ham.basis), dtype=complex)
     amps[k] = 1.0
     return StateVector(ham.basis, amps)
-
-
-def direction_from_residual(tensor: TwoBodyTensor, variant: str) -> TwoBodyTensor:
-    """Descent generator ``-residual`` with its exact symmetry re-imposed.
-
-    The projection is a no-op for exactly contracted residuals and removes
-    sampling noise that would leak into the wrong symmetry sector for
-    estimated ones.  For hcse and acse the projection is half the channel
-    of ``-residual``: ``(J + J^+) / 2`` or ``(J - J^+) / 2``.
-    """
-    coeffs = residual_channel(-tensor.coeffs, variant)
-    return TwoBodyTensor._closed(tensor.n_spin_orbitals, coeffs if variant == "cse" else 0.5 * coeffs)
 
 
 def _slope(variant: str, direction: TwoBodyTensor, steepest: TwoBodyTensor) -> float:
@@ -401,19 +390,18 @@ def cqe_run(
     status = "max_iterations"
     previous = None  # (steepest, taken) directions of the last step, for conjugacy
 
-    def measured_norm_and_direction(state: StateVector, iteration: int, channel: np.ndarray):
+    def measured_channel(state: StateVector, iteration: int, channel: np.ndarray) -> TwoBodyTensor:
+        """The residual channel the protocol sees: estimated in sampled execution."""
         if sampled:
             est = config.estimator
             step_seed = int(
                 np.random.SeedSequence(entropy=est.seed, spawn_key=(iteration,)).generate_state(1)[0]
             )
-            est_tensor = estimate_residual_w(
+            return estimate_residual_w(
                 ham, state, variant=config.variant,
                 delta=est.delta, shots=est.shots, seed=step_seed,
             )
-            return est_tensor.norm(), direction_from_residual(est_tensor, config.variant)
-        tensor = TwoBodyTensor._closed(state.basis.n_spin_orbitals, channel)
-        return tensor.norm(), direction_from_residual(tensor, config.variant)
+        return TwoBodyTensor._closed(state.basis.n_spin_orbitals, channel)
 
     for n in range(config.max_iterations):
         if register is not None:
@@ -424,7 +412,8 @@ def cqe_run(
         raw = residual_cse(ham, psi).coeffs
         channels = {v: residual_channel(raw, v) for v in RESIDUAL_VARIANTS}
         norm_r, norm_s, norm_a = (tensor_norm(channels[v]) for v in RESIDUAL_VARIANTS)
-        res_norm, steepest = measured_norm_and_direction(psi, n, channels[config.variant])
+        measured = measured_channel(psi, n, channels[config.variant])
+        res_norm, steepest = measured.norm(), -measured
 
         def record(eta_taken: float):
             records.append(
@@ -468,7 +457,7 @@ def cqe_run(
     if register is not None:
         psi = register.finish()
     final_channel = residual_channel(residual_cse(ham, psi).coeffs, config.variant)
-    final_norm, _ = measured_norm_and_direction(psi, config.max_iterations, final_channel)
+    final_norm = measured_channel(psi, config.max_iterations, final_channel).norm()
     return CqeResult(
         status=status,
         iterations=tuple(records),

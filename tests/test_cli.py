@@ -121,6 +121,32 @@ def test_missing_input_exits_one_without_output(tmp_path, capsys):
     assert "does_not_exist" in capsys.readouterr().err
 
 
+def _broken_fcidump(tmp_path, defect):
+    text = (resources.files("cqesim") / "fixtures" / "h2_d0.74.fcidump").read_text()
+    if defect == "four-field record":
+        header, records = text.split("&END\n")
+        first, rest = records.split("\n", 1)
+        text = f"{header}&END\n{first.rsplit(None, 1)[0]}\n{rest}"
+    else:
+        text = text.replace("NELEC=2", "NELEC=3")
+    path = tmp_path / "broken.fcidump"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("defect", ["four-field record", "NELEC=3 with MS2=0"])
+@pytest.mark.parametrize(
+    "command", [["run", "--fcidump"], ["residual-study", "--fixture"], ["scan", "--fixtures"]]
+)
+def test_malformed_fcidump_or_impossible_sector_exits_one(tmp_path, capsys, defect, command):
+    path = _broken_fcidump(tmp_path, defect)
+    code, out = _run(tmp_path, "out.txt", command + [str(path)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "broken.fcidump" in err
+
+
 def test_bad_flags_exit_one(capsys):
     assert main(["run", "--variant", "bogus", "--fcidump", "h2_d0.74"]) == 1
     assert main(["frobnicate"]) == 1

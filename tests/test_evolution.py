@@ -565,11 +565,11 @@ def test_estimator_is_even_in_delta():
 def test_estimator_structure_and_validation():
     rng = np.random.default_rng(81)
     ham = build_hamiltonian(load_fixture("h2_d1.25"))
-    psi = _random_state(rng, ham.basis)
+    psi = _random_state(rng, ham.basis, complex_valued=True)
     s = estimate_residual_w(ham, psi, variant="hcse", delta=0.05)
     a = estimate_residual_w(ham, psi, variant="acse", delta=0.05)
-    np.testing.assert_allclose(pair_adjoint(s.coeffs), s.coeffs, atol=1e-13)
-    np.testing.assert_allclose(pair_adjoint(a.coeffs), -a.coeffs, atol=1e-13)
+    np.testing.assert_array_equal(pair_adjoint(s.coeffs), s.coeffs)
+    np.testing.assert_array_equal(pair_adjoint(a.coeffs), -a.coeffs)
     with pytest.raises(ValueError):
         estimate_residual_w(ham, psi, variant="bogus")
     with pytest.raises(ValueError):
@@ -626,11 +626,11 @@ def test_shot_mode_is_seed_deterministic():
 def test_shot_mode_keeps_tensor_structure():
     rng = np.random.default_rng(83)
     ham = build_hamiltonian(load_fixture("h2_d1.75"))
-    psi = _random_state(rng, ham.basis)
+    psi = _random_state(rng, ham.basis, complex_valued=True)
     s = estimate_residual_w(ham, psi, variant="hcse", shots=200, seed=3)
     a = estimate_residual_w(ham, psi, variant="acse", shots=200, seed=3)
-    np.testing.assert_allclose(pair_adjoint(s.coeffs), s.coeffs, atol=1e-13)
-    np.testing.assert_allclose(pair_adjoint(a.coeffs), -a.coeffs, atol=1e-13)
+    np.testing.assert_array_equal(pair_adjoint(s.coeffs), s.coeffs)
+    np.testing.assert_array_equal(pair_adjoint(a.coeffs), -a.coeffs)
     # Default shot-mode delta is the hardware-scale 0.1.
     d = estimate_residual_w(ham, psi, variant="hcse", shots=200, seed=3)
     np.testing.assert_array_equal(d.coeffs, s.coeffs)
@@ -722,12 +722,15 @@ def test_config_dataclasses_have_expected_defaults():
         DilationPolicy(epsilon=0.0)
     with pytest.raises(ValueError):
         DilationPolicy(max_steps_between_resets=0)
+    with pytest.raises(ValueError):
+        DilationPolicy(max_steps_between_resets=2.5)
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [{"shots": 0, "seed": 1}, {"shots": -3, "seed": 1}, {"delta": 0.0},
-     {"delta": float("nan")}, {"delta": float("inf")}, {"shots": 100}],
+     {"delta": float("nan")}, {"delta": float("inf")}, {"shots": 100},
+     {"shots": 100.5, "seed": 1}, {"shots": 100, "seed": 1.5}, {"shots": 100, "seed": -1}],
 )
 def test_estimator_config_rejects_bad_values_at_construction(kwargs):
     with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from cqesim.fock import (
     TwoBodyTensor,
     antisymmetrize,
     build_basis,
-    pair_adjoint,
     two_body_to_operator,
 )
 from cqesim.hamiltonian import build_hamiltonian, load_fixture, reduced_hamiltonian_K
@@ -22,13 +21,12 @@ from cqesim.models import (
     sphere_state,
 )
 from cqesim.oracle import fci_solve
-from cqesim.residuals import energy, energy_slope, residual, variance
+from cqesim.residuals import energy, energy_slope, residual, residual_channel, variance
 from cqesim.solver import (
     CqeConfig,
     LineSearch,
     _slope,
     cqe_run,
-    direction_from_residual,
     hf_state,
 )
 
@@ -55,6 +53,8 @@ def test_config_rejects_bad_fields():
         CqeConfig(execution="quantum")
     with pytest.raises(ValueError):
         CqeConfig(max_iterations=0)
+    with pytest.raises(ValueError):
+        CqeConfig(max_iterations=5.0)
     with pytest.raises(ValueError):
         CqeConfig(residual_tolerance=0.0)
 
@@ -87,24 +87,6 @@ def test_sampled_execution_requires_shots_and_seed():
     CqeConfig(execution="sampled", estimator=EstimatorConfig(shots=100, seed=3))
 
 
-def test_direction_projection():
-    rng = np.random.default_rng(7)
-    raw = antisymmetrize(rng.normal(size=(4,) * 4) + 1j * rng.normal(size=(4,) * 4))
-    t = TwoBodyTensor(4, raw)
-    d_cse = direction_from_residual(t, "cse")
-    assert np.allclose(d_cse.coeffs, -raw)
-    d_h = direction_from_residual(t, "hcse").coeffs
-    assert np.allclose(d_h, pair_adjoint(d_h))
-    d_a = direction_from_residual(t, "acse").coeffs
-    assert np.allclose(d_a, -pair_adjoint(d_a))
-    # channel linearity: cse = (hcse + acse) / 2 elementwise
-    s_dir = direction_from_residual(t.hermitian_part() * 2.0, "hcse").coeffs
-    a_dir = direction_from_residual(t.antihermitian_part() * 2.0, "acse").coeffs
-    assert np.allclose(d_cse.coeffs, 0.5 * (s_dir + a_dir))
-    with pytest.raises(ValueError):
-        direction_from_residual(t, "xyz")
-
-
 def test_slope_follows_the_direction_taken():
     # a conjugate direction is not the steepest one, so the slope fed to the
     # Armijo and dilated Wolfe tests must come from the direction itself;
@@ -120,9 +102,9 @@ def test_slope_follows_the_direction_taken():
     full = residual(ham, psi, "cse")
     eps = 1e-4
     for variant in ("cse", "hcse", "acse"):
-        steepest = direction_from_residual(residual(ham, psi, variant), variant)
+        steepest = -residual(ham, psi, variant)
         raw = antisymmetrize(rng.normal(size=(n,) * 4) + 1j * rng.normal(size=(n,) * 4))
-        other = direction_from_residual(TwoBodyTensor(n, raw), variant)
+        other = TwoBodyTensor(n, residual_channel(raw, variant))
         direction = steepest * (1.0 / steepest.norm()) + other * (2.0 / other.norm())
         slope = _slope(variant, direction, steepest)
         assert slope == pytest.approx(energy_slope(direction, full), rel=1e-12)
