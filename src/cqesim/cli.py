@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import json
+import math
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -74,8 +76,11 @@ def _parse_pairing(text: str) -> PairingModel:
     if len(parts) != 4:
         raise CliError("pairing constants must be four comma-separated numbers e0,e1,e3,t")
     try:
-        e0, e1, e3, t = (float(p) for p in parts)
-        return PairingModel(e0, e1, e3, t)
+        values = [float(p) for p in parts]
+        for name, value in zip(("e0", "e1", "e3", "t"), values):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} = {value} must be finite")
+        return PairingModel(*values)
     except ValueError as exc:
         raise CliError(f"bad pairing constants {text!r}: {exc}") from exc
 
@@ -91,9 +96,13 @@ def _initial_state(spec: str, ham: SparseOperator, model: PairingModel | None) -
         if model is None:
             raise CliError(f"init {spec!r} needs --model pairing")
         try:
+            coords = [float(p) for p in rest.split(",")]
+            if not all(math.isfinite(c) for c in coords):
+                raise ValueError("coordinates must be finite")
             if kind == "equator":
-                return equator_state(model, float(rest))
-            g, m, x = (float(p) for p in rest.split(","))
+                (theta,) = coords
+                return equator_state(model, theta)
+            g, m, x = coords
             norm = float(np.sqrt(g * g + m * m + x * x))
             if norm == 0.0:
                 raise ValueError("zero vector")
@@ -153,6 +162,19 @@ def _build_config(args) -> CqeConfig:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+
+
+def _check_output(path: str | None):
+    """Refuse an ``--output`` that could not be written, before any solve; creates nothing."""
+    if path is None:
+        return
+    target = Path(path)
+    if target.is_dir():
+        raise CliError(f"output {path!r} is a directory")
+    if not target.parent.is_dir():
+        raise CliError(f"output directory {str(target.parent)!r} does not exist")
+    if not os.access(target if target.exists() else target.parent, os.W_OK):
+        raise CliError(f"output {path!r} is not writable")
 
 
 def _write_text(path: str | None, text: str):
@@ -338,6 +360,7 @@ def main(argv=None) -> int:
     if hasattr(args, "init") and args.init is None:
         args.init = "equator:0.3" if getattr(args, "model", None) == "pairing" else "hf"
     try:
+        _check_output(args.output)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

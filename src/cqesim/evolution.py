@@ -2,12 +2,17 @@
 
 Every exponential below runs through one Taylor kernel, ``_taylor_action``:
 it takes the action of the generator on a vector and the generator's exact
-1-norm (read off the CSR arrays by ``_norm1``) and sums segmented Taylor
-series from matrix-vector products alone, so no matrix (scaled, shifted,
-block or exponential) is built per call.  Segments have 1-norm at most
-theta_40 = 6.0 of Al-Mohy & Higham, and a segment's series stops on two
-negligible terms only where the 1-norm bound already makes the terms
-contract.  Every product with a CSR generator goes through
+1-norm (``SparseOperator.norm1``, read off the CSR arrays once per
+operator by ``fock._norm1``) and sums segmented Taylor series from
+matrix-vector products alone, so no matrix (scaled, shifted, block or
+exponential) is built per call.  Segments have 1-norm at most theta_40 =
+6.0 of Al-Mohy & Higham, and a segment's series stops on two negligible
+terms only where the 1-norm bound already makes the terms contract.  The
+terms come from one recurrence, ``_Terms``.  ``_FixedStart`` keeps the
+terms ``(J / |J|_1)^k psi / k!`` of one generator on one state, so the
+first segment of ``exp(eta J) psi`` costs no product once a larger eta
+has made them: a line search's trials from the same psi pay each product
+once.  Every product with a CSR generator goes through
 ``fock._csr_product``, the sparsetools kernel behind scipy's ``@`` without
 its dispatch, so products are bit-identical to ``@``.
 
@@ -63,7 +68,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fock import (
     Basis,
@@ -73,6 +77,7 @@ from .fock import (
     _csr_product,
     _excitations,
     _link_magnitudes,
+    _norm1,
     _transition_elements,
     antisymmetrize,
 )
@@ -104,21 +109,29 @@ _TERM_STOP = 1e-16
 _TERM_FAIL = 1e-13
 
 
-def _norm1(matrix: sp.csr_matrix, shift: complex = 0.0) -> float:
-    """Exact 1-norm of ``matrix - shift * I``, read off the CSR arrays.
+class _Terms:
+    """Taylor terms ``t_k = A^k v / (d^k k!)`` of an action A on a vector v, made on demand and kept.
 
-    Column sums of ``|data|``, with ``|a_jj - shift|`` in place of
-    ``|a_jj|`` on the diagonal (``a_jj = 0`` where the entry is structurally
-    absent); no matrix is built.
+    ``t_k = A(t_{k-1}) / (d k)`` is the one term recurrence of the kernel: a
+    segment of ``_taylor_action`` runs it with ``d`` its segment count, and
+    ``_FixedStart`` keeps one with ``d = |J|_1`` across step sizes.  Item
+    k >= 1 is ``(t_k, |t_k|^2)``.
     """
-    cols = np.bincount(matrix.indices, np.abs(matrix.data), minlength=matrix.shape[1])
-    if shift:
-        diag = matrix.diagonal()
-        cols += np.abs(diag - shift) - np.abs(diag)
-    return float(cols.max(initial=0.0))
+
+    def __init__(self, action, divisor: float, vec: np.ndarray):
+        self._action = action
+        self._divisor = divisor
+        self._terms = [(vec, None)]
+
+    def __getitem__(self, k: int) -> tuple[np.ndarray, float]:
+        terms = self._terms
+        while len(terms) <= k:
+            term = self._action(terms[-1][0]) * (1.0 / (self._divisor * len(terms)))
+            terms.append((term, np.vdot(term, term).real))
+        return terms[k]
 
 
-def _taylor_action(matvec, norm1: float, vec: np.ndarray) -> np.ndarray:
+def _taylor_action(matvec, norm1: float, vec: np.ndarray, first=None) -> np.ndarray:
     """``exp(G) @ vec`` from the action ``matvec(v) = G v`` and the 1-norm of G.
 
     G is split into ``s = max(1, ceil(|G|_1 / theta))`` equal segments with
@@ -133,6 +146,11 @@ def _taylor_action(matvec, norm1: float, vec: np.ndarray) -> np.ndarray:
     segment.  Raises if the series fails to converge (NaN/Inf, or terms
     still decaying at ``_MAX_TAYLOR_TERMS``), which would signal a bogus
     norm rather than a physics problem.
+
+    ``first = (kept, phase)`` serves the first segment from kept terms:
+    ``kept`` is the ``_Terms`` of ``vec`` under a generator J with divisor
+    ``|J|_1``, and ``G = phase |G|_1 J / |J|_1``, so that segment's k-th
+    term is ``(phase |G|_1 / s)^k`` times the k-th kept one.
     """
     if not math.isfinite(norm1):
         raise RuntimeError("generator matrix contains non-finite entries")
@@ -140,15 +158,21 @@ def _taylor_action(matvec, norm1: float, vec: np.ndarray) -> np.ndarray:
     if norm1 == 0.0:
         return out
     segments = max(1, math.ceil(norm1 / _THETA))
-    for _ in range(segments):
+    for segment in range(segments):
+        if segment == 0 and first is not None:
+            terms, ratio = first[0], first[1] * norm1 / segments
+        else:
+            terms, ratio = _Terms(matvec, segments, out), 1.0
         acc = out.copy()
-        term = out
+        power = 1.0
         small_streak = 0
         for k in range(1, _MAX_TAYLOR_TERMS + 1):
-            term = matvec(term) * (1.0 / (segments * k))
+            term, term2 = terms[k]
+            if ratio != 1.0:
+                power *= ratio
+                term, term2 = power * term, abs(power) ** 2 * term2
             acc += term
             # squared norms: the ratio test |term| < tol |acc| without square roots
-            term2 = np.vdot(term, term).real
             acc2 = np.vdot(acc, acc).real
             if not (math.isfinite(term2) and math.isfinite(acc2)):
                 raise RuntimeError("matrix exponential series produced non-finite values")
@@ -162,6 +186,17 @@ def _taylor_action(matvec, norm1: float, vec: np.ndarray) -> np.ndarray:
                 )
         out = acc
     return out
+
+
+def _renormalized(psi: StateVector, out: np.ndarray) -> StateVector:
+    """``out`` normalized, with the retained weight ``min(1, |out|^2 / |psi|^2)``
+    folded into ``success_prob``."""
+    norm2_in = np.vdot(psi.amplitudes, psi.amplitudes).real
+    norm2_out = np.vdot(out, out).real
+    if norm2_out == 0.0:
+        raise RuntimeError("exponential step annihilated the state")
+    retained = min(1.0, float(norm2_out / norm2_in))
+    return StateVector(psi.basis, out / math.sqrt(norm2_out), 0, psi.success_prob * retained)
 
 
 def apply_exp_exact(
@@ -179,7 +214,7 @@ def apply_exp_exact(
     if op.basis != psi.basis:
         raise ValueError("operator and state use different bases")
     matrix = op.matrix
-    norm1 = abs(scale) * _norm1(matrix)
+    norm1 = abs(scale) * op.norm1
 
     def action(v):
         return scale * _csr_product(matrix, v)
@@ -198,12 +233,33 @@ def apply_exp_exact(
     out = _taylor_action(action, norm1, psi.amplitudes)
     if not renormalize:
         return StateVector(psi.basis, out, 0, psi.success_prob)
-    norm_in = np.linalg.norm(psi.amplitudes)
-    norm_out = np.linalg.norm(out)
-    if norm_out == 0.0:
-        raise RuntimeError("exponential step annihilated the state")
-    retained = min(1.0, float(norm_out / norm_in) ** 2)
-    return StateVector(psi.basis, out / norm_out, 0, psi.success_prob * retained)
+    return _renormalized(psi, out)
+
+
+class _FixedStart:
+    """``exp(eta J) psi`` with renormalization, for many step sizes eta from one bare state psi.
+
+    The first Taylor segment of every eta reads the kept terms
+    ``(J / |J|_1)^k psi / k!``, each made by one product when a trial first
+    needs it, scaled by ``(eta |J|_1 / s)^k``; later segments act on vectors
+    that change with eta and make their own products.  The result equals
+    ``apply_exp_exact(op, psi, scale=eta, renormalize=True)`` up to rounding.
+    """
+
+    def __init__(self, op: SparseOperator, psi: StateVector):
+        self.op = op
+        self.psi = psi
+        self._kept = _Terms(partial(_csr_product, op.matrix), op.norm1, psi.amplitudes)
+
+    def apply(self, eta: complex) -> StateVector:
+        matrix = self.op.matrix
+
+        def action(v):
+            return eta * _csr_product(matrix, v)
+
+        first = (self._kept, eta / abs(eta) if eta else 1.0)
+        out = _taylor_action(action, abs(eta) * self.op.norm1, self.psi.amplitudes, first)
+        return _renormalized(self.psi, out)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +289,7 @@ def apply_dilated(psi: StateVector, op: SparseOperator, delta: float) -> StateVe
         raise ValueError("apply_dilated expects a single-ancilla state")
     if op.basis != psi.basis:
         raise ValueError("operator and state use different bases")
-    return _dilated_step(psi, partial(_csr_product, op.matrix), _norm1(op.matrix), delta)
+    return _dilated_step(psi, partial(_csr_product, op.matrix), op.norm1, delta)
 
 
 def _dilated_step(psi: StateVector, apply_j, norm1: float, delta: float) -> StateVector:

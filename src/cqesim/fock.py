@@ -38,7 +38,7 @@ apply_operator       apply a sector operator to a state vector
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -286,17 +286,29 @@ class TwoBodyTensor:
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """A linear operator restricted to one sector basis (CSR matrix)."""
+    """A linear operator restricted to one sector basis (complex CSR matrix).
+
+    A complex CSR matrix is kept as given; anything else is converted.  The
+    matrix is never edited in place, so its 1-norm, which every exponential
+    of the operator needs, is computed on first use and kept.
+    """
 
     basis: Basis
     matrix: sp.csr_matrix
 
     def __post_init__(self):
-        m = sp.csr_matrix(self.matrix, dtype=complex)
+        m = self.matrix
+        if not (isinstance(m, sp.csr_matrix) and m.dtype == complex):
+            m = sp.csr_matrix(m, dtype=complex)
         dim = len(self.basis)
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} does not match basis size {dim}")
         object.__setattr__(self, "matrix", m)
+
+    @cached_property
+    def norm1(self) -> float:
+        """Exact 1-norm of the matrix (``_norm1``)."""
+        return _norm1(self.matrix)
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -304,6 +316,20 @@ class SparseOperator:
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         d = self.matrix - self.matrix.getH()
         return d.nnz == 0 or float(np.max(np.abs(d.data))) <= tol
+
+
+def _norm1(matrix: sp.csr_matrix, shift: complex = 0.0) -> float:
+    """Exact 1-norm of ``matrix - shift * I``, read off the CSR arrays.
+
+    Column sums of ``|data|``, with ``|a_jj - shift|`` in place of
+    ``|a_jj|`` on the diagonal (``a_jj = 0`` where the entry is structurally
+    absent); no matrix is built.
+    """
+    cols = np.bincount(matrix.indices, np.abs(matrix.data), minlength=matrix.shape[1])
+    if shift:
+        diag = matrix.diagonal()
+        cols += np.abs(diag - shift) - np.abs(diag)
+    return float(cols.max(initial=0.0))
 
 
 def _csr_product(matrix: sp.csr_matrix, vec: np.ndarray) -> np.ndarray:

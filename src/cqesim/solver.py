@@ -60,6 +60,7 @@ import numpy as np
 from .evolution import (
     DilationPolicy,
     EstimatorConfig,
+    _FixedStart,
     ancilla_branch,
     apply_dilated,
     apply_exp_exact,
@@ -229,13 +230,27 @@ class _Stalled(Exception):
 
 
 class _StepPlan:
-    """One iteration's generator split, realized lazily per trial eta."""
+    """One iteration's generator split, built once and realized lazily per trial eta.
+
+    Only a nonzero factor gets an operator.  An hcse direction is exactly
+    pair-Hermitian and an acse one exactly pair-anti-Hermitian, so the
+    other part is identically zero and ``op_a`` or ``op_h`` is None.  Each
+    operator's 1-norm is computed once (``SparseOperator.norm1``).  The
+    first factor always acts on the fixed psi, so every trial sums its kept
+    Taylor terms (``_FixedStart``); the second, the Hermitian factor of a
+    cse direction, acts on a state that changes with eta and runs through
+    ``apply_exp_exact``.
+    """
 
     def __init__(self, ham: SparseOperator, psi: StateVector, direction: TwoBodyTensor):
         self.ham = ham
         self.psi = psi
-        self.op_a = two_body_to_operator(direction.antihermitian_part(), psi.basis)
-        self.op_h = two_body_to_operator(direction.hermitian_part(), psi.basis)
+        self.op_a, self.op_h = (
+            two_body_to_operator(part, psi.basis) if np.any(part.coeffs) else None
+            for part in (direction.antihermitian_part(), direction.hermitian_part())
+        )
+        first, *self._rest = (op for op in (self.op_a, self.op_h) if op is not None)
+        self._first = _FixedStart(first, psi)
         self._trials: dict[float, tuple[StateVector | None, float]] = {}
 
     def _realize(self, eta: float) -> tuple[StateVector | None, float]:
@@ -245,8 +260,9 @@ class _StepPlan:
         if eta not in self._trials:
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    out = apply_exp_exact(self.op_a, self.psi, scale=eta, renormalize=True)
-                    out = apply_exp_exact(self.op_h, out, scale=eta, renormalize=True)
+                    out = self._first.apply(eta)
+                    for op in self._rest:
+                        out = apply_exp_exact(op, out, scale=eta, renormalize=True)
                 self._trials[eta] = (out, energy(self.ham, out))
             except RuntimeError:
                 self._trials[eta] = (None, math.inf)
@@ -324,7 +340,12 @@ _SEARCHES = {
 
 
 class _DilatedRegister:
-    """Single-ancilla register executing accepted steps with V-slices."""
+    """Single-ancilla register executing accepted steps with V-slices.
+
+    It runs the accepted plan's own operators, so every V-slice reads the
+    1-norm that the plan computed once, and a zero factor (None) is never
+    applied.
+    """
 
     def __init__(self, ham: SparseOperator, psi: StateVector, policy: DilationPolicy):
         self.ham = ham
@@ -345,13 +366,18 @@ class _DilatedRegister:
         if self.steps_since_reset >= self.policy.max_steps_between_resets:
             self._reset()
 
-    def execute(self, op_a: SparseOperator, op_h: SparseOperator, eta: float, e0: float, slope: float):
-        # the unitary factor acts directly on both branches
-        self.state = apply_exp_exact(op_a, self.state, scale=eta)
+    def execute(
+        self, op_a: SparseOperator | None, op_h: SparseOperator | None, eta: float, e0: float, slope: float
+    ):
+        if op_a is not None:  # the unitary factor acts directly on both branches
+            self.state = apply_exp_exact(op_a, self.state, scale=eta)
         slices = max(1, math.ceil(eta / self.policy.epsilon))
         delta = eta / slices
         for _ in range(slices):
-            self.state = apply_dilated(self.state, op_h, delta)
+            # a zero Hermitian factor makes each slice the identity: none is
+            # applied, but the slices still count toward the reset cap
+            if op_h is not None:
+                self.state = apply_dilated(self.state, op_h, delta)
             self.steps_since_reset += 1
             self._maybe_cap_reset()
         if self.policy.reset_mode == "wolfe":

@@ -6,6 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from cqesim import cli
 from cqesim.cli import main
 from cqesim.evolution import RESET_MODES
 from cqesim.residuals import RESIDUAL_VARIANTS
@@ -160,6 +161,40 @@ def test_bad_init_spec_exits_one(tmp_path):
     )
     assert code == 1  # equator init needs the pairing model
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--init", "sphere:nan,0,0"], "coordinates must be finite"),
+        (["--init", "sphere:1,inf,0"], "coordinates must be finite"),
+        (["--init", "equator:inf"], "coordinates must be finite"),
+        (["--pairing-constants", "nan,1,2,3"], "e0 = nan must be finite"),
+        (["--pairing-constants", "0,1,2,inf"], "t = inf must be finite"),
+    ],
+)
+def test_non_finite_pairing_input_exits_one(tmp_path, capsys, flags, named):
+    code, out = _run(tmp_path, "n.json", ["run", "--model", "pairing"] + flags)
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run", "--fcidump", "h2_d0.74"], ["scan", "--fixtures", "h2_d0.74"],
+     ["residual-study", "--fixture", "h2_d0.74"]],
+)
+def test_unwritable_output_exits_one_before_solving(tmp_path, capsys, monkeypatch, command):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solved before the output path was checked")
+
+    monkeypatch.setattr(cli, "cqe_run", forbidden)
+    for output in (tmp_path / "nodir" / "x.out", tmp_path):
+        assert main(command + ["--output", str(output)]) == 1
+        assert capsys.readouterr().err.startswith("error: output ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sampled_without_seed_is_input_error(tmp_path):

@@ -397,6 +397,23 @@ def test_dilated_step_across_segment_boundaries_matches_dense_expm(norm, kind):
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("kind", ["hermitian", "antihermitian"])
+def test_fixed_start_matches_dense_expm_in_any_order(kind):
+    # the longest trial first, then shorter ones and both sides of the segment boundary
+    rng = np.random.default_rng(98)
+    basis = build_basis(8, 4, 0)
+    op = _kernel_generator(rng, kind, basis)
+    psi = _random_state(rng, basis, complex_valued=True)
+    start = evolution._FixedStart(op, psi)
+    for norm in (2.5 * THETA, 0.3, 1.02 * THETA, 0.98 * THETA):
+        for phase in (1.0, -1.0, 1j):
+            eta = phase * norm / op.norm1
+            got = start.apply(eta)
+            ref = scipy.linalg.expm(eta * op.dense()) @ psi.amplitudes
+            assert np.linalg.norm(got.amplitudes - ref / np.linalg.norm(ref)) <= 1e-13
+            assert got.success_prob == pytest.approx(min(1.0, np.vdot(ref, ref).real), rel=1e-12)
+
+
 def _count_products(matvec, norm1, vec):
     calls = []
 

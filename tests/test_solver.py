@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cqesim import evolution, fock, solver
 from cqesim.evolution import EstimatorConfig, DilationPolicy, apply_exp_exact
 from cqesim.fock import (
     StateVector,
@@ -20,12 +21,14 @@ from cqesim.models import (
     random_sphere_point,
     sphere_state,
 )
-from cqesim.oracle import fci_solve
+from cqesim.oracle import dense_expm_apply, fci_solve
 from cqesim.residuals import energy, energy_slope, residual, residual_channel, variance
 from cqesim.solver import (
     CqeConfig,
     LineSearch,
+    _DilatedRegister,
     _slope,
+    _StepPlan,
     cqe_run,
     hf_state,
 )
@@ -115,6 +118,108 @@ def test_slope_follows_the_direction_taken():
         # the norm formula -c |J|^2, right only for J = steepest, is far off
         c = 2.0 if variant == "cse" else 1.0
         assert abs(slope + c * direction.norm() ** 2) > 0.1 * abs(slope)
+
+
+# ---------------------------------------------------------------------------
+# step plans
+# ---------------------------------------------------------------------------
+
+THETA = 6.0  # the Taylor kernel's per-segment 1-norm
+
+
+def _plan_inputs(variant, seed=23):
+    ham = build_hamiltonian(load_fixture("h4_d1.00"))
+    rng = np.random.default_rng(seed)
+    basis = ham.basis
+    psi = StateVector(
+        basis, rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+    ).normalized()
+    return ham, psi, -residual(ham, psi, variant)
+
+
+@pytest.mark.parametrize("variant", ["cse", "hcse", "acse"])
+def test_plan_trials_match_dense_expm(variant):
+    ham, psi, direction = _plan_inputs(variant)
+    plan = _StepPlan(ham, psi, direction)
+    factors = [op for op in (plan.op_a, plan.op_h) if op is not None]
+    past_theta = 1.5 * THETA / factors[0].norm1  # the first factor takes two segments
+    for eta in (1e-3, 0.5, -0.7, 0.3j, past_theta):
+        ref, chained = psi, psi
+        for op in factors:
+            ref = dense_expm_apply(op, ref, scale=eta)
+            chained = apply_exp_exact(op, chained, scale=eta, renormalize=True)
+        ref = ref.amplitudes / np.linalg.norm(ref.amplitudes)
+        got = plan.trial(eta)
+        assert np.linalg.norm(got.amplitudes - ref) <= 1e-12
+        assert got.success_prob == pytest.approx(chained.success_prob, rel=1e-12)
+
+
+@pytest.mark.parametrize("variant, built", [("cse", 2), ("hcse", 1), ("acse", 1)])
+def test_plan_builds_only_nonzero_factors(monkeypatch, variant, built):
+    ham, psi, direction = _plan_inputs(variant)
+    calls = []
+
+    def counted(tensor, basis):
+        calls.append(tensor)
+        return two_body_to_operator(tensor, basis)
+
+    monkeypatch.setattr(solver, "two_body_to_operator", counted)
+    plan = _StepPlan(ham, psi, direction)
+    for eta in (0.5, 0.25):
+        plan.trial_energy(eta)
+    assert len(calls) == built
+    assert (plan.op_a is None) == (variant == "hcse")
+    assert (plan.op_h is None) == (variant == "acse")
+
+
+def test_plan_trials_share_the_first_factor_products(monkeypatch):
+    ham, psi, direction = _plan_inputs("hcse")
+    products = []
+
+    def counted(matrix, vec):
+        products.append(None)
+        return fock._csr_product(matrix, vec)
+
+    monkeypatch.setattr(evolution, "_csr_product", counted)
+    nu = _StepPlan(ham, psi, direction).op_h.norm1
+    etas = [f * THETA / nu for f in (0.9, 0.45, 0.225, 0.675)]  # one segment each
+
+    def products_of(trials):
+        plan = _StepPlan(ham, psi, direction)
+        products.clear()
+        for eta in trials:
+            plan.trial_energy(eta)
+        return len(products), plan
+
+    together, plan = products_of(etas)
+    alone, _ = products_of(etas[:1])
+    products.clear()
+    apply_exp_exact(plan.op_h, psi, scale=etas[0])
+    assert together == alone == len(products) > 10
+
+
+@pytest.mark.parametrize("variant, norms", [("cse", 2), ("hcse", 1)])
+def test_dilated_execute_computes_each_norm_once(monkeypatch, variant, norms):
+    ham, psi, direction = _plan_inputs(variant)
+    calls = []
+
+    def counted(matrix, shift=0.0):
+        calls.append(matrix)
+        return norm1(matrix, shift)
+
+    def vstep(*args):
+        vsteps.append(None)
+        return evolution.apply_dilated(*args)
+
+    norm1 = fock._norm1
+    vsteps = []
+    monkeypatch.setattr(fock, "_norm1", counted)
+    monkeypatch.setattr(solver, "apply_dilated", vstep)
+    plan = _StepPlan(ham, psi, direction)
+    register = _DilatedRegister(ham, psi, DilationPolicy(epsilon=0.1, reset_mode="never"))
+    register.execute(plan.op_a, plan.op_h, 0.5, energy(ham, psi), -1.0)
+    assert len(vsteps) == 5
+    assert len(calls) == norms
 
 
 # ---------------------------------------------------------------------------
