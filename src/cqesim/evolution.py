@@ -56,9 +56,10 @@ Both modes read these classes: exact mode takes the expectation
 ``v (P+ - P-)``, and with ``shots`` set every observable gets multinomial
 counts over its classes, which reproduces hardware shot noise exactly
 rather than through a Gaussian surrogate.  The canonical S and A values
-then form R = (S + A) / 2, whose index images ``fock.antisymmetrize``
-fills, and ``residuals.residual_channel`` maps R to the requested channel,
-as it does for the exactly contracted residual.
+then form the link vector of R = (S + A) / 2 (see ``fock``), which
+``residuals.residual_channel`` maps to the requested channel with the
+sector's link adjoint, as it does for the exactly contracted residual;
+``fock._link_tensor`` expands the channel to the n^4 tensor returned.
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ from .fock import (
     _csr_product,
     _excitations,
     _link_magnitudes,
+    _link_tensor,
     _norm1,
     _transition_elements,
-    antisymmetrize,
 )
 from .residuals import RESIDUAL_VARIANTS, energy, residual_channel
 
@@ -443,39 +444,25 @@ def pair_excitation_matrix(basis: Basis, i: int, j: int, k: int, l: int) -> np.n
     if k > l:
         k, l, sign = l, k, -sign
     ex = _excitations(basis)
-    col = ((k * n + l) * n + i) * n + j
-    span = slice(ex.by_index.indptr[col], ex.by_index.indptr[col + 1])
-    links = ex.by_index.indices[span]
-    out[ex.rows[links], ex.indices[links]] = sign * ex.by_index.data[span]
+    link = ex.locate(((k * n + l) * n + i) * n + j)
+    if link < len(ex.support):
+        span = slice(ex.by_link.indptr[link], ex.by_link.indptr[link + 1])
+        nonzeros = ex.by_link.indices[span]
+        out[ex.rows[nonzeros], ex.indices[nonzeros]] = sign * ex.by_link.data[span]
     return out
 
 
 @lru_cache(maxsize=8)
 def _canonical_columns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical elements as an (m, 4) array, the excitation-pattern column of
-    each (as in ``pair_excitation_matrix``) and the diagonal mask (i, j) == (k, l)."""
+    """Canonical elements as an (m, 4) array, the flat n^4 index of the
+    excitation-pattern element of each (as in ``pair_excitation_matrix``; a
+    sector's ``locate`` finds its link) and the diagonal mask (i, j) == (k, l)."""
     elements = np.array(canonical_elements(n), dtype=np.int64)
     i, j, k, l = elements.T
     out = (elements, ((k * n + l) * n + i) * n + j, (i == k) & (j == l))
     for arr in out:
         arr.setflags(write=False)  # shared by every caller of the cache
     return out
-
-
-def _scatter_images(n: int, elements: np.ndarray, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """R = (S + A) / 2 from canonical S and A values.
-
-    S is pair-Hermitian and A pair-anti-Hermitian, so R is ``(s + a) / 2`` at
-    each canonical (i, j, k, l) and ``conj(s - a) / 2`` at its pair adjoint
-    (k, l, i, j), which is canonical too.  ``antisymmetrize`` spreads a
-    quarter of each canonical entry over its four index images, so the
-    entries are written at four times these values, as in ``compute_2rdm``.
-    """
-    i, j, k, l = elements.T
-    canonical = np.zeros((n, n, n, n), dtype=complex)
-    canonical[i, j, k, l] = 2.0 * (s + a)
-    canonical[k, l, i, j] = 2.0 * np.conj(s - a)
-    return antisymmetrize(canonical)
 
 
 def estimate_residual_w(
@@ -497,11 +484,12 @@ def estimate_residual_w(
     seed.  ``delta``, ``shots`` and ``seed`` obey the rules of
     ``EstimatorConfig``.
 
-    The measured S and A form R = (S + A) / 2, with the channel not measured
-    set to zero, and the result is ``residual_channel(R, variant)``: R for
-    ``'cse'``, S (Z channel only) for ``'hcse'`` and A (Y channel only) for
-    ``'acse'``.  S comes out exactly pair-Hermitian and A exactly
-    pair-anti-Hermitian, in shot mode too.
+    The measured S and A form the link vector (``fock``) of R = (S + A) / 2,
+    with the channel not measured set to zero, and the result is the n^4
+    tensor of ``residual_channel(R, variant)``: R for ``'cse'``, S (Z channel
+    only) for ``'hcse'`` and A (Y channel only) for ``'acse'``.  S comes out
+    exactly pair-Hermitian and A exactly pair-anti-Hermitian, in shot mode
+    too, and the tensor vanishes off the index images of the sector's links.
     """
     if variant not in RESIDUAL_VARIANTS:
         raise ValueError(f"unknown residual variant {variant!r}")
@@ -510,15 +498,16 @@ def estimate_residual_w(
         delta = DELTA_EXACT_DEFAULT if shots is None else DELTA_SHOT_DEFAULT
 
     basis = psi.basis
-    n = basis.n_spin_orbitals
     dim = len(basis)
     probe = probe_state(ham, psi, delta).amplitudes
     top, bottom = probe[:dim], probe[dim:]
-    elements, cols, diag = _canonical_columns(n)
+    ex = _excitations(basis)
+    _, cols, diag = _canonical_columns(basis.n_spin_orbitals)
+    link = ex.locate(cols)
+    linked = link < len(ex.support)
     if shots is not None:
         rng = np.random.default_rng(seed)
         # an element without links, and the Im part of a diagonal one, is zero: no draw
-        linked = np.diff(_excitations(basis).by_index.indptr)[cols] > 0
         drawn = np.stack([linked, linked & ~diag])
 
     def channel_mean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -542,8 +531,15 @@ def estimate_residual_w(
         plus = (top - 1j * bottom) / np.sqrt(2.0)
         minus = (top + 1j * bottom) / np.sqrt(2.0)
         a = -1j * channel_mean(plus, minus) / delta
-    channel = residual_channel(_scatter_images(n, elements, s, a), variant)
-    return TwoBodyTensor._closed(n, channel)
+    # S is pair-Hermitian and A pair-anti-Hermitian, so R is (s + a) / 2 at
+    # each element (i, j, k, l) and conj(s - a) / 2 at its pair adjoint
+    # (k, l, i, j), the link of the element's pattern column
+    column = link[linked]
+    raw = np.zeros(len(ex.support), dtype=complex)
+    raw[ex.adjoint[column]] = (0.5 * (s + a))[linked]
+    raw[column] = (0.5 * np.conj(s - a))[linked]
+    channel = residual_channel(raw, variant, ex.pair_adjoint)
+    return TwoBodyTensor._closed(basis.n_spin_orbitals, _link_tensor(basis, channel))
 
 
 def _outcome_classes(basis: Basis, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -570,14 +566,15 @@ def _outcome_classes(basis: Basis, x: np.ndarray, y: np.ndarray) -> tuple[np.nda
     """
     ex = _excitations(basis)
     _, cols, diag = _canonical_columns(basis.n_spin_orbitals)
-    links = _link_magnitudes(basis)
+    link = ex.locate(cols)  # the link count, an appended zero, where an element has no links
+    magnitudes = _link_magnitudes(basis)
 
     def m(v):
         weight = np.abs(v) ** 2
-        return (links @ (weight[ex.rows] + weight[ex.indices]))[cols] / 8.0
+        return np.append(magnitudes @ (weight[ex.rows] + weight[ex.indices]), 0.0)[link] / 8.0
 
     def g(v):
-        return _transition_elements(basis, v, v)[cols] / 4.0
+        return np.append(_transition_elements(basis, v, v), 0.0)[link] / 4.0
 
     mx, my, gx, gy = m(x), m(y), g(x), g(y)
     probs = np.empty((2, len(cols), 3))

@@ -18,12 +18,17 @@ Conventions used throughout the package:
   Coefficient tensors are antisymmetric under ``i <-> j`` and ``k <-> l``.
 
 * Every two-body contraction runs through one cached sparse excitation
-  pattern per sector (see ``_excitations``): operator assembly here,
-  transition 2-RDM elements (``_transition_elements``) for the residuals
-  and the estimator's outcome classes, and pair-excitation matrices in
-  ``evolution``.
-* ``antisymmetrize`` is the one image primitive: ``compute_2rdm``,
-  ``reduced_hamiltonian_K`` and the residual estimator build their tensors
+  pattern per sector (see ``_excitations``), whose columns are the sector's
+  links: the canonical elements (i < j, k < l) that connect two of its
+  determinants.  A tensor that acts inside the sector is carried as its
+  link vector, its canonical entries at the links; the solver works on
+  link vectors alone.  Operator assembly (``_link_operator``), transition
+  2-RDM elements (``_transition_elements``) for the residuals and the
+  estimator's outcome classes, and pair-excitation matrices in
+  ``evolution`` all read the pattern.
+* ``antisymmetrize`` is the one image primitive: ``compute_2rdm``, the
+  public residuals and the residual estimator (all through
+  ``_link_tensor``) and ``reduced_hamiltonian_K`` build their n^4 tensors
   from canonical or raw entries and let it fill every index image.
 
 Functions
@@ -243,8 +248,7 @@ class TwoBodyTensor:
         Skips the n^4 antisymmetry check of the public constructor, and the
         copy: ``coeffs`` must be an antisymmetric complex array that nothing
         else writes to, either a fresh one, which becomes read-only, or one
-        that is read-only already (``residual_channel(raw, "cse")`` returns
-        ``raw`` itself, which may then be shared).
+        that is read-only already.
         """
         if coeffs.shape != (n_spin_orbitals,) * 4:
             raise ValueError(f"coeffs shape {coeffs.shape} does not match n_spin_orbitals={n_spin_orbitals}")
@@ -408,22 +412,40 @@ def pair_matrix(coeffs: np.ndarray) -> np.ndarray:
 #
 # The pattern P lists these links once per basis (the string-driven
 # excitation lists of determinant FCI; Knowles & Handy, CPL 111, 315 (1984);
-# Olsen et al., JCP 89, 2185 (1988)).  Row r of P is the r-th structural
-# nonzero of the sector matrix in CSR order, column ((i n + j) n + k) n + l
-# a tensor index, and the entry 4 s' s, the 4 counting the index-pair images
-# of an antisymmetric tensor.  So  P @ T.ravel()  is the CSR data of J[T],
-# and  P^T (conj(bra)[rows] * ket[cols])  holds the canonical elements of
-# 4 <bra| a^+_k a^+_l a_j a_i |ket>.
+# Olsen et al., JCP 89, 2185 (1988)).  Only the canonical elements that link
+# at least one pair of determinants, the sector's "links", can act inside it;
+# ``support`` lists their flat tensor indices ((i n + j) n + k) n + l in
+# ascending order.  Row r of P is the r-th structural nonzero of the sector
+# matrix in CSR order, column m the m-th link, and the entry 4 s' s, the 4
+# counting the index-pair images of an antisymmetric tensor.
+#
+# A link vector c holds the canonical entries T.ravel()[support] of an
+# antisymmetric tensor T that vanishes off the images of the links, so
+# P @ c  is the CSR data of J[T], and  P^T (conj(bra)[rows] * ket[cols])
+# holds 4 <bra| a^+_k a^+_l a_j a_i |ket> at every link.  The pair adjoint
+# (k, l, i, j) of a link is a link too (``adjoint``), and since each
+# canonical entry stands for four index images, the Frobenius norm of T is
+# 2 |c| and the Frobenius product of two such tensors 4 <c, c'>.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Excitations:
-    pattern: sp.csc_matrix   # (sector nonzeros, n^4), entries 4 s' s
-    by_index: sp.csr_matrix  # pattern.T, sharing its arrays
+    by_link: sp.csr_matrix   # P^T, (links, sector nonzeros), entries 4 s' s
+    support: np.ndarray      # flat n^4 index of each link's canonical element, ascending
+    adjoint: np.ndarray      # link position of each link's pair adjoint (k, l, i, j)
     rows: np.ndarray         # sector row of each nonzero
     indices: np.ndarray      # sector column of each nonzero (CSR indices)
     indptr: np.ndarray       # CSR row pointer of the sector matrix
+
+    def pair_adjoint(self, links: np.ndarray) -> np.ndarray:
+        """The link vector of ``T^+``: ``conj(links)`` at each link's pair adjoint."""
+        return np.conj(links[self.adjoint])
+
+    def locate(self, flat):
+        """Link position of each flat n^4 index, or the link count where it is no link."""
+        pos = np.searchsorted(self.support, flat)
+        return np.where(np.append(self.support, -1)[pos] == flat, pos, len(self.support))
 
 
 def _lowerings(basis: Basis):
@@ -464,43 +486,79 @@ def _excitations(basis: Basis) -> _Excitations:
     key = det[bra] * dim + det[ket]
     unique, nonzero = np.unique(key, return_inverse=True)
     rows, cols = np.divmod(unique, dim)
+    support, link = np.unique(pair[ket] * n * n + pair[bra], return_inverse=True)
     # complex entries spare a cast in every product with complex tensors and states
-    pattern = sp.csc_matrix(
-        (4.0 * sign[bra] * sign[ket] + 0j, (nonzero, pair[ket] * n * n + pair[bra])),
-        shape=(len(unique), n**4),
+    by_link = sp.csr_matrix(
+        (4.0 * sign[bra] * sign[ket] + 0j, (link, nonzero)), shape=(len(support), len(unique))
     )
+    half, low = np.divmod(support, n * n)  # (i n + j, k n + l) of each link
+    adjoint = np.searchsorted(support, low * n * n + half)
     indptr = np.searchsorted(rows, np.arange(dim + 1))
-    return _Excitations(pattern, pattern.T, rows, cols.astype(np.int32), indptr.astype(np.int32))
+    return _Excitations(
+        by_link, support, adjoint, rows, cols.astype(np.int32), indptr.astype(np.int32)
+    )
 
 
 def _transition_elements(basis: Basis, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
     """``P^T (conj(bra)[rows] * ket[cols])``: 4 <bra| a^+_k a^+_l a_j a_i |ket>
-    at every canonical index ``((i n + j) n + k) n + l``, flat over n^4."""
+    at every link (i, j, k, l) of the sector."""
     ex = _excitations(basis)
-    return ex.by_index @ (bra.conj()[ex.rows] * ket[ex.indices])
+    return _csr_product(ex.by_link, bra.conj()[ex.rows] * ket[ex.indices])
 
 
 @lru_cache(maxsize=64)
 def _link_magnitudes(basis: Basis) -> sp.csr_matrix:
-    """``|P^T|`` of the sector's excitation pattern (4 on every link), which
-    weighs the links of each canonical element in the shot estimator."""
-    return abs(_excitations(basis).by_index)
+    """``|P^T|`` of the sector's excitation pattern (4 at every entry), which
+    weighs the determinant pairs of each link in the shot estimator."""
+    return abs(_excitations(basis).by_link)
+
+
+def _link_norm(links: np.ndarray) -> float:
+    """Frobenius norm of the tensor of a link vector, ``2 |links|``."""
+    return 2.0 * float(np.linalg.norm(links))
+
+
+def _link_tensor(basis: Basis, links: np.ndarray) -> np.ndarray:
+    """The antisymmetric n^4 tensor of a link vector: ``antisymmetrize`` spreads
+    a quarter of each canonical entry over its four index images, so the links
+    go in at four times their values."""
+    n = basis.n_spin_orbitals
+    canonical = np.zeros(n**4, dtype=complex)
+    canonical[_excitations(basis).support] = 4.0 * links
+    return antisymmetrize(canonical.reshape((n,) * 4))
+
+
+def _link_operator(links: np.ndarray, basis: Basis) -> SparseOperator:
+    """Sector matrix of the two-body operator of a link vector: CSR data ``P @ links``.
+
+    The product runs the sparsetools kernel behind scipy's ``@`` on the
+    arrays of ``P^T`` read as the CSC arrays of P, without the dispatch.
+    """
+    ex = _excitations(basis)
+    pattern = ex.by_link
+    if np.shape(links) != (len(ex.support),):
+        raise ValueError(f"link vector shape {np.shape(links)} does not match {len(ex.support)} links")
+    data = np.zeros(len(ex.rows), dtype=complex)
+    _sparsetools.csc_matvec(
+        len(ex.rows), pattern.shape[0], pattern.indptr, pattern.indices, pattern.data,
+        np.ascontiguousarray(links, dtype=complex), data,
+    )
+    dim = len(basis)
+    # the operator gets its own structure arrays, so in-place edits of it leave the pattern be
+    matrix = sp.csr_matrix((data, ex.indices.copy(), ex.indptr.copy()), shape=(dim, dim))
+    return SparseOperator(basis, matrix)
 
 
 def two_body_to_operator(tensor: TwoBodyTensor, basis: Basis) -> SparseOperator:
     """Sector matrix of ``sum_{pqst} T^{st;pq} a^+_p a^+_q a_t a_s``.
 
     Contributions that leave the (N, Sz) sector are dropped, so the result
-    maps the sector into itself by construction.
+    maps the sector into itself by construction: only the entries of T at
+    the sector's links are read.
     """
     if tensor.n_spin_orbitals != basis.n_spin_orbitals:
         raise ValueError("tensor and basis have different orbital counts")
-    ex = _excitations(basis)
-    data = ex.pattern @ tensor.coeffs.ravel()
-    dim = len(basis)
-    # the operator gets its own structure arrays, so in-place edits of it leave the pattern be
-    matrix = sp.csr_matrix((data, ex.indices.copy(), ex.indptr.copy()), shape=(dim, dim))
-    return SparseOperator(basis, matrix)
+    return _link_operator(tensor.coeffs.ravel()[_excitations(basis).support], basis)
 
 
 def _one_body_coeffs(h_so: np.ndarray, n_electrons: int) -> np.ndarray:

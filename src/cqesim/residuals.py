@@ -21,6 +21,10 @@ Two contraction identities are load-bearing and pinned by tests:
   ``<(H - E)^2> = Re <K, R>``.
 
 ``<a, b>`` is the Frobenius inner product ``sum conj(a) * b``.
+
+The residual is contracted as a link vector (``_link_residual``; see
+``fock``), which the solver uses as it is; ``compute_2rdm`` and the public
+residual functions expand link vectors into n^4 tensors.
 """
 
 from __future__ import annotations
@@ -30,12 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
+    Basis,
     SparseOperator,
     StateVector,
     TwoBodyTensor,
     _csr_product,
+    _excitations,
+    _link_tensor,
     _transition_elements,
-    antisymmetrize,
     pair_adjoint,
 )
 
@@ -100,8 +106,9 @@ def compute_2rdm(bra: StateVector, ket: StateVector | None = None) -> Rdm2:
     """Transition 2-RDM between two states of the same sector.
 
     One transposed product with the basis's excitation pattern yields every
-    canonical element (i < j, k < l); antisymmetrization fills in the other
-    index images.  Elements that change the spin projection vanish
+    linked canonical element (i < j, k < l); antisymmetrization fills in the
+    other index images.  Elements that link no two determinants of the
+    sector, those that change the spin projection among them, vanish
     identically and are never touched.
     """
     if ket is None:
@@ -110,10 +117,18 @@ def compute_2rdm(bra: StateVector, ket: StateVector | None = None) -> Rdm2:
         raise ValueError("bra and ket use different bases")
     if bra.n_ancilla or ket.n_ancilla:
         raise ValueError("compute_2rdm expects ancilla-free states")
-    n = bra.basis.n_spin_orbitals
-    # canonical [i,j,k,l] holds 4 <a+_k a+_l a_j a_i>; the tensor is indexed [k,l,i,j]
-    canonical = _transition_elements(bra.basis, bra.amplitudes, ket.amplitudes).reshape(n, n, n, n)
-    return Rdm2(n, antisymmetrize(canonical).transpose(2, 3, 0, 1))
+    links = _rdm2_links(bra.basis, bra.amplitudes, ket.amplitudes)
+    return Rdm2(bra.basis.n_spin_orbitals, _link_tensor(bra.basis, links))
+
+
+def _rdm2_links(basis: Basis, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """The link vector of the transition 2-RDM ``<bra| a+_i a+_j a_l a_k |ket>``.
+
+    ``_transition_elements`` holds 4 <bra| a+_k a+_l a_j a_i |ket> at each
+    link (i, j, k, l), which is four times the 2-RDM element at the link's
+    pair adjoint (k, l, i, j).
+    """
+    return 0.25 * _transition_elements(basis, bra, ket)[_excitations(basis).adjoint]
 
 
 def _check_basis(ham: SparseOperator, psi: StateVector):
@@ -145,29 +160,37 @@ def variance(ham: SparseOperator, psi: StateVector) -> float:
     return float(np.real(np.vdot(resid, resid)))
 
 
-def _raw_residual(ham: SparseOperator, psi: StateVector) -> np.ndarray:
+def _link_residual(ham: SparseOperator, psi: StateVector) -> np.ndarray:
+    """The raw residual R of the normalized ``psi`` as a link vector (``fock``):
+    the transition 2-RDM between psi and ``(H - E) psi``."""
     psi = psi.normalized()
     e = energy(ham, psi)
-    phi = StateVector(psi.basis, _csr_product(ham.matrix, psi.amplitudes) - e * psi.amplitudes)
-    return compute_2rdm(psi, phi).tensor
+    amps = psi.amplitudes
+    return _rdm2_links(psi.basis, amps, _csr_product(ham.matrix, amps) - e * amps)
 
 
-def residual_channel(raw: np.ndarray, variant: str) -> np.ndarray:
-    """The channel of a raw residual tensor: R for 'cse', ``S = R + R^+`` for
-    'hcse' and ``A = R - R^+`` for 'acse'."""
+def residual_channel(raw: np.ndarray, variant: str, adjoint=None) -> np.ndarray:
+    """The channel of a raw residual: R for 'cse', ``S = R + R^+`` for 'hcse'
+    and ``A = R - R^+`` for 'acse'.
+
+    ``adjoint`` maps ``raw`` to ``R^+``: ``pair_adjoint`` for an n^4 tensor
+    (the default), or a sector's ``_Excitations.pair_adjoint`` for a link
+    vector.
+    """
     if variant == "cse":
         return raw
+    adjoint = pair_adjoint if adjoint is None else adjoint
     if variant == "hcse":
-        return raw + pair_adjoint(raw)
+        return raw + adjoint(raw)
     if variant == "acse":
-        return raw - pair_adjoint(raw)
+        return raw - adjoint(raw)
     raise ValueError(f"unknown residual variant {variant!r}; expected one of {RESIDUAL_VARIANTS}")
 
 
 def residual(ham: SparseOperator, psi: StateVector, variant: str) -> TwoBodyTensor:
     """Contracted residual of channel ``variant`` ('cse', 'hcse' or 'acse')."""
-    channel = residual_channel(_raw_residual(ham, psi), variant)
-    return TwoBodyTensor._closed(psi.basis.n_spin_orbitals, channel)
+    channel = residual_channel(_link_residual(ham, psi), variant, _excitations(psi.basis).pair_adjoint)
+    return TwoBodyTensor._closed(psi.basis.n_spin_orbitals, _link_tensor(psi.basis, channel))
 
 
 def residual_cse(ham: SparseOperator, psi: StateVector) -> TwoBodyTensor:

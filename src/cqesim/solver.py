@@ -45,6 +45,17 @@ valleys of near-degenerate systems such as the square H4, where steepest
 descent zig-zags.  Sampled execution keeps ``J = sd``: differences of two
 shot estimates are mostly noise.
 
+Every two-body quantity of the loop is a link vector (see ``fock``): the
+canonical entries of the tensor at the sector's links, the only elements
+that act inside the sector.  The raw residual, its three channels and
+their norms, PR+ (beta, the direction and its slope) and the step's
+Hermitian/anti-Hermitian split are all formed on link vectors, and each
+factor's operator is ``P @ c``.  Norms and products stay those of the n^4
+tensors, ``|T| = 2 |c|`` and ``<T, T'> = 4 <c, c'>``; beta is a ratio of
+products, so it is the same in either coordinates.  In sampled execution
+the estimator returns an n^4 tensor that vanishes off the links' index
+images, and the loop keeps its link entries.
+
 Iteration records always carry the exactly contracted diagnostic norms of
 all three channels; in sampled execution the termination test uses the
 estimated norm, since that is all the measurement protocol can see.
@@ -53,7 +64,7 @@ estimated norm, since that is all the measurement protocol can see.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,14 +79,8 @@ from .evolution import (
     prepare_dilated,
     reset_ancilla,
 )
-from .fock import (
-    SparseOperator,
-    StateVector,
-    TwoBodyTensor,
-    tensor_norm,
-    two_body_to_operator,
-)
-from .residuals import RESIDUAL_VARIANTS, energy, residual_channel, residual_cse, variance
+from .fock import SparseOperator, StateVector, _excitations, _link_norm, _link_operator
+from .residuals import RESIDUAL_VARIANTS, _link_residual, energy, residual_channel, variance
 
 __all__ = [
     "LineSearch",
@@ -195,27 +200,29 @@ def hf_state(ham: SparseOperator) -> StateVector:
     return StateVector(ham.basis, amps)
 
 
-def _slope(variant: str, direction: TwoBodyTensor, steepest: TwoBodyTensor) -> float:
-    """Energy derivative at eta = 0 along ``direction``.
+def _slope(variant: str, direction: np.ndarray, steepest: np.ndarray) -> float:
+    """Energy derivative at eta = 0 along the link vector ``direction``.
 
     Follows from dE/deta = 2 Re<J, R>: the steepest direction is -R for
     cse, -S = -(R + R^+) for hcse and -A = -(R - R^+) for acse, and the
     cross term between Hermitian and anti-Hermitian tensors is imaginary,
     so a direction of the channel's symmetry has 2 Re<J, R> equal to
-    ``-c Re<J, steepest>`` with c = 2 for cse and 1 otherwise.
+    ``-c Re<J, steepest>`` with c = 2 for cse and 1 otherwise.  The
+    Frobenius product of two tensors is 4 times that of their link vectors.
     """
-    overlap = float(np.real(np.vdot(direction.coeffs, steepest.coeffs)))
+    overlap = 4.0 * float(np.real(np.vdot(direction, steepest)))
     return -2.0 * overlap if variant == "cse" else -overlap
 
 
-def _conjugate(steepest: TwoBodyTensor, previous, variant: str) -> tuple[TwoBodyTensor, float]:
-    """Polak-Ribiere+ direction and its slope; ``previous`` is (sd, J) or None."""
+def _conjugate(steepest: np.ndarray, previous, variant: str) -> tuple[np.ndarray, float]:
+    """Polak-Ribiere+ direction and its slope on link vectors; ``previous`` is
+    (sd, J) or None.  beta is a ratio of Frobenius products, so the factor 4
+    of link coordinates cancels in it."""
     if previous is not None:
         sd_prev, d_prev = previous
         beta = max(
             0.0,
-            float(np.real(np.vdot(steepest.coeffs, steepest.coeffs - sd_prev.coeffs)))
-            / sd_prev.norm() ** 2,
+            float(np.real(np.vdot(steepest, steepest - sd_prev))) / float(np.vdot(sd_prev, sd_prev).real),
         )
         if beta > 0.0:
             direction = steepest + d_prev * beta
@@ -232,7 +239,9 @@ class _Stalled(Exception):
 class _StepPlan:
     """One iteration's generator split, built once and realized lazily per trial eta.
 
-    Only a nonzero factor gets an operator.  An hcse direction is exactly
+    ``direction`` is a link vector (``fock``); its parts are
+    ``(J -/+ J^+) / 2``, the channels of ``residual_channel`` halved.  Only a
+    nonzero factor gets an operator.  An hcse direction is exactly
     pair-Hermitian and an acse one exactly pair-anti-Hermitian, so the
     other part is identically zero and ``op_a`` or ``op_h`` is None.  Each
     operator's 1-norm is computed once (``SparseOperator.norm1``).  The
@@ -242,12 +251,13 @@ class _StepPlan:
     ``apply_exp_exact``.
     """
 
-    def __init__(self, ham: SparseOperator, psi: StateVector, direction: TwoBodyTensor):
+    def __init__(self, ham: SparseOperator, psi: StateVector, direction: np.ndarray):
         self.ham = ham
         self.psi = psi
+        adjoint = _excitations(psi.basis).pair_adjoint
+        parts = (0.5 * residual_channel(direction, v, adjoint) for v in ("acse", "hcse"))
         self.op_a, self.op_h = (
-            two_body_to_operator(part, psi.basis) if np.any(part.coeffs) else None
-            for part in (direction.antihermitian_part(), direction.hermitian_part())
+            _link_operator(part, psi.basis) if np.any(part) else None for part in parts
         )
         first, *self._rest = (op for op in (self.op_a, self.op_h) if op is not None)
         self._first = _FixedStart(first, psi)
@@ -344,7 +354,10 @@ class _DilatedRegister:
 
     It runs the accepted plan's own operators, so every V-slice reads the
     1-norm that the plan computed once, and a zero factor (None) is never
-    applied.
+    applied.  An ancilla that no V-slice has rotated since it was prepared
+    is still an unentangled ``|+>``: post-selecting it discards it and books
+    no probability, so a purely unitary (acse) flow keeps ``success_prob``
+    at 1.
     """
 
     def __init__(self, ham: SparseOperator, psi: StateVector, policy: DilationPolicy):
@@ -352,13 +365,19 @@ class _DilatedRegister:
         self.policy = policy
         self.state = prepare_dilated(psi)
         self.steps_since_reset = 0
+        self.rotated = False
 
     def peek(self) -> StateVector:
         return ancilla_branch(self.state, 0).normalized()
 
+    def _post_select(self) -> StateVector:
+        out = reset_ancilla(self.state)
+        return out if self.rotated else replace(out, success_prob=self.state.success_prob)
+
     def _reset(self):
-        self.state = prepare_dilated(reset_ancilla(self.state))
+        self.state = prepare_dilated(self._post_select())
         self.steps_since_reset = 0
+        self.rotated = False
 
     def _maybe_cap_reset(self):
         if self.policy.reset_mode == "never":
@@ -378,6 +397,7 @@ class _DilatedRegister:
             # applied, but the slices still count toward the reset cap
             if op_h is not None:
                 self.state = apply_dilated(self.state, op_h, delta)
+                self.rotated = True
             self.steps_since_reset += 1
             self._maybe_cap_reset()
         if self.policy.reset_mode == "wolfe":
@@ -386,7 +406,7 @@ class _DilatedRegister:
                 self._reset()
 
     def finish(self) -> StateVector:
-        return reset_ancilla(self.state)
+        return self._post_select()
 
 
 def cqe_run(
@@ -415,19 +435,25 @@ def cqe_run(
     records: list[IterationRecord] = []
     status = "max_iterations"
     previous = None  # (steepest, taken) directions of the last step, for conjugacy
+    pattern = _excitations(ham.basis)
 
-    def measured_channel(state: StateVector, iteration: int, channel: np.ndarray) -> TwoBodyTensor:
-        """The residual channel the protocol sees: estimated in sampled execution."""
+    def measured_channel(state: StateVector, iteration: int, channel: np.ndarray) -> np.ndarray:
+        """The residual channel the protocol sees: estimated in sampled execution.
+
+        The estimate is an n^4 tensor that vanishes off the index images of
+        the sector's links, so its link entries carry all of it.
+        """
         if sampled:
             est = config.estimator
             step_seed = int(
                 np.random.SeedSequence(entropy=est.seed, spawn_key=(iteration,)).generate_state(1)[0]
             )
-            return estimate_residual_w(
+            estimate = estimate_residual_w(
                 ham, state, variant=config.variant,
                 delta=est.delta, shots=est.shots, seed=step_seed,
             )
-        return TwoBodyTensor._closed(state.basis.n_spin_orbitals, channel)
+            return estimate.coeffs.ravel()[pattern.support]
+        return channel
 
     for n in range(config.max_iterations):
         if register is not None:
@@ -435,11 +461,11 @@ def cqe_run(
         e_now = energy(ham, psi)
         var_now = variance(ham, psi)
         prob_now = psi.success_prob
-        raw = residual_cse(ham, psi).coeffs
-        channels = {v: residual_channel(raw, v) for v in RESIDUAL_VARIANTS}
-        norm_r, norm_s, norm_a = (tensor_norm(channels[v]) for v in RESIDUAL_VARIANTS)
+        raw = _link_residual(ham, psi)
+        channels = {v: residual_channel(raw, v, pattern.pair_adjoint) for v in RESIDUAL_VARIANTS}
+        norm_r, norm_s, norm_a = (_link_norm(channels[v]) for v in RESIDUAL_VARIANTS)
         measured = measured_channel(psi, n, channels[config.variant])
-        res_norm, steepest = measured.norm(), -measured
+        res_norm, steepest = _link_norm(measured), -measured
 
         def record(eta_taken: float):
             records.append(
@@ -482,8 +508,8 @@ def cqe_run(
 
     if register is not None:
         psi = register.finish()
-    final_channel = residual_channel(residual_cse(ham, psi).coeffs, config.variant)
-    final_norm = measured_channel(psi, config.max_iterations, final_channel).norm()
+    final_channel = residual_channel(_link_residual(ham, psi), config.variant, pattern.pair_adjoint)
+    final_norm = _link_norm(measured_channel(psi, config.max_iterations, final_channel))
     return CqeResult(
         status=status,
         iterations=tuple(records),

@@ -14,6 +14,10 @@ from cqesim.fock import (
     apply_operator,
     apply_string,
     build_basis,
+    _excitations,
+    _link_norm,
+    _link_operator,
+    _link_tensor,
     hermitian_part,
     antihermitian_part,
     one_body_to_operator,
@@ -310,6 +314,67 @@ def test_two_body_to_operator_rejects_mismatched_sizes():
     t = TwoBodyTensor(6, np.zeros((6, 6, 6, 6)))
     with pytest.raises(ValueError):
         two_body_to_operator(t, basis)
+
+
+# ---------------------------------------------------------------------------
+# Link coordinates
+# ---------------------------------------------------------------------------
+
+
+def _canonical(n):
+    return [(i, j, k, l) for i in range(n) for j in range(i + 1, n)
+            for k in range(n) for l in range(k + 1, n)]
+
+
+@pytest.mark.parametrize("n, n_elec, sz", [(4, 2, 0), (6, 2, 0), (6, 3, 1), (6, 5, 1), (4, 1, 1)])
+def test_links_are_the_canonical_elements_acting_in_the_sector(n, n_elec, sz):
+    # the oracle: a canonical element is a link iff its Jordan-Wigner matrix has a sector block
+    basis = build_basis(n, n_elec, sz)
+    acting = []
+    for e in _canonical(n):
+        unit = np.zeros((n,) * 4)
+        unit[e] = 1.0
+        if np.any(jw.project(basis, jw.two_body_matrix(n, unit))):
+            acting.append(np.ravel_multi_index(e, (n,) * 4))
+    np.testing.assert_array_equal(_excitations(basis).support, acting)
+
+
+@pytest.mark.parametrize("n, n_elec, sz", [(4, 2, 0), (6, 3, 1), (8, 4, 0), (8, 4, 2), (6, 6, 0), (4, 1, 1)])
+def test_link_adjoint_is_an_involution_on_the_support(n, n_elec, sz):
+    ex = _excitations(build_basis(n, n_elec, sz))
+    i, j, k, l = np.unravel_index(ex.support, (n,) * 4)
+    assert np.all(i < j) and np.all(k < l)
+    np.testing.assert_array_equal(ex.support[ex.adjoint], np.ravel_multi_index((k, l, i, j), (n,) * 4))
+    np.testing.assert_array_equal(ex.adjoint[ex.adjoint], np.arange(len(ex.support)))
+    links = np.arange(len(ex.support)) * (1.0 + 2.0j)
+    np.testing.assert_array_equal(ex.pair_adjoint(ex.pair_adjoint(links)), links)
+
+
+@pytest.mark.parametrize("n, n_elec, sz", [(4, 2, 0), (6, 2, 0), (6, 3, 1)])
+def test_two_body_to_operator_drops_unlinked_elements(n, n_elec, sz):
+    rng = np.random.default_rng(n * 10 + n_elec + sz)
+    basis = build_basis(n, n_elec, sz)
+    support = _excitations(basis).support
+    t = _random_antisym(rng, n, density=0.3)
+    linked = _link_tensor(basis, t.ravel()[support])
+    unlinked = t - linked
+    assert np.abs(unlinked).max() > 0.1
+    np.testing.assert_allclose(jw.project(basis, jw.two_body_matrix(n, unlinked)), 0.0, atol=1e-12)
+    assert two_body_to_operator(TwoBodyTensor(n, unlinked), basis).matrix.count_nonzero() == 0
+    op = two_body_to_operator(TwoBodyTensor(n, t), basis)
+    np.testing.assert_allclose(op.dense(), jw.project(basis, jw.two_body_matrix(n, t)), atol=1e-12)
+    np.testing.assert_array_equal(op.dense(), _link_operator(t.ravel()[support], basis).dense())
+
+
+@pytest.mark.parametrize("n, n_elec, sz", [(4, 2, 0), (6, 3, 1), (8, 4, 0)])
+def test_link_products_are_a_quarter_of_the_frobenius_products(n, n_elec, sz):
+    rng = np.random.default_rng(n + 7 * n_elec + sz)
+    basis = build_basis(n, n_elec, sz)
+    support = _excitations(basis).support
+    a, b = (_link_tensor(basis, _random_antisym(rng, n, density=1.0).ravel()[support]) for _ in range(2))
+    a_links, b_links = a.ravel()[support], b.ravel()[support]
+    assert 4.0 * np.vdot(a_links, b_links) == pytest.approx(np.vdot(a, b), rel=1e-13)
+    assert _link_norm(a_links) == pytest.approx(tensor_norm(a), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

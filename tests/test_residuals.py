@@ -4,18 +4,24 @@ import numpy as np
 import pytest
 
 from cqesim.fock import (
+    ANNIHILATE,
+    CREATE,
     StateVector,
     TwoBodyTensor,
+    _excitations,
+    _link_tensor,
     antisymmetrize,
+    apply_string,
     build_basis,
     hermitian_part,
     pair_adjoint,
     two_body_to_operator,
 )
-from cqesim.evolution import prepare_dilated
-from cqesim.hamiltonian import build_hamiltonian, load_fixture, reduced_hamiltonian_K
+from cqesim.evolution import estimate_residual_w, prepare_dilated
+from cqesim.hamiltonian import build_hamiltonian, list_fixtures, load_fixture, reduced_hamiltonian_K
 from cqesim.oracle import dense_expm_apply, fci_solve
 from cqesim.residuals import (
+    _link_residual,
     compute_2rdm,
     energy,
     energy_slope,
@@ -202,6 +208,58 @@ def test_hcse_and_acse_elements_match_dense_brackets():
         comm = full_psi.conj() @ (gamma @ h_full - h_full @ gamma) @ full_psi
         assert s[i, j, k, l] == pytest.approx(anti, abs=1e-11)
         assert a[i, j, k, l] == pytest.approx(comm, abs=1e-11)
+
+
+def _canonical_transition_rdm(basis, bra, ket):
+    """<bra| a+_i a+_j a_l a_k |ket> at every canonical (i < j, k < l), by operator strings."""
+    n = basis.n_spin_orbitals
+    out = np.zeros((n,) * 4, dtype=complex)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                for l in range(k + 1, n):
+                    ops = [(CREATE, i), (CREATE, j), (ANNIHILATE, l), (ANNIHILATE, k)]
+                    for col, det in enumerate(basis.determinants):
+                        hit = apply_string(det, ops)
+                        if hit is not None and hit[0] in basis:
+                            row = basis.index_of(hit[0])
+                            out[i, j, k, l] += np.conj(bra[row]) * hit[1] * ket[col]
+    return out
+
+
+@pytest.mark.parametrize("fixture", list_fixtures())
+def test_link_residual_holds_all_of_the_residual(fixture):
+    # the canonical residual vanishes off the sector's links, so the link
+    # vector is all of it, and expanding it gives the n^4 tensor back
+    rng = np.random.default_rng(69)
+    ham = build_hamiltonian(load_fixture(fixture))
+    basis = ham.basis
+    n = basis.n_spin_orbitals
+    psi = _random_state(rng, basis)
+    phi = ham.dense() @ psi.amplitudes - energy(ham, psi) * psi.amplitudes
+    ref = _canonical_transition_rdm(basis, psi.amplitudes, phi)
+    support = _excitations(basis).support
+    links = _link_residual(ham, psi)
+    np.testing.assert_allclose(links, ref.ravel()[support], atol=1e-12)
+    assert not np.delete(ref.ravel(), support).any()
+    full = residual_cse(ham, psi).coeffs
+    np.testing.assert_array_equal(links, full.ravel()[support])
+    np.testing.assert_array_equal(_link_tensor(basis, links), full)
+    TwoBodyTensor(n, full)  # the antisymmetry check of the public constructor
+
+
+@pytest.mark.parametrize("variant", ["cse", "hcse", "acse"])
+@pytest.mark.parametrize("shots", [None, 2000])
+def test_estimate_vanishes_off_the_links(variant, shots):
+    # the sampled solver keeps only the estimate's link entries; they are all of it
+    rng = np.random.default_rng(70)
+    ham = build_hamiltonian(load_fixture("h4_d1.00"))
+    psi = _random_state(rng, ham.basis)
+    seed = None if shots is None else 7
+    est = estimate_residual_w(ham, psi, variant=variant, delta=0.1, shots=shots, seed=seed).coeffs
+    links = est.ravel()[_excitations(ham.basis).support]
+    assert np.abs(links).max() > 1e-3
+    np.testing.assert_array_equal(_link_tensor(ham.basis, links), est)
 
 
 def test_residual_vanishes_on_fci_ground_state():

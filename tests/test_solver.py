@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cqesim import evolution, fock, solver
+from cqesim import evolution, fock, residuals, solver
 from cqesim.evolution import EstimatorConfig, DilationPolicy, apply_exp_exact
 from cqesim.fock import (
     StateVector,
@@ -42,6 +42,11 @@ def _h2():
 def _h4():
     ints = load_fixture("h4_d1.20")
     return ints, build_hamiltonian(ints)
+
+
+def _links(tensor, basis):
+    """The solver's coordinates of a two-body tensor: its entries at the sector's links."""
+    return tensor.coeffs.ravel()[fock._excitations(basis).support]
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +114,7 @@ def test_slope_follows_the_direction_taken():
         raw = antisymmetrize(rng.normal(size=(n,) * 4) + 1j * rng.normal(size=(n,) * 4))
         other = TwoBodyTensor(n, residual_channel(raw, variant))
         direction = steepest * (1.0 / steepest.norm()) + other * (2.0 / other.norm())
-        slope = _slope(variant, direction, steepest)
+        slope = _slope(variant, _links(direction, basis), _links(steepest, basis))
         assert slope == pytest.approx(energy_slope(direction, full), rel=1e-12)
         op = two_body_to_operator(direction, basis)
         e_plus = energy(ham, apply_exp_exact(op, psi, scale=eps))
@@ -140,7 +145,7 @@ def _plan_inputs(variant, seed=23):
 @pytest.mark.parametrize("variant", ["cse", "hcse", "acse"])
 def test_plan_trials_match_dense_expm(variant):
     ham, psi, direction = _plan_inputs(variant)
-    plan = _StepPlan(ham, psi, direction)
+    plan = _StepPlan(ham, psi, _links(direction, psi.basis))
     factors = [op for op in (plan.op_a, plan.op_h) if op is not None]
     past_theta = 1.5 * THETA / factors[0].norm1  # the first factor takes two segments
     for eta in (1e-3, 0.5, -0.7, 0.3j, past_theta):
@@ -159,12 +164,12 @@ def test_plan_builds_only_nonzero_factors(monkeypatch, variant, built):
     ham, psi, direction = _plan_inputs(variant)
     calls = []
 
-    def counted(tensor, basis):
-        calls.append(tensor)
-        return two_body_to_operator(tensor, basis)
+    def counted(links, basis):
+        calls.append(links)
+        return fock._link_operator(links, basis)
 
-    monkeypatch.setattr(solver, "two_body_to_operator", counted)
-    plan = _StepPlan(ham, psi, direction)
+    monkeypatch.setattr(solver, "_link_operator", counted)
+    plan = _StepPlan(ham, psi, _links(direction, psi.basis))
     for eta in (0.5, 0.25):
         plan.trial_energy(eta)
     assert len(calls) == built
@@ -181,11 +186,11 @@ def test_plan_trials_share_the_first_factor_products(monkeypatch):
         return fock._csr_product(matrix, vec)
 
     monkeypatch.setattr(evolution, "_csr_product", counted)
-    nu = _StepPlan(ham, psi, direction).op_h.norm1
+    nu = _StepPlan(ham, psi, _links(direction, psi.basis)).op_h.norm1
     etas = [f * THETA / nu for f in (0.9, 0.45, 0.225, 0.675)]  # one segment each
 
     def products_of(trials):
-        plan = _StepPlan(ham, psi, direction)
+        plan = _StepPlan(ham, psi, _links(direction, psi.basis))
         products.clear()
         for eta in trials:
             plan.trial_energy(eta)
@@ -215,7 +220,7 @@ def test_dilated_execute_computes_each_norm_once(monkeypatch, variant, norms):
     vsteps = []
     monkeypatch.setattr(fock, "_norm1", counted)
     monkeypatch.setattr(solver, "apply_dilated", vstep)
-    plan = _StepPlan(ham, psi, direction)
+    plan = _StepPlan(ham, psi, _links(direction, psi.basis))
     register = _DilatedRegister(ham, psi, DilationPolicy(epsilon=0.1, reset_mode="never"))
     register.execute(plan.op_a, plan.op_h, 0.5, energy(ham, psi), -1.0)
     assert len(vsteps) == 5
@@ -459,6 +464,20 @@ def test_dilated_never_reset_books_only_at_finish():
     assert 0 < result.success_prob < 1
 
 
+def test_dilated_acse_books_no_post_selection():
+    # the unitary acse flow never rotates the ancilla: each reset and the
+    # final readout discard an unentangled |+> and book nothing, while the
+    # V-slices of hcse and cse entangle it and cost branch weight
+    _, ham = _h4()
+    for variant in ("cse", "hcse", "acse"):
+        result = cqe_run(ham, CqeConfig(variant=variant, execution="dilated"))
+        probs = [rec.success_prob for rec in result.iterations] + [result.success_prob]
+        if variant == "acse":
+            assert all(p == 1.0 for p in probs)
+        else:
+            assert result.success_prob < 1.0
+
+
 def test_dilated_epsilon_slices_with_resets_improve_fidelity():
     _, ham = _h4()
     coarse = cqe_run(
@@ -553,6 +572,39 @@ def test_solver_loop_skips_the_antisymmetry_check(monkeypatch):
     with pytest.raises(AssertionError):
         TwoBodyTensor(8, np.zeros((8,) * 4))
     assert [_run_digest(cqe_run(ham, cfg)) for cfg in configs] == checked
+
+
+def test_exact_and_dilated_loops_form_no_n4_tensor(monkeypatch):
+    # each iteration works on the sector's link vectors: no n^4 index image,
+    # pair adjoint, 2-RDM or two-body tensor is formed
+    _, ham = _h4()
+    calls = []
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for module in (fock, residuals, evolution, solver):
+        for name in ("antisymmetrize", "pair_adjoint", "compute_2rdm"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    monkeypatch.setattr(TwoBodyTensor, "__post_init__", spy("TwoBodyTensor", TwoBodyTensor.__post_init__))
+    closed = TwoBodyTensor._closed.__func__
+    monkeypatch.setattr(TwoBodyTensor, "_closed", classmethod(spy("TwoBodyTensor._closed", closed)))
+    # the spies are live: the public n^4 functions call them all
+    residuals.compute_2rdm(hf_state(ham))
+    residuals.residual(ham, hf_state(ham), "cse")
+    residuals.residual_channel(np.zeros((8,) * 4), "hcse")
+    TwoBodyTensor(8, np.zeros((8,) * 4))
+    assert set(calls) == {"antisymmetrize", "pair_adjoint", "compute_2rdm", "TwoBodyTensor", "TwoBodyTensor._closed"}
+    calls.clear()
+    for variant in ("cse", "hcse", "acse"):
+        for execution in ("exact", "dilated"):
+            cqe_run(ham, CqeConfig(variant=variant, execution=execution, max_iterations=6))
+    assert calls == []
 
 
 def test_sampled_descends_toward_ground():
