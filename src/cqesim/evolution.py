@@ -37,7 +37,11 @@ that of J.  Starting from the ancilla in ``|+>`` the ancilla-0 branch carries
 ``(cos + sin)(dJ) psi / sqrt(2) = exp(dJ) psi / sqrt(2) + O(d^2)``, so one
 V-step realizes the non-unitary product-ansatz factor up to a second-order
 dilation error; ``reset_ancilla`` performs the post-selection and books the
-success probability.
+success probability.  V-steps of one generator compose exactly,
+``U(d1) U(d2) = U(d1 + d2)``, so the solver applies every run of slices
+between two resets as one V-step (``DilationPolicy``).  A unitary factor
+``exp(d J)`` acts identically on both branches and runs as one Taylor series
+over the ``(dim, 2)`` block of the two (``apply_exp_exact``).
 
 Residual estimator
 ------------------
@@ -206,8 +210,9 @@ def apply_exp_exact(
     """Apply ``exp(scale * op)`` to the system register of a state.
 
     On a dilated state the exponential acts identically on both ancilla
-    branches (``renormalize`` is disallowed there; norm accounting happens
-    only at ancilla resets).  With ``renormalize=True`` the result is
+    branches, as one Taylor series over the ``(dim, 2)`` block of the two
+    (``renormalize`` is disallowed there; norm accounting happens only at
+    ancilla resets).  With ``renormalize=True`` the result is
     normalized and the retained weight ``min(1, |out|^2/|in|^2)``
     multiplies ``success_prob``; this is the classical-exact stand-in for
     the post-selected dilated step.
@@ -217,20 +222,20 @@ def apply_exp_exact(
     matrix = op.matrix
     norm1 = abs(scale) * op.norm1
 
-    def action(v):
-        return scale * _csr_product(matrix, v)
-
     if psi.n_ancilla == 1:
         if renormalize:
             raise ValueError("renormalize is not meaningful on a dilated state")
         dim = len(psi.basis)
-        out = np.concatenate(
-            [
-                _taylor_action(action, norm1, psi.amplitudes[:dim]),
-                _taylor_action(action, norm1, psi.amplitudes[dim:]),
-            ]
-        )
+
+        def block_action(w):  # both branches as the columns of one (dim, 2) block
+            return scale * _csr_product(matrix, w.reshape(2, dim).T).T.ravel()
+
+        out = _taylor_action(block_action, norm1, psi.amplitudes)
         return StateVector(psi.basis, out, 1, psi.success_prob)
+
+    def action(v):
+        return scale * _csr_product(matrix, v)
+
     out = _taylor_action(action, norm1, psi.amplitudes)
     if not renormalize:
         return StateVector(psi.basis, out, 0, psi.success_prob)
@@ -379,7 +384,9 @@ class DilationPolicy:
     fires first; "every_k" uses only the step cap; "never" leaves the
     register untouched until the final readout.  Consecutive V-steps of the
     same generator compose exactly, so ``epsilon`` changes the realized
-    state only through the resets interleaved between sub-steps.
+    state only through the resets interleaved between sub-steps: the solver
+    counts ``ceil(eta / epsilon)`` sub-steps toward the cap but applies all
+    those between two resets as one V-step.
     """
 
     epsilon: float = 0.5

@@ -294,7 +294,8 @@ class SparseOperator:
 
     A complex CSR matrix is kept as given; anything else is converted.  The
     matrix is never edited in place, so its 1-norm, which every exponential
-    of the operator needs, is computed on first use and kept.
+    of the operator needs, and its deviation from Hermiticity, which every
+    solver run checks, are computed on first use and kept.
     """
 
     basis: Basis
@@ -317,9 +318,14 @@ class SparseOperator:
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
+    @cached_property
+    def _hermitian_deviation(self) -> float:
+        """Largest entry of ``|H - H^+|``, formed once like ``norm1``."""
         d = self.matrix - self.matrix.getH()
-        return d.nnz == 0 or float(np.max(np.abs(d.data))) <= tol
+        return float(np.max(np.abs(d.data))) if d.nnz else 0.0
+
+    def is_hermitian(self, tol: float = 1e-10) -> bool:
+        return self._hermitian_deviation <= tol
 
 
 def _norm1(matrix: sp.csr_matrix, shift: complex = 0.0) -> float:

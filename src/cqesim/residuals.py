@@ -160,11 +160,12 @@ def variance(ham: SparseOperator, psi: StateVector) -> float:
     return float(np.real(np.vdot(resid, resid)))
 
 
-def _link_residual(ham: SparseOperator, psi: StateVector) -> np.ndarray:
-    """The raw residual R of the normalized ``psi`` as a link vector (``fock``):
-    the transition 2-RDM between psi and ``(H - E) psi``."""
-    psi = psi.normalized()
-    e = energy(ham, psi)
+def _link_residual(ham: SparseOperator, psi: StateVector, e: float) -> np.ndarray:
+    """The raw residual R of the unit state ``psi`` of energy ``e`` as a link
+    vector (``fock``): the transition 2-RDM between psi and ``(H - e) psi``.
+
+    Neither is checked: the solver loop holds both for every state it visits.
+    """
     amps = psi.amplitudes
     return _rdm2_links(psi.basis, amps, _csr_product(ham.matrix, amps) - e * amps)
 
@@ -189,7 +190,9 @@ def residual_channel(raw: np.ndarray, variant: str, adjoint=None) -> np.ndarray:
 
 def residual(ham: SparseOperator, psi: StateVector, variant: str) -> TwoBodyTensor:
     """Contracted residual of channel ``variant`` ('cse', 'hcse' or 'acse')."""
-    channel = residual_channel(_link_residual(ham, psi), variant, _excitations(psi.basis).pair_adjoint)
+    psi = psi.normalized()
+    raw = _link_residual(ham, psi, energy(ham, psi))
+    channel = residual_channel(raw, variant, _excitations(psi.basis).pair_adjoint)
     return TwoBodyTensor._closed(psi.basis.n_spin_orbitals, _link_tensor(psi.basis, channel))
 
 

@@ -23,10 +23,10 @@ where the step direction comes from:
 
     exact     closed-form exponential action, residuals contracted exactly
     dilated   the state lives on a single-ancilla register; the Hermitian
-              factor runs as ancilla V-steps capped at the policy's epsilon
-              and the ancilla is reset on a failed sufficient-decrease
-              check or a step-count cap, accumulating the post-selection
-              probability
+              factor runs as ancilla V-slices capped at the policy's
+              epsilon, fused into one V-step per reset interval, and the
+              ancilla is reset on a failed sufficient-decrease check or a
+              slice-count cap, accumulating the post-selection probability
     sampled   exact state updates, but the step direction comes from the
               shot-sampled probe estimator with a per-iteration seed
               spawned deterministically from the configured one
@@ -352,12 +352,16 @@ _SEARCHES = {
 class _DilatedRegister:
     """Single-ancilla register executing accepted steps with V-slices.
 
-    It runs the accepted plan's own operators, so every V-slice reads the
-    1-norm that the plan computed once, and a zero factor (None) is never
-    applied.  An ancilla that no V-slice has rotated since it was prepared
-    is still an unentangled ``|+>``: post-selecting it discards it and books
-    no probability, so a purely unitary (acse) flow keeps ``success_prob``
-    at 1.
+    A step of size eta is ``ceil(eta / epsilon)`` slices of equal scale,
+    each counted toward the reset cap.  Slices of one generator compose
+    exactly, so each run of slices up to the next cap reset (all of them
+    under "never") is applied as one V-step of the run's summed scale: a
+    reset interval pays one Taylor call, not one per slice.  It runs the
+    accepted plan's own operators, so every V-step reads the 1-norm that
+    the plan computed once, and a zero factor (None) is never applied.  An
+    ancilla that no V-slice has rotated since it was prepared is still an
+    unentangled ``|+>``: post-selecting it discards it and books no
+    probability, so a purely unitary (acse) flow keeps ``success_prob`` at 1.
     """
 
     def __init__(self, ham: SparseOperator, psi: StateVector, policy: DilationPolicy):
@@ -392,13 +396,18 @@ class _DilatedRegister:
             self.state = apply_exp_exact(op_a, self.state, scale=eta)
         slices = max(1, math.ceil(eta / self.policy.epsilon))
         delta = eta / slices
-        for _ in range(slices):
+        while slices:
+            # the slices up to the next cap reset compose into one V-step
+            run = slices
+            if self.policy.reset_mode != "never":
+                run = min(slices, self.policy.max_steps_between_resets - self.steps_since_reset)
             # a zero Hermitian factor makes each slice the identity: none is
             # applied, but the slices still count toward the reset cap
             if op_h is not None:
-                self.state = apply_dilated(self.state, op_h, delta)
+                self.state = apply_dilated(self.state, op_h, run * delta)
                 self.rotated = True
-            self.steps_since_reset += 1
+            self.steps_since_reset += run
+            slices -= run
             self._maybe_cap_reset()
         if self.policy.reset_mode == "wolfe":
             achieved = energy(self.ham, ancilla_branch(self.state, 0))
@@ -461,7 +470,7 @@ def cqe_run(
         e_now = energy(ham, psi)
         var_now = variance(ham, psi)
         prob_now = psi.success_prob
-        raw = _link_residual(ham, psi)
+        raw = _link_residual(ham, psi, e_now)
         channels = {v: residual_channel(raw, v, pattern.pair_adjoint) for v in RESIDUAL_VARIANTS}
         norm_r, norm_s, norm_a = (_link_norm(channels[v]) for v in RESIDUAL_VARIANTS)
         measured = measured_channel(psi, n, channels[config.variant])
@@ -508,13 +517,14 @@ def cqe_run(
 
     if register is not None:
         psi = register.finish()
-    final_channel = residual_channel(_link_residual(ham, psi), config.variant, pattern.pair_adjoint)
+    e_final = energy(ham, psi)
+    final_channel = residual_channel(_link_residual(ham, psi, e_final), config.variant, pattern.pair_adjoint)
     final_norm = _link_norm(measured_channel(psi, config.max_iterations, final_channel))
     return CqeResult(
         status=status,
         iterations=tuple(records),
         state=psi,
-        energy=energy(ham, psi),
+        energy=e_final,
         residual_norm=final_norm,
         variance=variance(ham, psi),
     )

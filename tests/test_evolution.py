@@ -92,6 +92,33 @@ def test_apply_exp_exact_acts_per_branch_on_dilated_state(scale):
         np.testing.assert_allclose(ancilla_branch(got, outcome).amplitudes, ref.amplitudes, atol=1e-11)
 
 
+# one Taylor series over the (dim, 2) block: its stopping test reads the
+# norm of both branches, so a faint branch is pinned relative to its own norm
+@pytest.mark.parametrize("scale", [0.05, -3.5, 12j])
+def test_apply_exp_exact_runs_both_branches_as_one_block(monkeypatch, scale):
+    rng = np.random.default_rng(71)
+    basis = build_basis(6, 2, 0)
+    dim = len(basis)
+    op = _random_generator(rng, basis, hermitian=True)
+    amps = rng.normal(size=2 * dim) + 1j * rng.normal(size=2 * dim)
+    amps[dim:] *= 1e-3
+    dilated = StateVector(basis, amps / np.linalg.norm(amps), 1, 0.5)
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return taylor(*args)
+
+    taylor = evolution._taylor_action
+    monkeypatch.setattr(evolution, "_taylor_action", counted)
+    got = apply_exp_exact(op, dilated, scale=scale)
+    assert len(calls) == 1
+    for outcome in (0, 1):
+        ref = dense_expm_apply(op, ancilla_branch(dilated, outcome), scale=scale).amplitudes
+        err = np.linalg.norm(ancilla_branch(got, outcome).amplitudes - ref)
+        assert err <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_apply_exp_exact_renormalize_books_contraction():
     rng = np.random.default_rng(71)
     basis = build_basis(4, 2, 0)

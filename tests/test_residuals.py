@@ -239,7 +239,8 @@ def test_link_residual_holds_all_of_the_residual(fixture):
     phi = ham.dense() @ psi.amplitudes - energy(ham, psi) * psi.amplitudes
     ref = _canonical_transition_rdm(basis, psi.amplitudes, phi)
     support = _excitations(basis).support
-    links = _link_residual(ham, psi)
+    unit = psi.normalized()  # the solver's inputs: a unit state and its energy
+    links = _link_residual(ham, unit, energy(ham, unit))
     np.testing.assert_allclose(links, ref.ravel()[support], atol=1e-12)
     assert not np.delete(ref.ravel(), support).any()
     full = residual_cse(ham, psi).coeffs

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cqesim import evolution, fock, residuals, solver
 from cqesim.evolution import EstimatorConfig, DilationPolicy, apply_exp_exact
@@ -223,8 +224,97 @@ def test_dilated_execute_computes_each_norm_once(monkeypatch, variant, norms):
     plan = _StepPlan(ham, psi, _links(direction, psi.basis))
     register = _DilatedRegister(ham, psi, DilationPolicy(epsilon=0.1, reset_mode="never"))
     register.execute(plan.op_a, plan.op_h, 0.5, energy(ham, psi), -1.0)
-    assert len(vsteps) == 5
+    assert len(vsteps) == 1  # five slices, no reset between them: one fused V-step
     assert len(calls) == norms
+
+
+def _dense_vstep(op, delta, amplitudes):
+    """Oracle V-slice: ``expm([[0, delta J], [-delta J, 0]])`` formed densely."""
+    j = op.dense()
+    return scipy.linalg.expm(delta * np.block([[0 * j, j], [-j, 0 * j]])) @ amplitudes
+
+
+def _per_slice_execute(ham, policy, state, steps, rotated, op_a, op_h, eta, e0, slope):
+    """Oracle of ``_DilatedRegister.execute``: every epsilon-slice its own dense V-step.
+
+    The unitary factor is a dense ``expm`` on each branch.  A reset
+    post-selects the ancilla and re-prepares it; an ancilla that no slice
+    rotated since its preparation books no probability.
+    """
+    dim = len(ham.basis)
+
+    def reset(state, rotated):
+        kept = evolution.reset_ancilla(state)
+        if not rotated:
+            kept = StateVector(kept.basis, kept.amplitudes, 0, state.success_prob)
+        return evolution.prepare_dilated(kept), 0, False
+
+    if op_a is not None:
+        branches = [
+            dense_expm_apply(op_a, evolution.ancilla_branch(state, b), scale=eta).amplitudes for b in (0, 1)
+        ]
+        state = StateVector(state.basis, np.concatenate(branches), 1, state.success_prob)
+    slices = max(1, int(np.ceil(eta / policy.epsilon)))
+    for _ in range(slices):
+        if op_h is not None:
+            amps = _dense_vstep(op_h, eta / slices, state.amplitudes)
+            state, rotated = StateVector(state.basis, amps, 1, state.success_prob), True
+        steps += 1
+        if policy.reset_mode != "never" and steps >= policy.max_steps_between_resets:
+            state, steps, rotated = reset(state, rotated)
+    if policy.reset_mode == "wolfe":
+        top = StateVector(state.basis, state.amplitudes[:dim])
+        if energy(ham, top) > e0 + 1e-4 * eta * slope:
+            state, steps, rotated = reset(state, rotated)
+    return state, steps, rotated
+
+
+# 7 slices of epsilon 0.02 from one step into an interval of cap 3: cap
+# resets after slices 2 and 5; a slope of -1e6 fails the Wolfe check, +1e6 passes it
+@pytest.mark.parametrize("variant", ["cse", "hcse", "acse"])
+@pytest.mark.parametrize(
+    "mode, slope", [("never", -1.0), ("every_k", -1.0), ("wolfe", -1e6), ("wolfe", 1e6)]
+)
+def test_dilated_execute_matches_per_slice_dense_oracle(variant, mode, slope):
+    ham, psi, direction = _plan_inputs(variant)
+    plan = _StepPlan(ham, psi, _links(direction, psi.basis))
+    policy = DilationPolicy(epsilon=0.02, reset_mode=mode, max_steps_between_resets=3)
+    eta, e0 = 0.13, energy(ham, psi)
+    register = _DilatedRegister(ham, psi, policy)
+    register.steps_since_reset = 1
+    ref, steps, rotated = _per_slice_execute(
+        ham, policy, register.state, 1, False, plan.op_a, plan.op_h, eta, e0, slope
+    )
+    register.execute(plan.op_a, plan.op_h, eta, e0, slope)
+    assert np.linalg.norm(register.state.amplitudes - ref.amplitudes) <= 1e-12
+    assert register.state.success_prob == pytest.approx(ref.success_prob, rel=1e-12)
+    assert (register.steps_since_reset, register.rotated) == (steps, rotated)
+    if variant != "acse" and mode != "never":
+        assert ref.success_prob < 1.0  # the cap resets booked branch weight
+
+
+@pytest.mark.parametrize("mode, runs", [("never", [7]), ("every_k", [2, 3, 2])])
+def test_dilated_execute_takes_one_vstep_per_reset_interval(monkeypatch, mode, runs):
+    ham, psi, direction = _plan_inputs("hcse")
+    deltas, resets = [], []
+
+    def vstep(state, op, delta):
+        deltas.append(delta)
+        return evolution.apply_dilated(state, op, delta)
+
+    def reset(state):
+        resets.append(None)
+        return evolution.reset_ancilla(state)
+
+    monkeypatch.setattr(solver, "apply_dilated", vstep)
+    monkeypatch.setattr(solver, "reset_ancilla", reset)
+    plan = _StepPlan(ham, psi, _links(direction, psi.basis))
+    policy = DilationPolicy(epsilon=0.02, reset_mode=mode, max_steps_between_resets=3)
+    register = _DilatedRegister(ham, psi, policy)
+    register.steps_since_reset = 1
+    register.execute(plan.op_a, plan.op_h, 0.13, energy(ham, psi), -1.0)
+    assert deltas == pytest.approx([run * 0.13 / 7 for run in runs], rel=1e-15)
+    assert len(resets) == len(runs) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +440,22 @@ def test_initial_state_validation():
     amps[0] = 1.0
     with pytest.raises(ValueError):
         cqe_run(ham, initial=StateVector(other, amps))
+
+
+def test_hermiticity_is_checked_once_per_operator(monkeypatch):
+    _, ham = _h2()
+    skewed = fock.SparseOperator(ham.basis, ham.matrix.copy())
+    skewed.matrix[0, 1] += 1e-6  # |H - H^+| = 1e-6 at (0, 1) and (1, 0)
+    adjoints = []
+    for op in (ham, skewed):
+        adjoint = op.matrix.getH
+        monkeypatch.setattr(op.matrix, "getH", lambda adjoint=adjoint: adjoints.append(None) or adjoint())
+    for _ in range(3):
+        cqe_run(ham, CqeConfig(max_iterations=1))
+        with pytest.raises(ValueError, match="Hermitian"):
+            cqe_run(skewed, CqeConfig(max_iterations=1))
+    assert not skewed.is_hermitian(9e-7) and skewed.is_hermitian(2e-6)
+    assert len(adjoints) == 2  # one H - H^+ per operator
 
 
 def test_fixed_eta_line_search():
