@@ -4,7 +4,10 @@ Usage:  python scripts/trajectory_digest.py SRC_DIR
 
 ``cqesim`` is imported from ``SRC_DIR`` (a checkout's ``src`` directory),
 and one line per case goes to stdout: the case label and a SHA-256 of its
-outcome.  A run's digest covers the status, every field of every iteration
+outcome.  A run's line also shows its status and its number of iteration
+records before the digest, e.g. ``run h4_d1.00 acse exact converged 92
+<sha>``, so a diff of two checkouts shows which runs changed iteration
+count.  A run's digest covers the status, every field of every iteration
 record as ``float.hex``, the final state's amplitude bytes and the result's
 energy, residual norm, variance and success probability.  An estimate's
 digest covers the bytes of the returned tensor.  Every number is hashed
@@ -64,6 +67,10 @@ def _run_digest(result) -> str:
     return h.hexdigest()
 
 
+def _run_summary(result) -> str:
+    return f"{result.status} {len(result.iterations)} {_run_digest(result)}"
+
+
 def main(src: str) -> None:
     sys.path.insert(0, str(Path(src).resolve()))
     import cqesim as cq
@@ -83,7 +90,7 @@ def main(src: str) -> None:
         for variant in variants:
             for name, kwargs in configs.items():
                 result = cq.cqe_run(ham, cq.CqeConfig(variant=variant, **kwargs))
-                print(f"run {stem} {variant} {name} {_run_digest(result)}")
+                print(f"run {stem} {variant} {name} {_run_summary(result)}")
     for stem in SAMPLED_FIXTURES:
         for variant in variants:
             for seed in (5, 9):
@@ -94,7 +101,7 @@ def main(src: str) -> None:
                     estimator=cq.EstimatorConfig(shots=16000, seed=seed),
                 )
                 result = cq.cqe_run(hams[stem], config)
-                print(f"run {stem} {variant} sampled-s{seed} {_run_digest(result)}")
+                print(f"run {stem} {variant} sampled-s{seed} {_run_summary(result)}")
     for stem in ESTIMATOR_FIXTURES:
         ham = hams[stem]
         rng = np.random.default_rng(11)

@@ -299,8 +299,8 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--line-search", default=LineSearch.kind,
                    help=f"fixed[:ETA] | backtracking[:ETA0], eta {LineSearch.eta0} unless given; "
                         "backtracking halves eta until the Armijo test passes; outside sampled "
-                        "execution it then grows the accepted step while the energy falls and "
-                        "refines the bracket by parabolic steps, and every kind steps along "
+                        "execution it then moves the accepted step to the minimum of the quadratic "
+                        "fitted to the initial slope and the best trial, and every kind steps along "
                         "Polak-Ribiere+ conjugate directions")
     p.add_argument("--output", default=None, help="write here instead of stdout")
 

@@ -9,8 +9,8 @@ anti-Hermitian (unitary) and Hermitian (non-unitary) parts, and moves
 with eta chosen by the configured line search (``LineSearch``).  The step
 rules are constants of this module: backtracking halves eta at most 20
 times, and one sufficient-decrease slope of 1e-4 serves the Armijo test,
-the acceptance of a parabolically refined step and the dilated Wolfe
-reset.  The channel determines the fixed-point set:
+the acceptance and the stop of the interpolated steps and the dilated
+Wolfe reset.  The channel determines the fixed-point set:
 
     cse    J = -R        stationary only on eigenstates
     hcse   J = -S        stationary only on eigenstates (S Hermitian)
@@ -97,9 +97,8 @@ EXECUTION_MODES = ("exact", "dilated", "sampled")
 LINE_SEARCH_KINDS = ("fixed", "backtracking")
 
 _SHRINK = 0.5
-_C1 = 1e-4  # sufficient-decrease slope: Armijo test, refined step, dilated Wolfe reset
+_C1 = 1e-4  # sufficient-decrease slope: Armijo test, interpolated steps, dilated Wolfe reset
 _MAX_SHRINKS = 20
-_PARABOLIC_STEPS = 3
 _MONOTONE_SLACK = 1e-12
 
 
@@ -113,14 +112,13 @@ class LineSearch:
     passes.  A trial whose exponential overflows counts as E = +inf.
 
     In exact and dilated execution the first eta of the backtracking
-    sequence that passes the Armijo test opens an expanding bracket: eta
-    doubles while the energy keeps falling, at most 20 times (trials
-    already made are reused), and up to three parabolic steps then refine
-    the minimum inside the bracket.  A refined eta is kept only if it
-    passes the Armijo test and lies below the best bracketed trial, and
-    gains within the solver's monotonicity slack count as none, so
-    rounding-level wiggles of E(eta) never displace an honest step.
-    Sampled execution backtracks only.
+    sequence that passes the Armijo test is then moved, at most 20 times,
+    to the minimum of the quadratic through E(0) with the exact initial
+    slope and through the best trial so far, growing at most fourfold per
+    step.  A moved eta is kept only if it passes the Armijo test and lies
+    below the best trial, and gains within the solver's monotonicity slack
+    count as none, so rounding-level wiggles of E(eta) never displace an
+    honest step.  Sampled execution backtracks only.
     """
 
     kind: str = "backtracking"
@@ -301,45 +299,37 @@ def _search_armijo(plan: _StepPlan, ls: LineSearch, e0: float, slope: float) -> 
 
 
 def _search_backtracking(plan: _StepPlan, ls: LineSearch, e0: float, slope: float) -> float:
-    """Grow the Armijo-accepted eta while E falls, then refine the bracket by parabolas.
+    """Step from the Armijo-accepted eta to the minimum of the quadratic model.
 
-    Only gains beyond ``_MONOTONE_SLACK`` count.  Where E(eta) has
-    saturated (a non-unitary flow nearing its projection limit) or sits at
-    the float64 floor, its rounding noise would otherwise grow eta toward
-    overflow, or pick steps that make no progress on the residual.
+    The model passes through (0, e0) with the exact initial ``slope`` and
+    through the best trial (Nocedal & Wright eq. 3.58).  Where it has no
+    minimum, eta grows by 1/``_SHRINK``; no step grows it more than
+    1/``_SHRINK``^2 or reaches an eta that the Armijo phase rejected, so no
+    eta is tried twice.  A step is kept only if it gains more than
+    ``_MONOTONE_SLACK``: where E(eta) has saturated (a non-unitary flow
+    nearing its projection limit) or sits at the float64 floor, its
+    rounding noise would otherwise grow eta toward overflow, or pick steps
+    that make no progress on the residual.  A kept step passes the Armijo
+    test unchecked: short of the best eta it lies below the best energy,
+    which passed, and the model steps past the best eta only where the best
+    energy lies below e0 + slope eta / 2, far under the Armijo line at four
+    times that eta.  The search stops at the first step not kept, or once
+    the model's minimum lies within sqrt(``_C1``) of the best eta, where the
+    model leaves less than ``_C1`` of the step's decrease on the line.
     """
-    eta = _search_armijo(plan, ls, e0, slope)
-    points = [(0.0, e0), (eta, plan.trial_energy(eta))]
+    best = _search_armijo(plan, ls, e0, slope)
+    e_best = plan.trial_energy(best)
+    ceiling = best / _SHRINK if best < ls.eta0 else math.inf  # rejected by the Armijo phase
     for _ in range(_MAX_SHRINKS):
-        grown = points[-1][0] / _SHRINK
-        points.append((grown, plan.trial_energy(grown)))
-        if points[-1][1] >= points[-2][1] - _MONOTONE_SLACK:
+        q = e_best - e0 - slope * best  # the model's curvature times best^2
+        x = -slope * best * best / (2.0 * q) if q > 0.0 else best / _SHRINK
+        x = min(x, best / _SHRINK**2)
+        if abs(x - best) <= math.sqrt(_C1) * best or x >= ceiling:
             break
-    else:
-        return points[-1][0]  # still falling at the growth cap
-    (a, fa), (b, fb), (c, fc) = points[-3:]
-    best, e_best = b, fb
-    for _ in range(_PARABOLIC_STEPS):
-        if min(fa, fc) - fb <= _MONOTONE_SLACK:
-            break  # flat bracket: nothing to resolve
-        p = (b - a) * (fb - fc)
-        q = (b - c) * (fb - fa)
-        x = b - 0.5 * ((b - a) * p - (b - c) * q) / (p - q)
-        if not a < x < c or x == b:
+        e_x = plan.trial_energy(x)
+        if not e_x < e_best - _MONOTONE_SLACK:
             break
-        fx = plan.trial_energy(x)
-        if fx < fb:
-            if x < b:
-                c, fc = b, fb
-            else:
-                a, fa = b, fb
-            b, fb = x, fx
-        elif x < b:
-            a, fa = x, fx
-        else:
-            c, fc = x, fx
-    if fb < e_best - _MONOTONE_SLACK and fb <= e0 + _C1 * b * slope:
-        return b
+        best, e_best = x, e_x
     return best
 
 
