@@ -81,6 +81,7 @@ from .fock import (
     TwoBodyTensor,
     _csr_product,
     _excitations,
+    _LinkOperator,
     _link_magnitudes,
     _link_tensor,
     _norm1,
@@ -112,6 +113,9 @@ _THETA = 6.0  # 1-norm per Taylor segment: theta_40 of Al-Mohy & Higham
 _MAX_TAYLOR_TERMS = 60
 _TERM_STOP = 1e-16
 _TERM_FAIL = 1e-13
+# relative margin of the triangle bound on |acc|^2 over the rounding of the
+# norms and sums it is made of, which stays below 1e-8 for any dimension under 1e7
+_BOUND_MARGIN = 1.0 + 1e-6
 
 
 class _Terms:
@@ -152,6 +156,16 @@ def _taylor_action(matvec, norm1: float, vec: np.ndarray, first=None) -> np.ndar
     still decaying at ``_MAX_TAYLOR_TERMS``), which would signal a bogus
     norm rather than a physics problem.
 
+    The ratio test needs ``|acc|`` only where a term may be small: the
+    partial sum obeys the triangle bound ``|acc| <= |v| + sum_j |t_j|``, made
+    from the term norms the recurrence computes anyway, and a term above
+    ``_TERM_STOP`` times the bound (with ``_BOUND_MARGIN`` over its
+    rounding) fails the test whatever ``|acc|`` is, so its ``|acc|^2`` is
+    never formed.  Every other term, a non-finite one, one under a
+    non-finite bound and the last allowed one take the exact norm, so the
+    stops, the errors and the output bits are those of a test that forms
+    ``|acc|^2`` at every term.
+
     ``first = (kept, phase)`` serves the first segment from kept terms:
     ``kept`` is the ``_Terms`` of ``vec`` under a generator J with divisor
     ``|J|_1``, and ``G = phase |G|_1 J / |J|_1``, so that segment's k-th
@@ -163,12 +177,14 @@ def _taylor_action(matvec, norm1: float, vec: np.ndarray, first=None) -> np.ndar
     if norm1 == 0.0:
         return out
     segments = max(1, math.ceil(norm1 / _THETA))
+    acc2 = np.vdot(out, out).real  # |out|^2; each segment ends on an exact |acc|^2
     for segment in range(segments):
         if segment == 0 and first is not None:
             terms, ratio = first[0], first[1] * norm1 / segments
         else:
             terms, ratio = _Terms(matvec, segments, out), 1.0
         acc = out.copy()
+        bound = math.sqrt(acc2)  # the triangle bound on |acc|
         power = 1.0
         small_streak = 0
         for k in range(1, _MAX_TAYLOR_TERMS + 1):
@@ -177,6 +193,11 @@ def _taylor_action(matvec, norm1: float, vec: np.ndarray, first=None) -> np.ndar
                 power *= ratio
                 term, term2 = power * term, abs(power) ** 2 * term2
             acc += term
+            bound += math.sqrt(term2)
+            # a NaN or Inf term or bound fails this comparison and takes the exact norm
+            if k < _MAX_TAYLOR_TERMS and term2 > _TERM_STOP**2 * _BOUND_MARGIN * (bound * bound):
+                small_streak = 0
+                continue
             # squared norms: the ratio test |term| < tol |acc| without square roots
             acc2 = np.vdot(acc, acc).real
             if not (math.isfinite(term2) and math.isfinite(acc2)):
@@ -193,10 +214,9 @@ def _taylor_action(matvec, norm1: float, vec: np.ndarray, first=None) -> np.ndar
     return out
 
 
-def _renormalized(psi: StateVector, out: np.ndarray) -> StateVector:
+def _renormalized(psi: StateVector, out: np.ndarray, norm2_in: float) -> StateVector:
     """``out`` normalized, with the retained weight ``min(1, |out|^2 / |psi|^2)``
-    folded into ``success_prob``."""
-    norm2_in = np.vdot(psi.amplitudes, psi.amplitudes).real
+    folded into ``success_prob``; ``norm2_in`` is ``|psi|^2``."""
     norm2_out = np.vdot(out, out).real
     if norm2_out == 0.0:
         raise RuntimeError("exponential step annihilated the state")
@@ -205,9 +225,11 @@ def _renormalized(psi: StateVector, out: np.ndarray) -> StateVector:
 
 
 def apply_exp_exact(
-    op: SparseOperator, psi: StateVector, scale: complex = 1.0, renormalize: bool = False
+    op: SparseOperator | _LinkOperator, psi: StateVector, scale: complex = 1.0, renormalize: bool = False
 ) -> StateVector:
     """Apply ``exp(scale * op)`` to the system register of a state.
+
+    ``op`` is a sector operator or a solver step factor (``fock._link_operator``).
 
     On a dilated state the exponential acts identically on both ancilla
     branches, as one Taylor series over the ``(dim, 2)`` block of the two
@@ -239,7 +261,7 @@ def apply_exp_exact(
     out = _taylor_action(action, norm1, psi.amplitudes)
     if not renormalize:
         return StateVector(psi.basis, out, 0, psi.success_prob)
-    return _renormalized(psi, out)
+    return _renormalized(psi, out, np.vdot(psi.amplitudes, psi.amplitudes).real)
 
 
 class _FixedStart:
@@ -248,14 +270,16 @@ class _FixedStart:
     The first Taylor segment of every eta reads the kept terms
     ``(J / |J|_1)^k psi / k!``, each made by one product when a trial first
     needs it, scaled by ``(eta |J|_1 / s)^k``; later segments act on vectors
-    that change with eta and make their own products.  The result equals
+    that change with eta and make their own products.  ``|psi|^2`` is read
+    once, for the renormalization of every trial.  The result equals
     ``apply_exp_exact(op, psi, scale=eta, renormalize=True)`` up to rounding.
     """
 
-    def __init__(self, op: SparseOperator, psi: StateVector):
+    def __init__(self, op: SparseOperator | _LinkOperator, psi: StateVector):
         self.op = op
         self.psi = psi
         self._kept = _Terms(partial(_csr_product, op.matrix), op.norm1, psi.amplitudes)
+        self._norm2 = np.vdot(psi.amplitudes, psi.amplitudes).real
 
     def apply(self, eta: complex) -> StateVector:
         matrix = self.op.matrix
@@ -265,7 +289,7 @@ class _FixedStart:
 
         first = (self._kept, eta / abs(eta) if eta else 1.0)
         out = _taylor_action(action, abs(eta) * self.op.norm1, self.psi.amplitudes, first)
-        return _renormalized(self.psi, out)
+        return _renormalized(self.psi, out, self._norm2)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +305,8 @@ def prepare_dilated(psi: StateVector) -> StateVector:
     return StateVector(psi.basis, amps, 1, psi.success_prob)
 
 
-def apply_dilated(psi: StateVector, op: SparseOperator, delta: float) -> StateVector:
-    """Evolve a dilated state by ``exp(i delta Y_a x op)``.
+def apply_dilated(psi: StateVector, op: SparseOperator | _LinkOperator, delta: float) -> StateVector:
+    """Evolve a dilated state by ``exp(i delta Y_a x op)`` (``op`` as in ``apply_exp_exact``).
 
     The generator ``[[0, delta*J], [-delta*J, 0]]`` is applied as its action
     ``[delta J v; -delta J u]`` on the stacked branches ``[u; v]``, with the

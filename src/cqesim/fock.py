@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -328,12 +329,47 @@ class SparseOperator:
         return self._hermitian_deviation <= tol
 
 
-def _norm1(matrix: sp.csr_matrix, shift: complex = 0.0) -> float:
+class _Csr(NamedTuple):
+    """A complex CSR matrix as the bare arrays that ``_csr_product`` and
+    ``_norm1`` read, as they read those of a ``scipy.sparse.csr_matrix``."""
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+class _LinkOperator:
+    """Sector matrix of a link vector's two-body operator (``_link_operator``).
+
+    ``matrix`` is a ``_Csr`` of the operator's data on the structure arrays
+    of the sector's excitation pattern, shared by every such operator and
+    never written; no scipy matrix is built.  Like ``SparseOperator`` it
+    offers ``basis``, ``matrix``, ``norm1`` and ``dense``, so the
+    exponentials take either.
+    """
+
+    def __init__(self, basis: Basis, matrix: _Csr):
+        self.basis = basis
+        self.matrix = matrix
+
+    @cached_property
+    def norm1(self) -> float:
+        """Exact 1-norm of the matrix (``_norm1``)."""
+        return _norm1(self.matrix)
+
+    def dense(self) -> np.ndarray:
+        m = self.matrix
+        return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape).toarray()
+
+
+def _norm1(matrix: sp.csr_matrix | _Csr, shift: complex = 0.0) -> float:
     """Exact 1-norm of ``matrix - shift * I``, read off the CSR arrays.
 
     Column sums of ``|data|``, with ``|a_jj - shift|`` in place of
     ``|a_jj|`` on the diagonal (``a_jj = 0`` where the entry is structurally
-    absent); no matrix is built.
+    absent); no matrix is built.  A shift reads the diagonal of a scipy
+    matrix.
     """
     cols = np.bincount(matrix.indices, np.abs(matrix.data), minlength=matrix.shape[1])
     if shift:
@@ -342,10 +378,12 @@ def _norm1(matrix: sp.csr_matrix, shift: complex = 0.0) -> float:
     return float(cols.max(initial=0.0))
 
 
-def _csr_product(matrix: sp.csr_matrix, vec: np.ndarray) -> np.ndarray:
+def _csr_product(matrix: sp.csr_matrix | _Csr, vec: np.ndarray) -> np.ndarray:
     """``matrix @ vec`` for a complex CSR matrix and a vector or (dim, k) block.
 
-    Calls the sparsetools kernel behind scipy's ``@`` directly, into a fresh
+    ``matrix`` is a scipy matrix or the ``_Csr`` arrays of a
+    ``_LinkOperator``: only the arrays are read.  Calls the sparsetools
+    kernel behind scipy's ``@`` directly, into a fresh
     zeroed complex output as ``@`` does, so the product is bit-identical
     without the per-call dispatch (about as costly as a dim-36 product).
     A block is made C-contiguous first, as ``@`` does too.
@@ -534,8 +572,9 @@ def _link_tensor(basis: Basis, links: np.ndarray) -> np.ndarray:
     return antisymmetrize(canonical.reshape((n,) * 4))
 
 
-def _link_operator(links: np.ndarray, basis: Basis) -> SparseOperator:
-    """Sector matrix of the two-body operator of a link vector: CSR data ``P @ links``.
+def _link_operator(links: np.ndarray, basis: Basis) -> _LinkOperator:
+    """Sector matrix of the two-body operator of a link vector: CSR data ``P @ links``
+    on the sector's CSR structure (``_LinkOperator``).
 
     The product runs the sparsetools kernel behind scipy's ``@`` on the
     arrays of ``P^T`` read as the CSC arrays of P, without the dispatch.
@@ -550,9 +589,7 @@ def _link_operator(links: np.ndarray, basis: Basis) -> SparseOperator:
         np.ascontiguousarray(links, dtype=complex), data,
     )
     dim = len(basis)
-    # the operator gets its own structure arrays, so in-place edits of it leave the pattern be
-    matrix = sp.csr_matrix((data, ex.indices.copy(), ex.indptr.copy()), shape=(dim, dim))
-    return SparseOperator(basis, matrix)
+    return _LinkOperator(basis, _Csr((dim, dim), ex.indptr, ex.indices, data))
 
 
 def two_body_to_operator(tensor: TwoBodyTensor, basis: Basis) -> SparseOperator:
@@ -564,7 +601,9 @@ def two_body_to_operator(tensor: TwoBodyTensor, basis: Basis) -> SparseOperator:
     """
     if tensor.n_spin_orbitals != basis.n_spin_orbitals:
         raise ValueError("tensor and basis have different orbital counts")
-    return _link_operator(tensor.coeffs.ravel()[_excitations(basis).support], basis)
+    m = _link_operator(tensor.coeffs.ravel()[_excitations(basis).support], basis).matrix
+    # the operator gets its own structure arrays, so in-place edits of it leave the pattern be
+    return SparseOperator(basis, sp.csr_matrix((m.data, m.indices.copy(), m.indptr.copy()), shape=m.shape))
 
 
 def _one_body_coeffs(h_so: np.ndarray, n_electrons: int) -> np.ndarray:

@@ -79,7 +79,7 @@ from .evolution import (
     prepare_dilated,
     reset_ancilla,
 )
-from .fock import SparseOperator, StateVector, _excitations, _link_norm, _link_operator
+from .fock import SparseOperator, StateVector, _excitations, _link_norm, _link_operator, _LinkOperator
 from .residuals import RESIDUAL_VARIANTS, _link_residual, energy, residual_channel, variance
 
 __all__ = [
@@ -239,10 +239,12 @@ class _StepPlan:
 
     ``direction`` is a link vector (``fock``); its parts are
     ``(J -/+ J^+) / 2``, the channels of ``residual_channel`` halved.  Only a
-    nonzero factor gets an operator.  An hcse direction is exactly
-    pair-Hermitian and an acse one exactly pair-anti-Hermitian, so the
-    other part is identically zero and ``op_a`` or ``op_h`` is None.  Each
-    operator's 1-norm is computed once (``SparseOperator.norm1``).  The
+    nonzero factor gets an operator, its CSR data ``P @ c`` on the sector's
+    CSR structure (``fock._LinkOperator``), so no scipy matrix is built.  An
+    hcse direction is exactly pair-Hermitian and an acse one exactly
+    pair-anti-Hermitian, so the other part is identically zero and ``op_a``
+    or ``op_h`` is None.  Each operator's 1-norm is computed once
+    (``_LinkOperator.norm1``).  The
     first factor always acts on the fixed psi, so every trial sums its kept
     Taylor terms (``_FixedStart``); the second, the Hermitian factor of a
     cse direction, acts on a state that changes with eta and runs through
@@ -380,7 +382,7 @@ class _DilatedRegister:
             self._reset()
 
     def execute(
-        self, op_a: SparseOperator | None, op_h: SparseOperator | None, eta: float, e0: float, slope: float
+        self, op_a: _LinkOperator | None, op_h: _LinkOperator | None, eta: float, e0: float, slope: float
     ):
         if op_a is not None:  # the unitary factor acts directly on both branches
             self.state = apply_exp_exact(op_a, self.state, scale=eta)

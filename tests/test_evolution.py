@@ -477,6 +477,151 @@ def test_kernel_stops_only_where_terms_contract(norm1, segments, per_segment):
     assert count == segments * per_segment
 
 
+def _reference_taylor(matvec, norm1, vec, first=None):
+    """The kernel's segmented series with ``|acc|^2`` formed at every term:
+    the stops, errors and output bits that ``_taylor_action`` must keep."""
+    out = vec.astype(complex, copy=True)
+    if norm1 == 0.0:
+        return out
+    segments = max(1, int(np.ceil(norm1 / THETA)))
+    for segment in range(segments):
+        if segment == 0 and first is not None:
+            terms, ratio = first[0], first[1] * norm1 / segments
+        else:
+            terms, ratio = evolution._Terms(matvec, segments, out), 1.0
+        acc = out.copy()
+        power = 1.0
+        streak = 0
+        for k in range(1, evolution._MAX_TAYLOR_TERMS + 1):
+            term, term2 = terms[k]
+            if ratio != 1.0:
+                power *= ratio
+                term, term2 = power * term, abs(power) ** 2 * term2
+            acc += term
+            acc2 = np.vdot(acc, acc).real
+            if not (np.isfinite(term2) and np.isfinite(acc2)):
+                raise RuntimeError("non-finite")
+            streak = streak + 1 if term2 <= evolution._TERM_STOP**2 * acc2 else 0
+            if streak >= 2 and (k + 1) * segments > norm1:
+                break
+        else:
+            if term2 > evolution._TERM_FAIL**2 * acc2:
+                raise RuntimeError("still decaying")
+        out = acc
+    return out
+
+
+def _counted_run(kernel, matvec, norm1, vec, first=None):
+    calls = []
+
+    def counted(v):
+        calls.append(None)
+        return matvec(v)
+
+    if first is not None:  # fresh kept terms, so each side pays for its own
+        unit, divisor, phase = first
+        first = (evolution._Terms(lambda v: counted(unit(v)), divisor, vec), phase)
+    out = kernel(counted, norm1, vec) if first is None else kernel(counted, norm1, vec, first)
+    return out, len(calls)
+
+
+def _assert_kernel_matches_reference(matvec, norm1, vec, first=None):
+    got, got_products = _counted_run(evolution._taylor_action, matvec, norm1, vec, first)
+    ref, ref_products = _counted_run(_reference_taylor, matvec, norm1, vec, first)
+    assert got_products == ref_products
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("norm1", [0.3, 6.0, 13.0])
+@pytest.mark.parametrize("kind", ["hermitian", "antihermitian"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_kernel_norm_skips_keep_the_stops_and_bits(norm1, kind, sign):
+    # the partial-sum norm is skipped only where the triangle bound proves the
+    # term is not small, so products and bits equal those of a norm at every term
+    rng = np.random.default_rng(99)
+    basis = build_basis(8, 4, 0)
+    op = _kernel_generator(rng, kind, basis)
+    vec = _random_state(rng, basis, complex_valued=True).amplitudes
+    scale = sign * norm1 / op.norm1
+    _assert_kernel_matches_reference(lambda v: scale * _csr_product(op.matrix, v), norm1, vec)
+
+
+@pytest.mark.parametrize("c", [6.0, 13.0, 24.0])
+def test_kernel_norm_skips_keep_the_stops_and_bits_on_a_contracting_shift(c):
+    # |acc| = exp(-c) |v| sits far under the bound |v| exp(c): most norms are taken
+    vec = np.arange(1.0, 5.0) + 1j * np.arange(4.0, 0.0, -1.0)
+    _assert_kernel_matches_reference(lambda v: -c * v, c, vec)
+
+
+@pytest.mark.parametrize("norm1", [0.3, 6.0, 13.0])
+@pytest.mark.parametrize("phase", [1.0, -1.0, 1j])
+def test_kernel_norm_skips_keep_the_stops_and_bits_on_kept_terms(norm1, phase):
+    rng = np.random.default_rng(100)
+    basis = build_basis(8, 4, 0)
+    op = _kernel_generator(rng, "hermitian", basis)
+    vec = _random_state(rng, basis, complex_valued=True).amplitudes
+    eta = phase * norm1 / op.norm1
+
+    def unit(v):
+        return _csr_product(op.matrix, v)
+
+    def action(v):
+        return eta * _csr_product(op.matrix, v)
+
+    _assert_kernel_matches_reference(action, norm1, vec, (unit, op.norm1, phase))
+
+
+@pytest.mark.parametrize("norm1", [0.3, 6.0, 13.0])
+def test_kernel_norm_skips_keep_the_stops_and_bits_on_dilated_blocks(monkeypatch, norm1):
+    # the stacked V-step action and the (dim, 2) block of a unitary factor,
+    # taken from the calls the dilated routes make
+    rng = np.random.default_rng(101)
+    basis = build_basis(6, 2, 0)
+    op = _random_generator(rng, basis, hermitian=True)
+    amps = rng.normal(size=2 * len(basis)) + 1j * rng.normal(size=2 * len(basis))
+    dilated = StateVector(basis, amps / np.linalg.norm(amps), 1)
+    delta = norm1 / op.norm1
+    calls = []
+    monkeypatch.setattr(evolution, "_taylor_action", lambda *args: calls.append(args) or args[2])
+    apply_dilated(dilated, op, delta)
+    apply_exp_exact(op, dilated, scale=-1j * delta)
+    monkeypatch.undo()
+    assert [norm for _, norm, _ in calls] == pytest.approx([norm1, norm1], rel=1e-14)
+    for matvec, norm1, vec in calls:
+        _assert_kernel_matches_reference(matvec, norm1, vec)
+
+
+def test_kernel_norm_skips_keep_a_streak_broken_by_a_large_term():
+    # t1 = eps e2 is small, t2 = 3 eps e1 is not and skips its norm, t3 and t4
+    # are tiny: the stated 1-norm lets the streak stop at once, so a skipped
+    # norm that failed to reset the streak would stop one term early
+    eps = 0.9e-16
+    g = np.array([[0.0, 6.0], [eps, 0.0]])
+    vec = np.array([1.0, 0.0], dtype=complex)
+    _, products = _counted_run(_reference_taylor, lambda v: g @ v, 0.3, vec)
+    assert products == 4
+    _assert_kernel_matches_reference(lambda v: g @ v, 0.3, vec)
+
+
+@pytest.mark.parametrize(
+    "matvec, norm1, message",
+    [
+        (lambda v: 50.0 * v, 0.4, "still decaying"),  # a 1-norm far too small
+        (lambda v: np.full_like(v, np.inf), 1.0, "non-finite"),
+        (lambda v: np.full_like(v, np.nan), 1.0, "non-finite"),
+    ],
+)
+def test_kernel_norm_skips_keep_the_errors(matvec, norm1, message):
+    vec = np.arange(1.0, 5.0) + 0j
+    with pytest.raises(RuntimeError, match="non-finite|still decaying") as got:
+        with np.errstate(invalid="ignore", over="ignore"):
+            evolution._taylor_action(matvec, norm1, vec)
+    assert message in str(got.value)
+    with pytest.raises(RuntimeError, match=message):
+        with np.errstate(invalid="ignore", over="ignore"):
+            _reference_taylor(matvec, norm1, vec)
+
+
 def _csr_cases():
     rng = np.random.default_rng(95)
     dense = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from cqesim import evolution, fock, residuals, solver
 from cqesim.evolution import EstimatorConfig, DilationPolicy, apply_exp_exact
@@ -822,6 +823,28 @@ def test_exact_and_dilated_loops_form_no_n4_tensor(monkeypatch):
         for execution in ("exact", "dilated"):
             cqe_run(ham, CqeConfig(variant=variant, execution=execution, max_iterations=6))
     assert calls == []
+
+
+def test_exact_and_dilated_runs_build_no_scipy_matrix(monkeypatch):
+    # once the Hamiltonian and the sector's excitation pattern exist, step
+    # factors are CSR data on the pattern's structure: no run builds a scipy
+    # matrix of any format
+    _, ham = _h4()
+    configs = [
+        CqeConfig(variant=v, execution=x, max_iterations=6)
+        for v in ("cse", "hcse", "acse")
+        for x in ("exact", "dilated")
+    ]
+    before = [_run_digest(cqe_run(ham, cfg)) for cfg in configs]  # warm-up: caches fill here
+
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("a solver run built a scipy sparse matrix")
+
+    # every scipy matrix class runs spmatrix ahead of its own constructors
+    monkeypatch.setattr(sp.spmatrix, "__init__", forbidden)
+    with pytest.raises(AssertionError, match="scipy sparse matrix"):
+        sp.csr_matrix((2, 2))
+    assert [_run_digest(cqe_run(ham, cfg)) for cfg in configs] == before
 
 
 @pytest.mark.parametrize("seed", range(1, 11))
