@@ -138,36 +138,46 @@ def _check_basis(ham: SparseOperator, psi: StateVector):
         raise ValueError(f"expected an ancilla-free state, got {psi.n_ancilla} ancilla qubit(s)")
 
 
+def _rayleigh(amps: np.ndarray, h_amps: np.ndarray) -> tuple[float, float]:
+    """``|psi|^2`` and ``<psi|H|psi> / <psi|psi>`` from the product ``H psi``."""
+    norm2 = float(np.real(np.vdot(amps, amps)))
+    if norm2 == 0.0:
+        raise ValueError("the zero vector has no energy or variance")
+    return norm2, float(np.real(np.vdot(amps, h_amps)) / norm2)
+
+
 def energy(ham: SparseOperator, psi: StateVector) -> float:
     """Rayleigh quotient ``<psi|H|psi> / <psi|psi>`` (real for Hermitian H)."""
     _check_basis(ham, psi)
     amps = psi.amplitudes
-    norm2 = float(np.real(np.vdot(amps, amps)))
-    if norm2 == 0.0:
-        raise ValueError("energy of the zero vector is undefined")
-    return float(np.real(np.vdot(amps, _csr_product(ham.matrix, amps))) / norm2)
+    return _rayleigh(amps, _csr_product(ham.matrix, amps))[1]
+
+
+def _moments(ham: SparseOperator, psi: StateVector) -> tuple[float, float, np.ndarray]:
+    """Energy E, variance and ``(H - E) psi`` of a state from its one product with H.
+
+    E is bit for bit that of ``energy``, and the variance is
+    ``|(H - E) psi|^2 / |psi|^2``, the one formula of ``variance``.  The
+    solver reads all three, the raw residual included (``_link_residual``),
+    off the one product at every state it visits.  The state is not checked.
+    """
+    amps = psi.amplitudes
+    h_amps = _csr_product(ham.matrix, amps)
+    norm2, e = _rayleigh(amps, h_amps)
+    shifted = h_amps - e * amps
+    return e, float(np.real(np.vdot(shifted, shifted))) / norm2, shifted
 
 
 def variance(ham: SparseOperator, psi: StateVector) -> float:
-    """Energy variance ``<(H - E)^2>`` on the normalized state."""
+    """Energy variance ``<(H - E)^2>`` on the normalized state (``_moments``)."""
     _check_basis(ham, psi)
-    norm = np.linalg.norm(psi.amplitudes)
-    if norm == 0.0:
-        raise ValueError("variance of the zero vector is undefined")
-    amps = psi.amplitudes / norm
-    h_amps = _csr_product(ham.matrix, amps)
-    resid = h_amps - np.vdot(amps, h_amps) * amps
-    return float(np.real(np.vdot(resid, resid)))
+    return _moments(ham, psi)[1]
 
 
-def _link_residual(ham: SparseOperator, psi: StateVector, e: float) -> np.ndarray:
-    """The raw residual R of the unit state ``psi`` of energy ``e`` as a link
-    vector (``fock``): the transition 2-RDM between psi and ``(H - e) psi``.
-
-    Neither is checked: the solver loop holds both for every state it visits.
-    """
-    amps = psi.amplitudes
-    return _rdm2_links(psi.basis, amps, _csr_product(ham.matrix, amps) - e * amps)
+def _link_residual(psi: StateVector, shifted: np.ndarray) -> np.ndarray:
+    """The raw residual R of the unit state ``psi`` as a link vector (``fock``):
+    the transition 2-RDM between psi and ``shifted = (H - E) psi`` of ``_moments``."""
+    return _rdm2_links(psi.basis, psi.amplitudes, shifted)
 
 
 def residual_channel(raw: np.ndarray, variant: str, adjoint=None) -> np.ndarray:
@@ -190,8 +200,9 @@ def residual_channel(raw: np.ndarray, variant: str, adjoint=None) -> np.ndarray:
 
 def residual(ham: SparseOperator, psi: StateVector, variant: str) -> TwoBodyTensor:
     """Contracted residual of channel ``variant`` ('cse', 'hcse' or 'acse')."""
+    _check_basis(ham, psi)
     psi = psi.normalized()
-    raw = _link_residual(ham, psi, energy(ham, psi))
+    raw = _link_residual(psi, _moments(ham, psi)[2])
     channel = residual_channel(raw, variant, _excitations(psi.basis).pair_adjoint)
     return TwoBodyTensor._closed(psi.basis.n_spin_orbitals, _link_tensor(psi.basis, channel))
 

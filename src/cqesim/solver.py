@@ -80,7 +80,7 @@ from .evolution import (
     reset_ancilla,
 )
 from .fock import SparseOperator, StateVector, _excitations, _link_norm, _link_operator, _LinkOperator
-from .residuals import RESIDUAL_VARIANTS, _link_residual, energy, residual_channel, variance
+from .residuals import RESIDUAL_VARIANTS, _link_residual, _moments, energy, residual_channel
 
 __all__ = [
     "LineSearch",
@@ -459,10 +459,9 @@ def cqe_run(
     for n in range(config.max_iterations):
         if register is not None:
             psi = register.peek()
-        e_now = energy(ham, psi)
-        var_now = variance(ham, psi)
+        e_now, var_now, shifted = _moments(ham, psi)  # the one product H psi of this state
         prob_now = psi.success_prob
-        raw = _link_residual(ham, psi, e_now)
+        raw = _link_residual(psi, shifted)
         channels = {v: residual_channel(raw, v, pattern.pair_adjoint) for v in RESIDUAL_VARIANTS}
         norm_r, norm_s, norm_a = (_link_norm(channels[v]) for v in RESIDUAL_VARIANTS)
         measured = measured_channel(psi, n, channels[config.variant])
@@ -509,8 +508,8 @@ def cqe_run(
 
     if register is not None:
         psi = register.finish()
-    e_final = energy(ham, psi)
-    final_channel = residual_channel(_link_residual(ham, psi, e_final), config.variant, pattern.pair_adjoint)
+    e_final, var_final, shifted = _moments(ham, psi)
+    final_channel = residual_channel(_link_residual(psi, shifted), config.variant, pattern.pair_adjoint)
     final_norm = _link_norm(measured_channel(psi, config.max_iterations, final_channel))
     return CqeResult(
         status=status,
@@ -518,5 +517,5 @@ def cqe_run(
         state=psi,
         energy=e_final,
         residual_norm=final_norm,
-        variance=variance(ham, psi),
+        variance=var_final,
     )

@@ -1,6 +1,7 @@
 """Solver loop: convergence, monotonicity, execution styles, termination."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -408,6 +409,23 @@ def test_records_track_state_metrics():
         assert rec.success_prob == top.success_prob
         assert rec.energy == pytest.approx(energy(ham, top), abs=1e-14)
         assert rec.norm_r == pytest.approx(residual(ham, top, "cse").norm(), abs=1e-14)
+
+
+@pytest.mark.parametrize("fixture", ["h2_d0.74", "h4_d1.20"])
+@pytest.mark.parametrize("variant", ["cse", "hcse", "acse"])
+def test_records_read_the_public_moments_of_their_state(fixture, variant):
+    # the loop reads energy, variance and residual off one product H psi per
+    # state; record k must agree with the public functions on the state a
+    # run cut after k iterations ends in
+    ham = build_hamiltonian(load_fixture(fixture))
+    config = CqeConfig(variant=variant, residual_tolerance=1e-8, max_iterations=12)
+    records = cqe_run(ham, config).iterations
+    assert len(records) > 2
+    for rec in records[1:]:
+        top = cqe_run(ham, replace(config, max_iterations=rec.n)).state
+        assert rec.energy == energy(ham, top)
+        assert rec.variance == pytest.approx(variance(ham, top), rel=1e-12, abs=1e-28)
+        assert rec.norm_r == pytest.approx(residual(ham, top, "cse").norm(), rel=1e-12, abs=1e-15)
 
 
 def test_fci_seed_converges_without_stepping():
