@@ -113,8 +113,8 @@ _THETA = 6.0  # 1-norm per Taylor segment: theta_40 of Al-Mohy & Higham
 _MAX_TAYLOR_TERMS = 60
 _TERM_STOP = 1e-16
 _TERM_FAIL = 1e-13
-# relative margin of the triangle bound on |acc|^2 over the rounding of the
-# norms and sums it is made of, which stays below 1e-8 for any dimension under 1e7
+# factor on the squared triangle bound of |acc|: it covers the rounding of the
+# norms and sums the bound and |acc|^2 are made of, below 1e-8 under dimension 1e7
 _BOUND_MARGIN = 1.0 + 1e-6
 
 

@@ -342,9 +342,9 @@ class _Csr(NamedTuple):
 class _LinkOperator:
     """Sector matrix of a link vector's two-body operator (``_link_operator``).
 
-    ``matrix`` is a ``_Csr`` of the operator's data on the structure arrays
-    of the sector's excitation pattern, shared by every such operator and
-    never written; no scipy matrix is built.  Like ``SparseOperator`` it
+    ``matrix`` is a ``_Csr`` of the operator's data on the read-only
+    structure arrays of the sector's excitation pattern, which every such
+    operator shares; no scipy matrix is built.  Like ``SparseOperator`` it
     offers ``basis``, ``matrix``, ``norm1`` and ``dense``, so the
     exponentials take either.
     """
@@ -537,10 +537,11 @@ def _excitations(basis: Basis) -> _Excitations:
     )
     half, low = np.divmod(support, n * n)  # (i n + j, k n + l) of each link
     adjoint = np.searchsorted(support, low * n * n + half)
-    indptr = np.searchsorted(rows, np.arange(dim + 1))
-    return _Excitations(
-        by_link, support, adjoint, rows, cols.astype(np.int32), indptr.astype(np.int32)
-    )
+    indptr = np.searchsorted(rows, np.arange(dim + 1)).astype(np.int32)
+    indices = cols.astype(np.int32)
+    for structure in (indptr, indices):
+        structure.setflags(write=False)  # shared by every _LinkOperator of the sector
+    return _Excitations(by_link, support, adjoint, rows, indices, indptr)
 
 
 def _transition_elements(basis: Basis, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
