@@ -2,19 +2,22 @@
 
 Every exponential below runs through one Taylor kernel, ``_taylor_action``:
 it takes the action of the generator on a vector and the generator's exact
-1-norm (``SparseOperator.norm1``, read off the CSR arrays once per
-operator by ``fock._norm1``) and sums segmented Taylor series from
-matrix-vector products alone, so no matrix (scaled, shifted, block or
-exponential) is built per call.  Segments have 1-norm at most theta_40 =
-6.0 of Al-Mohy & Higham, and a segment's series stops on two negligible
-terms only where the 1-norm bound already makes the terms contract.  The
+1-norm (``norm1``, read off the CSR arrays once per operator by
+``fock._norm1``) and sums segmented Taylor series from matrix-vector
+products alone, so no matrix (scaled, shifted, block or exponential) is
+built per call.  Segments have 1-norm at most theta_40 = 6.0 of Al-Mohy &
+Higham, and a segment's series stops on two negligible terms only where
+the 1-norm bound already makes the terms contract.  The partial sum's norm
+is formed only for terms that a triangle bound cannot prove large.  The
 terms come from one recurrence, ``_Terms``.  ``_FixedStart`` keeps the
 terms ``(J / |J|_1)^k psi / k!`` of one generator on one state, so the
 first segment of ``exp(eta J) psi`` costs no product once a larger eta
 has made them: a line search's trials from the same psi pay each product
-once.  Every product with a CSR generator goes through
-``fock._csr_product``, the sparsetools kernel behind scipy's ``@`` without
-its dispatch, so products are bit-identical to ``@``.
+once.  An operator is a ``SparseOperator`` or a solver step factor, a
+``fock._LinkOperator`` whose CSR data sits on the sector's shared
+structure arrays with no scipy matrix around it; every product with
+either goes through ``fock._csr_product``, the sparsetools kernel behind
+scipy's ``@`` without its dispatch, so products are bit-identical to ``@``.
 
 Exact route
 -----------

@@ -24,7 +24,10 @@ Two contraction identities are load-bearing and pinned by tests:
 
 The residual is contracted as a link vector (``_link_residual``; see
 ``fock``), which the solver uses as it is; ``compute_2rdm`` and the public
-residual functions expand link vectors into n^4 tensors.
+residual functions expand link vectors into n^4 tensors.  ``_moments``
+reads the energy, the variance and ``(H - E) psi``, the ket of the raw
+residual, off one product ``H psi``: the solver pays that one product per
+visited state, and ``variance`` and ``residual`` use the same helper.
 """
 
 from __future__ import annotations

@@ -58,7 +58,9 @@ images, and the loop keeps its link entries.
 
 Iteration records always carry the exactly contracted diagnostic norms of
 all three channels; in sampled execution the termination test uses the
-estimated norm, since that is all the measurement protocol can see.
+estimated norm, since that is all the measurement protocol can see.  A
+visited state pays one product ``H psi``: its energy, variance and raw
+residual are all read off it (``residuals._moments``).
 """
 
 from __future__ import annotations

@@ -613,13 +613,9 @@ def test_kernel_norm_skips_keep_a_streak_broken_by_a_large_term():
 )
 def test_kernel_norm_skips_keep_the_errors(matvec, norm1, message):
     vec = np.arange(1.0, 5.0) + 0j
-    with pytest.raises(RuntimeError, match="non-finite|still decaying") as got:
-        with np.errstate(invalid="ignore", over="ignore"):
-            evolution._taylor_action(matvec, norm1, vec)
-    assert message in str(got.value)
-    with pytest.raises(RuntimeError, match=message):
-        with np.errstate(invalid="ignore", over="ignore"):
-            _reference_taylor(matvec, norm1, vec)
+    for kernel in (evolution._taylor_action, _reference_taylor):
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(RuntimeError, match=message):
+            kernel(matvec, norm1, vec)
 
 
 def _csr_cases():
