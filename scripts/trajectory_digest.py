@@ -20,7 +20,8 @@ The cases:
   execution with the default policy and with epsilon = 0.05 "wolfe", and
   in exact execution with ``LineSearch("fixed", 0.3)``;
 * sampled runs with 16 000 shots, 12 iterations and seeds 5 and 9 on
-  h2_d0.74, h4_d1.40 and h4_d2.00, each variant;
+  h2_d0.74, h4_d1.40 and h4_d2.00, each variant, at the default probe
+  delta and, with seed 5, at delta = -0.07;
 * ``estimate_residual_w`` on four fixtures x three states (Hartree-Fock, a
   random real and a random complex one) x three variants x {delta = 1e-3,
   delta = -0.07, 500 shots, 16 000 shots}.
@@ -39,6 +40,11 @@ from pathlib import Path
 import numpy as np
 
 SAMPLED_FIXTURES = ("h2_d0.74", "h4_d1.40", "h4_d2.00")
+SAMPLED_SETTINGS = (
+    ("sampled-s5", {"seed": 5}),
+    ("sampled-s9", {"seed": 9}),
+    ("sampled-s5-delta-0.07", {"seed": 5, "delta": -0.07}),
+)
 ESTIMATOR_FIXTURES = ("h2_d0.74", "h4_d1.00", "h4_d1.40", "h4_d2.00")
 ESTIMATOR_SETTINGS = (
     ("delta=1e-3", {"delta": 1e-3}),
@@ -93,15 +99,15 @@ def main(src: str) -> None:
                 print(f"run {stem} {variant} {name} {_run_summary(result)}")
     for stem in SAMPLED_FIXTURES:
         for variant in variants:
-            for seed in (5, 9):
+            for name, kwargs in SAMPLED_SETTINGS:
                 config = cq.CqeConfig(
                     variant=variant,
                     execution="sampled",
                     max_iterations=12,
-                    estimator=cq.EstimatorConfig(shots=16000, seed=seed),
+                    estimator=cq.EstimatorConfig(shots=16000, **kwargs),
                 )
                 result = cq.cqe_run(hams[stem], config)
-                print(f"run {stem} {variant} sampled-s{seed} {_run_summary(result)}")
+                print(f"run {stem} {variant} {name} {_run_summary(result)}")
     for stem in ESTIMATOR_FIXTURES:
         ham = hams[stem]
         rng = np.random.default_rng(11)

@@ -4,7 +4,8 @@ Everything emitted is plain data (JSON or CSV) with a fixed field order and
 no timestamps, so identical inputs and seeds reproduce byte-identical
 files.  Exit codes: 0 for a converged run, 2 for a run that terminated
 without meeting its residual tolerance (stalled or out of budget), 1 for
-unusable input.
+unusable input or a solver failure (say, a probe exponential too large for
+the Taylor kernel), with no output file.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ def cmd_run(args) -> int:
     initial = _initial_state(args.init, ham, model)
     try:
         result = cqe_run(ham, config, initial=initial)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         raise CliError(str(exc)) from exc
     (fci_energy,), _ = fci_solve(ham)
     document = {
@@ -279,7 +280,10 @@ def cmd_residual_study(args) -> int:
     lines = [",".join(STUDY_COLUMNS)]
     initial = _initial_state(args.init, ham, None)
     for variant in variants:
-        result = cqe_run(ham, replace(config, variant=variant), initial=initial)
+        try:
+            result = cqe_run(ham, replace(config, variant=variant), initial=initial)
+        except (ValueError, RuntimeError) as exc:
+            raise CliError(f"variant {variant!r} failed: {exc}") from exc
         for rec in result.iterations:
             norm2 = getattr(rec, norm_field[variant]) ** 2
             lines.append(f"{variant},{rec.n},{norm2},{rec.variance}")

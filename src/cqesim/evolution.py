@@ -1,14 +1,16 @@
 """Non-unitary two-body exponentials: exact action and ancilla dilation.
 
-Every exponential below runs through one Taylor kernel, ``_taylor_action``:
-it takes the action of the generator on a vector and the generator's exact
-1-norm (``norm1``, read off the CSR arrays once per operator by
-``fock._norm1``) and sums segmented Taylor series from matrix-vector
-products alone, so no matrix (scaled, shifted, block or exponential) is
-built per call.  Segments have 1-norm at most theta_40 = 6.0 of Al-Mohy &
-Higham, and a segment's series stops on two negligible terms only where
-the 1-norm bound already makes the terms contract.  The partial sum's norm
-is formed only for terms that a triangle bound cannot prove large.  The
+Every exponential below runs through one Taylor kernel, ``_taylor_series``
+(``_taylor_action`` when the output's norm is not needed): it takes the
+action of the generator on a vector and the generator's exact 1-norm
+(``norm1``, read off the CSR arrays once per operator by ``fock._norm1``)
+and sums segmented Taylor series from matrix-vector products alone, so no
+matrix (scaled, shifted, block or exponential) is built per call.  Segments
+have 1-norm at most theta_40 = 6.0 of Al-Mohy & Higham, at most
+``_MAX_SEGMENTS`` of them, and a segment's series stops on two negligible
+terms only where the 1-norm bound already makes the terms contract.  The
+partial sum's norm is formed only for terms that a triangle bound cannot
+prove large; the last one is exact, and a renormalized step reads it.  The
 terms come from one recurrence, ``_Terms``.  ``_FixedStart`` keeps the
 terms ``(J / |J|_1)^k psi / k!`` of one generator on one state, so the
 first segment of ``exp(eta J) psi`` costs no product once a larger eta
@@ -48,25 +50,30 @@ over the ``(dim, 2)`` block of the two (``apply_exp_exact``).
 
 Residual estimator
 ------------------
-``estimate_residual_w`` reads contracted residuals off the probe state
+``_estimate_links`` reads contracted residuals off the probe state
 ``exp(i d Y_a x (H - E)) |+> psi``, a V-step with the action
-``(H - E) v = H v - E v`` (no shifted H is built).  The ancilla-Z channel
+``(H - E) v = H v - E v`` (no shifted H is built) and the 1-norm of
+``H - E`` read off column sums that H keeps.  The ancilla-Z channel
 of the pair excitation ``a+_i a+_j a_l a_k`` yields the anticommutator
 residual S and the ancilla-Y channel the commutator residual A, each with
 O(d^2) bias and exactly even in d for real problems.  A pair excitation is
 a signed partial matching of determinants, so each Hermitian observable
 (real and imaginary part per channel) has at most the three outcome values
 {-v, 0, +v}; the class probabilities are quadratic forms read off the
-sector's excitation pattern, and no eigenbasis is ever formed
+sector's excitation pattern, one product with ``|P^T|`` and one with
+``P^T`` for every vector of both channels, and no eigenbasis is ever formed
 (``pair_excitation_matrix`` with a dense ``eigh`` is the test oracle).
 Both modes read these classes: exact mode takes the expectation
 ``v (P+ - P-)``, and with ``shots`` set every observable gets multinomial
-counts over its classes, which reproduces hardware shot noise exactly
-rather than through a Gaussian surrogate.  The canonical S and A values
-then form the link vector of R = (S + A) / 2 (see ``fock``), which
+counts over its classes, all drawn in one call, which reproduces hardware
+shot noise exactly rather than through a Gaussian surrogate.  Where each
+canonical element sits among the links is located once per sector
+(``_estimator_table``).  The canonical S and A values then form the link
+vector of R = (S + A) / 2 (see ``fock``), which
 ``residuals.residual_channel`` maps to the requested channel with the
-sector's link adjoint, as it does for the exactly contracted residual;
-``fock._link_tensor`` expands the channel to the n^4 tensor returned.
+sector's link adjoint, as it does for the exactly contracted residual.
+The solver reads that link vector; ``estimate_residual_w`` checks its
+inputs and expands it to the n^4 tensor returned (``fock._link_tensor``).
 """
 
 from __future__ import annotations
@@ -74,6 +81,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,8 +95,6 @@ from .fock import (
     _LinkOperator,
     _link_magnitudes,
     _link_tensor,
-    _norm1,
-    _transition_elements,
 )
 from .residuals import RESIDUAL_VARIANTS, energy, residual_channel
 
@@ -114,6 +120,10 @@ DELTA_SHOT_DEFAULT = 0.1
 
 _THETA = 6.0  # 1-norm per Taylor segment: theta_40 of Al-Mohy & Higham
 _MAX_TAYLOR_TERMS = 60
+# most segments of one exponential, a 1-norm of 6 000, far past the steps of
+# any converging run: a larger generator raises, since a unitary one never
+# overflows and would sum its segments for as long as its norm is large
+_MAX_SEGMENTS = 1000
 _TERM_STOP = 1e-16
 _TERM_FAIL = 1e-13
 # factor on the squared triangle bound of |acc|: it covers the rounding of the
@@ -144,12 +154,20 @@ class _Terms:
 
 
 def _taylor_action(matvec, norm1: float, vec: np.ndarray, first=None) -> np.ndarray:
-    """``exp(G) @ vec`` from the action ``matvec(v) = G v`` and the 1-norm of G.
+    """``exp(G) @ vec`` from the action ``matvec(v) = G v`` and the 1-norm of G
+    (``_taylor_series`` without the output's squared norm)."""
+    return _taylor_series(matvec, norm1, vec, first)[0]
+
+
+def _taylor_series(matvec, norm1: float, vec: np.ndarray, first=None) -> tuple[np.ndarray, float]:
+    """``exp(G) @ vec`` and its exact squared norm, from the action
+    ``matvec(v) = G v`` and the 1-norm of G.
 
     G is split into ``s = max(1, ceil(|G|_1 / theta))`` equal segments with
     ``theta = 6.0``, the theta_40 of Al-Mohy & Higham (SIAM J. Sci. Comput.
     33, 488 (2011)): a degree-40 Taylor polynomial of a segment of 1-norm at
-    most theta_40 meets double precision.  Each segment's series is summed
+    most theta_40 meets double precision; more than ``_MAX_SEGMENTS``
+    segments raise before any product.  Each segment's series is summed
     from matrix-vector products alone and stops after two consecutive terms
     below ``_TERM_STOP`` relative to the partial sum, but only once
     ``(k + 1) s > |G|_1``: from there every later term is bounded by the
@@ -167,7 +185,9 @@ def _taylor_action(matvec, norm1: float, vec: np.ndarray, first=None) -> np.ndar
     never formed.  Every other term, a non-finite one, one under a
     non-finite bound and the last allowed one take the exact norm, so the
     stops, the errors and the output bits are those of a test that forms
-    ``|acc|^2`` at every term.
+    ``|acc|^2`` at every term.  Each segment ends on an exact ``|acc|^2``,
+    so the last one is the output's squared norm, which renormalization
+    reads instead of forming it again.
 
     ``first = (kept, phase)`` serves the first segment from kept terms:
     ``kept`` is the ``_Terms`` of ``vec`` under a generator J with divisor
@@ -177,10 +197,12 @@ def _taylor_action(matvec, norm1: float, vec: np.ndarray, first=None) -> np.ndar
     if not math.isfinite(norm1):
         raise RuntimeError("generator matrix contains non-finite entries")
     out = vec.astype(complex, copy=True)
-    if norm1 == 0.0:
-        return out
-    segments = max(1, math.ceil(norm1 / _THETA))
     acc2 = np.vdot(out, out).real  # |out|^2; each segment ends on an exact |acc|^2
+    if norm1 == 0.0:
+        return out, acc2
+    segments = max(1, math.ceil(norm1 / _THETA))
+    if segments > _MAX_SEGMENTS:
+        raise RuntimeError(f"generator 1-norm {norm1:.4g} needs over {_MAX_SEGMENTS} Taylor segments")
     for segment in range(segments):
         if segment == 0 and first is not None:
             terms, ratio = first[0], first[1] * norm1 / segments
@@ -214,13 +236,13 @@ def _taylor_action(matvec, norm1: float, vec: np.ndarray, first=None) -> np.ndar
                     f"matrix exponential series still decaying at term {_MAX_TAYLOR_TERMS}"
                 )
         out = acc
-    return out
+    return out, acc2
 
 
-def _renormalized(psi: StateVector, out: np.ndarray, norm2_in: float) -> StateVector:
+def _renormalized(psi: StateVector, out: np.ndarray, norm2_out: float, norm2_in: float) -> StateVector:
     """``out`` normalized, with the retained weight ``min(1, |out|^2 / |psi|^2)``
-    folded into ``success_prob``; ``norm2_in`` is ``|psi|^2``."""
-    norm2_out = np.vdot(out, out).real
+    folded into ``success_prob``; ``norm2_out`` is ``|out|^2`` and ``norm2_in``
+    is ``|psi|^2``."""
     if norm2_out == 0.0:
         raise RuntimeError("exponential step annihilated the state")
     retained = min(1.0, float(norm2_out / norm2_in))
@@ -261,10 +283,10 @@ def apply_exp_exact(
     def action(v):
         return scale * _csr_product(matrix, v)
 
-    out = _taylor_action(action, norm1, psi.amplitudes)
     if not renormalize:
-        return StateVector(psi.basis, out, 0, psi.success_prob)
-    return _renormalized(psi, out, np.vdot(psi.amplitudes, psi.amplitudes).real)
+        return StateVector(psi.basis, _taylor_action(action, norm1, psi.amplitudes), 0, psi.success_prob)
+    out, norm2 = _taylor_series(action, norm1, psi.amplitudes)
+    return _renormalized(psi, out, norm2, np.vdot(psi.amplitudes, psi.amplitudes).real)
 
 
 class _FixedStart:
@@ -291,8 +313,8 @@ class _FixedStart:
             return eta * _csr_product(matrix, v)
 
         first = (self._kept, eta / abs(eta) if eta else 1.0)
-        out = _taylor_action(action, abs(eta) * self.op.norm1, self.psi.amplitudes, first)
-        return _renormalized(self.psi, out, self._norm2)
+        out, norm2 = _taylor_series(action, abs(eta) * self.op.norm1, self.psi.amplitudes, first)
+        return _renormalized(self.psi, out, norm2, self._norm2)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +416,14 @@ class EstimatorConfig:
         if self.delta is not None and not (math.isfinite(self.delta) and self.delta != 0.0):
             raise ValueError("delta must be finite and nonzero")
 
+    @property
+    def probe_delta(self) -> float:
+        """The probe's delta: ``delta``, or its default for the mode
+        (``DELTA_EXACT_DEFAULT``, or ``DELTA_SHOT_DEFAULT`` with shots)."""
+        if self.delta is not None:
+            return self.delta
+        return DELTA_EXACT_DEFAULT if self.shots is None else DELTA_SHOT_DEFAULT
+
 
 RESET_MODES = ("never", "wolfe", "every_k")
 
@@ -434,7 +464,8 @@ def probe_state(ham: SparseOperator, psi: StateVector, delta: float) -> StateVec
     """Dilated probe ``exp(i delta Y_a x (H - E)) |+> psi`` (psi normalized first).
 
     The V-step of ``apply_dilated`` with the action ``(H - E) v = H v - E v``
-    and the exact 1-norm of ``H - E``; no shifted matrix is built.
+    and the exact 1-norm of ``H - E``, read off the column sums that H keeps
+    (``SparseOperator.shifted_norm1``); no shifted matrix is built.
     """
     psi = psi.normalized()
     e = energy(ham, psi)
@@ -443,7 +474,7 @@ def probe_state(ham: SparseOperator, psi: StateVector, delta: float) -> StateVec
     def apply_shifted(v):
         return _csr_product(matrix, v) - e * v
 
-    return _dilated_step(prepare_dilated(psi), apply_shifted, _norm1(matrix, e), delta)
+    return _dilated_step(prepare_dilated(psi), apply_shifted, ham.shifted_norm1(e), delta)
 
 
 def canonical_elements(n_spin_orbitals: int) -> tuple[tuple[int, int, int, int], ...]:
@@ -499,6 +530,30 @@ def _canonical_columns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
+class _EstimatorTable(NamedTuple):
+    """Where a sector's canonical elements sit among its links (``_estimator_table``)."""
+
+    link: np.ndarray     # link of each element's pattern column, or the link count if none
+    linked: np.ndarray   # elements with a link
+    drawn: np.ndarray    # (2, elements): Re and Im parts that take draws (a diagonal Im part takes none)
+    column: np.ndarray   # link of each linked element's pattern column (k, l, i, j)
+    adjoint: np.ndarray  # link of that column's pair adjoint, the element (i, j, k, l)
+
+
+@lru_cache(maxsize=64)
+def _estimator_table(basis: Basis) -> _EstimatorTable:
+    """The estimator's view of a sector's links, located once per sector."""
+    ex = _excitations(basis)
+    _, cols, diag = _canonical_columns(basis.n_spin_orbitals)
+    link = ex.locate(cols)
+    linked = link < len(ex.support)
+    column = link[linked]
+    out = _EstimatorTable(link, linked, np.stack([linked, linked & ~diag]), column, ex.adjoint[column])
+    for arr in out:
+        arr.setflags(write=False)  # shared by every estimate on the sector
+    return out
+
+
 def estimate_residual_w(
     ham: SparseOperator,
     psi: StateVector,
@@ -516,75 +571,78 @@ def estimate_residual_w(
     multinomial per element and part over the same classes, which gives the
     sample mean the distribution of sampling its eigenbasis, and requires a
     seed.  ``delta``, ``shots`` and ``seed`` obey the rules of
-    ``EstimatorConfig``.
+    ``EstimatorConfig``, which also gives the default delta.
 
-    The measured S and A form the link vector (``fock``) of R = (S + A) / 2,
-    with the channel not measured set to zero, and the result is the n^4
-    tensor of ``residual_channel(R, variant)``: R for ``'cse'``, S (Z channel
-    only) for ``'hcse'`` and A (Y channel only) for ``'acse'``.  S comes out
+    The result is the n^4 tensor (``fock._link_tensor``) of the link vector
+    that ``_estimate_links`` measures: R for ``'cse'``, S (Z channel only)
+    for ``'hcse'`` and A (Y channel only) for ``'acse'``.  S comes out
     exactly pair-Hermitian and A exactly pair-anti-Hermitian, in shot mode
     too, and the tensor vanishes off the index images of the sector's links.
     """
     if variant not in RESIDUAL_VARIANTS:
         raise ValueError(f"unknown residual variant {variant!r}")
-    EstimatorConfig(delta=delta, shots=shots, seed=seed)  # raises on a bad delta, shots or seed
-    if delta is None:
-        delta = DELTA_EXACT_DEFAULT if shots is None else DELTA_SHOT_DEFAULT
+    config = EstimatorConfig(delta=delta, shots=shots, seed=seed)  # raises on a bad delta, shots or seed
+    links = _estimate_links(ham, psi, variant, config.probe_delta, shots, seed)
+    return TwoBodyTensor._closed(psi.basis.n_spin_orbitals, _link_tensor(psi.basis, links))
 
+
+def _estimate_links(
+    ham: SparseOperator, psi: StateVector, variant: str, delta: float, shots: int | None, seed: int | None
+) -> np.ndarray:
+    """The link vector (``fock``) of the channel ``estimate_residual_w`` measures.
+
+    The inputs are not checked: the solver passes those its ``CqeConfig``
+    checked, and ``delta`` is resolved (``EstimatorConfig.probe_delta``).
+    Both measured channels come from one ``_outcome_classes`` pass, and in
+    shot mode all draws from one multinomial call, the Z rows before the Y
+    rows.  The measured S and A form the link vector of R = (S + A) / 2,
+    with the channel not measured set to zero, and ``residual_channel``
+    maps it to the variant's channel with the sector's link adjoint.
+    """
     basis = psi.basis
     dim = len(basis)
     probe = probe_state(ham, psi, delta).amplitudes
     top, bottom = probe[:dim], probe[dim:]
-    ex = _excitations(basis)
-    _, cols, diag = _canonical_columns(basis.n_spin_orbitals)
-    link = ex.locate(cols)
-    linked = link < len(ex.support)
-    if shots is not None:
-        rng = np.random.default_rng(seed)
-        # an element without links, and the Im part of a diagonal one, is zero: no draw
-        drawn = np.stack([linked, linked & ~diag])
-
-    def channel_mean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        value, probs = _outcome_classes(basis, x, y)
-        if shots is None:
-            mean = probs[..., 0] - probs[..., 1]
-        else:
-            probs = np.clip(probs[drawn], 0.0, None)
-            total = probs.sum(axis=1, keepdims=True)
-            if not np.all(np.isfinite(total)) or np.any(total <= 0):
-                raise RuntimeError("invalid outcome distribution in shot sampler")
-            counts = rng.multinomial(shots, probs / total)
-            mean = np.zeros(drawn.shape)
-            mean[drawn] = (counts[:, 0] - counts[:, 1]) / shots
-        return value * (mean[0] + 1j * mean[1])
-
-    s = a = 0.0
+    channels = []
     if variant != "acse":  # ancilla Z
-        s = channel_mean(top, bottom) / delta
+        channels.append((top, bottom))
     if variant != "hcse":  # ancilla Y
-        plus = (top - 1j * bottom) / np.sqrt(2.0)
-        minus = (top + 1j * bottom) / np.sqrt(2.0)
-        a = -1j * channel_mean(plus, minus) / delta
+        channels.append(((top - 1j * bottom) / np.sqrt(2.0), (top + 1j * bottom) / np.sqrt(2.0)))
+    value, probs = _outcome_classes(basis, channels)
+    table = _estimator_table(basis)
+    if shots is None:
+        mean = probs[..., 0] - probs[..., 1]
+    else:
+        # an element without links, and the Im part of a diagonal one, is zero: no draw
+        rows = np.clip(probs[:, table.drawn], 0.0, None)
+        total = rows.sum(axis=2, keepdims=True)
+        if not np.all(np.isfinite(total)) or np.any(total <= 0):
+            raise RuntimeError("invalid outcome distribution in shot sampler")
+        counts = np.random.default_rng(seed).multinomial(shots, (rows / total).reshape(-1, 3))
+        mean = np.zeros(probs.shape[:3])
+        mean[:, table.drawn] = ((counts[:, 0] - counts[:, 1]) / shots).reshape(len(channels), -1)
+    readout = value * (mean[:, 0] + 1j * mean[:, 1])
+    s = readout[0] / delta if variant != "acse" else 0.0
+    a = -1j * readout[-1] / delta if variant != "hcse" else 0.0
     # S is pair-Hermitian and A pair-anti-Hermitian, so R is (s + a) / 2 at
     # each element (i, j, k, l) and conj(s - a) / 2 at its pair adjoint
     # (k, l, i, j), the link of the element's pattern column
-    column = link[linked]
+    ex = _excitations(basis)
     raw = np.zeros(len(ex.support), dtype=complex)
-    raw[ex.adjoint[column]] = (0.5 * (s + a))[linked]
-    raw[column] = (0.5 * np.conj(s - a))[linked]
-    channel = residual_channel(raw, variant, ex.pair_adjoint)
-    return TwoBodyTensor._closed(basis.n_spin_orbitals, _link_tensor(basis, channel))
+    raw[table.adjoint] = (0.5 * (s + a))[table.linked]
+    raw[table.column] = (0.5 * np.conj(s - a))[table.linked]
+    return residual_channel(raw, variant, ex.pair_adjoint)
 
 
-def _outcome_classes(basis: Basis, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form outcome classes of one probe channel for every canonical element.
+def _outcome_classes(basis: Basis, channels) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form outcome classes of probe channels for every canonical element.
 
-    The channel reads the Hermitian part ``(G + G^+)/2`` ("Re") and the
-    anti-Hermitian part ``(G - G^+)/2i`` ("Im") of ``G = a+_i a+_j a_l a_k``:
-    an eigenvalue ``lam`` of the part counts as ``+lam`` on ``x`` and as
-    ``-lam`` on ``y``.  Since ``G|D> = s|D'>`` is a signed partial matching
-    of determinants, an off-diagonal element has both parts with spectrum
-    {-1/2, 0, 1/2} on disjoint 2x2 blocks, and with
+    A channel ``(x, y)`` reads the Hermitian part ``(G + G^+)/2`` ("Re") and
+    the anti-Hermitian part ``(G - G^+)/2i`` ("Im") of
+    ``G = a+_i a+_j a_l a_k``: an eigenvalue ``lam`` of the part counts as
+    ``+lam`` on ``x`` and as ``-lam`` on ``y``.  Since ``G|D> = s|D'>`` is a
+    signed partial matching of determinants, an off-diagonal element has
+    both parts with spectrum {-1/2, 0, 1/2} on disjoint 2x2 blocks, and with
 
         m(x) = 1/2 sum_links (|x_D|^2 + |x_D'|^2),   g(x) = <x|G|x>
 
@@ -592,32 +650,31 @@ def _outcome_classes(basis: Basis, x: np.ndarray, y: np.ndarray) -> tuple[np.nda
     ``P(-1/2) = m(x) - Re g(x) + m(y) + Re g(y)`` (Im g for the Im part).  A
     diagonal element is ``n_i n_j`` with spectrum {0, 1}: ``P(+1) = m(x)``,
     ``P(-1) = m(y)``, and its Im part vanishes.  ``P(0)`` is the rest of
-    ``|x|^2 + |y|^2``.
+    ``|x|^2 + |y|^2``.  The m and g of every vector of every channel come
+    from one product each with ``|P^T|`` and ``P^T`` on the block of their
+    pattern-row inputs.
 
     Returns the outcome value v (1/2, or 1 on the diagonal) of each element
     of ``_canonical_columns`` and the probabilities of +v, -v and 0, shape
-    (2, elements, 3) for the Re and Im parts.
+    (channels, 2, elements, 3) for the Re and Im parts.
     """
     ex = _excitations(basis)
-    _, cols, diag = _canonical_columns(basis.n_spin_orbitals)
-    link = ex.locate(cols)  # the link count, an appended zero, where an element has no links
-    magnitudes = _link_magnitudes(basis)
-
-    def m(v):
-        weight = np.abs(v) ** 2
-        return np.append(magnitudes @ (weight[ex.rows] + weight[ex.indices]), 0.0)[link] / 8.0
-
-    def g(v):
-        return np.append(_transition_elements(basis, v, v), 0.0)[link] / 4.0
-
-    mx, my, gx, gy = m(x), m(y), g(x), g(y)
-    probs = np.empty((2, len(cols), 3))
-    for part, (gx_part, gy_part) in enumerate(((gx.real, gy.real), (gx.imag, gy.imag))):
-        probs[part, :, 0] = mx + gx_part + my - gy_part
-        probs[part, :, 1] = mx - gx_part + my + gy_part
-    probs[0, diag, 0] = mx[diag]
-    probs[0, diag, 1] = my[diag]
-    probs[1, diag, :2] = 0.0
-    total = float(np.vdot(x, x).real + np.vdot(y, y).real)
-    probs[..., 2] = total - probs[..., 0] - probs[..., 1]
+    _, _, diag = _canonical_columns(basis.n_spin_orbitals)
+    link = _estimator_table(basis).link  # an appended zero row serves an element with no links
+    vecs = np.stack([v for pair in channels for v in pair], axis=1)  # columns x0, y0, x1, y1, ...
+    weight = np.abs(vecs) ** 2
+    zero = np.zeros((1, vecs.shape[1]))
+    pair_weight = np.take(weight, ex.rows, 0) + np.take(weight, ex.indices, 0)
+    m = _csr_product(_link_magnitudes(basis), pair_weight, float)
+    g = _csr_product(ex.by_link, np.take(vecs.conj(), ex.rows, 0) * np.take(vecs, ex.indices, 0))
+    m = np.take(np.vstack([m, zero]), link, 0).T / 8.0
+    g = np.take(np.vstack([g, zero]), link, 0).T / 4.0
+    mx, my = m[0::2, None], m[1::2, None]  # (channels, 1, elements)
+    # (channels, 2, elements): the Re and Im parts of g
+    gx, gy = (np.stack([part.real, part.imag], axis=1) for part in (g[0::2], g[1::2]))
+    im = np.zeros_like(mx)  # a diagonal element's Im part
+    plus = np.where(diag, np.concatenate([mx, im], axis=1), mx + gx + my - gy)
+    minus = np.where(diag, np.concatenate([my, im], axis=1), mx - gx + my + gy)
+    total = np.array([np.vdot(x, x).real + np.vdot(y, y).real for x, y in channels])
+    probs = np.stack([plus, minus, total[:, None, None] - plus - minus], axis=-1)
     return np.where(diag, 1.0, 0.5), probs

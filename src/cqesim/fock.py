@@ -23,9 +23,9 @@ Conventions used throughout the package:
   determinants.  A tensor that acts inside the sector is carried as its
   link vector, its canonical entries at the links; the solver works on
   link vectors alone.  Operator assembly (``_link_operator``), transition
-  2-RDM elements (``_transition_elements``) for the residuals and the
-  estimator's outcome classes, and pair-excitation matrices in
-  ``evolution`` all read the pattern.
+  2-RDM elements (``_transition_elements``) for the residuals, the
+  estimator's outcome classes (the same product on a block of vectors)
+  and pair-excitation matrices in ``evolution`` all read the pattern.
 * ``antisymmetrize`` is the one image primitive: ``compute_2rdm``, the
   public residuals and the residual estimator (all through
   ``_link_tensor``) and ``reduced_hamiltonian_K`` build their n^4 tensors
@@ -295,8 +295,10 @@ class SparseOperator:
 
     A complex CSR matrix is kept as given; anything else is converted.  The
     matrix is never edited in place, so its 1-norm, which every exponential
-    of the operator needs, and its deviation from Hermiticity, which every
-    solver run checks, are computed on first use and kept.
+    of the operator needs, the column sums of ``|matrix|`` and the diagonal,
+    from which every shifted 1-norm of the estimator's probe is read, and
+    its deviation from Hermiticity, which every solver run checks, are
+    computed on first use and kept.
     """
 
     basis: Basis
@@ -315,6 +317,16 @@ class SparseOperator:
     def norm1(self) -> float:
         """Exact 1-norm of the matrix (``_norm1``)."""
         return _norm1(self.matrix)
+
+    @cached_property
+    def _column_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column sums of ``|matrix|`` and the diagonal, read once like ``norm1``."""
+        return _abs_column_sums(self.matrix), self.matrix.diagonal()
+
+    def shifted_norm1(self, shift: complex) -> float:
+        """Exact 1-norm of ``matrix - shift * I`` from the kept column sums,
+        bit for bit ``_norm1(matrix, shift)``."""
+        return _shifted_max(*self._column_sums, shift)
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -371,30 +383,41 @@ def _norm1(matrix: sp.csr_matrix | _Csr, shift: complex = 0.0) -> float:
     absent); no matrix is built.  A shift reads the diagonal of a scipy
     matrix.
     """
-    cols = np.bincount(matrix.indices, np.abs(matrix.data), minlength=matrix.shape[1])
+    return _shifted_max(_abs_column_sums(matrix), matrix.diagonal() if shift else None, shift)
+
+
+def _abs_column_sums(matrix: sp.csr_matrix | _Csr) -> np.ndarray:
+    """Column sums of ``|matrix|`` from its CSR arrays."""
+    return np.bincount(matrix.indices, np.abs(matrix.data), minlength=matrix.shape[1])
+
+
+def _shifted_max(cols: np.ndarray, diag: np.ndarray | None, shift: complex) -> float:
+    """Largest column sum of ``|matrix - shift * I|`` from the column sums
+    ``cols`` of ``|matrix|`` and, for a nonzero shift, the diagonal ``diag``."""
     if shift:
-        diag = matrix.diagonal()
-        cols += np.abs(diag - shift) - np.abs(diag)
+        cols = cols + (np.abs(diag - shift) - np.abs(diag))
     return float(cols.max(initial=0.0))
 
 
-def _csr_product(matrix: sp.csr_matrix | _Csr, vec: np.ndarray) -> np.ndarray:
+def _csr_product(matrix: sp.csr_matrix | _Csr, vec: np.ndarray, dtype=complex) -> np.ndarray:
     """``matrix @ vec`` for a complex CSR matrix and a vector or (dim, k) block.
 
     ``matrix`` is a scipy matrix or the ``_Csr`` arrays of a
     ``_LinkOperator``: only the arrays are read.  Calls the sparsetools
-    kernel behind scipy's ``@`` directly, into a fresh
-    zeroed complex output as ``@`` does, so the product is bit-identical
-    without the per-call dispatch (about as costly as a dim-36 product).
-    A block is made C-contiguous first, as ``@`` does too.
+    kernel behind scipy's ``@`` directly, into a fresh zeroed complex
+    output as ``@`` does, so the product is bit-identical without the
+    per-call dispatch (about as costly as a dim-36 product).  A block is
+    made C-contiguous first, as ``@`` does too.  ``dtype=float`` serves a
+    real matrix on real input (``_link_magnitudes`` on probabilities),
+    whose product ``@`` also forms in real arithmetic.
     """
     rows, cols = matrix.shape
     if vec.ndim == 1:
-        out = np.zeros(rows, dtype=complex)
+        out = np.zeros(rows, dtype=dtype)
         _sparsetools.csr_matvec(rows, cols, matrix.indptr, matrix.indices, matrix.data, vec, out)
         return out
     block = np.ascontiguousarray(vec)
-    out = np.zeros((rows, block.shape[1]), dtype=complex)
+    out = np.zeros((rows, block.shape[1]), dtype=dtype)
     _sparsetools.csr_matvecs(
         rows, cols, block.shape[1], matrix.indptr, matrix.indices, matrix.data,
         block.ravel(), out.ravel(),

@@ -191,14 +191,18 @@ def residual_channel(raw: np.ndarray, variant: str, adjoint=None) -> np.ndarray:
     (the default), or a sector's ``_Excitations.pair_adjoint`` for a link
     vector.
     """
+    if variant not in RESIDUAL_VARIANTS:
+        raise ValueError(f"unknown residual variant {variant!r}; expected one of {RESIDUAL_VARIANTS}")
     if variant == "cse":
         return raw
-    adjoint = pair_adjoint if adjoint is None else adjoint
-    if variant == "hcse":
-        return raw + adjoint(raw)
-    if variant == "acse":
-        return raw - adjoint(raw)
-    raise ValueError(f"unknown residual variant {variant!r}; expected one of {RESIDUAL_VARIANTS}")
+    return _residual_channels(raw, pair_adjoint if adjoint is None else adjoint)[variant]
+
+
+def _residual_channels(raw: np.ndarray, adjoint) -> dict[str, np.ndarray]:
+    """Every channel of a raw residual (``residual_channel``), keyed by
+    variant, from one application of ``adjoint``: the one S/A split."""
+    dagger = adjoint(raw)
+    return {"cse": raw, "hcse": raw + dagger, "acse": raw - dagger}
 
 
 def residual(ham: SparseOperator, psi: StateVector, variant: str) -> TwoBodyTensor:

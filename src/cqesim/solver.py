@@ -53,14 +53,18 @@ Hermitian/anti-Hermitian split are all formed on link vectors, and each
 factor's operator is ``P @ c``.  Norms and products stay those of the n^4
 tensors, ``|T| = 2 |c|`` and ``<T, T'> = 4 <c, c'>``; beta is a ratio of
 products, so it is the same in either coordinates.  In sampled execution
-the estimator returns an n^4 tensor that vanishes off the links' index
-images, and the loop keeps its link entries.
+the estimator hands the loop the measured channel's link vector
+(``evolution._estimate_links``), with the probe delta that
+``EstimatorConfig`` resolves, so no execution style forms an n^4 tensor.
 
 Iteration records always carry the exactly contracted diagnostic norms of
-all three channels; in sampled execution the termination test uses the
-estimated norm, since that is all the measurement protocol can see.  A
-visited state pays one product ``H psi``: its energy, variance and raw
-residual are all read off it (``residuals._moments``).
+all three channels, split from the raw residual with one pair-adjoint
+gather (``residuals._residual_channels``, as the step plan's split is); in
+exact and dilated execution the termination test reads the diagnostic norm
+of the variant's channel, and in sampled execution the estimated norm,
+since that is all the measurement protocol can see.  A visited state pays
+one product ``H psi``: its energy, variance and raw residual are all read
+off it (``residuals._moments``).
 """
 
 from __future__ import annotations
@@ -73,16 +77,23 @@ import numpy as np
 from .evolution import (
     DilationPolicy,
     EstimatorConfig,
+    _estimate_links,
     _FixedStart,
     ancilla_branch,
     apply_dilated,
     apply_exp_exact,
-    estimate_residual_w,
     prepare_dilated,
     reset_ancilla,
 )
 from .fock import SparseOperator, StateVector, _excitations, _link_norm, _link_operator, _LinkOperator
-from .residuals import RESIDUAL_VARIANTS, _link_residual, _moments, energy, residual_channel
+from .residuals import (
+    RESIDUAL_VARIANTS,
+    _link_residual,
+    _moments,
+    _residual_channels,
+    energy,
+    residual_channel,
+)
 
 __all__ = [
     "LineSearch",
@@ -240,7 +251,7 @@ class _StepPlan:
     """One iteration's generator split, built once and realized lazily per trial eta.
 
     ``direction`` is a link vector (``fock``); its parts are
-    ``(J -/+ J^+) / 2``, the channels of ``residual_channel`` halved.  Only a
+    ``(J -/+ J^+) / 2``, the channels of ``_residual_channels`` halved.  Only a
     nonzero factor gets an operator, its CSR data ``P @ c`` on the sector's
     CSR structure (``fock._LinkOperator``), so no scipy matrix is built.  An
     hcse direction is exactly pair-Hermitian and an acse one exactly
@@ -256,8 +267,8 @@ class _StepPlan:
     def __init__(self, ham: SparseOperator, psi: StateVector, direction: np.ndarray):
         self.ham = ham
         self.psi = psi
-        adjoint = _excitations(psi.basis).pair_adjoint
-        parts = (0.5 * residual_channel(direction, v, adjoint) for v in ("acse", "hcse"))
+        channels = _residual_channels(direction, _excitations(psi.basis).pair_adjoint)
+        parts = (0.5 * channels[v] for v in ("acse", "hcse"))
         self.op_a, self.op_h = (
             _link_operator(part, psi.basis) if np.any(part) else None for part in parts
         )
@@ -440,34 +451,28 @@ def cqe_run(
     previous = None  # (steepest, taken) directions of the last step, for conjugacy
     pattern = _excitations(ham.basis)
 
-    def measured_channel(state: StateVector, iteration: int, channel: np.ndarray) -> np.ndarray:
-        """The residual channel the protocol sees: estimated in sampled execution.
-
-        The estimate is an n^4 tensor that vanishes off the index images of
-        the sector's links, so its link entries carry all of it.
-        """
-        if sampled:
-            est = config.estimator
-            step_seed = int(
-                np.random.SeedSequence(entropy=est.seed, spawn_key=(iteration,)).generate_state(1)[0]
-            )
-            estimate = estimate_residual_w(
-                ham, state, variant=config.variant,
-                delta=est.delta, shots=est.shots, seed=step_seed,
-            )
-            return estimate.coeffs.ravel()[pattern.support]
-        return channel
+    def estimate(state: StateVector, iteration: int) -> np.ndarray:
+        """The link vector of the channel the sampled protocol measures, with
+        a seed spawned from the configured one for each iteration."""
+        est = config.estimator
+        step_seed = int(
+            np.random.SeedSequence(entropy=est.seed, spawn_key=(iteration,)).generate_state(1)[0]
+        )
+        return _estimate_links(ham, state, config.variant, est.probe_delta, est.shots, step_seed)
 
     for n in range(config.max_iterations):
         if register is not None:
             psi = register.peek()
         e_now, var_now, shifted = _moments(ham, psi)  # the one product H psi of this state
         prob_now = psi.success_prob
-        raw = _link_residual(psi, shifted)
-        channels = {v: residual_channel(raw, v, pattern.pair_adjoint) for v in RESIDUAL_VARIANTS}
-        norm_r, norm_s, norm_a = (_link_norm(channels[v]) for v in RESIDUAL_VARIANTS)
-        measured = measured_channel(psi, n, channels[config.variant])
-        res_norm, steepest = _link_norm(measured), -measured
+        channels = _residual_channels(_link_residual(psi, shifted), pattern.pair_adjoint)
+        norms = {v: _link_norm(channels[v]) for v in RESIDUAL_VARIANTS}
+        if sampled:
+            measured = estimate(psi, n)
+            res_norm = _link_norm(measured)
+        else:
+            measured, res_norm = channels[config.variant], norms[config.variant]
+        steepest = -measured
 
         def record(eta_taken: float):
             records.append(
@@ -475,9 +480,9 @@ def cqe_run(
                     n=n,
                     energy=e_now,
                     variance=var_now,
-                    norm_r=norm_r,
-                    norm_s=norm_s,
-                    norm_a=norm_a,
+                    norm_r=norms["cse"],
+                    norm_s=norms["hcse"],
+                    norm_a=norms["acse"],
                     eta=eta_taken,
                     success_prob=prob_now,
                 )
@@ -511,8 +516,11 @@ def cqe_run(
     if register is not None:
         psi = register.finish()
     e_final, var_final, shifted = _moments(ham, psi)
-    final_channel = residual_channel(_link_residual(psi, shifted), config.variant, pattern.pair_adjoint)
-    final_norm = _link_norm(measured_channel(psi, config.max_iterations, final_channel))
+    if sampled:
+        final_channel = estimate(psi, config.max_iterations)
+    else:
+        final_channel = residual_channel(_link_residual(psi, shifted), config.variant, pattern.pair_adjoint)
+    final_norm = _link_norm(final_channel)
     return CqeResult(
         status=status,
         iterations=tuple(records),

@@ -1,6 +1,7 @@
 """CLI contract: document shape, determinism, exit codes."""
 
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -120,6 +121,35 @@ def test_missing_input_exits_one_without_output(tmp_path, capsys):
     assert code == 1
     assert not out.exists()
     assert "does_not_exist" in capsys.readouterr().err
+
+
+def test_probe_beyond_the_taylor_bound_exits_one_without_output(tmp_path, capsys):
+    # delta = 1e9 gives the probe's V-step a 1-norm near 1.8e9, which the
+    # Taylor kernel refuses at once rather than summing segments for days
+    start = time.perf_counter()
+    code, out = _run(
+        tmp_path, "x.json",
+        ["run", "--fcidump", "h2_d0.74", "--execution", "sampled", "--shots", "100", "--seed", "1",
+         "--delta", "1e9"],
+    )
+    assert time.perf_counter() - start < 20.0
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv", [["run", "--fcidump", "h2_d0.74"], ["residual-study", "--fixture", "h2_d0.74"]]
+)
+def test_solver_runtime_error_exits_one_without_output(tmp_path, capsys, monkeypatch, argv):
+    def failing(*args, **kwargs):
+        raise RuntimeError("matrix exponential series produced non-finite values")
+
+    monkeypatch.setattr(cli, "cqe_run", failing)
+    code, out = _run(tmp_path, "x.out", argv)
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def _broken_fcidump(tmp_path, defect):

@@ -11,7 +11,6 @@ from cqesim.evolution import (
     EstimatorConfig,
     _canonical_columns,
     _csr_product,
-    _norm1,
     _outcome_classes,
     ancilla_branch,
     apply_dilated,
@@ -27,6 +26,7 @@ from cqesim.fock import (
     SparseOperator,
     StateVector,
     TwoBodyTensor,
+    _norm1,
     antihermitian_part,
     antisymmetrize,
     hermitian_part,
@@ -37,6 +37,7 @@ from cqesim.fock import (
 from cqesim.hamiltonian import build_hamiltonian, load_fixture
 from cqesim.oracle import dense_expm_apply
 from cqesim.residuals import compute_2rdm, energy, residual_acse, residual_cse, residual_hcse
+from cqesim.solver import hf_state
 
 import _jw_dense as jw
 
@@ -327,6 +328,19 @@ def test_norm1_matches_dense_column_sums(name):
         assert _norm1(ham.matrix, shift) == pytest.approx(dense, rel=1e-14)
 
 
+@pytest.mark.parametrize("name", ["h2_d0.74", "h4_d1.00", "no_diagonal"])
+def test_shifted_norm1_from_kept_column_sums(name):
+    # the probe's shifted 1-norm reads the column sums and diagonal that the
+    # operator keeps, with the bits of _norm1 and the dense column-sum value
+    rng = np.random.default_rng(88)
+    ham = _probe_operator(name, rng)
+    for shift in (0.0, energy(ham, hf_state(ham)), -3.7, 2.5):
+        got = ham.shifted_norm1(shift)
+        assert got == _norm1(ham.matrix, shift)
+        dense = np.abs(ham.dense() - shift * np.eye(len(ham.basis))).sum(axis=0).max()
+        assert got == pytest.approx(dense, rel=1e-14)
+
+
 def test_kernel_gets_the_exact_generator_norm(monkeypatch):
     rng = np.random.default_rng(89)
     basis = build_basis(6, 2, 0)
@@ -466,6 +480,21 @@ def test_kernel_segments_follow_the_theta_bound(seed):
     # one segment of at most 42 terms at 1-norm 6, three at 13
     assert products[6.0] <= 42
     assert 42 < products[13.0] <= 3 * 42
+
+
+def test_kernel_refuses_more_segments_than_its_bound_before_any_product():
+    # a unitary factor never overflows, so without the bound a huge step
+    # would sum its segments for as long as its 1-norm is large
+    vec = np.arange(1.0, 5.0) + 0j
+    largest = evolution._MAX_SEGMENTS * THETA
+    assert _count_products(np.zeros_like, largest, vec) == evolution._MAX_SEGMENTS * 6
+
+    def forbidden(v):
+        raise AssertionError("a refused exponential made a product")
+
+    for norm1 in (np.nextafter(largest, np.inf), 1e12):
+        with pytest.raises(RuntimeError, match="Taylor segments"):
+            evolution._taylor_action(forbidden, norm1, vec)
 
 
 @pytest.mark.parametrize("norm1, segments, per_segment", [(0.3, 1, 2), (6.0, 1, 6), (13.0, 3, 4)])
@@ -861,8 +890,8 @@ def test_outcome_classes_match_eigh_oracle(fixture):
     elements, _, _ = _canonical_columns(basis.n_spin_orbitals)
     assert [tuple(e) for e in elements] == list(canonical_elements(basis.n_spin_orbitals))
     readout = {}
-    for name, (x, y) in channels.items():
-        value, probs = _outcome_classes(basis, x, y)
+    value, classes = _outcome_classes(basis, list(channels.values()))
+    for (name, (x, y)), probs in zip(channels.items(), classes):
         for e, (i, j, k, l) in enumerate(elements):
             gamma = pair_excitation_matrix(basis, i, j, k, l)
             for part in (0, 1):
@@ -878,6 +907,65 @@ def test_outcome_classes_match_eigh_oracle(fixture):
     assert np.abs(readout["z"].imag).max() > 1e-6  # the complex state reaches Im g
     np.testing.assert_allclose(readout["z"] / delta, s_exact[i, j, k, l], rtol=0, atol=1e-12)
     np.testing.assert_allclose(-1j * readout["y"] / delta, a_exact[i, j, k, l], rtol=0, atol=1e-12)
+
+
+ESTIMATOR_SETTINGS = (
+    {"delta": 1e-3}, {"delta": -0.07}, {"shots": 500, "seed": 3}, {"shots": 16000, "seed": 3}
+)
+
+
+@pytest.mark.parametrize("fixture", ["h2_d0.74", "h4_d1.00"])
+@pytest.mark.parametrize("state", ["hf", "complex"])
+@pytest.mark.parametrize("variant", ["cse", "hcse", "acse"])
+def test_estimate_links_are_the_link_entries_of_the_estimate(fixture, state, variant):
+    # the solver's sampled branch reads the link vector itself; it must hold
+    # the bits of the n^4 estimate at the sector's links (the sign of an
+    # exact zero aside), exact and shot mode alike
+    ham = build_hamiltonian(load_fixture(fixture))
+    rng = np.random.default_rng(91)
+    psi = hf_state(ham) if state == "hf" else _random_state(rng, ham.basis, complex_valued=True)
+    support = evolution._excitations(ham.basis).support
+    for kwargs in ESTIMATOR_SETTINGS:
+        config = EstimatorConfig(**kwargs)
+        delta, shots, seed = config.probe_delta, config.shots, config.seed
+        links = evolution._estimate_links(ham, psi, variant, delta, shots, seed)
+        tensor = estimate_residual_w(ham, psi, variant=variant, **kwargs).coeffs
+        assert (links + 0.0).tobytes() == (tensor.ravel()[support] + 0.0).tobytes()
+
+
+def test_one_multinomial_call_draws_as_one_call_per_channel():
+    # the estimate draws the Z rows and then the Y rows in one multinomial
+    # call: the stream of one call per channel, so same-seed draws stay as they were
+    ham = build_hamiltonian(load_fixture("h4_d1.00"))
+    psi = _random_state(np.random.default_rng(92), ham.basis, complex_valued=True)
+    delta, shots, seed = 0.1, 2000, 7
+    dim = len(ham.basis)
+    probe = probe_state(ham, psi, delta).amplitudes
+    top, bottom = probe[:dim], probe[dim:]
+    channels = [(top, bottom), ((top - 1j * bottom) / np.sqrt(2.0), (top + 1j * bottom) / np.sqrt(2.0))]
+    value, classes = _outcome_classes(ham.basis, channels)
+    table = evolution._estimator_table(ham.basis)
+    rng = np.random.default_rng(seed)
+    readout = []
+    for probs in classes:
+        rows = np.clip(probs[table.drawn], 0.0, None)
+        counts = rng.multinomial(shots, rows / rows.sum(axis=1, keepdims=True))
+        mean = np.zeros(table.drawn.shape)
+        mean[table.drawn] = (counts[:, 0] - counts[:, 1]) / shots
+        readout.append(value * (mean[0] + 1j * mean[1]))
+    s, a = readout[0] / delta, -1j * readout[1] / delta
+    est = estimate_residual_w(ham, psi, variant="cse", delta=delta, shots=shots, seed=seed).coeffs
+    elements, _, diag = _canonical_columns(ham.basis.n_spin_orbitals)
+    off = table.linked & ~diag  # R = (S + A) / 2 at each linked off-diagonal element
+    i, j, k, l = elements[off].T
+    assert np.abs(a[off]).max() > 0 and np.abs(s[off]).max() > 0
+    np.testing.assert_array_equal(est[i, j, k, l], (0.5 * (s + a))[off])
+
+
+def test_probe_delta_defaults_by_mode():
+    assert EstimatorConfig().probe_delta == evolution.DELTA_EXACT_DEFAULT
+    assert EstimatorConfig(shots=10, seed=1).probe_delta == evolution.DELTA_SHOT_DEFAULT
+    assert EstimatorConfig(delta=-0.07, shots=10, seed=1).probe_delta == -0.07
 
 
 def test_shot_mode_forms_no_eigenbasis(monkeypatch):

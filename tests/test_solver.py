@@ -1,5 +1,6 @@
 """Solver loop: convergence, monotonicity, execution styles, termination."""
 
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -810,10 +811,9 @@ def test_solver_loop_skips_the_antisymmetry_check(monkeypatch):
     assert [_run_digest(cqe_run(ham, cfg)) for cfg in configs] == checked
 
 
-def test_exact_and_dilated_loops_form_no_n4_tensor(monkeypatch):
-    # each iteration works on the sector's link vectors: no n^4 index image,
-    # pair adjoint, 2-RDM or two-body tensor is formed
-    _, ham = _h4()
+def _n4_spies(monkeypatch, ham):
+    """Spy on every n^4 index image, pair adjoint, 2-RDM and two-body tensor;
+    returns the (cleared) list of calls after showing that the spies are live."""
     calls = []
 
     def spy(name, fn):
@@ -837,10 +837,41 @@ def test_exact_and_dilated_loops_form_no_n4_tensor(monkeypatch):
     TwoBodyTensor(8, np.zeros((8,) * 4))
     assert set(calls) == {"antisymmetrize", "pair_adjoint", "compute_2rdm", "TwoBodyTensor", "TwoBodyTensor._closed"}
     calls.clear()
+    return calls
+
+
+def test_exact_and_dilated_loops_form_no_n4_tensor(monkeypatch):
+    # each iteration works on the sector's link vectors: no n^4 index image,
+    # pair adjoint, 2-RDM or two-body tensor is formed
+    _, ham = _h4()
+    calls = _n4_spies(monkeypatch, ham)
     for variant in ("cse", "hcse", "acse"):
         for execution in ("exact", "dilated"):
             cqe_run(ham, CqeConfig(variant=variant, execution=execution, max_iterations=6))
     assert calls == []
+
+
+def test_sampled_loop_forms_no_n4_tensor(monkeypatch):
+    # the estimator hands the loop the link vector of the measured channel
+    _, ham = _h4()
+    calls = _n4_spies(monkeypatch, ham)
+    estimator = EstimatorConfig(shots=2000, seed=3)
+    for variant in ("cse", "hcse", "acse"):
+        config = CqeConfig(variant=variant, execution="sampled", max_iterations=6, estimator=estimator)
+        cqe_run(ham, config)
+    assert calls == []
+
+
+@pytest.mark.parametrize("eta0", [1e4, 1e9])
+def test_huge_fixed_unitary_step_stalls_within_seconds(eta0):
+    # a unitary factor never overflows: only the Taylor kernel's segment bound
+    # ends the first trial (about 7 800 segments at eta 1e4 here), which books
+    # it at energy +inf, so the fixed step is rejected
+    ham = build_hamiltonian(load_fixture("h4_d1.00"))
+    start = time.perf_counter()
+    result = cqe_run(ham, CqeConfig(variant="acse", line_search=LineSearch("fixed", eta0)))
+    assert result.status == "stalled" and len(result.iterations) == 1
+    assert time.perf_counter() - start < 20.0
 
 
 def test_exact_and_dilated_runs_build_no_scipy_matrix(monkeypatch):
