@@ -3,7 +3,7 @@
 Every exponential below runs through one Taylor kernel, ``_taylor_series``
 (``_taylor_action`` when the output's norm is not needed): it takes the
 action of the generator on a vector and the generator's exact 1-norm
-(``norm1``, read off the CSR arrays once per operator by ``fock._norm1``)
+(``norm1``, read off the CSR arrays once per operator)
 and sums segmented Taylor series from matrix-vector products alone, so no
 matrix (scaled, shifted, block or exponential) is built per call.  Segments
 have 1-norm at most theta_40 = 6.0 of Al-Mohy & Higham, at most
@@ -61,15 +61,17 @@ a signed partial matching of determinants, so each Hermitian observable
 (real and imaginary part per channel) has at most the three outcome values
 {-v, 0, +v}; the class probabilities are quadratic forms read off the
 sector's excitation pattern, one product with ``|P^T|`` and one with
-``P^T`` for every vector of both channels, and no eigenbasis is ever formed
-(``pair_excitation_matrix`` with a dense ``eigh`` is the test oracle).
-Both modes read these classes: exact mode takes the expectation
-``v (P+ - P-)``, and with ``shots`` set every observable gets multinomial
-counts over its classes, all drawn in one call, which reproduces hardware
-shot noise exactly rather than through a Gaussian surrogate.  Where each
-canonical element sits among the links is located once per sector
-(``_estimator_table``).  The canonical S and A values then form the link
-vector of R = (S + A) / 2 (see ``fock``), which
+``P^T`` (``fock._transition_elements``) for every vector of both channels,
+and no eigenbasis is ever formed (``pair_excitation_matrix`` with a dense
+``eigh`` is the test oracle).  Both modes read these classes: exact mode
+takes the expectation ``v (P+ - P-)``, and with ``shots`` set every
+observable gets multinomial counts over its classes, all drawn in one
+call, which reproduces hardware shot noise exactly rather than through a
+Gaussian surrogate.  The measured elements are the sector's linked
+canonical elements, which are its links ``m`` with pair(ij) <= pair(kl)
+(``_Excitations.upper``), each read through the pattern column of its pair
+adjoint.  Their S and A values form the link vector of R = (S + A) / 2
+(see ``fock``), which
 ``residuals.residual_channel`` maps to the requested channel with the
 sector's link adjoint, as it does for the exactly contracted residual.
 The solver reads that link vector; ``estimate_residual_w`` checks its
@@ -80,8 +82,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import NamedTuple
+from functools import partial
 
 import numpy as np
 
@@ -95,6 +96,7 @@ from .fock import (
     _LinkOperator,
     _link_magnitudes,
     _link_tensor,
+    _transition_elements,
 )
 from .residuals import RESIDUAL_VARIANTS, energy, residual_channel
 
@@ -509,48 +511,12 @@ def pair_excitation_matrix(basis: Basis, i: int, j: int, k: int, l: int) -> np.n
     if k > l:
         k, l, sign = l, k, -sign
     ex = _excitations(basis)
-    link = ex.locate(((k * n + l) * n + i) * n + j)
-    if link < len(ex.support):
+    flat = ((k * n + l) * n + i) * n + j
+    link = np.searchsorted(ex.support, flat)
+    if link < len(ex.support) and ex.support[link] == flat:
         span = slice(ex.by_link.indptr[link], ex.by_link.indptr[link + 1])
         nonzeros = ex.by_link.indices[span]
         out[ex.rows[nonzeros], ex.indices[nonzeros]] = sign * ex.by_link.data[span]
-    return out
-
-
-@lru_cache(maxsize=8)
-def _canonical_columns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical elements as an (m, 4) array, the flat n^4 index of the
-    excitation-pattern element of each (as in ``pair_excitation_matrix``; a
-    sector's ``locate`` finds its link) and the diagonal mask (i, j) == (k, l)."""
-    elements = np.array(canonical_elements(n), dtype=np.int64)
-    i, j, k, l = elements.T
-    out = (elements, ((k * n + l) * n + i) * n + j, (i == k) & (j == l))
-    for arr in out:
-        arr.setflags(write=False)  # shared by every caller of the cache
-    return out
-
-
-class _EstimatorTable(NamedTuple):
-    """Where a sector's canonical elements sit among its links (``_estimator_table``)."""
-
-    link: np.ndarray     # link of each element's pattern column, or the link count if none
-    linked: np.ndarray   # elements with a link
-    drawn: np.ndarray    # (2, elements): Re and Im parts that take draws (a diagonal Im part takes none)
-    column: np.ndarray   # link of each linked element's pattern column (k, l, i, j)
-    adjoint: np.ndarray  # link of that column's pair adjoint, the element (i, j, k, l)
-
-
-@lru_cache(maxsize=64)
-def _estimator_table(basis: Basis) -> _EstimatorTable:
-    """The estimator's view of a sector's links, located once per sector."""
-    ex = _excitations(basis)
-    _, cols, diag = _canonical_columns(basis.n_spin_orbitals)
-    link = ex.locate(cols)
-    linked = link < len(ex.support)
-    column = link[linked]
-    out = _EstimatorTable(link, linked, np.stack([linked, linked & ~diag]), column, ex.adjoint[column])
-    for arr in out:
-        arr.setflags(write=False)  # shared by every estimate on the sector
     return out
 
 
@@ -564,10 +530,10 @@ def estimate_residual_w(
 ) -> TwoBodyTensor:
     """Estimate a contracted residual tensor from the dilated probe state.
 
-    Every canonical element of a measured channel has the outcome classes
-    {+v, -v, 0} of ``_outcome_classes``.  Exact mode (``shots=None``) takes
-    their expectation ``v (P+ - P-)``, so the only deviation from the true
-    residual is the O(delta^2) dilation bias.  Shot mode draws one
+    Every linked canonical element of a measured channel has the outcome
+    classes {+v, -v, 0} of ``_outcome_classes``.  Exact mode (``shots=None``)
+    takes their expectation ``v (P+ - P-)``, so the only deviation from the
+    true residual is the O(delta^2) dilation bias.  Shot mode draws one
     multinomial per element and part over the same classes, which gives the
     sample mean the distribution of sampling its eigenbasis, and requires a
     seed.  ``delta``, ``shots`` and ``seed`` obey the rules of
@@ -609,33 +575,34 @@ def _estimate_links(
     if variant != "hcse":  # ancilla Y
         channels.append(((top - 1j * bottom) / np.sqrt(2.0), (top + 1j * bottom) / np.sqrt(2.0)))
     value, probs = _outcome_classes(basis, channels)
-    table = _estimator_table(basis)
+    ex = _excitations(basis)
+    column = ex.adjoint[ex.upper]  # the link of each element's pattern column
     if shots is None:
         mean = probs[..., 0] - probs[..., 1]
     else:
-        # an element without links, and the Im part of a diagonal one, is zero: no draw
-        rows = np.clip(probs[:, table.drawn], 0.0, None)
+        # the Im part of a diagonal element is zero: no draw
+        drawn = np.stack([np.ones(len(column), dtype=bool), column != ex.upper])
+        rows = np.clip(probs[:, drawn], 0.0, None)
         total = rows.sum(axis=2, keepdims=True)
         if not np.all(np.isfinite(total)) or np.any(total <= 0):
             raise RuntimeError("invalid outcome distribution in shot sampler")
         counts = np.random.default_rng(seed).multinomial(shots, (rows / total).reshape(-1, 3))
         mean = np.zeros(probs.shape[:3])
-        mean[:, table.drawn] = ((counts[:, 0] - counts[:, 1]) / shots).reshape(len(channels), -1)
+        mean[:, drawn] = ((counts[:, 0] - counts[:, 1]) / shots).reshape(len(channels), -1)
     readout = value * (mean[:, 0] + 1j * mean[:, 1])
     s = readout[0] / delta if variant != "acse" else 0.0
     a = -1j * readout[-1] / delta if variant != "hcse" else 0.0
     # S is pair-Hermitian and A pair-anti-Hermitian, so R is (s + a) / 2 at
     # each element (i, j, k, l) and conj(s - a) / 2 at its pair adjoint
     # (k, l, i, j), the link of the element's pattern column
-    ex = _excitations(basis)
     raw = np.zeros(len(ex.support), dtype=complex)
-    raw[table.adjoint] = (0.5 * (s + a))[table.linked]
-    raw[table.column] = (0.5 * np.conj(s - a))[table.linked]
+    raw[ex.upper] = 0.5 * (s + a)
+    raw[column] = 0.5 * np.conj(s - a)
     return residual_channel(raw, variant, ex.pair_adjoint)
 
 
 def _outcome_classes(basis: Basis, channels) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form outcome classes of probe channels for every canonical element.
+    """Closed-form outcome classes of probe channels for every measured element.
 
     A channel ``(x, y)`` reads the Hermitian part ``(G + G^+)/2`` ("Re") and
     the anti-Hermitian part ``(G - G^+)/2i`` ("Im") of
@@ -651,24 +618,26 @@ def _outcome_classes(basis: Basis, channels) -> tuple[np.ndarray, np.ndarray]:
     diagonal element is ``n_i n_j`` with spectrum {0, 1}: ``P(+1) = m(x)``,
     ``P(-1) = m(y)``, and its Im part vanishes.  ``P(0)`` is the rest of
     ``|x|^2 + |y|^2``.  The m and g of every vector of every channel come
-    from one product each with ``|P^T|`` and ``P^T`` on the block of their
-    pattern-row inputs.
+    from one product each with ``|P^T|`` and ``P^T`` (``_transition_elements``)
+    on the block of their pattern-row inputs.
 
+    The elements are the sector's linked canonical elements (i, j, k, l),
+    the links ``_Excitations.upper`` in ascending order, and each reads the
+    pattern column of ``G``, the link of its pair adjoint (k, l, i, j).
     Returns the outcome value v (1/2, or 1 on the diagonal) of each element
-    of ``_canonical_columns`` and the probabilities of +v, -v and 0, shape
-    (channels, 2, elements, 3) for the Re and Im parts.
+    and the probabilities of +v, -v and 0, shape (channels, 2, elements, 3)
+    for the Re and Im parts.
     """
     ex = _excitations(basis)
-    _, _, diag = _canonical_columns(basis.n_spin_orbitals)
-    link = _estimator_table(basis).link  # an appended zero row serves an element with no links
+    column = ex.adjoint[ex.upper]
+    diag = column == ex.upper
     vecs = np.stack([v for pair in channels for v in pair], axis=1)  # columns x0, y0, x1, y1, ...
     weight = np.abs(vecs) ** 2
-    zero = np.zeros((1, vecs.shape[1]))
     pair_weight = np.take(weight, ex.rows, 0) + np.take(weight, ex.indices, 0)
     m = _csr_product(_link_magnitudes(basis), pair_weight, float)
-    g = _csr_product(ex.by_link, np.take(vecs.conj(), ex.rows, 0) * np.take(vecs, ex.indices, 0))
-    m = np.take(np.vstack([m, zero]), link, 0).T / 8.0
-    g = np.take(np.vstack([g, zero]), link, 0).T / 4.0
+    g = _transition_elements(basis, vecs, vecs)
+    m = np.take(m, column, 0).T / 8.0
+    g = np.take(g, column, 0).T / 4.0
     mx, my = m[0::2, None], m[1::2, None]  # (channels, 1, elements)
     # (channels, 2, elements): the Re and Im parts of g
     gx, gy = (np.stack([part.real, part.imag], axis=1) for part in (g[0::2], g[1::2]))

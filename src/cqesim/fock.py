@@ -294,11 +294,11 @@ class SparseOperator:
     """A linear operator restricted to one sector basis (complex CSR matrix).
 
     A complex CSR matrix is kept as given; anything else is converted.  The
-    matrix is never edited in place, so its 1-norm, which every exponential
-    of the operator needs, the column sums of ``|matrix|`` and the diagonal,
-    from which every shifted 1-norm of the estimator's probe is read, and
-    its deviation from Hermiticity, which every solver run checks, are
-    computed on first use and kept.
+    matrix is never edited in place, so the column sums of ``|matrix|`` and
+    the diagonal, from which its 1-norm (which every exponential of the
+    operator needs) and every shifted 1-norm of the estimator's probe are
+    read, and its deviation from Hermiticity, which every solver run
+    checks, are computed on first use and kept.
     """
 
     basis: Basis
@@ -315,18 +315,23 @@ class SparseOperator:
 
     @cached_property
     def norm1(self) -> float:
-        """Exact 1-norm of the matrix (``_norm1``)."""
-        return _norm1(self.matrix)
+        """Exact 1-norm of the matrix, read off the kept column sums
+        (bit for bit ``_norm1``)."""
+        return self.shifted_norm1(0.0)
 
     @cached_property
     def _column_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """Column sums of ``|matrix|`` and the diagonal, read once like ``norm1``."""
+        """Column sums of ``|matrix|`` and the diagonal, formed on first use and kept."""
         return _abs_column_sums(self.matrix), self.matrix.diagonal()
 
     def shifted_norm1(self, shift: complex) -> float:
-        """Exact 1-norm of ``matrix - shift * I`` from the kept column sums,
-        bit for bit ``_norm1(matrix, shift)``."""
-        return _shifted_max(*self._column_sums, shift)
+        """Exact 1-norm of ``matrix - shift * I`` from the kept column sums:
+        ``|a_jj - shift|`` takes the place of ``|a_jj|`` on the diagonal
+        (``a_jj = 0`` where the entry is structurally absent)."""
+        cols, diag = self._column_sums
+        if shift:
+            cols = cols + (np.abs(diag - shift) - np.abs(diag))
+        return float(cols.max(initial=0.0))
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -375,28 +380,15 @@ class _LinkOperator:
         return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape).toarray()
 
 
-def _norm1(matrix: sp.csr_matrix | _Csr, shift: complex = 0.0) -> float:
-    """Exact 1-norm of ``matrix - shift * I``, read off the CSR arrays.
-
-    Column sums of ``|data|``, with ``|a_jj - shift|`` in place of
-    ``|a_jj|`` on the diagonal (``a_jj = 0`` where the entry is structurally
-    absent); no matrix is built.  A shift reads the diagonal of a scipy
-    matrix.
-    """
-    return _shifted_max(_abs_column_sums(matrix), matrix.diagonal() if shift else None, shift)
+def _norm1(matrix: sp.csr_matrix | _Csr) -> float:
+    """Exact 1-norm of a matrix, the largest column sum of ``|data|`` read
+    off the CSR arrays; no matrix is built."""
+    return float(_abs_column_sums(matrix).max(initial=0.0))
 
 
 def _abs_column_sums(matrix: sp.csr_matrix | _Csr) -> np.ndarray:
     """Column sums of ``|matrix|`` from its CSR arrays."""
     return np.bincount(matrix.indices, np.abs(matrix.data), minlength=matrix.shape[1])
-
-
-def _shifted_max(cols: np.ndarray, diag: np.ndarray | None, shift: complex) -> float:
-    """Largest column sum of ``|matrix - shift * I|`` from the column sums
-    ``cols`` of ``|matrix|`` and, for a nonzero shift, the diagonal ``diag``."""
-    if shift:
-        cols = cols + (np.abs(diag - shift) - np.abs(diag))
-    return float(cols.max(initial=0.0))
 
 
 def _csr_product(matrix: sp.csr_matrix | _Csr, vec: np.ndarray, dtype=complex) -> np.ndarray:
@@ -490,7 +482,9 @@ def pair_matrix(coeffs: np.ndarray) -> np.ndarray:
 # antisymmetric tensor T that vanishes off the images of the links, so
 # P @ c  is the CSR data of J[T], and  P^T (conj(bra)[rows] * ket[cols])
 # holds 4 <bra| a^+_k a^+_l a_j a_i |ket> at every link.  The pair adjoint
-# (k, l, i, j) of a link is a link too (``adjoint``), and since each
+# (k, l, i, j) of a link is a link too (``adjoint``), so the links with
+# pair(ij) <= pair(kl) (``upper``) hold one of each adjoint pair: in order,
+# the linked elements of ``evolution.canonical_elements``.  Since each
 # canonical entry stands for four index images, the Frobenius norm of T is
 # 2 |c| and the Frobenius product of two such tensors 4 <c, c'>.
 # ---------------------------------------------------------------------------
@@ -501,6 +495,7 @@ class _Excitations:
     by_link: sp.csr_matrix   # P^T, (links, sector nonzeros), entries 4 s' s
     support: np.ndarray      # flat n^4 index of each link's canonical element, ascending
     adjoint: np.ndarray      # link position of each link's pair adjoint (k, l, i, j)
+    upper: np.ndarray        # links with pair(ij) <= pair(kl), ascending: the linked canonical elements
     rows: np.ndarray         # sector row of each nonzero
     indices: np.ndarray      # sector column of each nonzero (CSR indices)
     indptr: np.ndarray       # CSR row pointer of the sector matrix
@@ -508,11 +503,6 @@ class _Excitations:
     def pair_adjoint(self, links: np.ndarray) -> np.ndarray:
         """The link vector of ``T^+``: ``conj(links)`` at each link's pair adjoint."""
         return np.conj(links[self.adjoint])
-
-    def locate(self, flat):
-        """Link position of each flat n^4 index, or the link count where it is no link."""
-        pos = np.searchsorted(self.support, flat)
-        return np.where(np.append(self.support, -1)[pos] == flat, pos, len(self.support))
 
 
 def _lowerings(basis: Basis):
@@ -560,18 +550,20 @@ def _excitations(basis: Basis) -> _Excitations:
     )
     half, low = np.divmod(support, n * n)  # (i n + j, k n + l) of each link
     adjoint = np.searchsorted(support, low * n * n + half)
+    upper = np.flatnonzero(np.arange(len(support)) <= adjoint)
     indptr = np.searchsorted(rows, np.arange(dim + 1)).astype(np.int32)
     indices = cols.astype(np.int32)
     for structure in (indptr, indices):
         structure.setflags(write=False)  # shared by every _LinkOperator of the sector
-    return _Excitations(by_link, support, adjoint, rows, indices, indptr)
+    return _Excitations(by_link, support, adjoint, upper, rows, indices, indptr)
 
 
 def _transition_elements(basis: Basis, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
     """``P^T (conj(bra)[rows] * ket[cols])``: 4 <bra| a^+_k a^+_l a_j a_i |ket>
-    at every link (i, j, k, l) of the sector."""
+    at every link (i, j, k, l) of the sector; ``bra`` and ``ket`` are vectors
+    or (dim, k) blocks, whose columns give the columns of the result."""
     ex = _excitations(basis)
-    return _csr_product(ex.by_link, bra.conj()[ex.rows] * ket[ex.indices])
+    return _csr_product(ex.by_link, np.take(bra.conj(), ex.rows, 0) * np.take(ket, ex.indices, 0))
 
 
 @lru_cache(maxsize=64)

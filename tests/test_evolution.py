@@ -9,7 +9,6 @@ from cqesim import evolution
 from cqesim.evolution import (
     DilationPolicy,
     EstimatorConfig,
-    _canonical_columns,
     _csr_product,
     _outcome_classes,
     ancilla_branch,
@@ -323,20 +322,21 @@ def test_norm1_matches_dense_column_sums(name):
     ham = _probe_operator(name, rng)
     e = energy(ham, _random_state(rng, ham.basis))
     assert e != 0.0
-    for shift in (0.0, e):
+    for shift, got in ((0.0, ham.norm1), (e, ham.shifted_norm1(e))):
         dense = np.abs(ham.dense() - shift * np.eye(len(ham.basis))).sum(axis=0).max()
-        assert _norm1(ham.matrix, shift) == pytest.approx(dense, rel=1e-14)
+        assert got == pytest.approx(dense, rel=1e-14)
 
 
 @pytest.mark.parametrize("name", ["h2_d0.74", "h4_d1.00", "no_diagonal"])
 def test_shifted_norm1_from_kept_column_sums(name):
-    # the probe's shifted 1-norm reads the column sums and diagonal that the
-    # operator keeps, with the bits of _norm1 and the dense column-sum value
+    # the probe's shifted 1-norm and the operator's 1-norm read the column
+    # sums and diagonal that the operator keeps; unshifted, they have the
+    # bits of _norm1, which step factors read, and all match the dense value
     rng = np.random.default_rng(88)
     ham = _probe_operator(name, rng)
+    assert ham.shifted_norm1(0.0) == ham.norm1 == _norm1(ham.matrix)
     for shift in (0.0, energy(ham, hf_state(ham)), -3.7, 2.5):
         got = ham.shifted_norm1(shift)
-        assert got == _norm1(ham.matrix, shift)
         dense = np.abs(ham.dense() - shift * np.eye(len(ham.basis))).sum(axis=0).max()
         assert got == pytest.approx(dense, rel=1e-14)
 
@@ -862,6 +862,13 @@ def test_shot_mode_converges_to_exact_probe_value():
     assert np.linalg.norm(sampled.coeffs - exact.coeffs) < 0.1
 
 
+def _measured_elements(basis):
+    """The (i, j, k, l) of each element the estimator measures, decoded from its link."""
+    ex = evolution._excitations(basis)
+    n = basis.n_spin_orbitals
+    return np.stack(np.unravel_index(ex.support[ex.upper], (n,) * 4), axis=1)
+
+
 def _merged_eigh_classes(gamma, part, x, y, value):
     """Oracle: sample-mean outcome classes from a dense eigh of one Hermitian part."""
     herm = (gamma + gamma.conj().T) / 2 if part == 0 else (gamma - gamma.conj().T) / 2j
@@ -875,6 +882,9 @@ def _merged_eigh_classes(gamma, part, x, y, value):
 
 @pytest.mark.parametrize("fixture", ["h2_d0.74", "h4_d1.00"])
 def test_outcome_classes_match_eigh_oracle(fixture):
+    # the estimator measures the sector's linked canonical elements, the
+    # links with pair(ij) <= pair(kl) (``upper``); every other canonical
+    # element acts as zero in the sector, so it carries no signal
     rng = np.random.default_rng(85)
     ham = build_hamiltonian(load_fixture(fixture))
     basis = ham.basis
@@ -887,8 +897,12 @@ def test_outcome_classes_match_eigh_oracle(fixture):
         "z": (top, bottom),
         "y": ((top - 1j * bottom) / np.sqrt(2.0), (top + 1j * bottom) / np.sqrt(2.0)),
     }
-    elements, _, _ = _canonical_columns(basis.n_spin_orbitals)
-    assert [tuple(e) for e in elements] == list(canonical_elements(basis.n_spin_orbitals))
+    n = basis.n_spin_orbitals
+    elements = _measured_elements(basis)
+    measured = set(map(tuple, elements.tolist()))
+    for e in canonical_elements(n):
+        if e not in measured:
+            assert not np.any(pair_excitation_matrix(basis, *e))
     readout = {}
     value, classes = _outcome_classes(basis, list(channels.values()))
     for (name, (x, y)), probs in zip(channels.items(), classes):
@@ -944,20 +958,21 @@ def test_one_multinomial_call_draws_as_one_call_per_channel():
     top, bottom = probe[:dim], probe[dim:]
     channels = [(top, bottom), ((top - 1j * bottom) / np.sqrt(2.0), (top + 1j * bottom) / np.sqrt(2.0))]
     value, classes = _outcome_classes(ham.basis, channels)
-    table = evolution._estimator_table(ham.basis)
+    elements = _measured_elements(ham.basis)
+    i, j, k, l = elements.T
+    off = (i != k) | (j != l)  # a diagonal element's Im part takes no draw
+    drawn = np.stack([np.ones_like(off), off])
     rng = np.random.default_rng(seed)
     readout = []
     for probs in classes:
-        rows = np.clip(probs[table.drawn], 0.0, None)
+        rows = np.clip(probs[drawn], 0.0, None)
         counts = rng.multinomial(shots, rows / rows.sum(axis=1, keepdims=True))
-        mean = np.zeros(table.drawn.shape)
-        mean[table.drawn] = (counts[:, 0] - counts[:, 1]) / shots
+        mean = np.zeros(drawn.shape)
+        mean[drawn] = (counts[:, 0] - counts[:, 1]) / shots
         readout.append(value * (mean[0] + 1j * mean[1]))
     s, a = readout[0] / delta, -1j * readout[1] / delta
     est = estimate_residual_w(ham, psi, variant="cse", delta=delta, shots=shots, seed=seed).coeffs
-    elements, _, diag = _canonical_columns(ham.basis.n_spin_orbitals)
-    off = table.linked & ~diag  # R = (S + A) / 2 at each linked off-diagonal element
-    i, j, k, l = elements[off].T
+    i, j, k, l = elements[off].T  # R = (S + A) / 2 at each measured off-diagonal element
     assert np.abs(a[off]).max() > 0 and np.abs(s[off]).max() > 0
     np.testing.assert_array_equal(est[i, j, k, l], (0.5 * (s + a))[off])
 

@@ -26,6 +26,7 @@ from cqesim.fock import (
     tensor_norm,
     two_body_to_operator,
 )
+from cqesim.evolution import canonical_elements
 
 import _jw_dense as jw
 
@@ -348,6 +349,13 @@ def test_link_adjoint_is_an_involution_on_the_support(n, n_elec, sz):
     np.testing.assert_array_equal(ex.adjoint[ex.adjoint], np.arange(len(ex.support)))
     links = np.arange(len(ex.support)) * (1.0 + 2.0j)
     np.testing.assert_array_equal(ex.pair_adjoint(ex.pair_adjoint(links)), links)
+    # the estimator's measured links are the linked canonical elements, in
+    # the order of canonical_elements, which fixes the order of its draws
+    linked = set(ex.support.tolist())
+    upper = np.unravel_index(ex.support[ex.upper], (n,) * 4)
+    assert list(zip(*(axis.tolist() for axis in upper))) == [
+        e for e in canonical_elements(n) if np.ravel_multi_index(e, (n,) * 4) in linked
+    ]
 
 
 @pytest.mark.parametrize("n, n_elec, sz", [(4, 2, 0), (6, 2, 0), (6, 3, 1)])

@@ -10,6 +10,7 @@ from cqesim.fock import (
     TwoBodyTensor,
     _excitations,
     _link_tensor,
+    _transition_elements,
     antisymmetrize,
     apply_string,
     build_basis,
@@ -62,6 +63,18 @@ def test_compute_2rdm_matches_brute_force(n, n_elec, sz):
     got_d = compute_2rdm(bra).tensor
     ref_d = jw.rdm2(n, jw.embed(basis, bra.amplitudes), jw.embed(basis, bra.amplitudes))
     np.testing.assert_allclose(got_d, ref_d, atol=1e-12)
+
+
+def test_transition_elements_of_a_block_are_those_of_its_columns():
+    # the estimator's outcome classes read a (dim, k) block through the same
+    # product that the residuals read one bra and ket through
+    basis = build_hamiltonian(load_fixture("h4_d1.00")).basis
+    rng = np.random.default_rng(62)
+    bra, ket = (rng.normal(size=(len(basis), 4)) + 1j * rng.normal(size=(len(basis), 4)) for _ in range(2))
+    block = _transition_elements(basis, bra, ket)
+    assert block.shape == (len(_excitations(basis).support), 4)
+    for c in range(4):
+        assert block[:, c].tobytes() == _transition_elements(basis, bra[:, c], ket[:, c]).tobytes()
 
 
 def test_rdm2_invariants_on_random_states():

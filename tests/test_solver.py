@@ -214,9 +214,9 @@ def test_dilated_execute_computes_each_norm_once(monkeypatch, variant, norms):
     ham, psi, direction = _plan_inputs(variant)
     calls = []
 
-    def counted(matrix, shift=0.0):
+    def counted(matrix):
         calls.append(matrix)
-        return norm1(matrix, shift)
+        return norm1(matrix)
 
     def vstep(*args):
         vsteps.append(None)
