@@ -21,7 +21,8 @@ The cases:
   in exact execution with ``LineSearch("fixed", 0.3)``;
 * sampled runs with 16 000 shots, 12 iterations and seeds 5 and 9 on
   h2_d0.74, h4_d1.40 and h4_d2.00, each variant, at the default probe
-  delta and, with seed 5, at delta = -0.07;
+  delta and, with seed 5, at delta = -0.07 and with
+  ``LineSearch("fixed", 0.3)``;
 * ``estimate_residual_w`` on four fixtures x three states (Hartree-Fock, a
   random real and a random complex one) x three variants x {delta = 1e-3,
   delta = -0.07, 500 shots, 16 000 shots}.
@@ -40,10 +41,11 @@ from pathlib import Path
 import numpy as np
 
 SAMPLED_FIXTURES = ("h2_d0.74", "h4_d1.40", "h4_d2.00")
-SAMPLED_SETTINGS = (
-    ("sampled-s5", {"seed": 5}),
-    ("sampled-s9", {"seed": 9}),
-    ("sampled-s5-delta-0.07", {"seed": 5, "delta": -0.07}),
+SAMPLED_SETTINGS = (  # (label, EstimatorConfig fields, LineSearch arguments)
+    ("sampled-s5", {"seed": 5}, ()),
+    ("sampled-s9", {"seed": 9}, ()),
+    ("sampled-s5-delta-0.07", {"seed": 5, "delta": -0.07}, ()),
+    ("sampled-s5-fixed0.3", {"seed": 5}, ("fixed", 0.3)),
 )
 ESTIMATOR_FIXTURES = ("h2_d0.74", "h4_d1.00", "h4_d1.40", "h4_d2.00")
 ESTIMATOR_SETTINGS = (
@@ -99,11 +101,12 @@ def main(src: str) -> None:
                 print(f"run {stem} {variant} {name} {_run_summary(result)}")
     for stem in SAMPLED_FIXTURES:
         for variant in variants:
-            for name, kwargs in SAMPLED_SETTINGS:
+            for name, kwargs, step in SAMPLED_SETTINGS:
                 config = cq.CqeConfig(
                     variant=variant,
                     execution="sampled",
                     max_iterations=12,
+                    line_search=cq.LineSearch(*step),
                     estimator=cq.EstimatorConfig(shots=16000, **kwargs),
                 )
                 result = cq.cqe_run(hams[stem], config)

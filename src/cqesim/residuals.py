@@ -156,16 +156,21 @@ def energy(ham: SparseOperator, psi: StateVector) -> float:
     return _rayleigh(amps, _csr_product(ham.matrix, amps))[1]
 
 
-def _moments(ham: SparseOperator, psi: StateVector) -> tuple[float, float, np.ndarray]:
+def _moments(
+    ham: SparseOperator, psi: StateVector, h_amps: np.ndarray | None = None
+) -> tuple[float, float, np.ndarray]:
     """Energy E, variance and ``(H - E) psi`` of a state from its one product with H.
 
     E is bit for bit that of ``energy``, and the variance is
     ``|(H - E) psi|^2 / |psi|^2``, the one formula of ``variance``.  The
     solver reads all three, the raw residual included (``_link_residual``),
-    off the one product at every state it visits.  The state is not checked.
+    off the one product at every state it visits; ``h_amps`` is that
+    product where the caller already formed it (the step plan's accepted
+    trial), and it is formed here otherwise.  The state is not checked.
     """
     amps = psi.amplitudes
-    h_amps = _csr_product(ham.matrix, amps)
+    if h_amps is None:
+        h_amps = _csr_product(ham.matrix, amps)
     norm2, e = _rayleigh(amps, h_amps)
     shifted = h_amps - e * amps
     return e, float(np.real(np.vdot(shifted, shifted))) / norm2, shifted

@@ -7,10 +7,11 @@ anti-Hermitian (unitary) and Hermitian (non-unitary) parts, and moves
     psi  <-  normalize( exp(eta J_H) exp(eta J_A) psi ),
 
 with eta chosen by the configured line search (``LineSearch``).  The step
-rules are constants of this module: backtracking halves eta at most 20
-times, and one sufficient-decrease slope of 1e-4 serves the Armijo test,
-the acceptance and the stop of the interpolated steps and the dilated
-Wolfe reset.  The channel determines the fixed-point set:
+rules are constants of this module: backtracking halves eta down a grid of
+at most 20 halvings of ``eta0``, and one sufficient-decrease slope of 1e-4
+serves the Armijo test, the acceptance and the stop of the interpolated
+steps and the dilated Wolfe reset.  The channel determines the fixed-point
+set:
 
     cse    J = -R        stationary only on eigenstates
     hcse   J = -S        stationary only on eigenstates (S Hermitian)
@@ -64,7 +65,9 @@ exact and dilated execution the termination test reads the diagnostic norm
 of the variant's channel, and in sampled execution the estimated norm,
 since that is all the measurement protocol can see.  A visited state pays
 one product ``H psi``: its energy, variance and raw residual are all read
-off it (``residuals._moments``).
+off it (``residuals._moments``).  In exact and sampled execution that is
+the product its trial energy was read off, which the step plan keeps; a
+dilated state is a peeked register branch and forms its own.
 """
 
 from __future__ import annotations
@@ -85,11 +88,20 @@ from .evolution import (
     prepare_dilated,
     reset_ancilla,
 )
-from .fock import SparseOperator, StateVector, _excitations, _link_norm, _link_operator, _LinkOperator
+from .fock import (
+    SparseOperator,
+    StateVector,
+    _csr_product,
+    _excitations,
+    _link_norm,
+    _link_operator,
+    _LinkOperator,
+)
 from .residuals import (
     RESIDUAL_VARIANTS,
     _link_residual,
     _moments,
+    _rayleigh,
     _residual_channels,
     energy,
     residual_channel,
@@ -131,7 +143,11 @@ class LineSearch:
     step.  A moved eta is kept only if it passes the Armijo test and lies
     below the best trial, and gains within the solver's monotonicity slack
     count as none, so rounding-level wiggles of E(eta) never displace an
-    honest step.  Sampled execution backtracks only.
+    honest step.  Sampled execution backtracks only, and resumes each
+    iteration's halving at ``min(eta0, 2 eta_prev)``, one grid step above
+    the previous iteration's accepted eta (Nocedal & Wright sec. 3.5): the
+    same grid ``eta0 / 2^j`` and the same floor ``eta0 / 2^20``, with
+    fewer trials spent re-rejecting steps too long for the current state.
     """
 
     kind: str = "backtracking"
@@ -274,21 +290,23 @@ class _StepPlan:
         )
         first, *self._rest = (op for op in (self.op_a, self.op_h) if op is not None)
         self._first = _FixedStart(first, psi)
-        self._trials: dict[float, tuple[StateVector | None, float]] = {}
+        self._trials: dict[float, tuple[StateVector | None, float, np.ndarray | None]] = {}
 
-    def _realize(self, eta: float) -> tuple[StateVector | None, float]:
-        """Trial state and energy; a step whose exponential fails (a Taylor
-        series that overflows) is booked at energy +inf, so every search
-        rejects it."""
+    def _realize(self, eta: float) -> tuple[StateVector | None, float, np.ndarray | None]:
+        """Trial state, energy and product ``H phi``; the energy is bit for bit
+        that of ``energy``, and the loop hands the accepted trial's product to
+        ``_moments``.  A step whose exponential fails (a Taylor series that
+        overflows) is booked at energy +inf, so every search rejects it."""
         if eta not in self._trials:
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     out = self._first.apply(eta)
                     for op in self._rest:
                         out = apply_exp_exact(op, out, scale=eta, renormalize=True)
-                self._trials[eta] = (out, energy(self.ham, out))
+                h_out = _csr_product(self.ham.matrix, out.amplitudes)
+                self._trials[eta] = (out, _rayleigh(out.amplitudes, h_out)[1], h_out)
             except RuntimeError:
-                self._trials[eta] = (None, math.inf)
+                self._trials[eta] = (None, math.inf, None)
         return self._trials[eta]
 
     def trial(self, eta: float) -> StateVector:
@@ -297,6 +315,9 @@ class _StepPlan:
     def trial_energy(self, eta: float) -> float:
         return self._realize(eta)[1]
 
+    def trial_product(self, eta: float) -> np.ndarray:
+        return self._realize(eta)[2]
+
 
 def _search_fixed(plan: _StepPlan, ls: LineSearch, e0: float, slope: float) -> float:
     if plan.trial_energy(ls.eta0) <= e0 + _MONOTONE_SLACK:
@@ -304,10 +325,16 @@ def _search_fixed(plan: _StepPlan, ls: LineSearch, e0: float, slope: float) -> f
     raise _Stalled
 
 
-def _search_armijo(plan: _StepPlan, ls: LineSearch, e0: float, slope: float) -> float:
+def _search_armijo(
+    plan: _StepPlan, ls: LineSearch, e0: float, slope: float, start: float = math.inf
+) -> float:
+    """The first eta of the grid ``eta0 * _SHRINK**j``, j = 0 .. ``_MAX_SHRINKS``,
+    that lies at or below ``start`` and passes the Armijo test, tried in
+    halving order.  A start below eta0 skips the grid points above it and
+    keeps the floor, so it tries fewer etas, none twice."""
     eta = ls.eta0
     for _ in range(_MAX_SHRINKS + 1):
-        if plan.trial_energy(eta) <= e0 + _C1 * eta * slope:
+        if eta <= start and plan.trial_energy(eta) <= e0 + _C1 * eta * slope:
             return eta
         eta *= _SHRINK
     raise _Stalled
@@ -443,12 +470,16 @@ def cqe_run(
 
     register = _DilatedRegister(ham, psi, config.dilation) if config.execution == "dilated" else None
     sampled = config.execution == "sampled"
-    search = _SEARCHES[config.line_search.kind]
-    if sampled and search is _search_backtracking:
-        search = _search_armijo  # no stretching of a step along a shot-noisy direction
+    ls = config.line_search
+    search = _SEARCHES[ls.kind]
+    # no stretching of a step along a shot-noisy direction; each halving
+    # resumes one grid step above the last accepted eta
+    resume = sampled and search is _search_backtracking
+    start = ls.eta0
     records: list[IterationRecord] = []
     status = "max_iterations"
     previous = None  # (steepest, taken) directions of the last step, for conjugacy
+    h_psi = None  # H psi, where the accepted trial formed it
     pattern = _excitations(ham.basis)
 
     def estimate(state: StateVector, iteration: int) -> np.ndarray:
@@ -463,7 +494,7 @@ def cqe_run(
     for n in range(config.max_iterations):
         if register is not None:
             psi = register.peek()
-        e_now, var_now, shifted = _moments(ham, psi)  # the one product H psi of this state
+        e_now, var_now, shifted = _moments(ham, psi, h_psi)  # the one product H psi of this state
         prob_now = psi.success_prob
         channels = _residual_channels(_link_residual(psi, shifted), pattern.pair_adjoint)
         norms = {v: _link_norm(channels[v]) for v in RESIDUAL_VARIANTS}
@@ -501,21 +532,25 @@ def cqe_run(
         previous = (steepest, direction)
         plan = _StepPlan(ham, psi, direction)
         try:
-            eta = search(plan, config.line_search, e_now, slope)
+            if resume:
+                eta = _search_armijo(plan, ls, e_now, slope, start)
+                start = min(ls.eta0, eta / _SHRINK)
+            else:
+                eta = search(plan, ls, e_now, slope)
         except _Stalled:
             record(0.0)
             status = "stalled"
             break
 
         if register is None:
-            psi = plan.trial(eta)
+            psi, h_psi = plan.trial(eta), plan.trial_product(eta)
         else:
             register.execute(plan.op_a, plan.op_h, eta, e_now, slope)
         record(eta)
 
     if register is not None:
         psi = register.finish()
-    e_final, var_final, shifted = _moments(ham, psi)
+    e_final, var_final, shifted = _moments(ham, psi, h_psi)
     if sampled:
         final_channel = estimate(psi, config.max_iterations)
     else:

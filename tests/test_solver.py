@@ -1,5 +1,6 @@
 """Solver loop: convergence, monotonicity, execution styles, termination."""
 
+import math
 import time
 from collections import Counter
 from dataclasses import replace
@@ -429,6 +430,43 @@ def test_records_read_the_public_moments_of_their_state(fixture, variant):
         assert rec.norm_r == pytest.approx(residual(ham, top, "cse").norm(), rel=1e-12, abs=1e-15)
 
 
+def _logged_plans(monkeypatch):
+    """The list that every step plan built from here on is appended to."""
+    plans = []
+    init = _StepPlan.__init__
+
+    def logged(plan, *args):
+        init(plan, *args)
+        plans.append(plan)
+
+    monkeypatch.setattr(_StepPlan, "__init__", logged)
+    return plans
+
+
+@pytest.mark.parametrize("variant", ["cse", "hcse", "acse"])
+def test_exact_run_pays_one_h_product_per_trial_and_one_for_its_start(monkeypatch, variant):
+    # a trial's product H phi gives its energy and, once the trial is
+    # accepted, the moments and residual of the next state and of the final one
+    _, ham = _h4()
+    products = []
+
+    def spy(product):
+        def counted(matrix, vec, *args, **kwargs):
+            products.append(matrix is ham.matrix)
+            return product(matrix, vec, *args, **kwargs)
+
+        return counted
+
+    for module in (fock, residuals, evolution, solver):
+        monkeypatch.setattr(module, "_csr_product", spy(module._csr_product))
+    plans = _logged_plans(monkeypatch)
+    result = cqe_run(ham, CqeConfig(variant=variant))
+    assert result.status == "converged"
+    trials = sum(state is not None for plan in plans for state, *_ in plan._trials.values())
+    assert trials > len(result.iterations)
+    assert sum(products) == trials + 1
+
+
 def test_fci_seed_converges_without_stepping():
     _, ham = _h4()
     _, (ground,) = fci_solve(ham)
@@ -752,6 +790,51 @@ def test_dilated_h4_converges():
     assert 0 < result.success_prob < 1
 
 
+def _armijo_calls(f, start=math.inf, eta0=0.5):
+    """The accepted eta (None on a stall) and the trial etas of one Armijo
+    phase on E = f from E(0) = -1.1 with slope -1, at or below ``start``."""
+    curve = _Curve(f)
+    try:
+        eta = solver._search_armijo(curve, LineSearch(eta0=eta0), -1.1, -1.0, start)
+    except solver._Stalled:
+        eta = None
+    return eta, curve.calls
+
+
+@pytest.mark.parametrize("eta0", [0.3, 0.5, 2.0])
+def test_armijo_without_start_begins_at_eta0(eta0):
+    # the exact and dilated Armijo phase: halving from eta0 down the grid
+    eta, calls = _armijo_calls(lambda x: -1.1 - x if x < 0.05 else 1.0, eta0=eta0)
+    assert calls == [eta0 * solver._SHRINK**j for j in range(len(calls))]
+    assert eta == calls[-1] < 0.05 <= calls[-2]
+    assert _armijo_calls(lambda x: -1.1 - x if x < 0.05 else 1.0, eta0, eta0) == (eta, calls)
+    # the grid has 21 points even where eta0 / 2^20 underflows to zero
+    assert _armijo_calls(lambda x: np.inf, eta0=1e-320 * eta0)[0] is None
+
+
+@pytest.mark.parametrize("eta0", [0.3, 0.5, 2.0])
+def test_resumed_armijo_tries_only_grid_points_below_its_start(eta0):
+    # a start five halvings down tries only grid points at or below it, in
+    # halving order and none twice, and accepts the first that passes
+    start = eta0 * solver._SHRINK**5
+    eta, calls = _armijo_calls(lambda x: -1.1 - x if x < start / 6.0 else 1.0, start, eta0)
+    assert calls == [eta0 * solver._SHRINK**j for j in range(5, 9)]
+    assert eta == calls[-1]
+    # where every eta passes, the start itself is taken, in one trial
+    assert _armijo_calls(lambda x: -1.1 - x, start, eta0) == (start, [start])
+
+
+@pytest.mark.parametrize(
+    "f", [lambda x: -1.1 + x, lambda x: np.inf], ids=["uphill", "overflow"]
+)
+def test_resumed_armijo_stalls_at_the_unchanged_floor(f):
+    # from eta0 / 2^5 the grid down to the floor eta0 / 2^20 is 16 trials
+    eta, calls = _armijo_calls(f, 0.5 * solver._SHRINK**5)
+    assert eta is None
+    assert calls == [0.5 * solver._SHRINK**j for j in range(5, solver._MAX_SHRINKS + 1)]
+    assert len(calls) == 16
+
+
 # ---------------------------------------------------------------------------
 # sampled execution
 # ---------------------------------------------------------------------------
@@ -894,6 +977,67 @@ def test_exact_and_dilated_runs_build_no_scipy_matrix(monkeypatch):
     with pytest.raises(AssertionError, match="scipy sparse matrix"):
         sp.csr_matrix((2, 2))
     assert [_run_digest(cqe_run(ham, cfg)) for cfg in configs] == before
+
+
+@pytest.mark.parametrize("fixture", ["h2_d0.74", "h4_d1.40", "h4_d2.00"])
+@pytest.mark.parametrize("variant", ["cse", "hcse", "acse"])
+def test_sampled_search_resumes_one_grid_step_above_its_last_step(monkeypatch, fixture, variant):
+    # the trajectory digest's sampled runs, and one whose small eta0 is
+    # often accepted: each iteration's resumed search agrees with a cold
+    # search from eta0 on the same plan wherever the cold step lies at or
+    # below 2 eta_prev, and stays at or below 2 eta_prev otherwise; the
+    # first iteration starts at eta0, and no start lies above it
+    ham = build_hamiltonian(load_fixture(fixture))
+    armijo = solver._search_armijo
+    searches = []
+
+    def paired(plan, ls, e0, slope, start=math.inf):
+        warm = armijo(plan, ls, e0, slope, start)
+        searches.append((start, warm, armijo(plan, ls, e0, slope)))
+        return warm
+
+    monkeypatch.setattr(solver, "_search_armijo", paired)
+    skipped, capped = 0, 0
+    for estimator, line_search in (
+        (EstimatorConfig(shots=16000, seed=5), LineSearch()),
+        (EstimatorConfig(shots=16000, seed=9), LineSearch()),
+        (EstimatorConfig(shots=16000, seed=5, delta=-0.07), LineSearch()),
+        (EstimatorConfig(shots=16000, seed=5), LineSearch(eta0=0.03125)),
+    ):
+        searches.clear()
+        config = CqeConfig(
+            variant=variant,
+            execution="sampled",
+            max_iterations=12,
+            line_search=line_search,
+            estimator=estimator,
+        )
+        result = cqe_run(ham, config)
+        eta0 = line_search.eta0
+        assert [warm for _, warm, _ in searches] == [rec.eta for rec in result.iterations if rec.eta]
+        assert searches[0][0] == eta0
+        for (_, prev, _), (start, warm, cold) in zip(searches, searches[1:]):
+            assert start == min(eta0, 2.0 * prev)
+            if cold <= 2.0 * prev:
+                assert warm == cold
+            else:
+                assert warm <= 2.0 * prev
+            skipped += start < eta0
+            capped += prev == eta0
+    assert skipped > 0 and capped > 0
+
+
+def test_exact_and_dilated_searches_start_at_eta0(monkeypatch):
+    # only the sampled search resumes: every exact and dilated plan's first
+    # trial is eta0
+    plans = _logged_plans(monkeypatch)
+    for fixture in ("h2_d0.74", "h4_d1.00", "h4_d2.00"):
+        ham = build_hamiltonian(load_fixture(fixture))
+        for variant in ("cse", "hcse", "acse"):
+            for execution in ("exact", "dilated"):
+                cqe_run(ham, CqeConfig(variant=variant, execution=execution))
+    assert len(plans) > 100
+    assert all(next(iter(plan._trials)) == LineSearch().eta0 for plan in plans)
 
 
 @pytest.mark.parametrize("seed", range(1, 11))
