@@ -95,6 +95,7 @@ from .fock import (
     _excitations,
     _LinkOperator,
     _link_magnitudes,
+    _link_operator,
     _link_tensor,
     _transition_elements,
 )
@@ -241,14 +242,21 @@ def _taylor_series(matvec, norm1: float, vec: np.ndarray, first=None) -> tuple[n
     return out, acc2
 
 
+def _booked(prob: float) -> float:
+    """A booked ``success_prob`` product; one that underflows to 0.0 books
+    ``math.ulp(0.0)`` (5e-324) instead, so the state stays valid and a
+    reported 5e-324 reads as "below the float64 range"."""
+    return prob or math.ulp(0.0)
+
+
 def _renormalized(psi: StateVector, out: np.ndarray, norm2_out: float, norm2_in: float) -> StateVector:
     """``out`` normalized, with the retained weight ``min(1, |out|^2 / |psi|^2)``
-    folded into ``success_prob``; ``norm2_out`` is ``|out|^2`` and ``norm2_in``
-    is ``|psi|^2``."""
+    folded into ``success_prob`` (``_booked``); ``norm2_out`` is ``|out|^2``
+    and ``norm2_in`` is ``|psi|^2``."""
     if norm2_out == 0.0:
         raise RuntimeError("exponential step annihilated the state")
     retained = min(1.0, float(norm2_out / norm2_in))
-    return StateVector(psi.basis, out / math.sqrt(norm2_out), 0, psi.success_prob * retained)
+    return StateVector(psi.basis, out / math.sqrt(norm2_out), 0, _booked(psi.success_prob * retained))
 
 
 def apply_exp_exact(
@@ -381,7 +389,7 @@ def reset_ancilla(psi: StateVector) -> StateVector:
     """Post-select the ancilla-0 branch and book its probability.
 
     Returns the normalized sector state with
-    ``success_prob *= |u|^2 / |[u; v]|^2``.
+    ``success_prob *= |u|^2 / |[u; v]|^2``, booked by ``_booked``.
     """
     if psi.n_ancilla != 1:
         raise ValueError("reset_ancilla expects a single-ancilla state")
@@ -391,7 +399,7 @@ def reset_ancilla(psi: StateVector) -> StateVector:
     kept = float(np.vdot(u, u).real)
     if kept == 0.0:
         raise RuntimeError("ancilla-0 branch has zero weight; nothing to post-select")
-    return StateVector(psi.basis, u / np.sqrt(kept), 0, psi.success_prob * kept / total)
+    return StateVector(psi.basis, u / np.sqrt(kept), 0, _booked(psi.success_prob * kept / total))
 
 
 # ---------------------------------------------------------------------------
@@ -499,25 +507,24 @@ def pair_excitation_matrix(basis: Basis, i: int, j: int, k: int, l: int) -> np.n
     """Dense sector matrix of ``a+_i a+_j a_l a_k``: one column of the excitation pattern.
 
     The column is that of the canonical index order ``k < l``, ``i < j``,
-    each swap flipping the sign; a repeated index gives zero.
+    each swap flipping the sign; a repeated index gives zero.  It is built
+    as the operator of the link vector that holds the sign at the element's
+    link (``_link_operator``), so it reads the pattern as the solver does.
     """
     n = basis.n_spin_orbitals
-    out = np.zeros((len(basis), len(basis)), dtype=complex)
-    if i == j or k == l:
-        return out
-    sign = 0.25  # the pattern stores 4 <D'| a+_i a+_j a_l a_k |D>
-    if i > j:
-        i, j, sign = j, i, -sign
-    if k > l:
-        k, l, sign = l, k, -sign
-    ex = _excitations(basis)
-    flat = ((k * n + l) * n + i) * n + j
-    link = np.searchsorted(ex.support, flat)
-    if link < len(ex.support) and ex.support[link] == flat:
-        span = slice(ex.by_link.indptr[link], ex.by_link.indptr[link + 1])
-        nonzeros = ex.by_link.indices[span]
-        out[ex.rows[nonzeros], ex.indices[nonzeros]] = sign * ex.by_link.data[span]
-    return out
+    support = _excitations(basis).support
+    links = np.zeros(len(support), dtype=complex)
+    if i != j and k != l:
+        sign = 0.25  # the pattern stores 4 <D'| a+_i a+_j a_l a_k |D>
+        if i > j:
+            i, j, sign = j, i, -sign
+        if k > l:
+            k, l, sign = l, k, -sign
+        flat = ((k * n + l) * n + i) * n + j
+        link = np.searchsorted(support, flat)
+        if link < len(support) and support[link] == flat:
+            links[link] = sign
+    return _link_operator(links, basis).dense()
 
 
 def estimate_residual_w(

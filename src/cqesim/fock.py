@@ -183,7 +183,8 @@ class StateVector:
     ``n_ancilla`` is 0 for a bare sector state (``len(amplitudes) == len(basis)``)
     or 1 for a single-ancilla dilated state, stored as the ancilla-0 block
     followed by the ancilla-1 block.  ``success_prob`` accumulates the branch
-    weight retained across non-unitary steps and ancilla resets.
+    weight retained across non-unitary steps and ancilla resets; a product
+    below the float64 range is booked as 5e-324 (``evolution._booked``).
     """
 
     basis: Basis

@@ -58,15 +58,23 @@ the estimator hands the loop the measured channel's link vector
 (``evolution._estimate_links``), with the probe delta that
 ``EstimatorConfig`` resolves, so no execution style forms an n^4 tensor.
 
-Iteration records always carry the exactly contracted diagnostic norms of
-all three channels, split from the raw residual with one pair-adjoint
-gather (``residuals._residual_channels``, as the step plan's split is); in
-exact and dilated execution the termination test reads the diagnostic norm
-of the variant's channel, and in sampled execution the estimated norm,
-since that is all the measurement protocol can see.  A visited state pays
-one product ``H psi``: its energy, variance and raw residual are all read
-off it (``residuals._moments``).  In exact and sampled execution that is
-the product its trial energy was read off, which the step plan keeps; a
+One pass of the loop measures the state, tests the residual, picks eta
+with one step rule (fixed, the sampled resumed Armijo halving, or
+backtracking), appends one ``IterationRecord`` and then either leaves,
+on convergence or a stall, or takes the step.  A stall is a zero slope or
+a search that finds no eta; both end the pass through ``_Stalled``.  The
+final state is measured by the same helper as every visited one, with
+the iteration index ``max_iterations`` for its sampled seed.
+
+The measurement reads the exactly contracted diagnostic norms of all
+three channels, split from the raw residual with one pair-adjoint gather
+(``residuals._residual_channels``, as the step plan's split is); in exact
+and dilated execution the termination test reads the diagnostic norm of
+the variant's channel, and in sampled execution the estimated norm, since
+that is all the measurement protocol can see.  A visited state pays one
+product ``H psi``: its energy, variance and raw residual are all read off
+it (``residuals._moments``).  In exact and sampled execution that is the
+product its trial energy was read off, which the step plan keeps; a
 dilated state is a peeked register branch and forms its own.
 """
 
@@ -104,7 +112,6 @@ from .residuals import (
     _rayleigh,
     _residual_channels,
     energy,
-    residual_channel,
 )
 
 __all__ = [
@@ -190,8 +197,9 @@ class IterationRecord:
     """State metrics at the top of one iteration plus the step taken from it.
 
     The three norms are the exactly contracted diagnostics of the full,
-    Hermitian and anti-Hermitian residual channels.  ``eta`` is 0.0 when
-    the loop terminated here without stepping.
+    Hermitian and anti-Hermitian residual channels.  ``eta`` is 0.0 on the
+    last record of a run that converged or stalled, which took no step
+    from it, and the accepted step on every other record.
     """
 
     n: int
@@ -277,7 +285,9 @@ class _StepPlan:
     first factor always acts on the fixed psi, so every trial sums its kept
     Taylor terms (``_FixedStart``); the second, the Hermitian factor of a
     cse direction, acts on a state that changes with eta and runs through
-    ``apply_exp_exact``.
+    ``apply_exp_exact``.  ``realize(eta)`` is a trial's one accessor: its
+    state, energy and product ``H phi``, formed once per eta.  The searches
+    read only the energy, through ``trial_energy``.
     """
 
     def __init__(self, ham: SparseOperator, psi: StateVector, direction: np.ndarray):
@@ -292,7 +302,7 @@ class _StepPlan:
         self._first = _FixedStart(first, psi)
         self._trials: dict[float, tuple[StateVector | None, float, np.ndarray | None]] = {}
 
-    def _realize(self, eta: float) -> tuple[StateVector | None, float, np.ndarray | None]:
+    def realize(self, eta: float) -> tuple[StateVector | None, float, np.ndarray | None]:
         """Trial state, energy and product ``H phi``; the energy is bit for bit
         that of ``energy``, and the loop hands the accepted trial's product to
         ``_moments``.  A step whose exponential fails (a Taylor series that
@@ -309,17 +319,11 @@ class _StepPlan:
                 self._trials[eta] = (None, math.inf, None)
         return self._trials[eta]
 
-    def trial(self, eta: float) -> StateVector:
-        return self._realize(eta)[0]
-
     def trial_energy(self, eta: float) -> float:
-        return self._realize(eta)[1]
-
-    def trial_product(self, eta: float) -> np.ndarray:
-        return self._realize(eta)[2]
+        return self.realize(eta)[1]
 
 
-def _search_fixed(plan: _StepPlan, ls: LineSearch, e0: float, slope: float) -> float:
+def _search_fixed(plan: _StepPlan, ls: LineSearch, e0: float) -> float:
     if plan.trial_energy(ls.eta0) <= e0 + _MONOTONE_SLACK:
         return ls.eta0
     raise _Stalled
@@ -375,30 +379,26 @@ def _search_backtracking(plan: _StepPlan, ls: LineSearch, e0: float, slope: floa
     return best
 
 
-_SEARCHES = {
-    "fixed": _search_fixed,
-    "backtracking": _search_backtracking,
-}
-
-
 class _DilatedRegister:
     """Single-ancilla register executing accepted steps with V-slices.
 
     A step of size eta is ``ceil(eta / epsilon)`` slices of equal scale,
-    each counted toward the reset cap.  Slices of one generator compose
-    exactly, so each run of slices up to the next cap reset (all of them
-    under "never") is applied as one V-step of the run's summed scale: a
-    reset interval pays one Taylor call, not one per slice.  It runs the
-    accepted plan's own operators, so every V-step reads the 1-norm that
-    the plan computed once, and a zero factor (None) is never applied.  An
-    ancilla that no V-slice has rotated since it was prepared is still an
-    unentangled ``|+>``: post-selecting it discards it and books no
-    probability, so a purely unitary (acse) flow keeps ``success_prob`` at 1.
+    each counted toward the reset cap, which is ``max_steps_between_resets``
+    or, under "never", unbounded (``math.inf``).  Slices of one generator
+    compose exactly, so each run of slices up to the next cap reset is
+    applied as one V-step of the run's summed scale: a reset interval pays
+    one Taylor call, not one per slice.  It runs the accepted plan's own
+    operators, so every V-step reads the 1-norm that the plan computed
+    once, and a zero factor (None) is never applied.  An ancilla that no
+    V-slice has rotated since it was prepared is still an unentangled
+    ``|+>``: post-selecting it discards it and books no probability, so a
+    purely unitary (acse) flow keeps ``success_prob`` at 1.
     """
 
     def __init__(self, ham: SparseOperator, psi: StateVector, policy: DilationPolicy):
         self.ham = ham
         self.policy = policy
+        self.cap = math.inf if policy.reset_mode == "never" else policy.max_steps_between_resets
         self.state = prepare_dilated(psi)
         self.steps_since_reset = 0
         self.rotated = False
@@ -406,20 +406,15 @@ class _DilatedRegister:
     def peek(self) -> StateVector:
         return ancilla_branch(self.state, 0).normalized()
 
-    def _post_select(self) -> StateVector:
+    def finish(self) -> StateVector:
+        """The post-selected sector state."""
         out = reset_ancilla(self.state)
         return out if self.rotated else replace(out, success_prob=self.state.success_prob)
 
     def _reset(self):
-        self.state = prepare_dilated(self._post_select())
+        self.state = prepare_dilated(self.finish())
         self.steps_since_reset = 0
         self.rotated = False
-
-    def _maybe_cap_reset(self):
-        if self.policy.reset_mode == "never":
-            return
-        if self.steps_since_reset >= self.policy.max_steps_between_resets:
-            self._reset()
 
     def execute(
         self, op_a: _LinkOperator | None, op_h: _LinkOperator | None, eta: float, e0: float, slope: float
@@ -430,9 +425,7 @@ class _DilatedRegister:
         delta = eta / slices
         while slices:
             # the slices up to the next cap reset compose into one V-step
-            run = slices
-            if self.policy.reset_mode != "never":
-                run = min(slices, self.policy.max_steps_between_resets - self.steps_since_reset)
+            run = min(slices, self.cap - self.steps_since_reset)
             # a zero Hermitian factor makes each slice the identity: none is
             # applied, but the slices still count toward the reset cap
             if op_h is not None:
@@ -440,14 +433,12 @@ class _DilatedRegister:
                 self.rotated = True
             self.steps_since_reset += run
             slices -= run
-            self._maybe_cap_reset()
+            if self.steps_since_reset >= self.cap:
+                self._reset()
         if self.policy.reset_mode == "wolfe":
             achieved = energy(self.ham, ancilla_branch(self.state, 0))
             if achieved > e0 + _C1 * eta * slope:
                 self._reset()
-
-    def finish(self) -> StateVector:
-        return self._post_select()
 
 
 def cqe_run(
@@ -470,92 +461,67 @@ def cqe_run(
 
     register = _DilatedRegister(ham, psi, config.dilation) if config.execution == "dilated" else None
     sampled = config.execution == "sampled"
-    ls = config.line_search
-    search = _SEARCHES[ls.kind]
-    # no stretching of a step along a shot-noisy direction; each halving
-    # resumes one grid step above the last accepted eta
-    resume = sampled and search is _search_backtracking
-    start = ls.eta0
+    est, ls = config.estimator, config.line_search
+    start = ls.eta0  # where the sampled Armijo halving resumes
     records: list[IterationRecord] = []
     status = "max_iterations"
     previous = None  # (steepest, taken) directions of the last step, for conjugacy
     h_psi = None  # H psi, where the accepted trial formed it
-    pattern = _excitations(ham.basis)
+    adjoint = _excitations(ham.basis).pair_adjoint
 
-    def estimate(state: StateVector, iteration: int) -> np.ndarray:
-        """The link vector of the channel the sampled protocol measures, with
-        a seed spawned from the configured one for each iteration."""
-        est = config.estimator
-        step_seed = int(
-            np.random.SeedSequence(entropy=est.seed, spawn_key=(iteration,)).generate_state(1)[0]
-        )
-        return _estimate_links(ham, state, config.variant, est.probe_delta, est.shots, step_seed)
+    def measure(psi: StateVector, h_psi: np.ndarray | None, iteration: int):
+        """Energy, variance, the three diagnostic norms, and the followed
+        channel's link vector with its norm, all off the one product H psi;
+        sampled runs estimate the channel with a seed spawned from the
+        configured one for each iteration."""
+        e, var, shifted = _moments(ham, psi, h_psi)
+        channels = _residual_channels(_link_residual(psi, shifted), adjoint)
+        norms = {v: _link_norm(channels[v]) for v in RESIDUAL_VARIANTS}
+        if not sampled:
+            return e, var, norms, channels[config.variant], norms[config.variant]
+        seed = int(np.random.SeedSequence(entropy=est.seed, spawn_key=(iteration,)).generate_state(1)[0])
+        channel = _estimate_links(ham, psi, config.variant, est.probe_delta, est.shots, seed)
+        return e, var, norms, channel, _link_norm(channel)
 
     for n in range(config.max_iterations):
         if register is not None:
             psi = register.peek()
-        e_now, var_now, shifted = _moments(ham, psi, h_psi)  # the one product H psi of this state
-        prob_now = psi.success_prob
-        channels = _residual_channels(_link_residual(psi, shifted), pattern.pair_adjoint)
-        norms = {v: _link_norm(channels[v]) for v in RESIDUAL_VARIANTS}
-        if sampled:
-            measured = estimate(psi, n)
-            res_norm = _link_norm(measured)
-        else:
-            measured, res_norm = channels[config.variant], norms[config.variant]
-        steepest = -measured
-
-        def record(eta_taken: float):
-            records.append(
-                IterationRecord(
-                    n=n,
-                    energy=e_now,
-                    variance=var_now,
-                    norm_r=norms["cse"],
-                    norm_s=norms["hcse"],
-                    norm_a=norms["acse"],
-                    eta=eta_taken,
-                    success_prob=prob_now,
-                )
-            )
-
-        if res_norm <= config.residual_tolerance:
-            record(0.0)
-            status = "converged"
-            break
-
-        direction, slope = _conjugate(steepest, None if sampled else previous, config.variant)
-        if slope == 0.0:
-            record(0.0)
-            status = "stalled"
-            break
-        previous = (steepest, direction)
-        plan = _StepPlan(ham, psi, direction)
+        e_now, var_now, norms, measured, res_norm = measure(psi, h_psi, n)
+        eta = 0.0
         try:
-            if resume:
-                eta = _search_armijo(plan, ls, e_now, slope, start)
-                start = min(ls.eta0, eta / _SHRINK)
+            if res_norm <= config.residual_tolerance:
+                status = "converged"
             else:
-                eta = search(plan, ls, e_now, slope)
+                steepest = -measured
+                direction, slope = _conjugate(steepest, None if sampled else previous, config.variant)
+                if slope == 0.0:
+                    raise _Stalled
+                previous = (steepest, direction)
+                plan = _StepPlan(ham, psi, direction)
+                if ls.kind == "fixed":
+                    eta = _search_fixed(plan, ls, e_now)
+                elif sampled:
+                    # no stretching of a step along a shot-noisy direction;
+                    # each halving resumes one grid step above the last eta
+                    eta = _search_armijo(plan, ls, e_now, slope, start)
+                    start = min(ls.eta0, eta / _SHRINK)
+                else:
+                    eta = _search_backtracking(plan, ls, e_now, slope)
         except _Stalled:
-            record(0.0)
             status = "stalled"
+        records.append(IterationRecord(
+            n, e_now, var_now, norms["cse"], norms["hcse"], norms["acse"], eta, psi.success_prob
+        ))
+        if status != "max_iterations":
             break
-
         if register is None:
-            psi, h_psi = plan.trial(eta), plan.trial_product(eta)
+            psi, _, h_psi = plan.realize(eta)
         else:
             register.execute(plan.op_a, plan.op_h, eta, e_now, slope)
-        record(eta)
 
     if register is not None:
         psi = register.finish()
-    e_final, var_final, shifted = _moments(ham, psi, h_psi)
-    if sampled:
-        final_channel = estimate(psi, config.max_iterations)
-    else:
-        final_channel = residual_channel(_link_residual(psi, shifted), config.variant, pattern.pair_adjoint)
-    final_norm = _link_norm(final_channel)
+    e_final, var_final, _, _, final_norm = measure(psi, h_psi, config.max_iterations)
     return CqeResult(
         status=status,
         iterations=tuple(records),

@@ -105,6 +105,25 @@ def test_dilated_run_reports_success_prob(tmp_path):
     assert 0 < doc["final_success_prob"] < 1
 
 
+def test_dilated_run_whose_success_prob_underflows_completes(tmp_path):
+    # one reset per 0.002-slice books a product below the float64 range by
+    # iteration 7; the report shows 5e-324, the least positive float
+    code, out = _run(
+        tmp_path, "faint.json",
+        [
+            "run", "--fcidump", "h4_d1.40", "--variant", "hcse", "--execution", "dilated",
+            "--reset-mode", "every_k", "--reset-cap", "1", "--epsilon", "0.002",
+            "--max-iterations", "20",
+        ],
+    )
+    assert code == 0
+    doc = json.loads(out.read_text())
+    jsonschema.validate(doc, _schema())
+    assert doc["status"] == "converged"
+    assert doc["final_success_prob"] == 5e-324
+    assert '"final_success_prob": 5e-324' in out.read_text()
+
+
 def test_unconverged_run_exits_two(tmp_path):
     code, out = _run(
         tmp_path, "u.json",

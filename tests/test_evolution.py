@@ -1,5 +1,7 @@
 """Exponential steps, ancilla dilation, and the probe-based estimator."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -251,6 +253,23 @@ def test_reset_ancilla_books_branch_weight():
     reset = reset_ancilla(dilated)
     assert reset.success_prob == pytest.approx(weight, rel=1e-12)
     assert reset.norm() == pytest.approx(1.0)
+
+
+def test_booked_products_that_underflow_keep_the_least_positive_float():
+    # a retained weight that takes success_prob below the float64 range books
+    # math.ulp(0.0) = 5e-324 rather than 0.0, which no StateVector accepts
+    rng = np.random.default_rng(76)
+    basis = build_basis(4, 2, 0)
+    psi = _random_state(rng, basis)
+    faint = StateVector(basis, np.concatenate([1e-20 * psi.amplitudes, psi.amplitudes]), 1, 1e-300)
+    reset = reset_ancilla(faint)  # kept weight 1e-40
+    assert reset.success_prob == math.ulp(0.0) == 5e-324
+    assert reset.norm() == pytest.approx(1.0)
+    decay = SparseOperator(basis, -50.0 * np.eye(4))
+    for prob, booked in ((1e-300, 5e-324), (0.5, 0.5 * math.exp(-100.0))):
+        out = apply_exp_exact(decay, StateVector(basis, psi.amplitudes, 0, prob), renormalize=True)
+        assert out.success_prob == pytest.approx(booked, rel=1e-12)
+        assert out.norm() == pytest.approx(1.0)
 
 
 def test_dilation_input_validation():

@@ -161,7 +161,7 @@ def test_plan_trials_match_dense_expm(variant):
             ref = dense_expm_apply(op, ref, scale=eta)
             chained = apply_exp_exact(op, chained, scale=eta, renormalize=True)
         ref = ref.amplitudes / np.linalg.norm(ref.amplitudes)
-        got = plan.trial(eta)
+        got, _, _ = plan.realize(eta)
         assert np.linalg.norm(got.amplitudes - ref) <= 1e-12
         assert got.success_prob == pytest.approx(chained.success_prob, rel=1e-12)
 
@@ -428,6 +428,55 @@ def test_records_read_the_public_moments_of_their_state(fixture, variant):
         assert rec.energy == energy(ham, top)
         assert rec.variance == pytest.approx(variance(ham, top), rel=1e-12, abs=1e-28)
         assert rec.norm_r == pytest.approx(residual(ham, top, "cse").norm(), rel=1e-12, abs=1e-15)
+
+
+_SAMPLED = {"execution": "sampled", "max_iterations": 12}
+_ENDINGS = [  # (fixture, config, status), for each execution
+    ("h2_d0.74", CqeConfig(), "converged"),
+    ("h2_d0.74", CqeConfig(residual_tolerance=1e-15), "stalled"),  # at the Armijo floor
+    ("h4_d1.40", CqeConfig(line_search=LineSearch("fixed", 0.3)), "stalled"),  # fixed step rejected
+    ("h4_d1.40", CqeConfig(max_iterations=3, residual_tolerance=1e-12), "max_iterations"),
+    ("h2_d0.74", CqeConfig(execution="dilated"), "converged"),
+    ("h2_d0.74", CqeConfig(execution="dilated", residual_tolerance=1e-15), "stalled"),
+    ("h4_d1.40", CqeConfig(execution="dilated", max_iterations=3, residual_tolerance=1e-12), "max_iterations"),
+    (
+        "h2_d0.74",
+        CqeConfig(**_SAMPLED, residual_tolerance=0.1, estimator=EstimatorConfig(shots=320000, seed=2)),
+        "converged",
+    ),
+    ("h2_d0.74", CqeConfig(**_SAMPLED, estimator=EstimatorConfig(shots=16000, seed=5)), "stalled"),
+    (
+        "h4_d1.40",
+        CqeConfig(**_SAMPLED, variant="hcse", estimator=EstimatorConfig(shots=16000, seed=5, delta=-0.07)),
+        "max_iterations",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "fixture, config, status",
+    _ENDINGS,
+    ids=[f"{fx}-{cfg.execution}-{status}-{k}" for k, (fx, cfg, status) in enumerate(_ENDINGS)],
+)
+def test_records_mark_where_a_run_ends(fixture, config, status):
+    # one record per visited state, numbered from 0; eta is 0.0 exactly on
+    # the last record of a run that converged or stalled, and positive on
+    # every other record.  An exact run that ends without a step reports the
+    # state of its last record, read off the same product H psi
+    ham = build_hamiltonian(load_fixture(fixture))
+    result = cqe_run(ham, config)
+    records = result.iterations
+    assert result.status == status and len(records) > 1
+    assert [rec.n for rec in records] == list(range(len(records)))
+    assert all(rec.eta > 0 for rec in records[:-1])
+    last = records[-1]
+    if status == "max_iterations":
+        assert last.eta > 0 and len(records) == config.max_iterations
+        return
+    assert last.eta == 0.0
+    if config.execution == "exact":
+        norm = {"cse": last.norm_r, "hcse": last.norm_s, "acse": last.norm_a}[config.variant]
+        assert (result.energy, result.variance, result.residual_norm) == (last.energy, last.variance, norm)
 
 
 def _logged_plans(monkeypatch):
