@@ -15,11 +15,12 @@ terms come from one recurrence, ``_Terms``.  ``_FixedStart`` keeps the
 terms ``(J / |J|_1)^k psi / k!`` of one generator on one state, so the
 first segment of ``exp(eta J) psi`` costs no product once a larger eta
 has made them: a line search's trials from the same psi pay each product
-once.  An operator is a ``SparseOperator`` or a solver step factor, a
-``fock._LinkOperator`` whose CSR data sits on the sector's shared
-structure arrays with no scipy matrix around it; every product with
-either goes through ``fock._csr_product``, the sparsetools kernel behind
-scipy's ``@`` without its dispatch, so products are bit-identical to ``@``.
+once.  An operator is a ``SparseOperator``: the Hamiltonian, or a solver
+step factor whose CSR data sits on the sector's shared structure arrays.
+Every product reads the operator's bare CSR arrays (``SparseOperator.csr``)
+through ``fock._csr_product``, the sparsetools kernel behind scipy's ``@``
+without its dispatch, so products are bit-identical to ``@`` and no
+exponential imports scipy.
 
 Exact route
 -----------
@@ -93,7 +94,6 @@ from .fock import (
     TwoBodyTensor,
     _csr_product,
     _excitations,
-    _LinkOperator,
     _link_magnitudes,
     _link_operator,
     _link_tensor,
@@ -260,7 +260,7 @@ def _renormalized(psi: StateVector, out: np.ndarray, norm2_out: float, norm2_in:
 
 
 def apply_exp_exact(
-    op: SparseOperator | _LinkOperator, psi: StateVector, scale: complex = 1.0, renormalize: bool = False
+    op: SparseOperator, psi: StateVector, scale: complex = 1.0, renormalize: bool = False
 ) -> StateVector:
     """Apply ``exp(scale * op)`` to the system register of a state.
 
@@ -276,7 +276,7 @@ def apply_exp_exact(
     """
     if op.basis != psi.basis:
         raise ValueError("operator and state use different bases")
-    matrix = op.matrix
+    matrix = op.csr
     norm1 = abs(scale) * op.norm1
 
     if psi.n_ancilla == 1:
@@ -310,14 +310,14 @@ class _FixedStart:
     ``apply_exp_exact(op, psi, scale=eta, renormalize=True)`` up to rounding.
     """
 
-    def __init__(self, op: SparseOperator | _LinkOperator, psi: StateVector):
+    def __init__(self, op: SparseOperator, psi: StateVector):
         self.op = op
         self.psi = psi
-        self._kept = _Terms(partial(_csr_product, op.matrix), op.norm1, psi.amplitudes)
+        self._kept = _Terms(partial(_csr_product, op.csr), op.norm1, psi.amplitudes)
         self._norm2 = np.vdot(psi.amplitudes, psi.amplitudes).real
 
     def apply(self, eta: complex) -> StateVector:
-        matrix = self.op.matrix
+        matrix = self.op.csr
 
         def action(v):
             return eta * _csr_product(matrix, v)
@@ -340,7 +340,7 @@ def prepare_dilated(psi: StateVector) -> StateVector:
     return StateVector(psi.basis, amps, 1, psi.success_prob)
 
 
-def apply_dilated(psi: StateVector, op: SparseOperator | _LinkOperator, delta: float) -> StateVector:
+def apply_dilated(psi: StateVector, op: SparseOperator, delta: float) -> StateVector:
     """Evolve a dilated state by ``exp(i delta Y_a x op)`` (``op`` as in ``apply_exp_exact``).
 
     The generator ``[[0, delta*J], [-delta*J, 0]]`` is applied as its action
@@ -354,7 +354,7 @@ def apply_dilated(psi: StateVector, op: SparseOperator | _LinkOperator, delta: f
         raise ValueError("apply_dilated expects a single-ancilla state")
     if op.basis != psi.basis:
         raise ValueError("operator and state use different bases")
-    return _dilated_step(psi, partial(_csr_product, op.matrix), op.norm1, delta)
+    return _dilated_step(psi, partial(_csr_product, op.csr), op.norm1, delta)
 
 
 def _dilated_step(psi: StateVector, apply_j, norm1: float, delta: float) -> StateVector:
@@ -479,7 +479,7 @@ def probe_state(ham: SparseOperator, psi: StateVector, delta: float) -> StateVec
     """
     psi = psi.normalized()
     e = energy(ham, psi)
-    matrix = ham.matrix
+    matrix = ham.csr
 
     def apply_shifted(v):
         return _csr_product(matrix, v) - e * v

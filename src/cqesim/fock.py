@@ -30,6 +30,12 @@ Conventions used throughout the package:
   public residuals and the residual estimator (all through
   ``_link_tensor``) and ``reduced_hamiltonian_K`` build their n^4 tensors
   from canonical or raw entries and let it fill every index image.
+* Sector matrices are bare CSR arrays (``_Csr``): complex data on int32
+  structure, in scipy's canonical order.  Every product runs a kernel of
+  scipy's compiled sparsetools extension, which is loaded by itself
+  (``_load_sparsetools``), so the package imports no scipy package; only
+  ``SparseOperator.matrix``, ARPACK's branch of ``oracle.fci_solve`` and
+  the dense test oracle do.
 
 Functions
 ---------
@@ -42,14 +48,52 @@ apply_operator       apply a sector operator to a state vector
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
+
+
+def _load_sparsetools():
+    """scipy's compiled sparsetools extension, loaded by itself.
+
+    The package calls five of its kernels: the three behind scipy's ``@``
+    (``csr_matvec``, ``csr_matvecs``, ``csc_matvec``) in every product, and
+    the two behind ``H - H.getH()`` in the Hermiticity check.  ``import
+    scipy.sparse`` would run ``scipy/__init__`` and ``scipy/sparse/__init__``
+    too, which take longer than the rest of a cold set-up.  The extension
+    file is found in the installed scipy and loaded under its own name,
+    where a later ``import scipy.sparse`` finds and reuses it; one loaded
+    before is reused here.
+    """
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("cqesim needs scipy's sparsetools extension, and scipy is not installed")
+    stem = Path(scipy.submodule_search_locations[0], "sparse", "_sparsetools")
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    for suffix in suffixes:
+        path = stem.with_name(stem.name + suffix)
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"scipy's sparsetools extension is missing: no {stem} with a suffix in {suffixes}")
+    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+    module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_sparsetools = _load_sparsetools()
 
 __all__ = [
     "Determinant",
@@ -290,66 +334,14 @@ class TwoBodyTensor:
         return TwoBodyTensor._closed(self.n_spin_orbitals, -self.coeffs)
 
 
-@dataclass(frozen=True)
-class SparseOperator:
-    """A linear operator restricted to one sector basis (complex CSR matrix).
-
-    A complex CSR matrix is kept as given; anything else is converted.  The
-    matrix is never edited in place, so the column sums of ``|matrix|`` and
-    the diagonal, from which its 1-norm (which every exponential of the
-    operator needs) and every shifted 1-norm of the estimator's probe are
-    read, and its deviation from Hermiticity, which every solver run
-    checks, are computed on first use and kept.
-    """
-
-    basis: Basis
-    matrix: sp.csr_matrix
-
-    def __post_init__(self):
-        m = self.matrix
-        if not (isinstance(m, sp.csr_matrix) and m.dtype == complex):
-            m = sp.csr_matrix(m, dtype=complex)
-        dim = len(self.basis)
-        if m.shape != (dim, dim):
-            raise ValueError(f"matrix shape {m.shape} does not match basis size {dim}")
-        object.__setattr__(self, "matrix", m)
-
-    @cached_property
-    def norm1(self) -> float:
-        """Exact 1-norm of the matrix, read off the kept column sums
-        (bit for bit ``_norm1``)."""
-        return self.shifted_norm1(0.0)
-
-    @cached_property
-    def _column_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """Column sums of ``|matrix|`` and the diagonal, formed on first use and kept."""
-        return _abs_column_sums(self.matrix), self.matrix.diagonal()
-
-    def shifted_norm1(self, shift: complex) -> float:
-        """Exact 1-norm of ``matrix - shift * I`` from the kept column sums:
-        ``|a_jj - shift|`` takes the place of ``|a_jj|`` on the diagonal
-        (``a_jj = 0`` where the entry is structurally absent)."""
-        cols, diag = self._column_sums
-        if shift:
-            cols = cols + (np.abs(diag - shift) - np.abs(diag))
-        return float(cols.max(initial=0.0))
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    @cached_property
-    def _hermitian_deviation(self) -> float:
-        """Largest entry of ``|H - H^+|``, formed once like ``norm1``."""
-        d = self.matrix - self.matrix.getH()
-        return float(np.max(np.abs(d.data))) if d.nnz else 0.0
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return self._hermitian_deviation <= tol
-
-
 class _Csr(NamedTuple):
-    """A complex CSR matrix as the bare arrays that ``_csr_product`` and
-    ``_norm1`` read, as they read those of a ``scipy.sparse.csr_matrix``."""
+    """A complex CSR matrix as its bare arrays.
+
+    The package forms complex data on int32 structure in scipy's canonical
+    order (columns ascending within a row, none twice): the arrays of the
+    ``scipy.sparse.csr_matrix`` of the same matrix.  A scipy matrix given
+    to ``SparseOperator`` lends its own arrays.
+    """
 
     shape: tuple[int, int]
     indptr: np.ndarray
@@ -357,52 +349,161 @@ class _Csr(NamedTuple):
     data: np.ndarray
 
 
-class _LinkOperator:
-    """Sector matrix of a link vector's two-body operator (``_link_operator``).
+def _csr_rows(matrix: _Csr) -> np.ndarray:
+    """Row of each stored entry of a CSR matrix."""
+    return np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
 
-    ``matrix`` is a ``_Csr`` of the operator's data on the read-only
-    structure arrays of the sector's excitation pattern, which every such
-    operator shares; no scipy matrix is built.  Like ``SparseOperator`` it
-    offers ``basis``, ``matrix``, ``norm1`` and ``dense``, so the
-    exponentials take either.
+
+def _dense_csr(dense: np.ndarray) -> _Csr:
+    """The CSR arrays of a dense matrix's nonzero entries, row by row."""
+    rows, cols = np.nonzero(dense)
+    indptr = np.searchsorted(rows, np.arange(dense.shape[0] + 1)).astype(np.int32)
+    return _Csr(dense.shape, indptr, cols.astype(np.int32), dense[rows, cols])
+
+
+def _hermitian_deviation(matrix: _Csr) -> float:
+    """Largest entry of ``|H - H^+|`` from the CSR arrays of H.
+
+    Runs the two sparsetools kernels behind scipy's ``H - H.getH()`` on the
+    arrays, ``csr_tocsc`` for the transpose and ``csr_minus_csr``, so the
+    result is scipy's bit for bit.  A numpy merge of H with its mirror
+    entries sorts them, about five times slower on a sector of 1.8e6
+    nonzeros.
+    """
+    dim, nnz, index = matrix.shape[0], len(matrix.data), matrix.indices.dtype
+    t_ptr, t_ind, t_data = np.empty(dim + 1, index), np.empty(nnz, index), np.empty(nnz, complex)
+    _sparsetools.csr_tocsc(dim, dim, matrix.indptr, matrix.indices, matrix.data, t_ptr, t_ind, t_data)
+    d_ptr, d_ind, d_data = np.empty(dim + 1, index), np.empty(2 * nnz, index), np.empty(2 * nnz, complex)
+    _sparsetools.csr_minus_csr(
+        dim, dim, matrix.indptr, matrix.indices, matrix.data, t_ptr, t_ind, np.conj(t_data), d_ptr, d_ind, d_data
+    )
+    return float(np.abs(d_data[: d_ptr[-1]]).max(initial=0.0))
+
+
+class SparseOperator:
+    """A linear operator restricted to one sector basis, held as complex CSR arrays.
+
+    ``csr`` holds the arrays (``_Csr``) that every product, 1-norm and
+    column sum reads.  ``matrix`` is the same matrix as a
+    ``scipy.sparse.csr_matrix`` on those arrays, built on first access:
+    the package reads it only in ARPACK's branch of ``fci_solve``.  A scipy
+    matrix given to the constructor is read from its arrays (a complex CSR
+    matrix as given, and it becomes ``matrix``); a dense array is converted
+    with numpy.  The arrays are never edited in place, so the column sums
+    of ``|matrix|`` and the diagonal, from which its 1-norm (which every
+    exponential of the operator needs) and every shifted 1-norm of the
+    estimator's probe are read, and its deviation from Hermiticity, which
+    every solver run checks, are computed on first use and kept.
     """
 
-    def __init__(self, basis: Basis, matrix: _Csr):
+    def __init__(self, basis: Basis, matrix):
+        if hasattr(matrix, "tocsr"):  # a scipy matrix, so its caller has imported scipy
+            import scipy.sparse as sp
+
+            if not (isinstance(matrix, sp.csr_matrix) and matrix.dtype == complex):
+                matrix = sp.csr_matrix(matrix, dtype=complex)
+        else:
+            matrix = np.asarray(matrix, dtype=complex)
+        dim = len(basis)
+        if matrix.shape != (dim, dim):
+            raise ValueError(f"matrix shape {matrix.shape} does not match basis size {dim}")
         self.basis = basis
-        self.matrix = matrix
+        if isinstance(matrix, np.ndarray):
+            self.csr = _dense_csr(matrix)
+        else:
+            self.csr = _Csr(matrix.shape, matrix.indptr, matrix.indices, matrix.data)
+            self.matrix = matrix
+
+    @classmethod
+    def _from_csr(cls, basis: Basis, csr: _Csr) -> "SparseOperator":
+        """An operator on CSR arrays formed by the package itself.
+
+        Skips the conversion and the shape check of the public constructor,
+        as ``TwoBodyTensor._closed`` skips its checks: ``csr`` must be a
+        square ``_Csr`` of the basis size that nothing writes to.
+        """
+        out = object.__new__(cls)
+        out.basis = basis
+        out.csr = csr
+        return out
+
+    @cached_property
+    def matrix(self):
+        """The operator as a ``scipy.sparse.csr_matrix`` that shares ``csr``'s arrays."""
+        import scipy.sparse as sp
+
+        m = self.csr
+        return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
 
     @cached_property
     def norm1(self) -> float:
-        """Exact 1-norm of the matrix (``_norm1``)."""
-        return _norm1(self.matrix)
+        """Exact 1-norm of the matrix (``_norm1``), the one thing a solver
+        step factor computes from its arrays; bit for bit ``shifted_norm1(0)``."""
+        return _norm1(self.csr)
+
+    @cached_property
+    def _column_sums(self) -> np.ndarray:
+        """Column sums of ``|matrix|``, formed on first use and kept."""
+        return _abs_column_sums(self.csr)
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """The main diagonal, read-only (bit for bit ``matrix.diagonal()``)."""
+        m = self.csr
+        rows = _csr_rows(m)
+        on = rows == m.indices
+        diag = np.zeros(m.shape[0], dtype=complex)
+        np.add.at(diag, rows[on], m.data[on])
+        diag.setflags(write=False)
+        return diag
+
+    def shifted_norm1(self, shift: complex) -> float:
+        """Exact 1-norm of ``matrix - shift * I`` from the kept column sums:
+        ``|a_jj - shift|`` takes the place of ``|a_jj|`` on the diagonal
+        (``a_jj = 0`` where the entry is structurally absent).  The
+        diagonal is read only for a nonzero shift."""
+        cols = self._column_sums
+        if shift:
+            cols = cols + (np.abs(self.diagonal - shift) - np.abs(self.diagonal))
+        return float(cols.max(initial=0.0))
 
     def dense(self) -> np.ndarray:
-        m = self.matrix
-        return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape).toarray()
+        m = self.csr
+        out = np.zeros(m.shape, dtype=complex)
+        np.add.at(out, (_csr_rows(m), m.indices), m.data)
+        return out
+
+    @cached_property
+    def _deviation(self) -> float:
+        """Largest entry of ``|H - H^+|`` (``_hermitian_deviation``), formed once like ``norm1``."""
+        return _hermitian_deviation(self.csr)
+
+    def is_hermitian(self, tol: float = 1e-10) -> bool:
+        return self._deviation <= tol
 
 
-def _norm1(matrix: sp.csr_matrix | _Csr) -> float:
+def _norm1(matrix: _Csr) -> float:
     """Exact 1-norm of a matrix, the largest column sum of ``|data|`` read
     off the CSR arrays; no matrix is built."""
     return float(_abs_column_sums(matrix).max(initial=0.0))
 
 
-def _abs_column_sums(matrix: sp.csr_matrix | _Csr) -> np.ndarray:
+def _abs_column_sums(matrix: _Csr) -> np.ndarray:
     """Column sums of ``|matrix|`` from its CSR arrays."""
     return np.bincount(matrix.indices, np.abs(matrix.data), minlength=matrix.shape[1])
 
 
-def _csr_product(matrix: sp.csr_matrix | _Csr, vec: np.ndarray, dtype=complex) -> np.ndarray:
+def _csr_product(matrix: _Csr, vec: np.ndarray, dtype=complex) -> np.ndarray:
     """``matrix @ vec`` for a complex CSR matrix and a vector or (dim, k) block.
 
-    ``matrix`` is a scipy matrix or the ``_Csr`` arrays of a
-    ``_LinkOperator``: only the arrays are read.  Calls the sparsetools
-    kernel behind scipy's ``@`` directly, into a fresh zeroed complex
-    output as ``@`` does, so the product is bit-identical without the
-    per-call dispatch (about as costly as a dim-36 product).  A block is
-    made C-contiguous first, as ``@`` does too.  ``dtype=float`` serves a
-    real matrix on real input (``_link_magnitudes`` on probabilities),
-    whose product ``@`` also forms in real arithmetic.
+    ``matrix`` is a ``_Csr`` or a scipy CSR matrix: only the arrays are
+    read.  Calls the sparsetools kernel behind scipy's ``@`` directly, into
+    a fresh zeroed complex output as ``@`` does, so the product is
+    bit-identical without the per-call dispatch (about as costly as a
+    dim-36 product).  A block is made C-contiguous first, as ``@`` does
+    too.  ``dtype=float`` serves a real matrix on real input
+    (``_link_magnitudes`` on probabilities), whose product ``@`` also forms
+    in real arithmetic.
     """
     rows, cols = matrix.shape
     if vec.ndim == 1:
@@ -493,7 +594,7 @@ def pair_matrix(coeffs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Excitations:
-    by_link: sp.csr_matrix   # P^T, (links, sector nonzeros), entries 4 s' s
+    by_link: _Csr            # P^T, (links, sector nonzeros), entries 4 s' s
     support: np.ndarray      # flat n^4 index of each link's canonical element, ascending
     adjoint: np.ndarray      # link position of each link's pair adjoint (k, l, i, j)
     upper: np.ndarray        # links with pair(ij) <= pair(kl), ascending: the linked canonical elements
@@ -545,9 +646,15 @@ def _excitations(basis: Basis) -> _Excitations:
     unique, nonzero = np.unique(key, return_inverse=True)
     rows, cols = np.divmod(unique, dim)
     support, link = np.unique(pair[ket] * n * n + pair[bra], return_inverse=True)
-    # complex entries spare a cast in every product with complex tensors and states
-    by_link = sp.csr_matrix(
-        (4.0 * sign[bra] * sign[ket] + 0j, (link, nonzero)), shape=(len(support), len(unique))
+    # rows by link and columns ascending within a row: scipy's canonical CSR
+    # order (no (link, nonzero) pair occurs twice); complex entries spare a
+    # cast in every product with complex tensors and states
+    order = np.argsort(link * len(unique) + nonzero)
+    by_link = _Csr(
+        (len(support), len(unique)),
+        np.searchsorted(link[order], np.arange(len(support) + 1)).astype(np.int32),
+        nonzero[order].astype(np.int32),
+        (4.0 * sign[bra] * sign[ket] + 0j)[order],
     )
     half, low = np.divmod(support, n * n)  # (i n + j, k n + l) of each link
     adjoint = np.searchsorted(support, low * n * n + half)
@@ -555,7 +662,7 @@ def _excitations(basis: Basis) -> _Excitations:
     indptr = np.searchsorted(rows, np.arange(dim + 1)).astype(np.int32)
     indices = cols.astype(np.int32)
     for structure in (indptr, indices):
-        structure.setflags(write=False)  # shared by every _LinkOperator of the sector
+        structure.setflags(write=False)  # shared by every operator of the sector's links
     return _Excitations(by_link, support, adjoint, upper, rows, indices, indptr)
 
 
@@ -568,10 +675,11 @@ def _transition_elements(basis: Basis, bra: np.ndarray, ket: np.ndarray) -> np.n
 
 
 @lru_cache(maxsize=64)
-def _link_magnitudes(basis: Basis) -> sp.csr_matrix:
+def _link_magnitudes(basis: Basis) -> _Csr:
     """``|P^T|`` of the sector's excitation pattern (4 at every entry), which
     weighs the determinant pairs of each link in the shot estimator."""
-    return abs(_excitations(basis).by_link)
+    pattern = _excitations(basis).by_link
+    return pattern._replace(data=np.abs(pattern.data))
 
 
 def _link_norm(links: np.ndarray) -> float:
@@ -589,12 +697,16 @@ def _link_tensor(basis: Basis, links: np.ndarray) -> np.ndarray:
     return antisymmetrize(canonical.reshape((n,) * 4))
 
 
-def _link_operator(links: np.ndarray, basis: Basis) -> _LinkOperator:
+def _link_operator(links: np.ndarray, basis: Basis) -> SparseOperator:
     """Sector matrix of the two-body operator of a link vector: CSR data ``P @ links``
-    on the sector's CSR structure (``_LinkOperator``).
+    on the sector's CSR structure.
 
-    The product runs the sparsetools kernel behind scipy's ``@`` on the
-    arrays of ``P^T`` read as the CSC arrays of P, without the dispatch.
+    The operator shares the read-only structure arrays of the sector's
+    excitation pattern with every other operator of the sector's links,
+    and skips the public constructor's checks (``SparseOperator._from_csr``);
+    a solver step factor reads only its column sums, for its 1-norm.  The
+    product runs the sparsetools kernel behind scipy's ``@`` on the arrays
+    of ``P^T`` read as the CSC arrays of P, without the dispatch.
     """
     ex = _excitations(basis)
     pattern = ex.by_link
@@ -606,7 +718,7 @@ def _link_operator(links: np.ndarray, basis: Basis) -> _LinkOperator:
         np.ascontiguousarray(links, dtype=complex), data,
     )
     dim = len(basis)
-    return _LinkOperator(basis, _Csr((dim, dim), ex.indptr, ex.indices, data))
+    return SparseOperator._from_csr(basis, _Csr((dim, dim), ex.indptr, ex.indices, data))
 
 
 def two_body_to_operator(tensor: TwoBodyTensor, basis: Basis) -> SparseOperator:
@@ -618,9 +730,7 @@ def two_body_to_operator(tensor: TwoBodyTensor, basis: Basis) -> SparseOperator:
     """
     if tensor.n_spin_orbitals != basis.n_spin_orbitals:
         raise ValueError("tensor and basis have different orbital counts")
-    m = _link_operator(tensor.coeffs.ravel()[_excitations(basis).support], basis).matrix
-    # the operator gets its own structure arrays, so in-place edits of it leave the pattern be
-    return SparseOperator(basis, sp.csr_matrix((m.data, m.indices.copy(), m.indptr.copy()), shape=m.shape))
+    return _link_operator(tensor.coeffs.ravel()[_excitations(basis).support], basis)
 
 
 def _one_body_coeffs(h_so: np.ndarray, n_electrons: int) -> np.ndarray:
@@ -657,4 +767,4 @@ def apply_operator(op: SparseOperator, psi: StateVector) -> StateVector:
         raise ValueError("operator and state use different bases")
     if psi.n_ancilla != 0:
         raise ValueError("apply_operator expects an ancilla-free state")
-    return StateVector(psi.basis, op.matrix @ psi.amplitudes, 0, psi.success_prob)
+    return StateVector(psi.basis, _csr_product(op.csr, psi.amplitudes), 0, psi.success_prob)

@@ -24,11 +24,12 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fock import (
     SparseOperator,
     TwoBodyTensor,
+    _Csr,
+    _csr_rows,
     _one_body_coeffs,
     antisymmetrize,
     build_basis,
@@ -239,15 +240,25 @@ def build_hamiltonian(
     The sector defaults to the electron count and spin projection recorded
     in the integral header.  The matrix is ``J[K] + core`` with K from
     ``reduced_hamiltonian_K``, so the sector needs at least two electrons.
+    The core energy goes onto every diagonal entry of ``J[K]``, and the
+    entries that then read exactly zero are dropped, so the arrays are those
+    of scipy's ``J[K] + core * identity``, which stores no zero.
     """
     n_elec = integrals.n_electrons if n_electrons is None else n_electrons
     sz = integrals.ms2 if sz_twice is None else sz_twice
     basis = build_basis(integrals.n_spin_orbitals, n_elec, sz)
     k_tensor = reduced_hamiltonian_K(integrals, basis.n_electrons)
-    matrix = two_body_to_operator(k_tensor, basis).matrix
-    if integrals.core:
-        matrix = matrix + integrals.core * sp.identity(len(basis), format="csr")
-    return SparseOperator(basis, matrix)
+    op = two_body_to_operator(k_tensor, basis)
+    if not integrals.core:
+        return op
+    m = op.csr
+    rows = _csr_rows(m)
+    # every determinant lowers a pair (N >= 2), so J[K] stores the whole diagonal;
+    # adding 0.0 off it is scipy's arithmetic too (it turns -0.0 into 0.0)
+    data = m.data + integrals.core * (rows == m.indices)
+    keep = data != 0
+    indptr = np.searchsorted(rows[keep], np.arange(len(basis) + 1)).astype(np.int32)
+    return SparseOperator._from_csr(basis, _Csr(m.shape, indptr, m.indices[keep], data[keep]))
 
 
 def reduced_hamiltonian_K(integrals: IntegralSet, n_electrons: int | None = None) -> TwoBodyTensor:

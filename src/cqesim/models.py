@@ -103,6 +103,11 @@ def pairing_basis() -> Basis:
 
 def build_pairing_hamiltonian(model: PairingModel) -> SparseOperator:
     """Assemble H strictly from two-body strings on the (4, 0) sector."""
+    return two_body_to_operator(_pairing_tensor(model), pairing_basis())
+
+
+def _pairing_tensor(model: PairingModel) -> TwoBodyTensor:
+    """The two-body coefficient tensor of the model's H."""
     n = N_SPIN_ORBITALS
     raw = np.zeros((n, n, n, n))
     # n_p n_q = a+_p a+_q a_q a_p for p != q: coefficient slot T[p,q,p,q].
@@ -111,8 +116,7 @@ def build_pairing_hamiltonian(model: PairingModel) -> SparseOperator:
     # Pair hops and their adjoints: a+_k a+_l a_j a_i sits at T[i,j,k,l].
     for i, j, k, l in ((0, 1, 2, 3), (2, 3, 0, 1), (4, 5, 6, 7), (6, 7, 4, 5)):
         raw[i, j, k, l] += model.t
-    tensor = TwoBodyTensor(n, antisymmetrize(raw))
-    return two_body_to_operator(tensor, pairing_basis())
+    return TwoBodyTensor(n, antisymmetrize(raw))
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import SparseOperator, StateVector
+from .fock import SparseOperator, StateVector, _csr_product
 
 __all__ = ["fci_solve", "dense_expm_apply", "DENSE_CUTOFF"]
 
@@ -72,7 +72,7 @@ def fci_solve(
     for col in range(n_states):
         vec = _fix_phase(vectors[:, col].astype(complex))
         vec /= np.linalg.norm(vec)
-        resid = np.linalg.norm(hamiltonian.matrix @ vec - energies[col] * vec)
+        resid = np.linalg.norm(_csr_product(hamiltonian.csr, vec) - energies[col] * vec)
         if resid > 100 * tol * max(1.0, abs(energies[col])):
             raise RuntimeError(f"eigenpair {col} residual {resid:.2e} exceeds tolerance")
         states.append(StateVector(hamiltonian.basis, vec))

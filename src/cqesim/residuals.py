@@ -153,7 +153,7 @@ def energy(ham: SparseOperator, psi: StateVector) -> float:
     """Rayleigh quotient ``<psi|H|psi> / <psi|psi>`` (real for Hermitian H)."""
     _check_basis(ham, psi)
     amps = psi.amplitudes
-    return _rayleigh(amps, _csr_product(ham.matrix, amps))[1]
+    return _rayleigh(amps, _csr_product(ham.csr, amps))[1]
 
 
 def _moments(
@@ -170,7 +170,7 @@ def _moments(
     """
     amps = psi.amplitudes
     if h_amps is None:
-        h_amps = _csr_product(ham.matrix, amps)
+        h_amps = _csr_product(ham.csr, amps)
     norm2, e = _rayleigh(amps, h_amps)
     shifted = h_amps - e * amps
     return e, float(np.real(np.vdot(shifted, shifted))) / norm2, shifted

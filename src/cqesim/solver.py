@@ -103,7 +103,6 @@ from .fock import (
     _excitations,
     _link_norm,
     _link_operator,
-    _LinkOperator,
 )
 from .residuals import (
     RESIDUAL_VARIANTS,
@@ -228,7 +227,7 @@ class CqeResult:
 
 def hf_state(ham: SparseOperator) -> StateVector:
     """Lowest-diagonal determinant (mean-field seed); bitmask breaks ties."""
-    diag = np.round(np.real(ham.matrix.diagonal()), 12)
+    diag = np.round(np.real(ham.diagonal), 12)
     k = int(np.argmin(diag))  # basis is bitmask-sorted, so first minimum wins
     amps = np.zeros(len(ham.basis), dtype=complex)
     amps[k] = 1.0
@@ -277,11 +276,11 @@ class _StepPlan:
     ``direction`` is a link vector (``fock``); its parts are
     ``(J -/+ J^+) / 2``, the channels of ``_residual_channels`` halved.  Only a
     nonzero factor gets an operator, its CSR data ``P @ c`` on the sector's
-    CSR structure (``fock._LinkOperator``), so no scipy matrix is built.  An
+    shared CSR structure (``fock._link_operator``), so no matrix is assembled.  An
     hcse direction is exactly pair-Hermitian and an acse one exactly
     pair-anti-Hermitian, so the other part is identically zero and ``op_a``
     or ``op_h`` is None.  Each operator's 1-norm is computed once
-    (``_LinkOperator.norm1``).  The
+    from its column sums alone (``SparseOperator.norm1``).  The
     first factor always acts on the fixed psi, so every trial sums its kept
     Taylor terms (``_FixedStart``); the second, the Hermitian factor of a
     cse direction, acts on a state that changes with eta and runs through
@@ -313,7 +312,7 @@ class _StepPlan:
                     out = self._first.apply(eta)
                     for op in self._rest:
                         out = apply_exp_exact(op, out, scale=eta, renormalize=True)
-                h_out = _csr_product(self.ham.matrix, out.amplitudes)
+                h_out = _csr_product(self.ham.csr, out.amplitudes)
                 self._trials[eta] = (out, _rayleigh(out.amplitudes, h_out)[1], h_out)
             except RuntimeError:
                 self._trials[eta] = (None, math.inf, None)
@@ -417,7 +416,7 @@ class _DilatedRegister:
         self.rotated = False
 
     def execute(
-        self, op_a: _LinkOperator | None, op_h: _LinkOperator | None, eta: float, e0: float, slope: float
+        self, op_a: SparseOperator | None, op_h: SparseOperator | None, eta: float, e0: float, slope: float
     ):
         if op_a is not None:  # the unitary factor acts directly on both branches
             self.state = apply_exp_exact(op_a, self.state, scale=eta)

@@ -1,8 +1,15 @@
 """Bitmask fermion algebra vs. a dense Jordan-Wigner oracle."""
 
+import importlib.machinery
+import importlib.util
+import re
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from cqesim import fock
 from cqesim.fock import (
     ANNIHILATE,
     CREATE,
@@ -27,6 +34,7 @@ from cqesim.fock import (
     two_body_to_operator,
 )
 from cqesim.evolution import canonical_elements
+from cqesim.hamiltonian import build_hamiltonian, load_fixture
 
 import _jw_dense as jw
 
@@ -433,3 +441,61 @@ def test_apply_operator_rejects_mismatch():
     psi = StateVector(basis_b, np.ones(len(basis_b)))
     with pytest.raises(ValueError):
         apply_operator(op, psi)
+
+
+# ---------------------------------------------------------------------------
+# CSR arrays, the sparsetools extension and the scipy view
+# ---------------------------------------------------------------------------
+
+
+def _skewed_h4():
+    """The H4 Hamiltonian plus a random complex sparse part, off its structure too."""
+    ham = build_hamiltonian(load_fixture("h4_d1.40"))
+    dim = len(ham.basis)
+    skew = sp.random(dim, dim, density=0.05, random_state=np.random.default_rng(41), format="csr")
+    return ham, SparseOperator(ham.basis, ham.matrix + (1e-3 - 2e-3j) * skew)
+
+
+def test_operator_reads_equal_scipy_ones():
+    # the Hermiticity deviation, diagonal and dense form are read off the
+    # CSR arrays, bit for bit as scipy reads them, on a Hermitian and on a
+    # skewed operator
+    ham, skewed = _skewed_h4()
+    assert ham.is_hermitian() and not skewed.is_hermitian(1e-4)
+    for op in (ham, skewed):
+        m = op.matrix
+        assert op._deviation == fock._hermitian_deviation(op.csr) == abs(m - m.getH()).max()
+        assert np.array_equal(op.diagonal, m.diagonal()) and not op.diagonal.flags.writeable
+        assert np.array_equal(op.dense(), m.toarray())
+
+
+def test_matrix_is_a_scipy_view_of_the_operator_arrays():
+    ham, skewed = _skewed_h4()
+    links = np.random.default_rng(42).normal(size=len(_excitations(ham.basis).support)) + 0j
+    for op in (ham, skewed, _link_operator(links, ham.basis)):
+        m = op.matrix
+        assert type(m) is sp.csr_matrix and m.dtype == complex and op.matrix is m
+        for name in ("indptr", "indices", "data"):
+            assert np.shares_memory(getattr(m, name), getattr(op.csr, name))
+    given = ham.matrix.copy()
+    assert SparseOperator(ham.basis, given).matrix is given
+    # a dense matrix converts to the arrays that scipy forms, zeros left out
+    dense = skewed.dense()
+    got, want = SparseOperator(ham.basis, dense).csr, sp.csr_matrix(dense)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_sparsetools_is_loaded_by_itself(tmp_path, monkeypatch):
+    # the one extension module that both the package and scipy.sparse use
+    from scipy.sparse import _sparsetools
+
+    assert fock._sparsetools is _sparsetools is sys.modules["scipy.sparse._sparsetools"]
+    # an installed scipy without the compiled file: the error names where it looked
+    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+    scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "sparse" / "_sparsetools"))):
+        fock._load_sparsetools()

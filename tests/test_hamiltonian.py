@@ -1,8 +1,13 @@
 """FCIDUMP I/O, Hamiltonian assembly, and the reduced two-body form."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from cqesim import fock, models
 from cqesim.fock import TwoBodyTensor, build_basis, two_body_to_operator
 from cqesim.hamiltonian import (
     FIXTURE_DIR_ENV,
@@ -245,3 +250,79 @@ def test_fixture_dir_override(tmp_path, monkeypatch):
     assert list_fixtures() == ["custom"]
     loaded = load_fixture("custom")
     np.testing.assert_array_equal(loaded.eri, src.eri)
+
+
+# ---------------------------------------------------------------------------
+# The numpy-built CSR arrays against the scipy-built ones
+# ---------------------------------------------------------------------------
+
+
+def _h6_chain():
+    """The linear H6 chain of 1.0 angstrom spacing, from the fixture generator."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    integrals, _ = module.build_integral_set([(0.0, 0.0, float(i)) for i in range(6)], 6)
+    return integrals
+
+
+def _coulomb_only():
+    """Diagonal h and only (pp|qq) integrals: most of J[K]'s stored entries are exact zeros."""
+    eri = np.zeros((3, 3, 3, 3))
+    for p in range(3):
+        for q in range(3):
+            eri[p, p, q, q] = 0.5 + 0.1 * (p + q)
+    return IntegralSet(3, 2, 0, 0.7, np.diag([-1.0, -0.5, 0.2]), eri)
+
+
+def _system(name):
+    """Basis, two-body tensor, core energy and built Hamiltonian of a test system."""
+    if name == "pairing":
+        model = models.PairingModel()
+        ham = models.build_pairing_hamiltonian(model)
+        return ham.basis, models._pairing_tensor(model), 0.0, ham
+    built = {"h6_chain": _h6_chain, "coulomb_only": _coulomb_only}
+    integrals = built[name]() if name in built else load_fixture(name)
+    ham = build_hamiltonian(integrals)
+    return ham.basis, reduced_hamiltonian_K(integrals), integrals.core, ham
+
+
+def _scipy_pattern(basis):
+    """``P^T``, the links and the sector's (row, column) of every nonzero, as
+    scipy built them: each lowering joined with every lowering of its image,
+    COO -> CSR."""
+    n, dim = basis.n_spin_orbitals, len(basis)
+    det, pair, sign, image = fock._lowerings(basis)
+    groups = {}
+    for k, m in enumerate(image.tolist()):
+        groups.setdefault(m, []).append(k)
+    ket, bra = np.array([(k, b) for group in groups.values() for k in group for b in group]).T
+    unique, nonzero = np.unique(det[bra] * dim + det[ket], return_inverse=True)
+    support, link = np.unique(pair[ket] * n * n + pair[bra], return_inverse=True)
+    data = 4.0 * sign[bra] * sign[ket] + 0j
+    by_link = sp.csr_matrix((data, (link, nonzero)), shape=(len(support), len(unique)))
+    return by_link, support, np.divmod(unique, dim)
+
+
+def _assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("name", [*list_fixtures(), "pairing", "h6_chain", "coulomb_only"])
+def test_numpy_built_arrays_equal_scipy_built_ones(name):
+    # P^T and |P^T| are scipy's COO -> CSR of the lowering join, and the
+    # Hamiltonian is scipy's J[K] + core * identity, array for array; that
+    # sum stores no zero, and J[K] of the Coulomb-only set stores many
+    basis, tensor, core, ham = _system(name)
+    by_link, support, (rows, cols) = _scipy_pattern(basis)
+    ex = fock._excitations(basis)
+    assert np.array_equal(ex.support, support)
+    _assert_same_csr(ex.by_link, by_link)
+    _assert_same_csr(fock._link_magnitudes(basis), abs(by_link))
+    dim = len(basis)
+    j_k = sp.csr_matrix((by_link.T @ tensor.coeffs.ravel()[support], (rows, cols)), shape=(dim, dim))
+    _assert_same_csr(ham.csr, j_k + core * sp.identity(dim, format="csr") if core else j_k)

@@ -1,5 +1,6 @@
 """The package namespace: what `import cqesim` exports, loads and documents."""
 
+import json
 import os
 import re
 import subprocess
@@ -21,19 +22,52 @@ def test_package_exports_every_module_all_once():
         getattr(cqesim, name)
 
 
-def test_import_leaves_dense_and_sparse_linalg_unloaded():
-    # scipy.linalg serves only the dense test oracle and scipy.sparse.linalg
-    # only sectors above the dense cutoff; both are imported where used
-    probe = (
-        "import sys, cqesim; "
-        "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules))"
-    )
+def _python(*args):
+    """Run a fresh interpreter on the package under test; its completed process."""
     src = str(Path(cqesim.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src}, cwd=ROOT,
     )
-    assert out.stdout.strip() == "[]"
+
+
+def test_set_up_and_runs_import_no_scipy_package():
+    # the package loads scipy's sparsetools extension by itself; scipy is
+    # imported only by ARPACK's branch of fci_solve, SparseOperator.matrix
+    # and the dense test oracle, and nothing below reaches them
+    probe = """
+import sys
+from cqesim import (
+    CqeConfig, EstimatorConfig, PairingModel, build_hamiltonian,
+    build_pairing_hamiltonian, cqe_run, fci_solve, list_fixtures, load_fixture,
+)
+hams = {name: build_hamiltonian(load_fixture(name)) for name in list_fixtures()}
+hams["pairing"] = build_pairing_hamiltonian(PairingModel())
+for ham in hams.values():
+    fci_solve(ham)
+for execution in ("exact", "dilated", "sampled"):
+    estimator = EstimatorConfig(shots=4000, seed=3) if execution == "sampled" else None
+    config = CqeConfig(execution=execution, max_iterations=3, estimator=estimator)
+    assert cqe_run(hams["h4_d1.40"], config).iterations
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+from scipy.sparse import _sparsetools  # a later scipy.sparse takes the package's module
+print(_sparsetools is sys.modules["cqesim.fock"]._sparsetools)
+"""
+    loaded, shared = _python("-c", probe).stdout.split("\n")[:2]
+    # no scipy, scipy.sparse, scipy.sparse.linalg or scipy.linalg: the extension alone
+    assert loaded == "['scipy.sparse._sparsetools']"
+    assert shared == "True"
+
+
+def test_cli_run_imports_no_scipy_package():
+    # -X importtime lists every module the import system loads; the
+    # sparsetools extension is loaded around it, so no scipy line appears
+    done = _python("-X", "importtime", "-m", "cqesim", "run", "--fcidump", "h4_d1.40")
+    assert json.loads(done.stdout)["status"] == "converged"
+    lines = done.stderr.splitlines()
+    imported = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+    assert "cqesim.solver" in imported
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
 
 
 def test_readme_library_example_runs(capsys):

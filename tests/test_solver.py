@@ -501,7 +501,7 @@ def test_exact_run_pays_one_h_product_per_trial_and_one_for_its_start(monkeypatc
 
     def spy(product):
         def counted(matrix, vec, *args, **kwargs):
-            products.append(matrix is ham.matrix)
+            products.append(matrix is ham.csr)
             return product(matrix, vec, *args, **kwargs)
 
         return counted
@@ -553,18 +553,18 @@ def test_initial_state_validation():
 
 def test_hermiticity_is_checked_once_per_operator(monkeypatch):
     _, ham = _h2()
-    skewed = fock.SparseOperator(ham.basis, ham.matrix.copy())
-    skewed.matrix[0, 1] += 1e-6  # |H - H^+| = 1e-6 at (0, 1) and (1, 0)
-    adjoints = []
-    for op in (ham, skewed):
-        adjoint = op.matrix.getH
-        monkeypatch.setattr(op.matrix, "getH", lambda adjoint=adjoint: adjoints.append(None) or adjoint())
+    edited = ham.matrix.copy()
+    edited[0, 1] += 1e-6  # |H - H^+| = 1e-6 at (0, 1) and (1, 0)
+    skewed = fock.SparseOperator(ham.basis, edited)
+    deviation = fock._hermitian_deviation
+    deviations = []
+    monkeypatch.setattr(fock, "_hermitian_deviation", lambda m: deviations.append(None) or deviation(m))
     for _ in range(3):
         cqe_run(ham, CqeConfig(max_iterations=1))
         with pytest.raises(ValueError, match="Hermitian"):
             cqe_run(skewed, CqeConfig(max_iterations=1))
     assert not skewed.is_hermitian(9e-7) and skewed.is_hermitian(2e-6)
-    assert len(adjoints) == 2  # one H - H^+ per operator
+    assert len(deviations) == 2  # one |H - H^+| per operator
 
 
 def test_fixed_eta_line_search():
