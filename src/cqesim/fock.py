@@ -34,16 +34,13 @@ Conventions used throughout the package:
   structure, in scipy's canonical order.  Every product runs a kernel of
   scipy's compiled sparsetools extension, which is loaded by itself
   (``_load_sparsetools``), so the package imports no scipy package; only
-  ``SparseOperator.matrix``, ARPACK's branch of ``oracle.fci_solve`` and
-  the dense test oracle do.
+  ``SparseOperator.matrix`` and ARPACK's branch of ``oracle.fci_solve`` do.
 
 Functions
 ---------
 build_basis          enumerate a fixed (N, 2*Sz) determinant sector
-apply_string         act with a product of creation/annihilation operators
 two_body_to_operator assemble the sector matrix of a two-body tensor
 one_body_to_operator the same for a one-body matrix (N >= 2)
-apply_operator       apply a sector operator to a state vector
 """
 
 from __future__ import annotations
@@ -102,23 +99,15 @@ __all__ = [
     "TwoBodyTensor",
     "SparseOperator",
     "build_basis",
-    "apply_string",
     "two_body_to_operator",
     "one_body_to_operator",
-    "apply_operator",
     "antisymmetrize",
     "pair_adjoint",
     "hermitian_part",
-    "antihermitian_part",
-    "tensor_norm",
-    "pair_matrix",
 ]
 
 # A determinant is a plain occupation bitmask.
 Determinant = int
-
-CREATE = "create"
-ANNIHILATE = "annihilate"
 
 
 @dataclass(frozen=True)
@@ -185,39 +174,6 @@ def build_basis(n_spin_orbitals: int, n_electrons: int, sz_twice: int) -> Basis:
     beta_masks = [sum(1 << (2 * p + 1) for p in occ) for occ in combinations(range(r), n_beta)]
     dets = sorted(a | b for a in alpha_masks for b in beta_masks)
     return Basis(n_spin_orbitals, n_electrons, sz_twice, tuple(dets))
-
-
-def _parity_below(det: Determinant, orbital: int) -> int:
-    """+1/-1 for even/odd occupation below ``orbital``."""
-    return -1 if bin(det & ((1 << orbital) - 1)).count("1") % 2 else 1
-
-
-def apply_string(det: Determinant, ops) -> tuple[Determinant, int] | None:
-    """Apply a product of elementary fermionic operators to a determinant.
-
-    ``ops`` is the operator string written left to right, e.g.
-    ``[("create", 1), ("annihilate", 0)]`` for ``a^+_1 a_0``; the rightmost
-    operator acts first.  Returns ``(new_det, sign)`` with ``sign = +/-1``,
-    or ``None`` when the string annihilates the determinant.
-    """
-    sign = 1
-    for kind, orbital in reversed(list(ops)):
-        if orbital < 0:
-            raise ValueError(f"negative orbital index {orbital}")
-        mask = 1 << orbital
-        if kind == CREATE:
-            if det & mask:
-                return None
-            sign *= _parity_below(det, orbital)
-            det |= mask
-        elif kind == ANNIHILATE:
-            if not det & mask:
-                return None
-            sign *= _parity_below(det, orbital)
-            det &= ~mask
-        else:
-            raise ValueError(f"unknown operator kind {kind!r}")
-    return det, sign
 
 
 @dataclass(frozen=True)
@@ -307,31 +263,6 @@ class TwoBodyTensor:
     def norm(self) -> float:
         """Frobenius norm over all four indices (no deduplication)."""
         return float(np.linalg.norm(self.coeffs))
-
-    def adjoint(self) -> "TwoBodyTensor":
-        return TwoBodyTensor._closed(self.n_spin_orbitals, pair_adjoint(self.coeffs))
-
-    def hermitian_part(self) -> "TwoBodyTensor":
-        return TwoBodyTensor._closed(self.n_spin_orbitals, hermitian_part(self.coeffs))
-
-    def antihermitian_part(self) -> "TwoBodyTensor":
-        return TwoBodyTensor._closed(self.n_spin_orbitals, antihermitian_part(self.coeffs))
-
-    def __add__(self, other):
-        return TwoBodyTensor._closed(self.n_spin_orbitals, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return TwoBodyTensor._closed(self.n_spin_orbitals, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar):
-        if np.ndim(scalar):
-            raise TypeError("a two-body tensor scales only by a scalar")
-        return TwoBodyTensor._closed(self.n_spin_orbitals, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return TwoBodyTensor._closed(self.n_spin_orbitals, -self.coeffs)
 
 
 class _Csr(NamedTuple):
@@ -547,20 +478,6 @@ def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * (coeffs + pair_adjoint(coeffs))
 
 
-def antihermitian_part(coeffs: np.ndarray) -> np.ndarray:
-    return 0.5 * (coeffs - pair_adjoint(coeffs))
-
-
-def tensor_norm(coeffs: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(coeffs).ravel()))
-
-
-def pair_matrix(coeffs: np.ndarray) -> np.ndarray:
-    """Reshape ``T[i,j,k,l]`` to the ``(ij),(kl)`` pair matrix of shape (n^2, n^2)."""
-    n = coeffs.shape[0]
-    return np.asarray(coeffs).reshape(n * n, n * n)
-
-
 # ---------------------------------------------------------------------------
 # Sector excitation pattern
 #
@@ -759,12 +676,3 @@ def one_body_to_operator(h_so: np.ndarray, basis: Basis) -> SparseOperator:
         raise ValueError(f"one-body matrix shape {h_so.shape} does not match {n} spin orbitals")
     coeffs = antisymmetrize(_one_body_coeffs(h_so, basis.n_electrons))
     return two_body_to_operator(TwoBodyTensor(n, coeffs), basis)
-
-
-def apply_operator(op: SparseOperator, psi: StateVector) -> StateVector:
-    """Apply a sector operator; the result is generally unnormalized."""
-    if op.basis != psi.basis:
-        raise ValueError("operator and state use different bases")
-    if psi.n_ancilla != 0:
-        raise ValueError("apply_operator expects an ancilla-free state")
-    return StateVector(psi.basis, _csr_product(op.csr, psi.amplitudes), 0, psi.success_prob)

@@ -71,6 +71,10 @@ class IntegralSet:
             raise ValueError(f"h shape {h.shape} does not match n_orbitals={n}")
         if eri.shape != (n, n, n, n):
             raise ValueError(f"eri shape {eri.shape} does not match n_orbitals={n}")
+        # a NaN or inf would pass the symmetry tests below and fail later as non-Hermitian
+        for name, values in (("h", h), ("eri", eri), ("core", self.core)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"non-finite integral in {name}")
         if np.max(np.abs(h - h.T), initial=0.0) > 1e-10:
             raise ValueError("one-electron matrix is not symmetric")
         for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):

@@ -51,7 +51,6 @@ __all__ = [
     "dressed_states",
     "SpherePoint",
     "sphere_state",
-    "to_sphere",
     "equator_state",
     "equator_states",
     "random_sphere_point",
@@ -91,10 +90,6 @@ class PairingModel:
     def pair_matrix(self) -> np.ndarray:
         """Single-pair two-level Hamiltonian ``[[e0/2, t], [t, e3/2]]``."""
         return np.array([[self.e0 / 2.0, self.t], [self.t, self.e3 / 2.0]])
-
-    def block_spectrum(self) -> tuple[float, float, float, float]:
-        w = self.gap_half
-        return (self.e1 - 2 * w, self.e1, self.e1, self.e1 + 2 * w)
 
 
 def pairing_basis() -> Basis:
@@ -166,42 +161,12 @@ class SpherePoint:
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"sphere point has norm {norm}, expected 1")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.g, self.m, self.x])
-
 
 def sphere_state(model: PairingModel, point: SpherePoint) -> StateVector:
     """The sector state addressed by a sphere point."""
     vecs = _block_vectors(model)
     vec4 = point.g * vecs["G"] + point.m * vecs["M"] + point.x * vecs["X"]
     return _block_state(vec4)
-
-
-def to_sphere(model: PairingModel, psi: StateVector, tol: float = 1e-8) -> SpherePoint:
-    """Project a sector state onto sphere coordinates.
-
-    Raises if the state has weight outside span{G, M, X} (up to global
-    phase) beyond ``tol``, which would mean the trajectory left the sphere.
-    """
-    if psi.basis != pairing_basis():
-        raise ValueError("state does not live on the pairing sector")
-    amps = psi.amplitudes / np.linalg.norm(psi.amplitudes)
-    vecs = _block_vectors(model)
-    frame = np.column_stack(
-        [_block_state(vecs[name]).amplitudes for name in ("G", "M", "X")]
-    )
-    coeffs = frame.conj().T @ amps
-    residual_norm = float(np.linalg.norm(amps - frame @ coeffs))
-    if residual_norm > tol:
-        raise ValueError(f"state leaks off the sphere by {residual_norm:.3e}")
-    # Rotate the global phase so the coefficients are real.
-    pivot = coeffs[int(np.argmax(np.abs(coeffs)))]
-    coeffs = coeffs * np.conj(pivot) / abs(pivot)
-    if np.max(np.abs(coeffs.imag)) > tol:
-        raise ValueError("state is not a real combination of the sphere frame")
-    g, m, x = (float(c) for c in coeffs.real)
-    norm = np.sqrt(g * g + m * m + x * x)
-    return SpherePoint(g / norm, m / norm, x / norm)
 
 
 def equator_state(model: PairingModel, theta: float) -> StateVector:

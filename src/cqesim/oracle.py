@@ -10,10 +10,6 @@ ring) are found too.  Both paths fix the eigenvector phase
 deterministically so repeated runs and golden files compare bit-for-bit,
 and every returned pair is checked against its own residual
 ``|H v - E v|``.
-
-``dense_expm_apply`` is an intentionally naive propagator (full matrix
-exponential) kept as an independent cross-check for the package's own
-scaled Taylor applier.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ import numpy as np
 
 from .fock import SparseOperator, StateVector, _csr_product
 
-__all__ = ["fci_solve", "dense_expm_apply", "DENSE_CUTOFF"]
+__all__ = ["fci_solve", "DENSE_CUTOFF"]
 
 DENSE_CUTOFF = 512
 
@@ -77,15 +73,3 @@ def fci_solve(
             raise RuntimeError(f"eigenpair {col} residual {resid:.2e} exceeds tolerance")
         states.append(StateVector(hamiltonian.basis, vec))
     return np.asarray(energies, dtype=float), states
-
-
-def dense_expm_apply(op: SparseOperator, psi: StateVector, scale: complex = 1.0) -> StateVector:
-    """Apply ``exp(scale * op)`` by forming the full matrix exponential."""
-    if op.basis != psi.basis:
-        raise ValueError("operator and state use different bases")
-    if psi.n_ancilla != 0:
-        raise ValueError("dense_expm_apply expects an ancilla-free state")
-    import scipy.linalg  # only the tests' cross-checks pay for the import
-
-    mat = scipy.linalg.expm(scale * op.dense())
-    return StateVector(psi.basis, mat @ psi.amplitudes, 0, psi.success_prob)

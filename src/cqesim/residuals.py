@@ -87,23 +87,6 @@ class Rdm2:
         arr.setflags(write=False)
         object.__setattr__(self, "tensor", arr)
 
-    def trace(self) -> complex:
-        """Pair trace ``sum_ij tensor[i,j,i,j]``; equals N(N-1) on a unit ket."""
-        return complex(np.einsum("ijij->", self.tensor))
-
-    def pair_matrix(self) -> np.ndarray:
-        n = self.n_spin_orbitals
-        return self.tensor.reshape(n * n, n * n)
-
-    def one_body(self, n_electrons: int) -> np.ndarray:
-        """Partial trace down to the 1-RDM ``<a+_i a_k>`` (needs N >= 2)."""
-        if n_electrons < 2:
-            raise ValueError("1-RDM contraction needs at least two electrons")
-        return np.einsum("ijkj->ik", self.tensor) / (n_electrons - 1)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.tensor))
-
 
 def compute_2rdm(bra: StateVector, ket: StateVector | None = None) -> Rdm2:
     """Transition 2-RDM between two states of the same sector.

@@ -1,0 +1,91 @@
+"""Slow, independent references that the test suites compare the package against.
+
+Each is pinned by its own tests (``test_fock.py`` for ``apply_string``,
+``test_oracle.py`` for ``dense_expm_apply``, ``test_models.py`` for
+``to_sphere``), so the suites that use them rest on checked ground truth.
+
+* ``apply_string`` acts with an operator string on one determinant by
+  counting the parity below each orbital, one operator at a time: the
+  brute force of the residual's link contraction.
+* ``dense_expm_apply`` applies ``exp(scale * op)`` through the full matrix
+  exponential, the cross-check of the package's Taylor kernel.
+* ``to_sphere`` projects a pairing-sector state onto the sphere frame of
+  ``models.dressed_states`` and raises where the state leaves it.
+"""
+
+import numpy as np
+import scipy.linalg
+
+from cqesim.fock import Determinant, SparseOperator, StateVector
+from cqesim.models import PairingModel, SpherePoint, dressed_states, pairing_basis
+
+CREATE = "create"
+ANNIHILATE = "annihilate"
+
+
+def _parity_below(det: Determinant, orbital: int) -> int:
+    """+1/-1 for even/odd occupation below ``orbital``."""
+    return -1 if bin(det & ((1 << orbital) - 1)).count("1") % 2 else 1
+
+
+def apply_string(det: Determinant, ops) -> tuple[Determinant, int] | None:
+    """Apply a product of elementary fermionic operators to a determinant.
+
+    ``ops`` is the operator string written left to right, e.g.
+    ``[("create", 1), ("annihilate", 0)]`` for ``a^+_1 a_0``; the rightmost
+    operator acts first.  Returns ``(new_det, sign)`` with ``sign = +/-1``,
+    or ``None`` when the string annihilates the determinant.
+    """
+    sign = 1
+    for kind, orbital in reversed(list(ops)):
+        if orbital < 0:
+            raise ValueError(f"negative orbital index {orbital}")
+        mask = 1 << orbital
+        if kind == CREATE:
+            if det & mask:
+                return None
+            sign *= _parity_below(det, orbital)
+            det |= mask
+        elif kind == ANNIHILATE:
+            if not det & mask:
+                return None
+            sign *= _parity_below(det, orbital)
+            det &= ~mask
+        else:
+            raise ValueError(f"unknown operator kind {kind!r}")
+    return det, sign
+
+
+def dense_expm_apply(op: SparseOperator, psi: StateVector, scale: complex = 1.0) -> StateVector:
+    """Apply ``exp(scale * op)`` by forming the full matrix exponential."""
+    if op.basis != psi.basis:
+        raise ValueError("operator and state use different bases")
+    if psi.n_ancilla != 0:
+        raise ValueError("dense_expm_apply expects an ancilla-free state")
+    mat = scipy.linalg.expm(scale * op.dense())
+    return StateVector(psi.basis, mat @ psi.amplitudes, 0, psi.success_prob)
+
+
+def to_sphere(model: PairingModel, psi: StateVector, tol: float = 1e-8) -> SpherePoint:
+    """Project a sector state onto sphere coordinates.
+
+    Raises if the state has weight outside span{G, M, X} (up to global
+    phase) beyond ``tol``, which would mean the trajectory left the sphere.
+    """
+    if psi.basis != pairing_basis():
+        raise ValueError("state does not live on the pairing sector")
+    amps = psi.amplitudes / np.linalg.norm(psi.amplitudes)
+    states = dressed_states(model)
+    frame = np.column_stack([states[name].amplitudes for name in ("G", "M", "X")])
+    coeffs = frame.conj().T @ amps
+    residual_norm = float(np.linalg.norm(amps - frame @ coeffs))
+    if residual_norm > tol:
+        raise ValueError(f"state leaks off the sphere by {residual_norm:.3e}")
+    # Rotate the global phase so the coefficients are real.
+    pivot = coeffs[int(np.argmax(np.abs(coeffs)))]
+    coeffs = coeffs * np.conj(pivot) / abs(pivot)
+    if np.max(np.abs(coeffs.imag)) > tol:
+        raise ValueError("state is not a real combination of the sphere frame")
+    g, m, x = (float(c) for c in coeffs.real)
+    norm = np.sqrt(g * g + m * m + x * x)
+    return SpherePoint(g / norm, m / norm, x / norm)

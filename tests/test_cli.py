@@ -2,6 +2,7 @@
 
 import json
 import time
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -195,6 +196,23 @@ def test_malformed_fcidump_or_impossible_sector_exits_one(tmp_path, capsys, defe
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "broken.fcidump" in err
+
+
+@pytest.mark.parametrize(
+    "record, part", [("nan 1 1 0 0", "h"), ("inf 1 1 1 1", "eri"), ("inf 0 0 0 0", "core")]
+)
+@pytest.mark.parametrize("command", [["run", "--fcidump"], ["scan", "--fixtures"]])
+def test_non_finite_fcidump_exits_one_naming_the_integral(tmp_path, capsys, record, part, command):
+    text = (resources.files("cqesim") / "fixtures" / "h2_d0.74.fcidump").read_text()
+    path = tmp_path / "nonfinite.fcidump"
+    path.write_text(text + record + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = _run(tmp_path, "out.txt", command + [str(path)])
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.endswith(f"nonfinite.fcidump: non-finite integral in {part}\n")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_bad_flags_exit_one(capsys):

@@ -28,7 +28,6 @@ from cqesim.fock import (
     StateVector,
     TwoBodyTensor,
     _norm1,
-    antihermitian_part,
     antisymmetrize,
     hermitian_part,
     build_basis,
@@ -36,11 +35,11 @@ from cqesim.fock import (
     two_body_to_operator,
 )
 from cqesim.hamiltonian import build_hamiltonian, load_fixture
-from cqesim.oracle import dense_expm_apply
 from cqesim.residuals import compute_2rdm, energy, residual_acse, residual_cse, residual_hcse
 from cqesim.solver import hf_state
 
 import _jw_dense as jw
+from _oracles import dense_expm_apply
 
 
 def _random_state(rng, basis, complex_valued=False):
@@ -426,7 +425,7 @@ THETA = 6.0  # the kernel's per-segment 1-norm: theta_40 of Al-Mohy & Higham
 def _kernel_generator(rng, kind, basis):
     n = basis.n_spin_orbitals
     t = antisymmetrize(rng.normal(size=(n,) * 4))
-    t = hermitian_part(t) if kind == "hermitian" else antihermitian_part(t)
+    t = hermitian_part(t) if kind == "hermitian" else 0.5 * (t - pair_adjoint(t))
     return two_body_to_operator(TwoBodyTensor(n, t), basis)
 
 

@@ -118,6 +118,18 @@ def test_parser_rejects_malformed_input(bad):
         parse_fcidump(bad)
 
 
+@pytest.mark.parametrize(
+    "record, part",
+    [("nan 1 1 0 0", "h"), ("nan 1 1 1 1", "eri"), ("inf 1 1 1 1", "eri"), ("inf 0 0 0 0", "core")],
+)
+def test_parser_rejects_non_finite_integrals(record, part):
+    # the record overrides the fixture's value at its indices; a NaN or inf
+    # passes the symmetry checks, so only the finiteness check can name it
+    text = write_fcidump(load_fixture("h2_d0.74")) + record + "\n"
+    with pytest.raises(ValueError, match=f"^non-finite integral in {part}$"):
+        parse_fcidump(text)
+
+
 def test_writer_is_deterministic_and_sparse():
     rng = np.random.default_rng(31)
     integrals = _random_integrals(rng, 3)
@@ -140,6 +152,8 @@ def test_integral_set_validation():
         IntegralSet(2, 2, 0, 0.0, np.zeros((2, 2)), bad_eri)
     with pytest.raises(ValueError):
         IntegralSet(2, 2, 0, 0.0, np.zeros((2, 2)), np.zeros((2,) * 4), orbsym=(1,))
+    with pytest.raises(ValueError, match="non-finite integral in core"):
+        IntegralSet(2, 2, 0, float("-inf"), np.zeros((2, 2)), np.zeros((2,) * 4))
 
 
 # ---------------------------------------------------------------------------

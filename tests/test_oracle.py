@@ -19,7 +19,9 @@ from cqesim.fock import (
     two_body_to_operator,
 )
 from cqesim.hamiltonian import build_hamiltonian, list_fixtures, load_fixture
-from cqesim.oracle import DENSE_CUTOFF, dense_expm_apply, fci_solve
+from cqesim.oracle import DENSE_CUTOFF, fci_solve
+
+from _oracles import dense_expm_apply
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 

@@ -28,7 +28,7 @@ from cqesim.models import (
     random_sphere_point,
     sphere_state,
 )
-from cqesim.oracle import dense_expm_apply, fci_solve
+from cqesim.oracle import fci_solve
 from cqesim.residuals import energy, energy_slope, residual, residual_channel, variance
 from cqesim.solver import (
     CqeConfig,
@@ -39,6 +39,8 @@ from cqesim.solver import (
     cqe_run,
     hf_state,
 )
+
+from _oracles import dense_expm_apply
 
 
 def _h2():
@@ -117,10 +119,12 @@ def test_slope_follows_the_direction_taken():
     full = residual(ham, psi, "cse")
     eps = 1e-4
     for variant in ("cse", "hcse", "acse"):
-        steepest = -residual(ham, psi, variant)
+        steepest = TwoBodyTensor(n, -residual(ham, psi, variant).coeffs)
         raw = antisymmetrize(rng.normal(size=(n,) * 4) + 1j * rng.normal(size=(n,) * 4))
-        other = TwoBodyTensor(n, residual_channel(raw, variant))
-        direction = steepest * (1.0 / steepest.norm()) + other * (2.0 / other.norm())
+        other = residual_channel(raw, variant)
+        direction = TwoBodyTensor(
+            n, steepest.coeffs * (1.0 / steepest.norm()) + other * (2.0 / np.linalg.norm(other))
+        )
         slope = _slope(variant, _links(direction, basis), _links(steepest, basis))
         assert slope == pytest.approx(energy_slope(direction, full), rel=1e-12)
         op = two_body_to_operator(direction, basis)
@@ -146,7 +150,7 @@ def _plan_inputs(variant, seed=23):
     psi = StateVector(
         basis, rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
     ).normalized()
-    return ham, psi, -residual(ham, psi, variant)
+    return ham, psi, TwoBodyTensor(basis.n_spin_orbitals, -residual(ham, psi, variant).coeffs)
 
 
 @pytest.mark.parametrize("variant", ["cse", "hcse", "acse"])
