@@ -3,13 +3,12 @@
 Usage:  python scripts/ladder.py > BENCH_ladder.json
 
 Builds the linear H6 and H8 chains of 1.0 angstrom spacing with
-``scripts/make_fixtures.build_integral_set`` and reads them back through
-``write_fcidump`` and ``parse_fcidump``, so a run sees the integrals an
-FCIDUMP file of the chain carries, as the bundled fixtures are made.  The
-generator's two-electron tensor is 8-fold symmetric only to rounding, and
-the H6 residual tails follow such rounding: from the tensor as generated,
-H6 ``cse`` takes 676 iterations instead of 576, and ``hcse`` and ``acse``
-swap a stall and a convergence.  Then it times, with one BLAS thread:
+``scripts/make_fixtures.build_integral_set``, whose integrals are exactly
+those of their FCIDUMP text (``parse_fcidump(write_fcidump(x))`` equals x),
+as the bundled fixtures are made.  The H6 residual tails follow rounding:
+from a two-electron tensor that is 8-fold symmetric only to rounding, H6
+``cse`` took 676 iterations instead of 576, and ``hcse`` and ``acse``
+swapped a stall and a convergence.  It times, with one BLAS thread:
 
     H6   ``cse``, ``hcse`` and ``acse`` to convergence or a stall, with the
          iteration budget raised to 5 000 (the default 200 stops them early)
@@ -42,9 +41,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
 import numpy as np
 import scipy
 
-from cqesim import (
-    CqeConfig, build_basis, build_hamiltonian, cqe_run, fci_solve, parse_fcidump, write_fcidump,
-)
+from cqesim import CqeConfig, build_basis, build_hamiltonian, cqe_run, fci_solve
 from cqesim.fock import _excitations
 from make_fixtures import build_integral_set
 
@@ -63,8 +60,7 @@ def _timed(fn, *args):
 
 def set_up(n_atoms: int):
     """Hamiltonian, FCI energy and the set-up split of the 1.0 A H_n chain."""
-    generated, _ = build_integral_set([(0.0, 0.0, float(i)) for i in range(n_atoms)], n_atoms)
-    integrals = parse_fcidump(write_fcidump(generated))
+    integrals, _ = build_integral_set([(0.0, 0.0, float(i)) for i in range(n_atoms)], n_atoms)
     basis = build_basis(integrals.n_spin_orbitals, integrals.n_electrons, integrals.ms2)
     ex, pattern_s = _timed(_excitations, basis)  # kept in its cache for build_hamiltonian
     ham, assembly_s = _timed(build_hamiltonian, integrals)
@@ -97,7 +93,7 @@ def run(ham, e_fci: float, variant: str, max_iterations: int) -> dict:
 
 def main() -> int:
     report = {
-        "what": "size ladder: 1.0 A H6 and H8 chains built in-process and read back through an FCIDUMP "
+        "what": "size ladder: 1.0 A H6 and H8 chains built in-process, with the integrals of their FCIDUMP "
         "text, exact execution, default CqeConfig apart from variant and max_iterations",
         "command": "python scripts/ladder.py",
         "env": f"nproc={os.cpu_count()} blas_threads=1 python={platform.python_version()} "

@@ -37,6 +37,10 @@ STO3G_H_COEF = np.array([0.15432897, 0.53532814, 0.44463454])
 H2_BONDS = [0.50, 0.74, 1.00, 1.25, 1.50, 1.75, 2.00, 2.50]
 H4_SIDES = [0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0]
 
+# The index permutations that leave a real two-electron integral (ij|kl) unchanged.
+EIGHT_FOLD = ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
+              (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0))
+
 OUT_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "cqesim" / "fixtures"
 
 
@@ -152,10 +156,20 @@ def mo_integrals(h, eri, C):
     # Clean round-off so the strict 8-fold symmetry check passes.
     h_mo = 0.5 * (h_mo + h_mo.T)
     acc = np.zeros_like(eri_mo)
-    for perm in ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
-                 (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0)):
+    for perm in EIGHT_FOLD:
         acc += eri_mo.transpose(perm)
-    return h_mo, acc / 8.0
+    acc /= 8.0
+    # The average is 8-fold symmetric only to rounding: its images sum the same
+    # eight values in different orders.  Copy each canonical element, the one
+    # write_fcidump writes (i >= j, k >= l, ij >= kl), to its 8 images, as
+    # parse_fcidump does, so the integrals equal those of their FCIDUMP text.
+    sym = np.empty_like(acc)
+    n = len(h_mo)
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        if j <= i and l <= k and k * (k + 1) // 2 + l <= i * (i + 1) // 2 + j:
+            for perm in EIGHT_FOLD:
+                sym[tuple((i, j, k, l)[p] for p in perm)] = acc[i, j, k, l]
+    return h_mo, sym
 
 
 def build_integral_set(centers, n_elec):

@@ -1,10 +1,14 @@
 """Print one digest per solver run and per residual estimate, to compare two checkouts.
 
 Usage:  python scripts/trajectory_digest.py SRC_DIR
+        python scripts/trajectory_digest.py SRC_A SRC_B
 
-``cqesim`` is imported from ``SRC_DIR`` (a checkout's ``src`` directory),
-and one line per case goes to stdout: the case label and a SHA-256 of its
-outcome.  A run's line also shows its status and its number of iteration
+With one directory, ``cqesim`` is imported from ``SRC_DIR`` (a checkout's
+``src`` directory), and one line per case goes to stdout: the case label
+and a SHA-256 of its outcome.  With two, each directory is digested in a
+process of its own, the label of every case whose lines differ is printed
+(with both sides' status and record count where those differ too), and
+the exit status is 1 on any difference, 0 when all lines are equal.  A run's line also shows its status and its number of iteration
 records before the digest, e.g. ``run h4_d1.00 acse exact converged 92
 <sha>``, so a diff of two checkouts shows which runs changed iteration
 count.  A run's digest covers the status, every field of every iteration
@@ -30,11 +34,11 @@ The cases:
 Digests hash float bits, which depend on the CPU, the BLAS and the
 numpy build: compare two checkouts on one machine only, e.g.
 
-    diff <(python scripts/trajectory_digest.py a/src) \\
-         <(python scripts/trajectory_digest.py b/src)
+    python scripts/trajectory_digest.py a/src b/src
 """
 
 import hashlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -128,7 +132,40 @@ def main(src: str) -> None:
                     print(f"estimate {stem} {state_name} {variant} {name} {digest}")
 
 
+def _label(line: str) -> str:
+    """A line's case label: ``run STEM VARIANT SETTING`` or
+    ``estimate STEM STATE VARIANT SETTING``."""
+    words = line.split()
+    return " ".join(words[:4] if words[0] == "run" else words[:5])
+
+
+def compare(src_a: str, src_b: str) -> int:
+    """Digest both checkouts, print the labels of the cases that differ, and
+    return 1 if any does, else 0."""
+    lines = [
+        subprocess.run(
+            [sys.executable, __file__, src], check=True, capture_output=True, text=True
+        ).stdout.splitlines()
+        for src in (src_a, src_b)
+    ]
+    if [_label(line) for line in lines[0]] != [_label(line) for line in lines[1]]:
+        print("the two checkouts digest different cases")
+        return 1
+    differ = 0
+    for a, b in zip(*lines):
+        if a != b:
+            differ += 1
+            counts = a.split()[4:6], b.split()[4:6]
+            moved = a.startswith("run") and counts[0] != counts[1]
+            print(_label(a) + (f": {' '.join(counts[0])} -> {' '.join(counts[1])}" if moved else ""))
+    print(f"{differ} of {len(lines[0])} lines differ")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) == 2:
+        main(sys.argv[1])
+    elif len(sys.argv) == 3:
+        raise SystemExit(compare(sys.argv[1], sys.argv[2]))
+    else:
         raise SystemExit(__doc__)
-    main(sys.argv[1])

@@ -11,16 +11,25 @@ have 1-norm at most theta_40 = 6.0 of Al-Mohy & Higham, at most
 terms only where the 1-norm bound already makes the terms contract.  The
 partial sum's norm is formed only for terms that a triangle bound cannot
 prove large; the last one is exact, and a renormalized step reads it.  The
-terms come from one recurrence, ``_Terms``.  ``_FixedStart`` keeps the
-terms ``(J / |J|_1)^k psi / k!`` of one generator on one state, so the
-first segment of ``exp(eta J) psi`` costs no product once a larger eta
-has made them: a line search's trials from the same psi pay each product
-once.  An operator is a ``SparseOperator``: the Hamiltonian, or a solver
-step factor whose CSR data sits on the sector's shared structure arrays.
-Every product reads the operator's bare CSR arrays (``SparseOperator.csr``)
-through ``fock._csr_product``, the sparsetools kernel behind scipy's ``@``
-without its dispatch, so products are bit-identical to ``@`` and no
-exponential imports scipy.
+terms come from one recurrence, ``t_k = G t_{k-1} / (s k)``, which a fresh
+segment runs inline: each action returns a new array, which the kernel
+scales in place.  At the benchmark's sizes (dim <= 72) a product costs
+about as much as a numpy call, so the kernel spends no call, copy or
+wrapper per term that the recurrence does not need.  ``_FixedStart``
+keeps the terms ``(J / |J|_1)^k psi / k!`` of one generator on one state
+(``_Terms``), so the first segment of ``exp(eta J) psi`` costs no product
+once a larger eta has made them: a line search's trials from the same psi
+pay each product once.  An operator is a ``SparseOperator``: the
+Hamiltonian, or a solver step factor whose CSR data sits on the sector's
+shared structure arrays.  Every product reads the operator's bare CSR
+arrays (``SparseOperator.csr``) through ``fock._csr_product``, the
+sparsetools kernel behind scipy's ``@`` without its dispatch, so products
+are bit-identical to ``@`` and no exponential imports scipy.  The ancilla
+actions (a unitary factor on both branches, the V-step, the probe) run
+one vector product per branch, each into its half of one zeroed output,
+bit for bit the columns of the (dim, 2) block product.  The states that
+come out are formed by ``StateVector._closed``, without the public
+constructor's cast, checks and copy.
 
 Exact route
 -----------
@@ -47,7 +56,7 @@ success probability.  V-steps of one generator compose exactly,
 ``U(d1) U(d2) = U(d1 + d2)``, so the solver applies every run of slices
 between two resets as one V-step (``DilationPolicy``).  A unitary factor
 ``exp(d J)`` acts identically on both branches and runs as one Taylor series
-over the ``(dim, 2)`` block of the two (``apply_exp_exact``).
+over both branches (``apply_exp_exact``).
 
 Residual estimator
 ------------------
@@ -132,26 +141,32 @@ _TERM_FAIL = 1e-13
 # factor on the squared triangle bound of |acc|: it covers the rounding of the
 # norms and sums the bound and |acc|^2 are made of, below 1e-8 under dimension 1e7
 _BOUND_MARGIN = 1.0 + 1e-6
+# the squared ratio-test factors, formed once with the bits of the per-term products
+_STOP2 = _TERM_STOP**2
+_STOP2_BOUND = _TERM_STOP**2 * _BOUND_MARGIN
 
 
 class _Terms:
-    """Taylor terms ``t_k = A^k v / (d^k k!)`` of an action A on a vector v, made on demand and kept.
+    """Kept Taylor terms ``t_k = A^k v / (d^k k!)`` of an action A on a vector v, made on demand.
 
-    ``t_k = A(t_{k-1}) / (d k)`` is the one term recurrence of the kernel: a
-    segment of ``_taylor_action`` runs it with ``d`` its segment count, and
-    ``_FixedStart`` keeps one with ``d = |J|_1`` across step sizes.  Item
-    k >= 1 is ``(t_k, |t_k|^2)``.
+    The cache of ``_FixedStart``, which keeps one with ``d = |J|_1`` across
+    step sizes.  ``terms`` lists the terms made so far, item k >= 1 as
+    ``(t_k, |t_k|^2)`` and item 0 as ``(v, None)``; the kernel reads them
+    straight from it, and indexing makes the missing ones by the term
+    recurrence ``t_k = A(t_{k-1}) / (d k)``, the one that a fresh segment
+    runs inline.  The action returns a new array, which is scaled in place.
     """
 
     def __init__(self, action, divisor: float, vec: np.ndarray):
         self._action = action
         self._divisor = divisor
-        self._terms = [(vec, None)]
+        self.terms = [(vec, None)]
 
     def __getitem__(self, k: int) -> tuple[np.ndarray, float]:
-        terms = self._terms
+        terms = self.terms
         while len(terms) <= k:
-            term = self._action(terms[-1][0]) * (1.0 / (self._divisor * len(terms)))
+            term = self._action(terms[-1][0])
+            term *= 1.0 / (self._divisor * len(terms))
             terms.append((term, np.vdot(term, term).real))
         return terms[k]
 
@@ -164,7 +179,8 @@ def _taylor_action(matvec, norm1: float, vec: np.ndarray, first=None) -> np.ndar
 
 def _taylor_series(matvec, norm1: float, vec: np.ndarray, first=None) -> tuple[np.ndarray, float]:
     """``exp(G) @ vec`` and its exact squared norm, from the action
-    ``matvec(v) = G v`` and the 1-norm of G.
+    ``matvec(v) = G v``, a new array that the kernel may scale in place,
+    and the 1-norm of G.
 
     G is split into ``s = max(1, ceil(|G|_1 / theta))`` equal segments with
     ``theta = 6.0``, the theta_40 of Al-Mohy & Higham (SIAM J. Sci. Comput.
@@ -192,10 +208,12 @@ def _taylor_series(matvec, norm1: float, vec: np.ndarray, first=None) -> tuple[n
     so the last one is the output's squared norm, which renormalization
     reads instead of forming it again.
 
-    ``first = (kept, phase)`` serves the first segment from kept terms:
-    ``kept`` is the ``_Terms`` of ``vec`` under a generator J with divisor
-    ``|J|_1``, and ``G = phase |G|_1 J / |J|_1``, so that segment's k-th
-    term is ``(phase |G|_1 / s)^k`` times the k-th kept one.
+    A fresh segment runs the term recurrence inline, ``t_k = G t_{k-1} /
+    (s k)``, scaling each new product in place.  ``first = (kept, phase)``
+    serves the first segment from kept terms instead: ``kept`` is the
+    ``_Terms`` of ``vec`` under a generator J with divisor ``|J|_1``, and
+    ``G = phase |G|_1 J / |J|_1``, so that segment's k-th term is
+    ``(phase |G|_1 / s)^k`` times the k-th kept one.
     """
     if not math.isfinite(norm1):
         raise RuntimeError("generator matrix contains non-finite entries")
@@ -207,30 +225,35 @@ def _taylor_series(matvec, norm1: float, vec: np.ndarray, first=None) -> tuple[n
     if segments > _MAX_SEGMENTS:
         raise RuntimeError(f"generator 1-norm {norm1:.4g} needs over {_MAX_SEGMENTS} Taylor segments")
     for segment in range(segments):
-        if segment == 0 and first is not None:
-            terms, ratio = first[0], first[1] * norm1 / segments
-        else:
-            terms, ratio = _Terms(matvec, segments, out), 1.0
+        kept = first[0] if segment == 0 and first is not None else None
+        if kept is not None:
+            made, ratio = kept.terms, first[1] * norm1 / segments
+        term = out
         acc = out.copy()
         bound = math.sqrt(acc2)  # the triangle bound on |acc|
         power = 1.0
         small_streak = 0
         for k in range(1, _MAX_TAYLOR_TERMS + 1):
-            term, term2 = terms[k]
-            if ratio != 1.0:
-                power *= ratio
-                term, term2 = power * term, abs(power) ** 2 * term2
+            if kept is None:
+                term = matvec(term)
+                term *= 1.0 / (segments * k)
+                term2 = np.vdot(term, term).real
+            else:
+                term, term2 = made[k] if k < len(made) else kept[k]
+                if ratio != 1.0:
+                    power *= ratio
+                    term, term2 = power * term, abs(power) ** 2 * term2
             acc += term
             bound += math.sqrt(term2)
             # a NaN or Inf term or bound fails this comparison and takes the exact norm
-            if k < _MAX_TAYLOR_TERMS and term2 > _TERM_STOP**2 * _BOUND_MARGIN * (bound * bound):
+            if k < _MAX_TAYLOR_TERMS and term2 > _STOP2_BOUND * (bound * bound):
                 small_streak = 0
                 continue
             # squared norms: the ratio test |term| < tol |acc| without square roots
             acc2 = np.vdot(acc, acc).real
             if not (math.isfinite(term2) and math.isfinite(acc2)):
                 raise RuntimeError("matrix exponential series produced non-finite values")
-            small_streak = small_streak + 1 if term2 <= _TERM_STOP**2 * acc2 else 0
+            small_streak = small_streak + 1 if term2 <= _STOP2 * acc2 else 0
             if small_streak >= 2 and (k + 1) * segments > norm1:
                 break
         else:
@@ -256,7 +279,18 @@ def _renormalized(psi: StateVector, out: np.ndarray, norm2_out: float, norm2_in:
     if norm2_out == 0.0:
         raise RuntimeError("exponential step annihilated the state")
     retained = min(1.0, float(norm2_out / norm2_in))
-    return StateVector(psi.basis, out / math.sqrt(norm2_out), 0, _booked(psi.success_prob * retained))
+    out /= math.sqrt(norm2_out)
+    return StateVector._closed(psi.basis, out, 0, _booked(psi.success_prob * retained))
+
+
+def _scaled_product(matrix, scale: complex):
+    """The action ``v -> scale * (matrix @ v)``, scaled in place."""
+
+    def action(v):
+        product = _csr_product(matrix, v)
+        return np.multiply(scale, product, out=product)
+
+    return action
 
 
 def apply_exp_exact(
@@ -267,12 +301,12 @@ def apply_exp_exact(
     ``op`` is a sector operator or a solver step factor (``fock._link_operator``).
 
     On a dilated state the exponential acts identically on both ancilla
-    branches, as one Taylor series over the ``(dim, 2)`` block of the two
-    (``renormalize`` is disallowed there; norm accounting happens only at
-    ancilla resets).  With ``renormalize=True`` the result is
-    normalized and the retained weight ``min(1, |out|^2/|in|^2)``
-    multiplies ``success_prob``; this is the classical-exact stand-in for
-    the post-selected dilated step.
+    branches, as one Taylor series over the two, whose action writes each
+    branch's product into its half of one output (``renormalize`` is
+    disallowed there; norm accounting happens only at ancilla resets).
+    With ``renormalize=True`` the result is normalized and the retained
+    weight ``min(1, |out|^2/|in|^2)`` multiplies ``success_prob``; this is
+    the classical-exact stand-in for the post-selected dilated step.
     """
     if op.basis != psi.basis:
         raise ValueError("operator and state use different bases")
@@ -284,17 +318,19 @@ def apply_exp_exact(
             raise ValueError("renormalize is not meaningful on a dilated state")
         dim = len(psi.basis)
 
-        def block_action(w):  # both branches as the columns of one (dim, 2) block
-            return scale * _csr_product(matrix, w.reshape(2, dim).T).T.ravel()
+        def branches_action(w):  # each branch's product into its half of one output
+            out = np.zeros(2 * dim, dtype=complex)
+            _csr_product(matrix, w[:dim], out=out[:dim])
+            _csr_product(matrix, w[dim:], out=out[dim:])
+            return np.multiply(scale, out, out=out)
 
-        out = _taylor_action(block_action, norm1, psi.amplitudes)
-        return StateVector(psi.basis, out, 1, psi.success_prob)
+        out = _taylor_action(branches_action, norm1, psi.amplitudes)
+        return StateVector._closed(psi.basis, out, 1, psi.success_prob)
 
-    def action(v):
-        return scale * _csr_product(matrix, v)
-
+    action = _scaled_product(matrix, scale)
     if not renormalize:
-        return StateVector(psi.basis, _taylor_action(action, norm1, psi.amplitudes), 0, psi.success_prob)
+        out = _taylor_action(action, norm1, psi.amplitudes)
+        return StateVector._closed(psi.basis, out, 0, psi.success_prob)
     out, norm2 = _taylor_series(action, norm1, psi.amplitudes)
     return _renormalized(psi, out, norm2, np.vdot(psi.amplitudes, psi.amplitudes).real)
 
@@ -303,11 +339,12 @@ class _FixedStart:
     """``exp(eta J) psi`` with renormalization, for many step sizes eta from one bare state psi.
 
     The first Taylor segment of every eta reads the kept terms
-    ``(J / |J|_1)^k psi / k!``, each made by one product when a trial first
-    needs it, scaled by ``(eta |J|_1 / s)^k``; later segments act on vectors
-    that change with eta and make their own products.  ``|psi|^2`` is read
-    once, for the renormalization of every trial.  The result equals
-    ``apply_exp_exact(op, psi, scale=eta, renormalize=True)`` up to rounding.
+    ``(J / |J|_1)^k psi / k!`` (``_Terms``), each made by one product when a
+    trial first needs it, scaled by ``(eta |J|_1 / s)^k``; later segments
+    act on vectors that change with eta and run the recurrence inline.
+    ``|psi|^2`` is read once, for the renormalization of every trial.  The
+    result equals ``apply_exp_exact(op, psi, scale=eta, renormalize=True)``
+    up to rounding.
     """
 
     def __init__(self, op: SparseOperator, psi: StateVector):
@@ -317,12 +354,8 @@ class _FixedStart:
         self._norm2 = np.vdot(psi.amplitudes, psi.amplitudes).real
 
     def apply(self, eta: complex) -> StateVector:
-        matrix = self.op.csr
-
-        def action(v):
-            return eta * _csr_product(matrix, v)
-
         first = (self._kept, eta / abs(eta) if eta else 1.0)
+        action = _scaled_product(self.op.csr, eta)
         out, norm2 = _taylor_series(action, abs(eta) * self.op.norm1, self.psi.amplitudes, first)
         return _renormalized(self.psi, out, norm2, self._norm2)
 
@@ -337,7 +370,7 @@ def prepare_dilated(psi: StateVector) -> StateVector:
     if psi.n_ancilla != 0:
         raise ValueError("state already carries an ancilla")
     amps = np.concatenate([psi.amplitudes, psi.amplitudes]) / np.sqrt(2.0)
-    return StateVector(psi.basis, amps, 1, psi.success_prob)
+    return StateVector._closed(psi.basis, amps, 1, psi.success_prob)
 
 
 def apply_dilated(psi: StateVector, op: SparseOperator, delta: float) -> StateVector:
@@ -359,15 +392,21 @@ def apply_dilated(psi: StateVector, op: SparseOperator, delta: float) -> StateVe
 
 def _dilated_step(psi: StateVector, apply_j, norm1: float, delta: float) -> StateVector:
     """``exp(i delta Y_a x J)`` on a dilated state from the 1-norm of J and
-    its action ``apply_j`` on the (dim, 2) block of both branches."""
+    its action ``apply_j(v, out=half)``, which writes ``J v`` into a zeroed
+    half of the step's output."""
     dim = len(psi.basis)
 
-    def action(w):
-        jw = apply_j(w.reshape(2, dim).T)  # columns J u and J v
-        return np.concatenate([delta * jw[:, 1], -delta * jw[:, 0]])
+    def action(w):  # [delta J v; -delta J u] of w = [u; v]
+        out = np.zeros(2 * dim, dtype=complex)
+        top, bottom = out[:dim], out[dim:]
+        apply_j(w[dim:], out=top)
+        apply_j(w[:dim], out=bottom)
+        np.multiply(delta, top, out=top)
+        np.multiply(-delta, bottom, out=bottom)
+        return out
 
     out = _taylor_action(action, abs(delta) * norm1, psi.amplitudes)
-    return StateVector(psi.basis, out, 1, psi.success_prob)
+    return StateVector._closed(psi.basis, out, 1, psi.success_prob)
 
 
 def ancilla_branch(psi: StateVector, outcome: int = 0) -> StateVector:
@@ -381,8 +420,8 @@ def ancilla_branch(psi: StateVector, outcome: int = 0) -> StateVector:
     if outcome not in (0, 1):
         raise ValueError("ancilla outcome must be 0 or 1")
     dim = len(psi.basis)
-    block = psi.amplitudes[:dim] if outcome == 0 else psi.amplitudes[dim:]
-    return StateVector(psi.basis, block, 0, psi.success_prob)
+    block = psi.amplitudes[:dim] if outcome == 0 else psi.amplitudes[dim:]  # a read-only view
+    return StateVector._closed(psi.basis, block, 0, psi.success_prob)
 
 
 def reset_ancilla(psi: StateVector) -> StateVector:
@@ -399,12 +438,19 @@ def reset_ancilla(psi: StateVector) -> StateVector:
     kept = float(np.vdot(u, u).real)
     if kept == 0.0:
         raise RuntimeError("ancilla-0 branch has zero weight; nothing to post-select")
-    return StateVector(psi.basis, u / np.sqrt(kept), 0, _booked(psi.success_prob * kept / total))
+    return StateVector._closed(psi.basis, u / np.sqrt(kept), 0, _booked(psi.success_prob * kept / total))
 
 
 # ---------------------------------------------------------------------------
 # Contracted-residual estimator on the dilated probe
 # ---------------------------------------------------------------------------
+
+
+def _is_integer(value) -> bool:
+    """Whether a config field holds an integer: a Python or numpy integer,
+    but not a ``bool``, which ``asdict`` would write into a report as
+    ``true``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -417,11 +463,11 @@ class EstimatorConfig:
 
     def __post_init__(self):
         if self.shots is not None:
-            if not isinstance(self.shots, (int, np.integer)) or self.shots <= 0:
+            if not _is_integer(self.shots) or self.shots <= 0:
                 raise ValueError("shots must be a positive integer")
             if self.seed is None:
                 raise ValueError("shot sampling requires a seed for reproducibility")
-        if self.seed is not None and not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+        if self.seed is not None and not (_is_integer(self.seed) and self.seed >= 0):
             raise ValueError("seed must be a non-negative integer")
         if self.delta is not None and not (math.isfinite(self.delta) and self.delta != 0.0):
             raise ValueError("delta must be finite and nonzero")
@@ -466,7 +512,7 @@ class DilationPolicy:
         if self.reset_mode not in RESET_MODES:
             raise ValueError(f"unknown reset_mode {self.reset_mode!r}; expected one of {RESET_MODES}")
         steps = self.max_steps_between_resets
-        if not isinstance(steps, (int, np.integer)) or steps < 1:
+        if not _is_integer(steps) or steps < 1:
             raise ValueError("max_steps_between_resets must be an integer of at least 1")
 
 
@@ -481,8 +527,9 @@ def probe_state(ham: SparseOperator, psi: StateVector, delta: float) -> StateVec
     e = energy(ham, psi)
     matrix = ham.csr
 
-    def apply_shifted(v):
-        return _csr_product(matrix, v) - e * v
+    def apply_shifted(v, out):
+        _csr_product(matrix, v, out=out)
+        out -= e * v
 
     return _dilated_step(prepare_dilated(psi), apply_shifted, ham.shifted_norm1(e), delta)
 

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -185,6 +186,9 @@ class StateVector:
     followed by the ancilla-1 block.  ``success_prob`` accumulates the branch
     weight retained across non-unitary steps and ancilla resets; a product
     below the float64 range is booked as 5e-324 (``evolution._booked``).
+    The amplitudes are read-only: the constructor copies what it is given,
+    and the states that the package forms from arrays it has just made go
+    through ``_closed``, which skips the cast, the checks and the copy.
     """
 
     basis: Basis
@@ -205,6 +209,24 @@ class StateVector:
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
+    @classmethod
+    def _closed(
+        cls, basis: Basis, amplitudes: np.ndarray, n_ancilla: int = 0, success_prob: float = 1.0
+    ) -> "StateVector":
+        """A state on amplitudes the package has just formed.
+
+        Skips the cast, the checks and the copy of the public constructor,
+        as ``TwoBodyTensor._closed`` skips its checks: ``amplitudes`` must be
+        a complex vector of the length that ``basis`` and ``n_ancilla`` give,
+        that nothing else writes to, either a fresh one, which becomes
+        read-only, or a view of a read-only one; ``success_prob`` must lie
+        in (0, 1].
+        """
+        out = object.__new__(cls)
+        amplitudes.setflags(write=False)
+        out.__dict__.update(basis=basis, amplitudes=amplitudes, n_ancilla=n_ancilla, success_prob=success_prob)
+        return out
+
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -212,7 +234,7 @@ class StateVector:
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.basis, self.amplitudes / n, self.n_ancilla, self.success_prob)
+        return StateVector._closed(self.basis, self.amplitudes / n, self.n_ancilla, self.success_prob)
 
     def inner(self, other: "StateVector") -> complex:
         if self.basis != other.basis or self.n_ancilla != other.n_ancilla:
@@ -424,7 +446,7 @@ def _abs_column_sums(matrix: _Csr) -> np.ndarray:
     return np.bincount(matrix.indices, np.abs(matrix.data), minlength=matrix.shape[1])
 
 
-def _csr_product(matrix: _Csr, vec: np.ndarray, dtype=complex) -> np.ndarray:
+def _csr_product(matrix: _Csr, vec: np.ndarray, dtype=complex, out: np.ndarray | None = None) -> np.ndarray:
     """``matrix @ vec`` for a complex CSR matrix and a vector or (dim, k) block.
 
     ``matrix`` is a ``_Csr`` or a scipy CSR matrix: only the arrays are
@@ -434,11 +456,15 @@ def _csr_product(matrix: _Csr, vec: np.ndarray, dtype=complex) -> np.ndarray:
     dim-36 product).  A block is made C-contiguous first, as ``@`` does
     too.  ``dtype=float`` serves a real matrix on real input
     (``_link_magnitudes`` on probabilities), whose product ``@`` also forms
-    in real arithmetic.
+    in real arithmetic.  A vector's product may go into ``out`` instead, a
+    zeroed contiguous vector of the row count, such as one half of a
+    V-step's output: the kernel adds into its output, and each column of
+    the block kernel is bitwise the vector kernel on that column.
     """
     rows, cols = matrix.shape
     if vec.ndim == 1:
-        out = np.zeros(rows, dtype=dtype)
+        if out is None:
+            out = np.zeros(rows, dtype=dtype)
         _sparsetools.csr_matvec(rows, cols, matrix.indptr, matrix.indices, matrix.data, vec, out)
         return out
     block = np.ascontiguousarray(vec)
@@ -562,14 +588,24 @@ def _excitations(basis: Basis) -> _Excitations:
     key = det[bra] * dim + det[ket]
     unique, nonzero = np.unique(key, return_inverse=True)
     rows, cols = np.divmod(unique, dim)
-    support, link = np.unique(pair[ket] * n * n + pair[bra], return_inverse=True)
-    # rows by link and columns ascending within a row: scipy's canonical CSR
-    # order (no (link, nonzero) pair occurs twice); complex entries spare a
-    # cast in every product with complex tensors and states
-    order = np.argsort(link * len(unique) + nonzero)
+    # P^T in scipy's canonical CSR order: rows by link, and columns ascending
+    # within a row.  The join lists the entries of one link in ascending image
+    # order, at most one per image, and the bra determinant M + 2^k + 2^l of a
+    # link (i, j, k, l) grows with its image M, so its sector rows and hence
+    # its nonzeros ascend already: one stable sort by link alone orders P^T.
+    # The link key fits the smallest unsigned type holding n^4 - 1, 16 bits up
+    # to 16 spin orbitals, where numpy's stable sort is a radix sort.
+    link_key = (pair[ket] * n * n + pair[bra]).astype(np.min_scalar_type(n**4 - 1))
+    order = np.argsort(link_key, kind="stable")
+    link_key = link_key[order]
+    starts = np.ones(len(link_key), dtype=bool)  # the first entry of each link
+    np.not_equal(link_key[1:], link_key[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    support = link_key[first].astype(np.int64)
+    # complex entries spare a cast in every product with complex tensors and states
     by_link = _Csr(
         (len(support), len(unique)),
-        np.searchsorted(link[order], np.arange(len(support) + 1)).astype(np.int32),
+        np.append(first, len(order)).astype(np.int32),
         nonzero[order].astype(np.int32),
         (4.0 * sign[bra] * sign[ket] + 0j)[order],
     )
@@ -600,8 +636,11 @@ def _link_magnitudes(basis: Basis) -> _Csr:
 
 
 def _link_norm(links: np.ndarray) -> float:
-    """Frobenius norm of the tensor of a link vector, ``2 |links|``."""
-    return 2.0 * float(np.linalg.norm(links))
+    """Frobenius norm of the tensor of a link vector, ``2 |links|``: the two
+    dots that ``np.linalg.norm`` runs on a complex vector, without its
+    dispatch, so bit for bit ``2 * np.linalg.norm(links)``."""
+    real, imag = links.real, links.imag
+    return 2.0 * math.sqrt(real.dot(real) + imag.dot(imag))
 
 
 def _link_tensor(basis: Basis, links: np.ndarray) -> np.ndarray:

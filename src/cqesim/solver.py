@@ -90,6 +90,7 @@ from .evolution import (
     EstimatorConfig,
     _estimate_links,
     _FixedStart,
+    _is_integer,
     ancilla_branch,
     apply_dilated,
     apply_exp_exact,
@@ -183,7 +184,7 @@ class CqeConfig:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {RESIDUAL_VARIANTS}")
         if self.execution not in EXECUTION_MODES:
             raise ValueError(f"unknown execution {self.execution!r}; expected one of {EXECUTION_MODES}")
-        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
+        if not _is_integer(self.max_iterations) or self.max_iterations < 1:
             raise ValueError("max_iterations must be an integer of at least 1")
         if not (math.isfinite(self.residual_tolerance) and self.residual_tolerance > 0):
             raise ValueError("residual_tolerance must be positive and finite")

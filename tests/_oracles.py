@@ -11,13 +11,22 @@ Each is pinned by its own tests (``test_fock.py`` for ``apply_string``,
   exponential, the cross-check of the package's Taylor kernel.
 * ``to_sphere`` projects a pairing-sector state onto the sphere frame of
   ``models.dressed_states`` and raises where the state leaves it.
+* ``block_exp_dilated``, ``block_dilated_step`` and ``block_probe`` run the
+  ancilla exponentials with their actions on the (dim, 2) block of both
+  branches, one scipy ``@`` per term, which is how the package formed them
+  before it wrote each branch's vector product into its half of one
+  output: the package's results must equal theirs bit for bit.  They
+  share the package's Taylor kernel, which ``test_evolution.py`` pins
+  against a series that forms the partial sum's norm at every term.
 """
 
 import numpy as np
 import scipy.linalg
 
+from cqesim import evolution
 from cqesim.fock import Determinant, SparseOperator, StateVector
 from cqesim.models import PairingModel, SpherePoint, dressed_states, pairing_basis
+from cqesim.residuals import energy
 
 CREATE = "create"
 ANNIHILATE = "annihilate"
@@ -89,3 +98,42 @@ def to_sphere(model: PairingModel, psi: StateVector, tol: float = 1e-8) -> Spher
     g, m, x = (float(c) for c in coeffs.real)
     norm = np.sqrt(g * g + m * m + x * x)
     return SpherePoint(g / norm, m / norm, x / norm)
+
+
+def block_exp_dilated(op: SparseOperator, psi: StateVector, scale: complex) -> np.ndarray:
+    """Amplitudes of ``exp(scale * op)`` on both branches of a dilated state,
+    as one Taylor series over the (dim, 2) block of the branches."""
+    matrix, dim = op.matrix, len(psi.basis)
+
+    def block_action(w):
+        return scale * (matrix @ w.reshape(2, dim).T).T.ravel()
+
+    return evolution._taylor_action(block_action, abs(scale) * op.norm1, psi.amplitudes)
+
+
+def _block_vstep(apply_j, norm1: float, delta: float, amplitudes: np.ndarray) -> np.ndarray:
+    """``exp(i delta Y_a x J)`` from the action ``apply_j`` of J on the
+    (dim, 2) block of both branches."""
+    dim = len(amplitudes) // 2
+
+    def action(w):
+        jw = apply_j(w.reshape(2, dim).T)  # columns J u and J v
+        return np.concatenate([delta * jw[:, 1], -delta * jw[:, 0]])
+
+    return evolution._taylor_action(action, abs(delta) * norm1, amplitudes)
+
+
+def block_dilated_step(op: SparseOperator, psi: StateVector, delta: float) -> np.ndarray:
+    """Amplitudes of ``apply_dilated(psi, op, delta)`` from the block action."""
+    matrix = op.matrix
+    return _block_vstep(lambda block: matrix @ block, op.norm1, delta, psi.amplitudes)
+
+
+def block_probe(ham: SparseOperator, psi: StateVector, delta: float) -> np.ndarray:
+    """Amplitudes of ``probe_state(ham, psi, delta)`` from the block action
+    ``(H - E) b = H b - E b``."""
+    psi = psi.normalized()
+    e = energy(ham, psi)
+    matrix = ham.matrix
+    start = evolution.prepare_dilated(psi).amplitudes
+    return _block_vstep(lambda block: matrix @ block - e * block, ham.shifted_norm1(e), delta, start)

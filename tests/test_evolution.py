@@ -35,11 +35,19 @@ from cqesim.fock import (
     two_body_to_operator,
 )
 from cqesim.hamiltonian import build_hamiltonian, load_fixture
-from cqesim.residuals import compute_2rdm, energy, residual_acse, residual_cse, residual_hcse
-from cqesim.solver import hf_state
+from cqesim.residuals import (
+    _link_residual,
+    _moments,
+    compute_2rdm,
+    energy,
+    residual_acse,
+    residual_cse,
+    residual_hcse,
+)
+from cqesim.solver import CqeConfig, _StepPlan, cqe_run, hf_state
 
 import _jw_dense as jw
-from _oracles import dense_expm_apply
+from _oracles import block_dilated_step, block_exp_dilated, block_probe, dense_expm_apply
 
 
 def _random_state(rng, basis, complex_valued=False):
@@ -722,6 +730,100 @@ def test_exponentials_bypass_scipy_matmul(monkeypatch):
         assert np.array_equal(x.amplitudes, y.amplitudes)
 
 
+def test_csr_product_into_halves_is_bitwise_the_block_columns():
+    # the ancilla actions' vector products into the halves of one zeroed
+    # output against the block product they replaced
+    rng = np.random.default_rng(102)
+    ham = build_hamiltonian(load_fixture("h4_d1.40"))
+    dim = len(ham.basis)
+    for _ in range(200):
+        stacked = rng.normal(size=2 * dim) + 1j * rng.normal(size=2 * dim)
+        out = np.zeros(2 * dim, dtype=complex)
+        _csr_product(ham.csr, stacked[:dim], out=out[:dim])
+        _csr_product(ham.csr, stacked[dim:], out=out[dim:])
+        block = _csr_product(ham.csr, stacked.reshape(2, dim).T)
+        assert np.array_equal(out, block.T.ravel())
+
+
+def _h4_step_factors():
+    """The Hamiltonian and both step factors of the first cse step on h4_d1.40."""
+    ham = build_hamiltonian(load_fixture("h4_d1.40"))
+    psi = hf_state(ham)
+    plan = _StepPlan(ham, psi, -_link_residual(psi, _moments(ham, psi)[2]))
+    assert plan.op_a is not None and plan.op_h is not None
+    return ham, {"h4_anti": plan.op_a, "h4_herm": plan.op_h}
+
+
+def _dilated_state(rng, basis):
+    amps = rng.normal(size=2 * len(basis)) + 1j * rng.normal(size=2 * len(basis))
+    return StateVector(basis, amps / np.linalg.norm(amps), 1, 0.5)
+
+
+# steps within one Taylor segment and across several of them
+@pytest.mark.parametrize("size", [0.05, 1.3, 15.0])
+@pytest.mark.parametrize("factor", ["h4_anti", "h4_herm", "random"])
+def test_ancilla_actions_equal_the_block_formulation_bit_for_bit(factor, size):
+    rng = np.random.default_rng(103)
+    ham, factors = _h4_step_factors()
+    op = factors.get(factor) or _random_generator(rng, ham.basis, hermitian=True)
+    step = size / op.norm1
+    for _ in range(3):
+        dilated = _dilated_state(rng, ham.basis)
+        got = apply_dilated(dilated, op, step)
+        assert np.array_equal(got.amplitudes, block_dilated_step(op, dilated, step))
+        assert got.n_ancilla == 1 and got.success_prob == 0.5
+        for scale in (step, -step, 1j * step):
+            got = apply_exp_exact(op, dilated, scale=scale)
+            assert np.array_equal(got.amplitudes, block_exp_dilated(op, dilated, scale))
+            assert got.n_ancilla == 1 and got.success_prob == 0.5
+
+
+@pytest.mark.parametrize("fixture", ["h2_d0.74", "h4_d1.00", "h4_d1.40"])
+@pytest.mark.parametrize("delta", [1e-3, -0.07, 0.8])
+def test_probe_state_equals_the_block_formulation_bit_for_bit(fixture, delta):
+    rng = np.random.default_rng(104)
+    ham = build_hamiltonian(load_fixture(fixture))
+    for psi in (hf_state(ham), _random_state(rng, ham.basis, complex_valued=True)):
+        probe = probe_state(ham, psi, delta)
+        assert np.array_equal(probe.amplitudes, block_probe(ham, psi, delta))
+
+
+def test_returned_states_are_read_only():
+    # states formed without the public constructor's copy keep its invariants:
+    # complex amplitudes of the register's length, read-only, success in (0, 1]
+    rng = np.random.default_rng(105)
+    ham, factors = _h4_step_factors()
+    op = factors["h4_herm"]
+    psi = _random_state(rng, ham.basis, complex_valued=True)
+    dilated = prepare_dilated(psi)
+    stepped = apply_dilated(dilated, op, 0.3)
+    states = [
+        psi.normalized(),
+        stepped.normalized(),
+        apply_exp_exact(op, psi, scale=0.3),
+        apply_exp_exact(op, psi, scale=0.3, renormalize=True),
+        apply_exp_exact(op, dilated, scale=0.3),
+        evolution._FixedStart(op, psi).apply(0.3),
+        dilated,
+        stepped,
+        ancilla_branch(stepped, 0),
+        ancilla_branch(stepped, 1),
+        reset_ancilla(stepped),
+        probe_state(ham, psi, 0.1),
+        hf_state(ham),
+    ]
+    for execution, estimator in (("exact", None), ("dilated", None), ("sampled", EstimatorConfig(shots=500, seed=3))):
+        config = CqeConfig(execution=execution, estimator=estimator, max_iterations=3)
+        states.append(cqe_run(ham, config).state)
+    for state in states:
+        amps = state.amplitudes
+        assert amps.dtype == complex and amps.shape == (len(ham.basis) * 2**state.n_ancilla,)
+        assert 0.0 < state.success_prob <= 1.0
+        assert not amps.flags.writeable
+        with pytest.raises(ValueError):
+            amps[0] = 1.0
+
+
 def test_canonical_elements_counts():
     assert len(canonical_elements(4)) == 21   # 6 pairs -> 6*7/2
     assert len(canonical_elements(8)) == 406  # 28 pairs -> 28*29/2
@@ -1030,13 +1132,16 @@ def test_config_dataclasses_have_expected_defaults():
         DilationPolicy(max_steps_between_resets=0)
     with pytest.raises(ValueError):
         DilationPolicy(max_steps_between_resets=2.5)
+    with pytest.raises(ValueError):
+        DilationPolicy(max_steps_between_resets=True)
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [{"shots": 0, "seed": 1}, {"shots": -3, "seed": 1}, {"delta": 0.0},
      {"delta": float("nan")}, {"delta": float("inf")}, {"shots": 100},
-     {"shots": 100.5, "seed": 1}, {"shots": 100, "seed": 1.5}, {"shots": 100, "seed": -1}],
+     {"shots": 100.5, "seed": 1}, {"shots": 100, "seed": 1.5}, {"shots": 100, "seed": -1},
+     {"shots": True, "seed": 1}, {"shots": 5, "seed": True}],
 )
 def test_estimator_config_rejects_bad_values_at_construction(kwargs):
     with pytest.raises(ValueError):

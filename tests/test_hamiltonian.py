@@ -272,12 +272,20 @@ def test_fixture_dir_override(tmp_path, monkeypatch):
 
 
 def _h6_chain():
-    """The linear H6 chain of 1.0 angstrom spacing, from the fixture generator."""
+    """The linear H6 chain of 1.0 angstrom spacing, from the fixture generator.
+
+    Its integrals are exactly those of its FCIDUMP text: the generator's
+    two-electron tensor is 8-fold symmetric bit for bit, as a parsed one is.
+    """
     path = Path(__file__).resolve().parents[1] / "scripts" / "make_fixtures.py"
     spec = importlib.util.spec_from_file_location("make_fixtures", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     integrals, _ = module.build_integral_set([(0.0, 0.0, float(i)) for i in range(6)], 6)
+    reparsed = parse_fcidump(write_fcidump(integrals))
+    for part in ("h", "eri"):
+        assert np.array_equal(getattr(reparsed, part), getattr(integrals, part)), part
+    assert reparsed.core == integrals.core
     return integrals
 
 

@@ -73,6 +73,8 @@ def test_config_rejects_bad_fields():
     with pytest.raises(ValueError):
         CqeConfig(max_iterations=5.0)
     with pytest.raises(ValueError):
+        CqeConfig(max_iterations=True)  # a bool is no iteration count
+    with pytest.raises(ValueError):
         CqeConfig(residual_tolerance=0.0)
 
 
