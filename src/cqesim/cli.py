@@ -77,11 +77,7 @@ def _parse_pairing(text: str) -> PairingModel:
     if len(parts) != 4:
         raise CliError("pairing constants must be four comma-separated numbers e0,e1,e3,t")
     try:
-        values = [float(p) for p in parts]
-        for name, value in zip(("e0", "e1", "e3", "t"), values):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} = {value} must be finite")
-        return PairingModel(*values)
+        return PairingModel(*(float(p) for p in parts))
     except ValueError as exc:
         raise CliError(f"bad pairing constants {text!r}: {exc}") from exc
 
@@ -113,16 +109,12 @@ def _initial_state(spec: str, ham: SparseOperator, model: PairingModel | None) -
     raise CliError(f"unknown init {spec!r}; expected hf, fci, equator:THETA or sphere:G,M,X")
 
 
-def _label(name: str) -> str:
-    return name[: -len(".fcidump")] if name.endswith(".fcidump") else name
-
-
 def _load_hamiltonian(token: str):
     """(Hamiltonian, label) of a token: a readable FCIDUMP path or a packaged fixture stem."""
     path = Path(token)
     try:
         integrals = parse_fcidump(path.read_text()) if path.is_file() else load_fixture(token)
-        return build_hamiltonian(integrals), _label(path.name)
+        return build_hamiltonian(integrals), path.name.removesuffix(".fcidump")
     except FileNotFoundError as exc:
         raise CliError(str(exc)) from exc
     except ValueError as exc:  # a malformed record or an impossible sector

@@ -1,10 +1,9 @@
 """Non-unitary two-body exponentials: exact action and ancilla dilation.
 
-Every exponential below runs through one Taylor kernel, ``_taylor_series``
-(``_taylor_action`` when the output's norm is not needed): it takes the
-action of the generator on a vector and the generator's exact 1-norm
-(``norm1``, read off the CSR arrays once per operator)
-and sums segmented Taylor series from matrix-vector products alone, so no
+Every exponential below runs through one Taylor kernel, ``_taylor_series``:
+it takes the action of the generator on a vector and the generator's exact
+1-norm (``norm1``, the largest of the column sums an operator keeps) and
+sums segmented Taylor series from matrix-vector products alone, so no
 matrix (scaled, shifted, block or exponential) is built per call.  Segments
 have 1-norm at most theta_40 = 6.0 of Al-Mohy & Higham, at most
 ``_MAX_SEGMENTS`` of them, and a segment's series stops on two negligible
@@ -16,10 +15,10 @@ segment runs inline: each action returns a new array, which the kernel
 scales in place.  At the benchmark's sizes (dim <= 72) a product costs
 about as much as a numpy call, so the kernel spends no call, copy or
 wrapper per term that the recurrence does not need.  ``_FixedStart``
-keeps the terms ``(J / |J|_1)^k psi / k!`` of one generator on one state
-(``_Terms``), so the first segment of ``exp(eta J) psi`` costs no product
-once a larger eta has made them: a line search's trials from the same psi
-pay each product once.  An operator is a ``SparseOperator``: the
+keeps the terms ``(J / |J|_1)^k psi / k!`` of one generator on one state,
+so the first segment of ``exp(eta J) psi`` costs no product once a larger
+eta has made them: a line search's trials from the same psi pay each
+product once.  An operator is a ``SparseOperator``: the
 Hamiltonian, or a solver step factor whose CSR data sits on the sector's
 shared structure arrays.  Every product reads the operator's bare CSR
 arrays (``SparseOperator.csr``) through ``fock._csr_product``, the
@@ -103,7 +102,6 @@ from .fock import (
     TwoBodyTensor,
     _csr_product,
     _excitations,
-    _link_magnitudes,
     _link_operator,
     _link_tensor,
     _transition_elements,
@@ -146,37 +144,6 @@ _STOP2 = _TERM_STOP**2
 _STOP2_BOUND = _TERM_STOP**2 * _BOUND_MARGIN
 
 
-class _Terms:
-    """Kept Taylor terms ``t_k = A^k v / (d^k k!)`` of an action A on a vector v, made on demand.
-
-    The cache of ``_FixedStart``, which keeps one with ``d = |J|_1`` across
-    step sizes.  ``terms`` lists the terms made so far, item k >= 1 as
-    ``(t_k, |t_k|^2)`` and item 0 as ``(v, None)``; the kernel reads them
-    straight from it, and indexing makes the missing ones by the term
-    recurrence ``t_k = A(t_{k-1}) / (d k)``, the one that a fresh segment
-    runs inline.  The action returns a new array, which is scaled in place.
-    """
-
-    def __init__(self, action, divisor: float, vec: np.ndarray):
-        self._action = action
-        self._divisor = divisor
-        self.terms = [(vec, None)]
-
-    def __getitem__(self, k: int) -> tuple[np.ndarray, float]:
-        terms = self.terms
-        while len(terms) <= k:
-            term = self._action(terms[-1][0])
-            term *= 1.0 / (self._divisor * len(terms))
-            terms.append((term, np.vdot(term, term).real))
-        return terms[k]
-
-
-def _taylor_action(matvec, norm1: float, vec: np.ndarray, first=None) -> np.ndarray:
-    """``exp(G) @ vec`` from the action ``matvec(v) = G v`` and the 1-norm of G
-    (``_taylor_series`` without the output's squared norm)."""
-    return _taylor_series(matvec, norm1, vec, first)[0]
-
-
 def _taylor_series(matvec, norm1: float, vec: np.ndarray, first=None) -> tuple[np.ndarray, float]:
     """``exp(G) @ vec`` and its exact squared norm, from the action
     ``matvec(v) = G v``, a new array that the kernel may scale in place,
@@ -211,9 +178,9 @@ def _taylor_series(matvec, norm1: float, vec: np.ndarray, first=None) -> tuple[n
     A fresh segment runs the term recurrence inline, ``t_k = G t_{k-1} /
     (s k)``, scaling each new product in place.  ``first = (kept, phase)``
     serves the first segment from kept terms instead: ``kept`` is the
-    ``_Terms`` of ``vec`` under a generator J with divisor ``|J|_1``, and
-    ``G = phase |G|_1 J / |J|_1``, so that segment's k-th term is
-    ``(phase |G|_1 / s)^k`` times the k-th kept one.
+    ``_FixedStart`` of ``vec`` under a generator J, whose k-th term is
+    ``(J / |J|_1)^k vec / k!``, and ``G = phase |G|_1 J / |J|_1``, so that
+    segment's k-th term is ``(phase |G|_1 / s)^k`` times the k-th kept one.
     """
     if not math.isfinite(norm1):
         raise RuntimeError("generator matrix contains non-finite entries")
@@ -324,23 +291,25 @@ def apply_exp_exact(
             _csr_product(matrix, w[dim:], out=out[dim:])
             return np.multiply(scale, out, out=out)
 
-        out = _taylor_action(branches_action, norm1, psi.amplitudes)
+        out = _taylor_series(branches_action, norm1, psi.amplitudes)[0]
         return StateVector._closed(psi.basis, out, 1, psi.success_prob)
 
-    action = _scaled_product(matrix, scale)
+    out, norm2 = _taylor_series(_scaled_product(matrix, scale), norm1, psi.amplitudes)
     if not renormalize:
-        out = _taylor_action(action, norm1, psi.amplitudes)
         return StateVector._closed(psi.basis, out, 0, psi.success_prob)
-    out, norm2 = _taylor_series(action, norm1, psi.amplitudes)
     return _renormalized(psi, out, norm2, np.vdot(psi.amplitudes, psi.amplitudes).real)
 
 
 class _FixedStart:
     """``exp(eta J) psi`` with renormalization, for many step sizes eta from one bare state psi.
 
-    The first Taylor segment of every eta reads the kept terms
-    ``(J / |J|_1)^k psi / k!`` (``_Terms``), each made by one product when a
-    trial first needs it, scaled by ``(eta |J|_1 / s)^k``; later segments
+    It keeps the Taylor terms ``t_k = (J / |J|_1)^k psi / k!`` of its
+    generator on its state, made on demand: ``terms`` lists those made so
+    far, item k >= 1 as ``(t_k, |t_k|^2)`` and item 0 as ``(psi, None)``,
+    and indexing makes the missing ones by the recurrence
+    ``t_k = J t_{k-1} / (|J|_1 k)``, one product each when a trial first
+    needs it.  The first Taylor segment of every eta reads them
+    (``_taylor_series``), scaled by ``(eta |J|_1 / s)^k``; later segments
     act on vectors that change with eta and run the recurrence inline.
     ``|psi|^2`` is read once, for the renormalization of every trial.  The
     result equals ``apply_exp_exact(op, psi, scale=eta, renormalize=True)``
@@ -350,11 +319,19 @@ class _FixedStart:
     def __init__(self, op: SparseOperator, psi: StateVector):
         self.op = op
         self.psi = psi
-        self._kept = _Terms(partial(_csr_product, op.csr), op.norm1, psi.amplitudes)
+        self.terms = [(psi.amplitudes, None)]
         self._norm2 = np.vdot(psi.amplitudes, psi.amplitudes).real
 
+    def __getitem__(self, k: int) -> tuple[np.ndarray, float]:
+        terms = self.terms
+        while len(terms) <= k:
+            term = _csr_product(self.op.csr, terms[-1][0])
+            term *= 1.0 / (self.op.norm1 * len(terms))
+            terms.append((term, np.vdot(term, term).real))
+        return terms[k]
+
     def apply(self, eta: complex) -> StateVector:
-        first = (self._kept, eta / abs(eta) if eta else 1.0)
+        first = (self, eta / abs(eta) if eta else 1.0)
         action = _scaled_product(self.op.csr, eta)
         out, norm2 = _taylor_series(action, abs(eta) * self.op.norm1, self.psi.amplitudes, first)
         return _renormalized(self.psi, out, norm2, self._norm2)
@@ -405,7 +382,7 @@ def _dilated_step(psi: StateVector, apply_j, norm1: float, delta: float) -> Stat
         np.multiply(-delta, bottom, out=bottom)
         return out
 
-    out = _taylor_action(action, abs(delta) * norm1, psi.amplitudes)
+    out = _taylor_series(action, abs(delta) * norm1, psi.amplitudes)[0]
     return StateVector._closed(psi.basis, out, 1, psi.success_prob)
 
 
@@ -688,7 +665,7 @@ def _outcome_classes(basis: Basis, channels) -> tuple[np.ndarray, np.ndarray]:
     vecs = np.stack([v for pair in channels for v in pair], axis=1)  # columns x0, y0, x1, y1, ...
     weight = np.abs(vecs) ** 2
     pair_weight = np.take(weight, ex.rows, 0) + np.take(weight, ex.indices, 0)
-    m = _csr_product(_link_magnitudes(basis), pair_weight, float)
+    m = _csr_product(ex.magnitudes, pair_weight)
     g = _transition_elements(basis, vecs, vecs)
     m = np.take(m, column, 0).T / 8.0
     g = np.take(g, column, 0).T / 4.0

@@ -288,12 +288,13 @@ class TwoBodyTensor:
 
 
 class _Csr(NamedTuple):
-    """A complex CSR matrix as its bare arrays.
+    """A CSR matrix as its bare arrays.
 
-    The package forms complex data on int32 structure in scipy's canonical
-    order (columns ascending within a row, none twice): the arrays of the
-    ``scipy.sparse.csr_matrix`` of the same matrix.  A scipy matrix given
-    to ``SparseOperator`` lends its own arrays.
+    The package forms complex data (real only for the pattern's ``|P^T|``)
+    on int32 structure in scipy's canonical order (columns ascending within
+    a row, none twice): the arrays of the ``scipy.sparse.csr_matrix`` of
+    the same matrix.  A scipy matrix given to ``SparseOperator`` lends its
+    own arrays.
     """
 
     shape: tuple[int, int]
@@ -390,9 +391,10 @@ class SparseOperator:
 
     @cached_property
     def norm1(self) -> float:
-        """Exact 1-norm of the matrix (``_norm1``), the one thing a solver
-        step factor computes from its arrays; bit for bit ``shifted_norm1(0)``."""
-        return _norm1(self.csr)
+        """Exact 1-norm of the matrix, the largest of the kept column sums
+        (``shifted_norm1(0)``): the one thing a solver step factor computes
+        from its arrays."""
+        return float(self._column_sums.max(initial=0.0))
 
     @cached_property
     def _column_sums(self) -> np.ndarray:
@@ -435,40 +437,33 @@ class SparseOperator:
         return self._deviation <= tol
 
 
-def _norm1(matrix: _Csr) -> float:
-    """Exact 1-norm of a matrix, the largest column sum of ``|data|`` read
-    off the CSR arrays; no matrix is built."""
-    return float(_abs_column_sums(matrix).max(initial=0.0))
-
-
 def _abs_column_sums(matrix: _Csr) -> np.ndarray:
     """Column sums of ``|matrix|`` from its CSR arrays."""
     return np.bincount(matrix.indices, np.abs(matrix.data), minlength=matrix.shape[1])
 
 
-def _csr_product(matrix: _Csr, vec: np.ndarray, dtype=complex, out: np.ndarray | None = None) -> np.ndarray:
-    """``matrix @ vec`` for a complex CSR matrix and a vector or (dim, k) block.
+def _csr_product(matrix: _Csr, vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``matrix @ vec`` for a CSR matrix and a vector or (dim, k) block.
 
     ``matrix`` is a ``_Csr`` or a scipy CSR matrix: only the arrays are
     read.  Calls the sparsetools kernel behind scipy's ``@`` directly, into
-    a fresh zeroed complex output as ``@`` does, so the product is
-    bit-identical without the per-call dispatch (about as costly as a
-    dim-36 product).  A block is made C-contiguous first, as ``@`` does
-    too.  ``dtype=float`` serves a real matrix on real input
-    (``_link_magnitudes`` on probabilities), whose product ``@`` also forms
-    in real arithmetic.  A vector's product may go into ``out`` instead, a
-    zeroed contiguous vector of the row count, such as one half of a
-    V-step's output: the kernel adds into its output, and each column of
-    the block kernel is bitwise the vector kernel on that column.
+    a fresh zeroed output of the matrix's dtype as ``@`` does for input of
+    that dtype, so the product is bit-identical without the per-call
+    dispatch (about as costly as a dim-36 product).  A block is made
+    C-contiguous first, as ``@`` does too.  A vector's product may go into
+    ``out`` instead, a zeroed contiguous vector of the row count, such as
+    one half of a V-step's output: the kernel adds into its output, and
+    each column of the block kernel is bitwise the vector kernel on that
+    column.
     """
     rows, cols = matrix.shape
     if vec.ndim == 1:
         if out is None:
-            out = np.zeros(rows, dtype=dtype)
+            out = np.zeros(rows, dtype=matrix.data.dtype)
         _sparsetools.csr_matvec(rows, cols, matrix.indptr, matrix.indices, matrix.data, vec, out)
         return out
     block = np.ascontiguousarray(vec)
-    out = np.zeros((rows, block.shape[1]), dtype=dtype)
+    out = np.zeros((rows, block.shape[1]), dtype=matrix.data.dtype)
     _sparsetools.csr_matvecs(
         rows, cols, block.shape[1], matrix.indptr, matrix.indices, matrix.data,
         block.ravel(), out.ravel(),
@@ -538,6 +533,7 @@ def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _Excitations:
     by_link: _Csr            # P^T, (links, sector nonzeros), entries 4 s' s
+    magnitudes: _Csr         # |P^T|, real 4 at every entry: the shot estimator's pair weights
     support: np.ndarray      # flat n^4 index of each link's canonical element, ascending
     adjoint: np.ndarray      # link position of each link's pair adjoint (k, l, i, j)
     upper: np.ndarray        # links with pair(ij) <= pair(kl), ascending: the linked canonical elements
@@ -616,7 +612,8 @@ def _excitations(basis: Basis) -> _Excitations:
     indices = cols.astype(np.int32)
     for structure in (indptr, indices):
         structure.setflags(write=False)  # shared by every operator of the sector's links
-    return _Excitations(by_link, support, adjoint, upper, rows, indices, indptr)
+    magnitudes = by_link._replace(data=np.abs(by_link.data))
+    return _Excitations(by_link, magnitudes, support, adjoint, upper, rows, indices, indptr)
 
 
 def _transition_elements(basis: Basis, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
@@ -625,14 +622,6 @@ def _transition_elements(basis: Basis, bra: np.ndarray, ket: np.ndarray) -> np.n
     or (dim, k) blocks, whose columns give the columns of the result."""
     ex = _excitations(basis)
     return _csr_product(ex.by_link, np.take(bra.conj(), ex.rows, 0) * np.take(ket, ex.indices, 0))
-
-
-@lru_cache(maxsize=64)
-def _link_magnitudes(basis: Basis) -> _Csr:
-    """``|P^T|`` of the sector's excitation pattern (4 at every entry), which
-    weighs the determinant pairs of each link in the shot estimator."""
-    pattern = _excitations(basis).by_link
-    return pattern._replace(data=np.abs(pattern.data))
 
 
 def _link_norm(links: np.ndarray) -> float:

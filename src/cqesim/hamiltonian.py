@@ -300,8 +300,7 @@ def load_fixture(name: str) -> IntegralSet:
     The directory can be redirected with the ``CQESIM_FIXTURE_DIR``
     environment variable.
     """
-    stem = name[: -len(".fcidump")] if name.endswith(".fcidump") else name
-    path = _fixture_dir() / f"{stem}.fcidump"
+    path = _fixture_dir() / f"{name.removesuffix('.fcidump')}.fcidump"
     if not path.is_file():
         known = ", ".join(list_fixtures()) or "(none)"
         raise FileNotFoundError(f"no fixture {name!r}; available: {known}")

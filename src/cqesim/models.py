@@ -28,6 +28,7 @@ for the commutator-driven flow but not for the anticommutator-driven one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ from .fock import (
     build_basis,
     two_body_to_operator,
 )
+from .oracle import _fix_phase
 
 __all__ = [
     "PairingModel",
@@ -67,7 +69,7 @@ PAIRING_DETERMINANTS = (0b00110011, 0b11000011, 0b00111100, 0b11001100)
 
 @dataclass(frozen=True)
 class PairingModel:
-    """Ladder parameters; ``e1`` must be the midpoint of ``e0`` and ``e3``."""
+    """Ladder parameters, all finite; ``e1`` must be the midpoint of ``e0`` and ``e3``."""
 
     e0: float = 0.0
     e1: float = 1.0
@@ -75,6 +77,10 @@ class PairingModel:
     t: float = 0.5
 
     def __post_init__(self):
+        for name in ("e0", "e1", "e3", "t"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} = {value} must be finite")
         if abs(2.0 * self.e1 - (self.e0 + self.e3)) > 1e-12:
             raise ValueError(
                 f"ladder constraint violated: 2*e1 = {2 * self.e1} but e0 + e3 = {self.e0 + self.e3}"
@@ -114,15 +120,11 @@ def _pairing_tensor(model: PairingModel) -> TwoBodyTensor:
     return TwoBodyTensor(n, antisymmetrize(raw))
 
 
-def _fix_sign(vec: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.round(np.abs(vec), 12)))
-    return -vec if vec[k] < 0 else vec
-
-
 def dressed_pair_vectors(model: PairingModel) -> tuple[np.ndarray, np.ndarray]:
-    """Pair eigenvectors ``(u_minus, u_plus)`` with deterministic signs."""
+    """Pair eigenvectors ``(u_minus, u_plus)`` with deterministic signs
+    (``oracle._fix_phase``: the largest entry positive)."""
     _, vecs = np.linalg.eigh(model.pair_matrix())
-    return _fix_sign(vecs[:, 0]), _fix_sign(vecs[:, 1])
+    return _fix_phase(vecs[:, 0]), _fix_phase(vecs[:, 1])
 
 
 def _block_vectors(model: PairingModel) -> dict[str, np.ndarray]:

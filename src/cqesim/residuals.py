@@ -22,8 +22,9 @@ Two contraction identities are load-bearing and pinned by tests:
 
 ``<a, b>`` is the Frobenius inner product ``sum conj(a) * b``.
 
-The residual is contracted as a link vector (``_link_residual``; see
-``fock``), which the solver uses as it is; ``compute_2rdm`` and the public
+The residual is contracted as a link vector, the transition 2-RDM link
+vector between psi and ``(H - E) psi`` (``_rdm2_links``; see ``fock``),
+which the solver uses as it is; ``compute_2rdm`` and the public
 residual functions expand link vectors into n^4 tensors.  ``_moments``
 reads the energy, the variance and ``(H - E) psi``, the ket of the raw
 residual, off one product ``H psi``: the solver pays that one product per
@@ -146,10 +147,11 @@ def _moments(
 
     E is bit for bit that of ``energy``, and the variance is
     ``|(H - E) psi|^2 / |psi|^2``, the one formula of ``variance``.  The
-    solver reads all three, the raw residual included (``_link_residual``),
-    off the one product at every state it visits; ``h_amps`` is that
-    product where the caller already formed it (the step plan's accepted
-    trial), and it is formed here otherwise.  The state is not checked.
+    solver reads all three, the raw residual included (``_rdm2_links`` of
+    psi and ``(H - E) psi``), off the one product at every state it
+    visits; ``h_amps`` is that product where the caller already formed it
+    (the step plan's accepted trial), and it is formed here otherwise.
+    The state is not checked.
     """
     amps = psi.amplitudes
     if h_amps is None:
@@ -163,12 +165,6 @@ def variance(ham: SparseOperator, psi: StateVector) -> float:
     """Energy variance ``<(H - E)^2>`` on the normalized state (``_moments``)."""
     _check_basis(ham, psi)
     return _moments(ham, psi)[1]
-
-
-def _link_residual(psi: StateVector, shifted: np.ndarray) -> np.ndarray:
-    """The raw residual R of the unit state ``psi`` as a link vector (``fock``):
-    the transition 2-RDM between psi and ``shifted = (H - E) psi`` of ``_moments``."""
-    return _rdm2_links(psi.basis, psi.amplitudes, shifted)
 
 
 def residual_channel(raw: np.ndarray, variant: str, adjoint=None) -> np.ndarray:
@@ -197,7 +193,7 @@ def residual(ham: SparseOperator, psi: StateVector, variant: str) -> TwoBodyTens
     """Contracted residual of channel ``variant`` ('cse', 'hcse' or 'acse')."""
     _check_basis(ham, psi)
     psi = psi.normalized()
-    raw = _link_residual(psi, _moments(ham, psi)[2])
+    raw = _rdm2_links(psi.basis, psi.amplitudes, _moments(ham, psi)[2])
     channel = residual_channel(raw, variant, _excitations(psi.basis).pair_adjoint)
     return TwoBodyTensor._closed(psi.basis.n_spin_orbitals, _link_tensor(psi.basis, channel))
 

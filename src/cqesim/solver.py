@@ -107,9 +107,9 @@ from .fock import (
 )
 from .residuals import (
     RESIDUAL_VARIANTS,
-    _link_residual,
     _moments,
     _rayleigh,
+    _rdm2_links,
     _residual_channels,
     energy,
 )
@@ -475,7 +475,7 @@ def cqe_run(
         sampled runs estimate the channel with a seed spawned from the
         configured one for each iteration."""
         e, var, shifted = _moments(ham, psi, h_psi)
-        channels = _residual_channels(_link_residual(psi, shifted), adjoint)
+        channels = _residual_channels(_rdm2_links(psi.basis, psi.amplitudes, shifted), adjoint)
         norms = {v: _link_norm(channels[v]) for v in RESIDUAL_VARIANTS}
         if not sampled:
             return e, var, norms, channels[config.variant], norms[config.variant]

@@ -108,7 +108,7 @@ def block_exp_dilated(op: SparseOperator, psi: StateVector, scale: complex) -> n
     def block_action(w):
         return scale * (matrix @ w.reshape(2, dim).T).T.ravel()
 
-    return evolution._taylor_action(block_action, abs(scale) * op.norm1, psi.amplitudes)
+    return evolution._taylor_series(block_action, abs(scale) * op.norm1, psi.amplitudes)[0]
 
 
 def _block_vstep(apply_j, norm1: float, delta: float, amplitudes: np.ndarray) -> np.ndarray:
@@ -120,7 +120,7 @@ def _block_vstep(apply_j, norm1: float, delta: float, amplitudes: np.ndarray) ->
         jw = apply_j(w.reshape(2, dim).T)  # columns J u and J v
         return np.concatenate([delta * jw[:, 1], -delta * jw[:, 0]])
 
-    return evolution._taylor_action(action, abs(delta) * norm1, amplitudes)
+    return evolution._taylor_series(action, abs(delta) * norm1, amplitudes)[0]
 
 
 def block_dilated_step(op: SparseOperator, psi: StateVector, delta: float) -> np.ndarray:

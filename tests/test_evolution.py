@@ -27,7 +27,6 @@ from cqesim.fock import (
     SparseOperator,
     StateVector,
     TwoBodyTensor,
-    _norm1,
     antisymmetrize,
     hermitian_part,
     build_basis,
@@ -36,8 +35,8 @@ from cqesim.fock import (
 )
 from cqesim.hamiltonian import build_hamiltonian, load_fixture
 from cqesim.residuals import (
-    _link_residual,
     _moments,
+    _rdm2_links,
     compute_2rdm,
     energy,
     residual_acse,
@@ -118,8 +117,8 @@ def test_apply_exp_exact_runs_both_branches_as_one_block(monkeypatch, scale):
         calls.append(None)
         return taylor(*args)
 
-    taylor = evolution._taylor_action
-    monkeypatch.setattr(evolution, "_taylor_action", counted)
+    taylor = evolution._taylor_series
+    monkeypatch.setattr(evolution, "_taylor_series", counted)
     got = apply_exp_exact(op, dilated, scale=scale)
     assert len(calls) == 1
     for outcome in (0, 1):
@@ -355,12 +354,12 @@ def test_norm1_matches_dense_column_sums(name):
 
 @pytest.mark.parametrize("name", ["h2_d0.74", "h4_d1.00", "no_diagonal"])
 def test_shifted_norm1_from_kept_column_sums(name):
-    # the probe's shifted 1-norm and the operator's 1-norm read the column
-    # sums and diagonal that the operator keeps; unshifted, they have the
-    # bits of _norm1, which step factors read, and all match the dense value
+    # the probe's shifted 1-norm and the operator's 1-norm, which step
+    # factors read, come from the column sums and diagonal that the operator
+    # keeps; unshifted, they have the same bits, and all match the dense value
     rng = np.random.default_rng(88)
     ham = _probe_operator(name, rng)
-    assert ham.shifted_norm1(0.0) == ham.norm1 == _norm1(ham.matrix)
+    assert ham.shifted_norm1(0.0) == ham.norm1
     for shift in (0.0, energy(ham, hf_state(ham)), -3.7, 2.5):
         got = ham.shifted_norm1(shift)
         dense = np.abs(ham.dense() - shift * np.eye(len(ham.basis))).sum(axis=0).max()
@@ -379,8 +378,8 @@ def test_kernel_gets_the_exact_generator_norm(monkeypatch):
         norms.append(norm1)
         return kernel(matvec, norm1, vec)
 
-    kernel = evolution._taylor_action
-    monkeypatch.setattr(evolution, "_taylor_action", spy)
+    kernel = evolution._taylor_series
+    monkeypatch.setattr(evolution, "_taylor_series", spy)
     apply_exp_exact(op, psi, scale=-2.5j)
     apply_dilated(prepare_dilated(psi), op, 0.7)
     probe_state(ham, psi, -0.3)
@@ -444,7 +443,7 @@ def test_exact_step_across_segment_boundaries_matches_dense_expm(norm, kind, sig
     basis = build_basis(8, 4, 0)
     op = _kernel_generator(rng, kind, basis)
     psi = _random_state(rng, basis, complex_valued=True)
-    scale = sign * norm / _norm1(op.matrix)
+    scale = sign * norm / op.norm1
     got = apply_exp_exact(op, psi, scale=scale).amplitudes
     ref = scipy.linalg.expm(scale * op.dense()) @ psi.amplitudes
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
@@ -458,7 +457,7 @@ def test_dilated_step_across_segment_boundaries_matches_dense_expm(norm, kind):
     op = _kernel_generator(rng, kind, basis)
     amps = rng.normal(size=2 * len(basis)) + 1j * rng.normal(size=2 * len(basis))
     dilated = StateVector(basis, amps / np.linalg.norm(amps), 1)
-    delta = norm / _norm1(op.matrix)
+    delta = norm / op.norm1
     got = apply_dilated(dilated, op, delta).amplitudes
     ref = _dense_block_expm_apply(op.matrix, delta, dilated.amplitudes)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
@@ -488,7 +487,7 @@ def _count_products(matvec, norm1, vec):
         calls.append(None)
         return matvec(v)
 
-    evolution._taylor_action(counted, norm1, vec)
+    evolution._taylor_series(counted, norm1, vec)
     return len(calls)
 
 
@@ -498,7 +497,7 @@ def test_kernel_segments_follow_the_theta_bound(seed):
     basis = build_basis(8, 4, 0)
     op = _kernel_generator(rng, "hermitian", basis)
     vec = _random_state(rng, basis, complex_valued=True).amplitudes
-    norm1 = _norm1(op.matrix)
+    norm1 = op.norm1
     products = {}
     for target in (6.0, 13.0):
         scale = target / norm1
@@ -520,7 +519,7 @@ def test_kernel_refuses_more_segments_than_its_bound_before_any_product():
 
     for norm1 in (np.nextafter(largest, np.inf), 1e12):
         with pytest.raises(RuntimeError, match="Taylor segments"):
-            evolution._taylor_action(forbidden, norm1, vec)
+            evolution._taylor_series(forbidden, norm1, vec)
 
 
 @pytest.mark.parametrize("norm1, segments, per_segment", [(0.3, 1, 2), (6.0, 1, 6), (13.0, 3, 4)])
@@ -534,21 +533,30 @@ def test_kernel_stops_only_where_terms_contract(norm1, segments, per_segment):
 
 def _reference_taylor(matvec, norm1, vec, first=None):
     """The kernel's segmented series with ``|acc|^2`` formed at every term:
-    the stops, errors and output bits that ``_taylor_action`` must keep."""
+    the stops, errors and output bits that ``_taylor_series`` must keep.
+
+    Every term comes from this function's own recurrence.  ``first =
+    (unit, divisor, phase)`` serves the first segment as ``_FixedStart``
+    serves the kernel: from the terms ``(J / divisor)^k vec / k!`` of the
+    action ``unit(v) = J v``, scaled by ``(phase norm1 / s)^k``.
+    """
     out = vec.astype(complex, copy=True)
     if norm1 == 0.0:
         return out
     segments = max(1, int(np.ceil(norm1 / THETA)))
     for segment in range(segments):
         if segment == 0 and first is not None:
-            terms, ratio = first[0], first[1] * norm1 / segments
+            action, divisor, ratio = first[0], first[1], first[2] * norm1 / segments
         else:
-            terms, ratio = evolution._Terms(matvec, segments, out), 1.0
+            action, divisor, ratio = matvec, segments, 1.0
+        made = out
         acc = out.copy()
         power = 1.0
         streak = 0
         for k in range(1, evolution._MAX_TAYLOR_TERMS + 1):
-            term, term2 = terms[k]
+            made = action(made)
+            made *= 1.0 / (divisor * k)
+            term, term2 = made, np.vdot(made, made).real
             if ratio != 1.0:
                 power *= ratio
                 term, term2 = power * term, abs(power) ** 2 * term2
@@ -566,23 +574,28 @@ def _reference_taylor(matvec, norm1, vec, first=None):
     return out
 
 
-def _counted_run(kernel, matvec, norm1, vec, first=None):
-    calls = []
+def _counted(action, calls):
+    """``action``, appending to ``calls`` once per product."""
 
-    def counted(v):
+    def counted(*args, **kwargs):
         calls.append(None)
-        return matvec(v)
+        return action(*args, **kwargs)
 
-    if first is not None:  # fresh kept terms, so each side pays for its own
-        unit, divisor, phase = first
-        first = (evolution._Terms(lambda v: counted(unit(v)), divisor, vec), phase)
-    out = kernel(counted, norm1, vec) if first is None else kernel(counted, norm1, vec, first)
-    return out, len(calls)
+    return counted
 
 
-def _assert_kernel_matches_reference(matvec, norm1, vec, first=None):
-    got, got_products = _counted_run(evolution._taylor_action, matvec, norm1, vec, first)
-    ref, ref_products = _counted_run(_reference_taylor, matvec, norm1, vec, first)
+def _counted_run(kernel, matvec, norm1, vec):
+    calls = []
+    return kernel(_counted(matvec, calls), norm1, vec), len(calls)
+
+
+def _kernel_output(matvec, norm1, vec):
+    return evolution._taylor_series(matvec, norm1, vec)[0]
+
+
+def _assert_kernel_matches_reference(matvec, norm1, vec):
+    got, got_products = _counted_run(_kernel_output, matvec, norm1, vec)
+    ref, ref_products = _counted_run(_reference_taylor, matvec, norm1, vec)
     assert got_products == ref_products
     assert np.array_equal(got, ref)
 
@@ -610,20 +623,35 @@ def test_kernel_norm_skips_keep_the_stops_and_bits_on_a_contracting_shift(c):
 
 @pytest.mark.parametrize("norm1", [0.3, 6.0, 13.0])
 @pytest.mark.parametrize("phase", [1.0, -1.0, 1j])
-def test_kernel_norm_skips_keep_the_stops_and_bits_on_kept_terms(norm1, phase):
+def test_kernel_norm_skips_keep_the_stops_and_bits_on_kept_terms(monkeypatch, norm1, phase):
+    # a line-search trial as the solver runs it: the first segment reads the
+    # terms (J / |J|_1)^k psi / k! that _FixedStart keeps, and every product,
+    # kept or fresh, goes through evolution._csr_product
     rng = np.random.default_rng(100)
     basis = build_basis(8, 4, 0)
     op = _kernel_generator(rng, "hermitian", basis)
-    vec = _random_state(rng, basis, complex_valued=True).amplitudes
+    psi = _random_state(rng, basis, complex_valued=True)
     eta = phase * norm1 / op.norm1
+    products = []
+    monkeypatch.setattr(evolution, "_csr_product", _counted(_csr_product, products))
+    start = evolution._FixedStart(op, psi)
+    got = start.apply(eta)
+    first_products, kept = len(products), len(start.terms) - 1
+    products.clear()
+    again = start.apply(eta)  # every kept term it reads is made already
+    monkeypatch.undo()
 
-    def unit(v):
-        return _csr_product(op.matrix, v)
-
-    def action(v):
-        return eta * _csr_product(op.matrix, v)
-
-    _assert_kernel_matches_reference(action, norm1, vec, (unit, op.norm1, phase))
+    calls = []
+    unit = _counted(lambda v: _csr_product(op.csr, v), calls)
+    action = _counted(lambda v: eta * _csr_product(op.csr, v), calls)
+    first = (unit, op.norm1, eta / abs(eta))
+    ref = _reference_taylor(action, abs(eta) * op.norm1, psi.amplitudes, first)
+    ref /= math.sqrt(np.vdot(ref, ref).real)
+    assert kept > 0
+    assert first_products == len(calls)
+    assert len(products) == len(calls) - kept
+    assert np.array_equal(got.amplitudes, ref)
+    assert np.array_equal(again.amplitudes, ref)
 
 
 @pytest.mark.parametrize("norm1", [0.3, 6.0, 13.0])
@@ -637,7 +665,7 @@ def test_kernel_norm_skips_keep_the_stops_and_bits_on_dilated_blocks(monkeypatch
     dilated = StateVector(basis, amps / np.linalg.norm(amps), 1)
     delta = norm1 / op.norm1
     calls = []
-    monkeypatch.setattr(evolution, "_taylor_action", lambda *args: calls.append(args) or args[2])
+    monkeypatch.setattr(evolution, "_taylor_series", lambda *args: calls.append(args) or (args[2], None))
     apply_dilated(dilated, op, delta)
     apply_exp_exact(op, dilated, scale=-1j * delta)
     monkeypatch.undo()
@@ -668,7 +696,7 @@ def test_kernel_norm_skips_keep_a_streak_broken_by_a_large_term():
 )
 def test_kernel_norm_skips_keep_the_errors(matvec, norm1, message):
     vec = np.arange(1.0, 5.0) + 0j
-    for kernel in (evolution._taylor_action, _reference_taylor):
+    for kernel in (evolution._taylor_series, _reference_taylor):
         with np.errstate(invalid="ignore", over="ignore"), pytest.raises(RuntimeError, match=message):
             kernel(matvec, norm1, vec)
 
@@ -749,7 +777,7 @@ def _h4_step_factors():
     """The Hamiltonian and both step factors of the first cse step on h4_d1.40."""
     ham = build_hamiltonian(load_fixture("h4_d1.40"))
     psi = hf_state(ham)
-    plan = _StepPlan(ham, psi, -_link_residual(psi, _moments(ham, psi)[2]))
+    plan = _StepPlan(ham, psi, -_rdm2_links(psi.basis, psi.amplitudes, _moments(ham, psi)[2]))
     assert plan.op_a is not None and plan.op_h is not None
     return ham, {"h4_anti": plan.op_a, "h4_herm": plan.op_h}
 

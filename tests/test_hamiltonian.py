@@ -344,7 +344,7 @@ def test_numpy_built_arrays_equal_scipy_built_ones(name):
     ex = fock._excitations(basis)
     assert np.array_equal(ex.support, support)
     _assert_same_csr(ex.by_link, by_link)
-    _assert_same_csr(fock._link_magnitudes(basis), abs(by_link))
+    _assert_same_csr(ex.magnitudes, abs(by_link))
     dim = len(basis)
     j_k = sp.csr_matrix((by_link.T @ tensor.coeffs.ravel()[support], (rows, cols)), shape=(dim, dim))
     _assert_same_csr(ham.csr, j_k + core * sp.identity(dim, format="csr") if core else j_k)

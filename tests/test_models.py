@@ -1,5 +1,8 @@
 """Pairing ladder: block structure, dressed frame, and equator geometry."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,16 @@ def test_model_validation():
         PairingModel(e0=1.0, e1=1.0, e3=1.0, t=0.0)  # no gap at all
     # Degenerate diagonal with hopping is fine.
     PairingModel(e0=1.0, e1=1.0, e3=1.0, t=0.3)
+
+
+@pytest.mark.parametrize("field", ["e0", "e1", "e3", "t"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_model_refuses_non_finite_constants(field, value):
+    # refused by name at construction, before any arithmetic could warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{field} = {value} must be finite$"):
+            PairingModel(**{field: value})
 
 
 def test_block_matrix_is_two_level_product():

@@ -1,5 +1,6 @@
 """The package namespace: what `import cqesim` exports, loads and documents."""
 
+import ast
 import json
 import os
 import re
@@ -12,6 +13,7 @@ from cqesim import evolution, fock, hamiltonian, models, oracle, residuals, solv
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = (fock, hamiltonian, oracle, residuals, evolution, models, solver)
+PACKAGE = Path(cqesim.__file__).resolve().parent
 
 
 def test_package_exports_every_module_all_once():
@@ -78,3 +80,47 @@ def test_readme_library_example_runs(capsys):
     exec(code, namespace)
     assert namespace["result"].status == "converged"
     assert capsys.readouterr().out.startswith("converged ")
+
+
+def _private_definitions(tree):
+    """Each module-level private function, class and constant of a module
+    (not a dunder name) with the line span of its definition."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, (node.lineno, node.end_lineno)
+
+
+def _loads(tree):
+    """(name, line) of every name or attribute that a module's code reads;
+    import lines bind names and read none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+
+
+def test_package_runs_every_private_definition():
+    # the package ships only code it runs: a private function, class or
+    # constant that only tests or its own definition read belongs in tests/
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    loads = {name: list(_loads(tree)) for name, tree in trees.items()}
+    unused = []
+    for module, tree in trees.items():
+        for name, (first, last) in _private_definitions(tree):
+            used = any(
+                loaded == name and not (other == module and first <= line <= last)
+                for other, reads in loads.items()
+                for loaded, line in reads
+            )
+            if not used:
+                unused.append(f"{module}:{first} {name}")
+    assert not unused

@@ -19,8 +19,8 @@ from cqesim.evolution import estimate_residual_w, prepare_dilated
 from cqesim.hamiltonian import build_hamiltonian, list_fixtures, load_fixture, reduced_hamiltonian_K
 from cqesim.oracle import fci_solve
 from cqesim.residuals import (
-    _link_residual,
     _moments,
+    _rdm2_links,
     compute_2rdm,
     energy,
     energy_slope,
@@ -252,7 +252,7 @@ def test_link_residual_holds_all_of_the_residual(fixture):
     ref = _canonical_transition_rdm(basis, psi.amplitudes, phi)
     support = _excitations(basis).support
     unit = psi.normalized()  # the solver's inputs: a unit state and its energy
-    links = _link_residual(unit, _moments(ham, unit)[2])
+    links = _rdm2_links(basis, unit.amplitudes, _moments(ham, unit)[2])
     np.testing.assert_allclose(links, ref.ravel()[support], atol=1e-12)
     assert not np.delete(ref.ravel(), support).any()
     full = residual_cse(ham, psi).coeffs

@@ -223,15 +223,15 @@ def test_dilated_execute_computes_each_norm_once(monkeypatch, variant, norms):
 
     def counted(matrix):
         calls.append(matrix)
-        return norm1(matrix)
+        return column_sums(matrix)
 
     def vstep(*args):
         vsteps.append(None)
         return evolution.apply_dilated(*args)
 
-    norm1 = fock._norm1
+    column_sums = fock._abs_column_sums
     vsteps = []
-    monkeypatch.setattr(fock, "_norm1", counted)
+    monkeypatch.setattr(fock, "_abs_column_sums", counted)
     monkeypatch.setattr(solver, "apply_dilated", vstep)
     plan = _StepPlan(ham, psi, _links(direction, psi.basis))
     register = _DilatedRegister(ham, psi, DilationPolicy(epsilon=0.1, reset_mode="never"))
