@@ -26,9 +26,15 @@ sparsetools kernel behind scipy's ``@`` without its dispatch, so products
 are bit-identical to ``@`` and no exponential imports scipy.  The ancilla
 actions (a unitary factor on both branches, the V-step, the probe) run
 one vector product per branch, each into its half of one zeroed output,
-bit for bit the columns of the (dim, 2) block product.  The states that
-come out are formed by ``StateVector._closed``, without the public
-constructor's cast, checks and copy.
+bit for bit the columns of the (dim, 2) block product.  The exception is
+a V-step of one Taylor segment on a register whose two halves are equal,
+as ``prepare_dilated`` makes them and a unitary factor keeps them: each
+term of its block generator has halves ``+-p_k``, so one product per term
+serves both branches, with the same bits (``_dilated_step``).  The probe
+of every estimate is such a step, and so is the dilated register's first
+V-step after a reset.  The states that come out are formed by
+``StateVector._closed``, without the public constructor's cast, checks
+and copy.
 
 Exact route
 -----------
@@ -72,7 +78,10 @@ a signed partial matching of determinants, so each Hermitian observable
 sector's excitation pattern, one product with ``|P^T|`` and one with
 ``P^T`` (``fock._transition_elements``) for every vector of both channels,
 and no eigenbasis is ever formed (``pair_excitation_matrix`` with a dense
-``eigh`` is the test oracle).  Both modes read these classes: exact mode
+``eigh`` is the test oracle).  The per-element tables (each element's
+pattern column, the diagonal and drawn masks, the outcome values) are
+fields of the pattern, built once with it, and the classes are written
+into one preallocated array.  Both modes read these classes: exact mode
 takes the expectation ``v (P+ - P-)``, and with ``shots`` set every
 observable gets multinomial counts over its classes, all drawn in one
 call, which reproduces hardware shot noise exactly rather than through a
@@ -142,9 +151,14 @@ _BOUND_MARGIN = 1.0 + 1e-6
 # the squared ratio-test factors, formed once with the bits of the per-term products
 _STOP2 = _TERM_STOP**2
 _STOP2_BOUND = _TERM_STOP**2 * _BOUND_MARGIN
+# the signs of p_k in the top and bottom halves of the k-th term of
+# [[0, D], [-D, 0]] on [p; p], by k % 4: + + - - ... and + - - + ...
+_BRANCH_SIGNS = ((np.add, np.add), (np.add, np.subtract), (np.subtract, np.subtract), (np.subtract, np.add))
 
 
-def _taylor_series(matvec, norm1: float, vec: np.ndarray, first=None) -> tuple[np.ndarray, float]:
+def _taylor_series(
+    matvec, norm1: float, vec: np.ndarray, first=None, one_branch: bool = False
+) -> tuple[np.ndarray, float]:
     """``exp(G) @ vec`` and its exact squared norm, from the action
     ``matvec(v) = G v``, a new array that the kernel may scale in place,
     and the 1-norm of G.
@@ -181,6 +195,15 @@ def _taylor_series(matvec, norm1: float, vec: np.ndarray, first=None) -> tuple[n
     ``_FixedStart`` of ``vec`` under a generator J, whose k-th term is
     ``(J / |J|_1)^k vec / k!``, and ``G = phase |G|_1 J / |J|_1``, so that
     segment's k-th term is ``(phase |G|_1 / s)^k`` times the k-th kept one.
+
+    ``one_branch=True`` sums one segment (``|G|_1 <= theta``) of the block
+    generator ``G = [[0, D], [-D, 0]]`` on a register ``vec = [p_0; p_0]``
+    whose halves are equal, from ``matvec(v) = D v`` on one half: the k-th
+    term is ``[+-p_k; +-p_k]`` with ``p_k = D p_{k-1} / k``, signs ``+ + -
+    - ...`` on top and ``+ - - + ...`` below, so each term costs one
+    product.  Its squared norm is ``2 |p_k|^2``, and each half of the sum
+    takes ``p_k`` by addition or subtraction, which gives the bits of the
+    two-branch action.
     """
     if not math.isfinite(norm1):
         raise RuntimeError("generator matrix contains non-finite entries")
@@ -197,6 +220,9 @@ def _taylor_series(matvec, norm1: float, vec: np.ndarray, first=None) -> tuple[n
             made, ratio = kept.terms, first[1] * norm1 / segments
         term = out
         acc = out.copy()
+        if one_branch:
+            half = len(out) // 2
+            term, top, bottom = out[:half], acc[:half], acc[half:]
         bound = math.sqrt(acc2)  # the triangle bound on |acc|
         power = 1.0
         small_streak = 0
@@ -210,7 +236,13 @@ def _taylor_series(matvec, norm1: float, vec: np.ndarray, first=None) -> tuple[n
                 if ratio != 1.0:
                     power *= ratio
                     term, term2 = power * term, abs(power) ** 2 * term2
-            acc += term
+            if one_branch:
+                term2 *= 2.0
+                on_top, on_bottom = _BRANCH_SIGNS[k % 4]
+                on_top(top, term, out=top)
+                on_bottom(bottom, term, out=bottom)
+            else:
+                acc += term
             bound += math.sqrt(term2)
             # a NaN or Inf term or bound fails this comparison and takes the exact norm
             if k < _MAX_TAYLOR_TERMS and term2 > _STOP2_BOUND * (bound * bound):
@@ -369,20 +401,39 @@ def apply_dilated(psi: StateVector, op: SparseOperator, delta: float) -> StateVe
 
 def _dilated_step(psi: StateVector, apply_j, norm1: float, delta: float) -> StateVector:
     """``exp(i delta Y_a x J)`` on a dilated state from the 1-norm of J and
-    its action ``apply_j(v, out=half)``, which writes ``J v`` into a zeroed
-    half of the step's output."""
+    its action ``apply_j(v, out=vec)``, which writes ``J v`` into a zeroed
+    vector of the sector's length.
+
+    A register whose halves are bit for bit equal, as ``prepare_dilated``
+    makes them and a unitary factor keeps them, takes one product per
+    Taylor term where the step is one segment (``|delta| |J|_1 <= theta``):
+    the kernel's ``one_branch`` series, with the bits of the two-branch
+    one.  Every other step writes each branch's product into its half of
+    one zeroed output.
+    """
     dim = len(psi.basis)
+    amps = psi.amplitudes
+    norm1 = abs(delta) * norm1
+    if norm1 <= _THETA and amps[:dim].tobytes() == amps[dim:].tobytes():
 
-    def action(w):  # [delta J v; -delta J u] of w = [u; v]
-        out = np.zeros(2 * dim, dtype=complex)
-        top, bottom = out[:dim], out[dim:]
-        apply_j(w[dim:], out=top)
-        apply_j(w[:dim], out=bottom)
-        np.multiply(delta, top, out=top)
-        np.multiply(-delta, bottom, out=bottom)
-        return out
+        def branch_action(v):  # delta J v on one branch
+            out = np.zeros(dim, dtype=complex)
+            apply_j(v, out=out)
+            return np.multiply(delta, out, out=out)
 
-    out = _taylor_series(action, abs(delta) * norm1, psi.amplitudes)[0]
+        out = _taylor_series(branch_action, norm1, amps, one_branch=True)[0]
+    else:
+
+        def action(w):  # [delta J v; -delta J u] of w = [u; v]
+            out = np.zeros(2 * dim, dtype=complex)
+            top, bottom = out[:dim], out[dim:]
+            apply_j(w[dim:], out=top)
+            apply_j(w[:dim], out=bottom)
+            np.multiply(delta, top, out=top)
+            np.multiply(-delta, bottom, out=bottom)
+            return out
+
+        out = _taylor_series(action, norm1, amps)[0]
     return StateVector._closed(psi.basis, out, 1, psi.success_prob)
 
 
@@ -498,7 +549,10 @@ def probe_state(ham: SparseOperator, psi: StateVector, delta: float) -> StateVec
 
     The V-step of ``apply_dilated`` with the action ``(H - E) v = H v - E v``
     and the exact 1-norm of ``H - E``, read off the column sums that H keeps
-    (``SparseOperator.shifted_norm1``); no shifted matrix is built.
+    (``SparseOperator.shifted_norm1``); no shifted matrix is built.  The
+    ancilla starts in ``|+>``, so a probe of one Taylor segment (``|delta|
+    |H - E|_1 <= 6``, 0.2 to 0.3 on H4 at the shot default) makes one
+    product per term (``_dilated_step``).
     """
     psi = psi.normalized()
     e = energy(ham, psi)
@@ -592,7 +646,8 @@ def _estimate_links(
     checked, and ``delta`` is resolved (``EstimatorConfig.probe_delta``).
     Both measured channels come from one ``_outcome_classes`` pass, and in
     shot mode all draws from one multinomial call, the Z rows before the Y
-    rows.  The measured S and A form the link vector of R = (S + A) / 2,
+    rows, over the parts ``_Excitations.drawn`` (a diagonal element's Im
+    part is zero and takes no draw).  The measured S and A form the link vector of R = (S + A) / 2,
     with the channel not measured set to zero, and ``residual_channel``
     maps it to the variant's channel with the sector's link adjoint.
     """
@@ -604,23 +659,21 @@ def _estimate_links(
     if variant != "acse":  # ancilla Z
         channels.append((top, bottom))
     if variant != "hcse":  # ancilla Y
-        channels.append(((top - 1j * bottom) / np.sqrt(2.0), (top + 1j * bottom) / np.sqrt(2.0)))
-    value, probs = _outcome_classes(basis, channels)
+        turned = 1j * bottom
+        channels.append(((top - turned) / np.sqrt(2.0), (top + turned) / np.sqrt(2.0)))
+    probs = _outcome_classes(basis, channels)
     ex = _excitations(basis)
-    column = ex.adjoint[ex.upper]  # the link of each element's pattern column
     if shots is None:
         mean = probs[..., 0] - probs[..., 1]
     else:
-        # the Im part of a diagonal element is zero: no draw
-        drawn = np.stack([np.ones(len(column), dtype=bool), column != ex.upper])
-        rows = np.clip(probs[:, drawn], 0.0, None)
+        rows = np.clip(probs[:, ex.drawn], 0.0, None)
         total = rows.sum(axis=2, keepdims=True)
         if not np.all(np.isfinite(total)) or np.any(total <= 0):
             raise RuntimeError("invalid outcome distribution in shot sampler")
         counts = np.random.default_rng(seed).multinomial(shots, (rows / total).reshape(-1, 3))
         mean = np.zeros(probs.shape[:3])
-        mean[:, drawn] = ((counts[:, 0] - counts[:, 1]) / shots).reshape(len(channels), -1)
-    readout = value * (mean[:, 0] + 1j * mean[:, 1])
+        mean[:, ex.drawn] = ((counts[:, 0] - counts[:, 1]) / shots).reshape(len(channels), -1)
+    readout = ex.outcome * (mean[:, 0] + 1j * mean[:, 1])
     s = readout[0] / delta if variant != "acse" else 0.0
     a = -1j * readout[-1] / delta if variant != "hcse" else 0.0
     # S is pair-Hermitian and A pair-anti-Hermitian, so R is (s + a) / 2 at
@@ -628,11 +681,11 @@ def _estimate_links(
     # (k, l, i, j), the link of the element's pattern column
     raw = np.zeros(len(ex.support), dtype=complex)
     raw[ex.upper] = 0.5 * (s + a)
-    raw[column] = 0.5 * np.conj(s - a)
+    raw[ex.column] = 0.5 * np.conj(s - a)
     return residual_channel(raw, variant, ex.pair_adjoint)
 
 
-def _outcome_classes(basis: Basis, channels) -> tuple[np.ndarray, np.ndarray]:
+def _outcome_classes(basis: Basis, channels) -> np.ndarray:
     """Closed-form outcome classes of probe channels for every measured element.
 
     A channel ``(x, y)`` reads the Hermitian part ``(G + G^+)/2`` ("Re") and
@@ -654,27 +707,38 @@ def _outcome_classes(basis: Basis, channels) -> tuple[np.ndarray, np.ndarray]:
 
     The elements are the sector's linked canonical elements (i, j, k, l),
     the links ``_Excitations.upper`` in ascending order, and each reads the
-    pattern column of ``G``, the link of its pair adjoint (k, l, i, j).
-    Returns the outcome value v (1/2, or 1 on the diagonal) of each element
-    and the probabilities of +v, -v and 0, shape (channels, 2, elements, 3)
-    for the Re and Im parts.
+    pattern column of ``G``, the link of its pair adjoint (k, l, i, j)
+    (``_Excitations.column``).  Returns the probabilities of +v, -v and 0,
+    shape (channels, 2, elements, 3) for the Re and Im parts, where v is
+    the element's outcome value ``_Excitations.outcome`` (1/2, or 1 on the
+    diagonal).  They are written into that array in the operation order of
+    the formulas above, ``m(x) + Re g(x) + m(y) - Re g(y)`` and so on.
     """
     ex = _excitations(basis)
-    column = ex.adjoint[ex.upper]
-    diag = column == ex.upper
-    vecs = np.stack([v for pair in channels for v in pair], axis=1)  # columns x0, y0, x1, y1, ...
+    vecs = np.array([v for pair in channels for v in pair]).T  # columns x0, y0, x1, y1, ...
     weight = np.abs(vecs) ** 2
     pair_weight = np.take(weight, ex.rows, 0) + np.take(weight, ex.indices, 0)
     m = _csr_product(ex.magnitudes, pair_weight)
     g = _transition_elements(basis, vecs, vecs)
-    m = np.take(m, column, 0).T / 8.0
-    g = np.take(g, column, 0).T / 4.0
+    m = np.take(m.T, ex.column, 1) / 8.0  # (vectors, elements)
+    g = np.take(g.T, ex.column, 1) / 4.0
     mx, my = m[0::2, None], m[1::2, None]  # (channels, 1, elements)
-    # (channels, 2, elements): the Re and Im parts of g
-    gx, gy = (np.stack([part.real, part.imag], axis=1) for part in (g[0::2], g[1::2]))
-    im = np.zeros_like(mx)  # a diagonal element's Im part
-    plus = np.where(diag, np.concatenate([mx, im], axis=1), mx + gx + my - gy)
-    minus = np.where(diag, np.concatenate([my, im], axis=1), mx - gx + my + gy)
-    total = np.array([np.vdot(x, x).real + np.vdot(y, y).real for x, y in channels])
-    probs = np.stack([plus, minus, total[:, None, None] - plus - minus], axis=-1)
-    return np.where(diag, 1.0, 0.5), probs
+    # (channels, 2, elements): views of the Re and Im parts of g
+    parts = g.view(float).reshape(len(g), -1, 2).transpose(0, 2, 1)
+    gx, gy = parts[0::2], parts[1::2]
+    probs = np.empty((len(channels), 2, len(ex.upper), 3))
+    plus, minus, rest = probs[..., 0], probs[..., 1], probs[..., 2]
+    np.add(mx, gx, out=plus)
+    plus += my
+    plus -= gy
+    np.subtract(mx, gx, out=minus)
+    minus += my
+    minus += gy
+    # a diagonal element has P(+1) = m(x), P(-1) = m(y) and no Im part
+    np.copyto(plus[:, 0], mx[:, 0], where=ex.diagonal)
+    np.copyto(minus[:, 0], my[:, 0], where=ex.diagonal)
+    probs[:, 1, ex.diagonal, :2] = 0.0
+    for c, (x, y) in enumerate(channels):
+        np.subtract(np.vdot(x, x).real + np.vdot(y, y).real, plus[c], out=rest[c])
+    rest -= minus
+    return probs

@@ -532,6 +532,10 @@ def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Excitations:
+    """A sector's excitation pattern, with the tables that the residual
+    estimator (``evolution._outcome_classes``) reads for its measured
+    elements, the links ``upper``, built once with the pattern."""
+
     by_link: _Csr            # P^T, (links, sector nonzeros), entries 4 s' s
     magnitudes: _Csr         # |P^T|, real 4 at every entry: the shot estimator's pair weights
     support: np.ndarray      # flat n^4 index of each link's canonical element, ascending
@@ -540,6 +544,10 @@ class _Excitations:
     rows: np.ndarray         # sector row of each nonzero
     indices: np.ndarray      # sector column of each nonzero (CSR indices)
     indptr: np.ndarray       # CSR row pointer of the sector matrix
+    column: np.ndarray       # adjoint[upper]: the pattern column of each measured element
+    diagonal: np.ndarray     # column == upper: the elements n_i n_j, whose Im part vanishes
+    drawn: np.ndarray        # (2, elements): the Re and Im parts that take shots, all but diagonal Im
+    outcome: np.ndarray      # outcome value of each element: 1 on the diagonal, else 1/2
 
     def pair_adjoint(self, links: np.ndarray) -> np.ndarray:
         """The link vector of ``T^+``: ``conj(links)`` at each link's pair adjoint."""
@@ -613,7 +621,13 @@ def _excitations(basis: Basis) -> _Excitations:
     for structure in (indptr, indices):
         structure.setflags(write=False)  # shared by every operator of the sector's links
     magnitudes = by_link._replace(data=np.abs(by_link.data))
-    return _Excitations(by_link, magnitudes, support, adjoint, upper, rows, indices, indptr)
+    column = adjoint[upper]
+    diagonal = column == upper
+    drawn = np.stack([np.ones(len(upper), dtype=bool), ~diagonal])
+    outcome = np.where(diagonal, 1.0, 0.5)
+    return _Excitations(
+        by_link, magnitudes, support, adjoint, upper, rows, indices, indptr, column, diagonal, drawn, outcome
+    )
 
 
 def _transition_elements(basis: Basis, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:

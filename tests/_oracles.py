@@ -15,7 +15,9 @@ Each is pinned by its own tests (``test_fock.py`` for ``apply_string``,
   ancilla exponentials with their actions on the (dim, 2) block of both
   branches, one scipy ``@`` per term, which is how the package formed them
   before it wrote each branch's vector product into its half of one
-  output: the package's results must equal theirs bit for bit.  They
+  output, and before a one-segment V-step on a register with equal
+  halves made one product for both: the package's results must equal
+  theirs bit for bit.  They
   share the package's Taylor kernel, which ``test_evolution.py`` pins
   against a series that forms the partial sum's norm at every term.
 """

@@ -372,21 +372,28 @@ def test_kernel_gets_the_exact_generator_norm(monkeypatch):
     op = _random_generator(rng, basis)
     ham = _hermitian_without_diagonal(rng, basis)
     psi = _random_state(rng, basis, complex_valued=True)
-    norms = []
+    norms, routes = [], []
 
-    def spy(matvec, norm1, vec):
+    def spy(matvec, norm1, vec, **route):
         norms.append(norm1)
-        return kernel(matvec, norm1, vec)
+        routes.append(route)
+        return kernel(matvec, norm1, vec, **route)
 
     kernel = evolution._taylor_series
     monkeypatch.setattr(evolution, "_taylor_series", spy)
     apply_exp_exact(op, psi, scale=-2.5j)
     apply_dilated(prepare_dilated(psi), op, 0.7)
+    apply_dilated(prepare_dilated(psi), op, 0.1)
     probe_state(ham, psi, -0.3)
+    # V-steps from a |+> ancilla run on one branch where they fit one segment
+    one_branch = {"one_branch": True}
+    assert 0.7 * op.norm1 > THETA >= 0.1 * op.norm1
+    assert routes == [{}, {}, one_branch, one_branch]
     shifted = ham.matrix - energy(ham, psi) * sp.identity(len(basis))
     generators = [
         -2.5j * op.dense(),
         sp.bmat([[None, 0.7 * op.matrix], [-0.7 * op.matrix, None]]).toarray(),
+        sp.bmat([[None, 0.1 * op.matrix], [-0.1 * op.matrix, None]]).toarray(),
         sp.bmat([[None, -0.3 * shifted], [0.3 * shifted, None]]).toarray(),
     ]
     assert norms == pytest.approx([np.abs(g).sum(axis=0).max() for g in generators], rel=1e-14)
@@ -787,7 +794,20 @@ def _dilated_state(rng, basis):
     return StateVector(basis, amps / np.linalg.norm(amps), 1, 0.5)
 
 
-# steps within one Taylor segment and across several of them
+def _fresh_registers(rng, ham, factors):
+    """A dilated register as ``prepare_dilated`` leaves it and after a
+    unitary factor, both with bitwise equal halves, and one with a
+    success probability below 1."""
+    psi = _random_state(rng, ham.basis, complex_valued=True)
+    fresh = prepare_dilated(StateVector(ham.basis, psi.amplitudes, 0, 0.5))
+    rotated = apply_exp_exact(factors["h4_anti"], fresh, scale=0.3)
+    for register in (fresh, rotated):
+        assert ancilla_branch(register, 0).amplitudes.tobytes() == ancilla_branch(register, 1).amplitudes.tobytes()
+    return [fresh, rotated]
+
+
+# steps within one Taylor segment and across several of them, on random
+# registers and on the fresh ones whose one-segment V-steps run on one branch
 @pytest.mark.parametrize("size", [0.05, 1.3, 15.0])
 @pytest.mark.parametrize("factor", ["h4_anti", "h4_herm", "random"])
 def test_ancilla_actions_equal_the_block_formulation_bit_for_bit(factor, size):
@@ -795,8 +815,8 @@ def test_ancilla_actions_equal_the_block_formulation_bit_for_bit(factor, size):
     ham, factors = _h4_step_factors()
     op = factors.get(factor) or _random_generator(rng, ham.basis, hermitian=True)
     step = size / op.norm1
-    for _ in range(3):
-        dilated = _dilated_state(rng, ham.basis)
+    registers = [_dilated_state(rng, ham.basis) for _ in range(3)] + _fresh_registers(rng, ham, factors)
+    for dilated in registers:
         got = apply_dilated(dilated, op, step)
         assert np.array_equal(got.amplitudes, block_dilated_step(op, dilated, step))
         assert got.n_ancilla == 1 and got.success_prob == 0.5
@@ -806,14 +826,57 @@ def test_ancilla_actions_equal_the_block_formulation_bit_for_bit(factor, size):
             assert got.n_ancilla == 1 and got.success_prob == 0.5
 
 
+# a probe of one Taylor segment runs on one branch; at delta = 4.0 the H4
+# probes take more than one segment and run on both branches
 @pytest.mark.parametrize("fixture", ["h2_d0.74", "h4_d1.00", "h4_d1.40"])
-@pytest.mark.parametrize("delta", [1e-3, -0.07, 0.8])
+@pytest.mark.parametrize("delta", [1e-3, -0.07, 0.8, 4.0])
 def test_probe_state_equals_the_block_formulation_bit_for_bit(fixture, delta):
     rng = np.random.default_rng(104)
     ham = build_hamiltonian(load_fixture(fixture))
     for psi in (hf_state(ham), _random_state(rng, ham.basis, complex_valued=True)):
         probe = probe_state(ham, psi, delta)
         assert np.array_equal(probe.amplitudes, block_probe(ham, psi, delta))
+        norm1 = abs(delta) * ham.shifted_norm1(energy(ham, psi.normalized()))
+        if delta != 4.0:
+            assert norm1 <= THETA
+        elif fixture.startswith("h4"):
+            assert norm1 > THETA
+
+
+def _taylor_terms(reference, *args):
+    """The Taylor terms of a block-formulation reference run: one block action each."""
+    calls = []
+    kernel = evolution._taylor_series
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evolution, "_taylor_series", lambda matvec, *rest: kernel(_counted(matvec, calls), *rest))
+        reference(*args)
+    return len(calls)
+
+
+@pytest.mark.parametrize("size", [0.05, 1.3, 5.9, 15.0])
+def test_v_steps_from_a_plus_ancilla_make_one_product_per_term(monkeypatch, size):
+    # a register with equal halves needs one sector product per Taylor term
+    # where the step is one segment; any other V-step needs one per branch
+    rng = np.random.default_rng(106)
+    ham, factors = _h4_step_factors()
+    op = factors["h4_herm"]
+    step = size / op.norm1
+    fresh, rotated = _fresh_registers(rng, ham, factors)
+    stepped = apply_dilated(fresh, op, 0.01)
+    psi = _random_state(rng, ham.basis, complex_valued=True)
+    delta = size / ham.shifted_norm1(energy(ham, psi))
+    cases = [
+        (lambda: apply_dilated(fresh, op, step), _taylor_terms(block_dilated_step, op, fresh, step), 1),
+        (lambda: apply_dilated(rotated, op, step), _taylor_terms(block_dilated_step, op, rotated, step), 1),
+        (lambda: probe_state(ham, psi, delta), _taylor_terms(block_probe, ham, psi, delta), 1),
+        (lambda: apply_dilated(stepped, op, step), _taylor_terms(block_dilated_step, op, stepped, step), 2),
+    ]
+    products = []
+    monkeypatch.setattr(evolution, "_csr_product", _counted(_csr_product, products))
+    for run, terms, per_term in cases:
+        products.clear()
+        run()
+        assert len(products) == terms * (per_term if size <= THETA else 2)
 
 
 def test_returned_states_are_read_only():
@@ -1052,7 +1115,8 @@ def test_outcome_classes_match_eigh_oracle(fixture):
         if e not in measured:
             assert not np.any(pair_excitation_matrix(basis, *e))
     readout = {}
-    value, classes = _outcome_classes(basis, list(channels.values()))
+    classes = _outcome_classes(basis, list(channels.values()))
+    value = evolution._excitations(basis).outcome
     for (name, (x, y)), probs in zip(channels.items(), classes):
         for e, (i, j, k, l) in enumerate(elements):
             gamma = pair_excitation_matrix(basis, i, j, k, l)
@@ -1105,11 +1169,16 @@ def test_one_multinomial_call_draws_as_one_call_per_channel():
     probe = probe_state(ham, psi, delta).amplitudes
     top, bottom = probe[:dim], probe[dim:]
     channels = [(top, bottom), ((top - 1j * bottom) / np.sqrt(2.0), (top + 1j * bottom) / np.sqrt(2.0))]
-    value, classes = _outcome_classes(ham.basis, channels)
+    classes = _outcome_classes(ham.basis, channels)
     elements = _measured_elements(ham.basis)
     i, j, k, l = elements.T
     off = (i != k) | (j != l)  # a diagonal element's Im part takes no draw
     drawn = np.stack([np.ones_like(off), off])
+    value = np.where(off, 0.5, 1.0)
+    # the pattern's tables hold the same masks and values
+    ex = evolution._excitations(ham.basis)
+    assert np.array_equal(ex.drawn, drawn) and np.array_equal(ex.diagonal, ~off)
+    assert np.array_equal(ex.outcome, value) and np.array_equal(ex.column, ex.adjoint[ex.upper])
     rng = np.random.default_rng(seed)
     readout = []
     for probs in classes:
