@@ -1,12 +1,17 @@
 """Iterative contracted-equation solver over products of two-body exponentials.
 
 Each iteration contracts the chosen residual channel on the current state,
-takes its negative as a two-body generator, splits the generator into its
-anti-Hermitian (unitary) and Hermitian (non-unitary) parts, and moves
+takes its negative as a two-body generator J and moves
 
-    psi  <-  normalize( exp(eta J_H) exp(eta J_A) psi ),
+    psi  <-  normalize( exp(eta J) psi )                    (exact)
+    psi  <-  normalize( exp(eta J_H) exp(eta J_A) psi )     (dilated, sampled)
 
-with eta chosen by the configured line search (``LineSearch``).  The step
+with eta chosen by the configured line search (``LineSearch``).  The second
+form splits J into its anti-Hermitian (unitary) part J_A and Hermitian
+(non-unitary) part J_H, which is how a device runs the non-unitary part; it
+agrees with exp(eta J) to first order in eta, so both have the same initial
+slope.  Exact execution needs no split: one exponential serves every trial
+of its line search from one set of Taylor terms on psi.  The step
 rules are constants of this module: backtracking halves eta down a grid of
 at most 20 halvings of ``eta0``, and one sufficient-decrease slope of 1e-4
 serves the Armijo test, the acceptance and the stop of the interpolated
@@ -22,15 +27,16 @@ set:
 Execution styles share this loop and differ in how the state moves and
 where the step direction comes from:
 
-    exact     closed-form exponential action, residuals contracted exactly
+    exact     closed-form action of exp(eta J), residuals contracted exactly
     dilated   the state lives on a single-ancilla register; the Hermitian
               factor runs as ancilla V-slices capped at the policy's
               epsilon, fused into one V-step per reset interval, and the
               ancilla is reset on a failed sufficient-decrease check or a
               slice-count cap, accumulating the post-selection probability
-    sampled   exact state updates, but the step direction comes from the
-              shot-sampled probe estimator with a per-iteration seed
-              spawned deterministically from the configured one
+    sampled   exact updates by the split factors, but the step direction
+              comes from the shot-sampled probe estimator with a
+              per-iteration seed spawned deterministically from the
+              configured one
 
 The steepest direction ``sd`` of an iteration is the negated channel:
 ``-R``, ``-S`` or ``-A``, exactly contracted or, in sampled execution,
@@ -50,10 +56,11 @@ Every two-body quantity of the loop is a link vector (see ``fock``): the
 canonical entries of the tensor at the sector's links, the only elements
 that act inside the sector.  The raw residual, its three channels and
 their norms, PR+ (beta, the direction and its slope) and the step's
-Hermitian/anti-Hermitian split are all formed on link vectors, and each
-factor's operator is ``P @ c``.  Norms and products stay those of the n^4
-tensors, ``|T| = 2 |c|`` and ``<T, T'> = 4 <c, c'>``; beta is a ratio of
-products, so it is the same in either coordinates.  In sampled execution
+Hermitian/anti-Hermitian split are all formed on link vectors, and the
+operator of the direction or of each factor is ``P @ c``.  Norms and
+products stay those of the n^4 tensors, ``|T| = 2 |c|`` and
+``<T, T'> = 4 <c, c'>``; beta is a ratio of products, so it is the same in
+either coordinates.  In sampled execution
 the estimator hands the loop the measured channel's link vector
 (``evolution._estimate_links``), with the probe delta that
 ``EstimatorConfig`` resolves, so no execution style forms an n^4 tensor.
@@ -272,33 +279,41 @@ class _Stalled(Exception):
 
 
 class _StepPlan:
-    """One iteration's generator split, built once and realized lazily per trial eta.
+    """One iteration's step factors, built once and realized lazily per trial eta.
 
-    ``direction`` is a link vector (``fock``); its parts are
-    ``(J -/+ J^+) / 2``, the channels of ``_residual_channels`` halved.  Only a
-    nonzero factor gets an operator, its CSR data ``P @ c`` on the sector's
-    shared CSR structure (``fock._link_operator``), so no matrix is assembled.  An
-    hcse direction is exactly pair-Hermitian and an acse one exactly
-    pair-anti-Hermitian, so the other part is identically zero and ``op_a``
-    or ``op_h`` is None.  Each operator's 1-norm is computed once
-    from its column sums alone (``SparseOperator.norm1``).  The
-    first factor always acts on the fixed psi, so every trial sums its kept
-    Taylor terms (``_FixedStart``); the second, the Hermitian factor of a
-    cse direction, acts on a state that changes with eta and runs through
-    ``apply_exp_exact``.  ``realize(eta)`` is a trial's one accessor: its
-    state, energy and product ``H phi``, formed once per eta.  The searches
-    read only the energy, through ``trial_energy``.
+    ``direction`` is a link vector J (``fock``), and each factor's operator
+    is its CSR data ``P @ c`` on the sector's shared CSR structure
+    (``fock._link_operator``), so no matrix is assembled.  Unsplit (exact
+    execution) the plan has the one factor exp(eta J).  Split (dilated and
+    sampled execution) it has exp(eta J_H) exp(eta J_A), with the parts
+    ``(J -/+ J^+) / 2`` the channels of ``_residual_channels`` halved, and
+    an operator only for a nonzero part: an hcse direction is exactly
+    pair-Hermitian and an acse one exactly pair-anti-Hermitian, so the
+    other part is identically zero, ``op_a`` or ``op_h`` is None, and the
+    nonzero part is J bit for bit.  Only a split plan has ``op_a`` and
+    ``op_h``, which a dilated register runs.  Each operator's 1-norm is
+    computed once from its column sums alone (``SparseOperator.norm1``).
+    The first factor acts on the fixed psi, so every trial sums its kept
+    Taylor terms (``_FixedStart``) and makes only those that no earlier
+    trial made; the second, the Hermitian factor of a split cse direction,
+    acts on a state that changes with eta and pays a fresh
+    ``apply_exp_exact`` series per trial.  ``realize(eta)`` is a trial's
+    one accessor: its state, energy and product ``H phi``, formed once per
+    eta.  The searches read only the energy, through ``trial_energy``.
     """
 
-    def __init__(self, ham: SparseOperator, psi: StateVector, direction: np.ndarray):
+    def __init__(self, ham: SparseOperator, psi: StateVector, direction: np.ndarray, split: bool = True):
         self.ham = ham
         self.psi = psi
-        channels = _residual_channels(direction, _excitations(psi.basis).pair_adjoint)
-        parts = (0.5 * channels[v] for v in ("acse", "hcse"))
-        self.op_a, self.op_h = (
-            _link_operator(part, psi.basis) if np.any(part) else None for part in parts
-        )
-        first, *self._rest = (op for op in (self.op_a, self.op_h) if op is not None)
+        if split:
+            channels = _residual_channels(direction, _excitations(psi.basis).pair_adjoint)
+            parts = (0.5 * channels[v] for v in ("acse", "hcse"))
+            self.op_a, self.op_h = (
+                _link_operator(part, psi.basis) if np.any(part) else None for part in parts
+            )
+            first, *self._rest = (op for op in (self.op_a, self.op_h) if op is not None)
+        else:
+            first, self._rest = _link_operator(direction, psi.basis), []
         self._first = _FixedStart(first, psi)
         self._trials: dict[float, tuple[StateVector | None, float, np.ndarray | None]] = {}
 
@@ -461,6 +476,8 @@ def cqe_run(
 
     register = _DilatedRegister(ham, psi, config.dilation) if config.execution == "dilated" else None
     sampled = config.execution == "sampled"
+    # a dilated register runs J_H as V-steps; sampled runs keep its split too
+    split = config.execution != "exact"
     est, ls = config.estimator, config.line_search
     start = ls.eta0  # where the sampled Armijo halving resumes
     records: list[IterationRecord] = []
@@ -497,7 +514,7 @@ def cqe_run(
                 if slope == 0.0:
                     raise _Stalled
                 previous = (steepest, direction)
-                plan = _StepPlan(ham, psi, direction)
+                plan = _StepPlan(ham, psi, direction, split)
                 if ls.kind == "fixed":
                     eta = _search_fixed(plan, ls, e_now)
                 elif sampled:

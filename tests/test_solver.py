@@ -216,6 +216,62 @@ def test_plan_trials_share_the_first_factor_products(monkeypatch):
     assert together == alone == len(products) > 10
 
 
+@pytest.mark.parametrize("variant", ["cse", "hcse", "acse"])
+def test_unsplit_plan_trials_match_dense_expm_of_the_whole_generator(variant):
+    ham, psi, direction = _plan_inputs(variant)
+    whole = two_body_to_operator(direction, psi.basis)
+    plan = _StepPlan(ham, psi, _links(direction, psi.basis), False)
+    past_theta = 1.5 * THETA / whole.norm1  # two segments
+    for eta in (1e-3, 0.5, -0.7, 0.3j, past_theta):
+        ref = dense_expm_apply(whole, psi, scale=eta).amplitudes
+        got, e, h_got = plan.realize(eta)
+        assert np.linalg.norm(got.amplitudes - ref / np.linalg.norm(ref)) <= 1e-12
+        kernel = apply_exp_exact(whole, psi, scale=eta, renormalize=True)
+        assert got.success_prob == pytest.approx(kernel.success_prob, rel=1e-12)
+        assert e == energy(ham, got) and np.array_equal(h_got, fock._csr_product(ham.csr, got.amplitudes))
+
+
+@pytest.mark.parametrize("variant", ["hcse", "acse"])
+def test_unsplit_plan_trials_equal_split_ones_where_one_part_vanishes(variant):
+    # an hcse or acse direction's one nonzero part is the direction bit for
+    # bit, so its exact trajectories do not depend on the split
+    ham, psi, direction = _plan_inputs(variant)
+    links = _links(direction, psi.basis)
+    split, whole = _StepPlan(ham, psi, links), _StepPlan(ham, psi, links, False)
+    past_theta = 1.5 * THETA / whole._first.op.norm1
+    for eta in (1e-3, 0.5, -0.7, 0.3j, past_theta):
+        (a, e_a, h_a), (b, e_b, h_b) = split.realize(eta), whole.realize(eta)
+        assert np.array_equal(a.amplitudes, b.amplitudes) and np.array_equal(h_a, h_b)
+        assert (e_a, a.success_prob) == (e_b, b.success_prob)
+
+
+def test_unsplit_cse_plan_trials_share_all_generator_products(monkeypatch):
+    # one exponential of the whole cse direction acts on the fixed psi, so
+    # one-segment trials reuse the kept Taylor terms of the first; the split
+    # plan's Hermitian factor pays a fresh series per trial
+    ham, psi, direction = _plan_inputs("cse")
+    links = _links(direction, psi.basis)
+    products = []
+
+    def counted(matrix, vec):
+        products.append(None)
+        return fock._csr_product(matrix, vec)
+
+    monkeypatch.setattr(evolution, "_csr_product", counted)
+    nu = _StepPlan(ham, psi, links, False)._first.op.norm1
+    etas = [f * THETA / nu for f in (0.9, 0.45, 0.225, 0.675)]  # one segment each
+
+    def products_of(trials, split):
+        plan = _StepPlan(ham, psi, links, split)
+        products.clear()
+        for eta in trials:
+            plan.trial_energy(eta)
+        return len(products)
+
+    assert products_of(etas, False) == products_of(etas[:1], False) > 10
+    assert products_of(etas, True) > products_of(etas[:1], True)
+
+
 @pytest.mark.parametrize("variant, norms", [("cse", 2), ("hcse", 1)])
 def test_dilated_execute_computes_each_norm_once(monkeypatch, variant, norms):
     ham, psi, direction = _plan_inputs(variant)
@@ -520,6 +576,30 @@ def test_exact_run_pays_one_h_product_per_trial_and_one_for_its_start(monkeypatc
     trials = sum(state is not None for plan in plans for state, *_ in plan._trials.values())
     assert trials > len(result.iterations)
     assert sum(products) == trials + 1
+
+
+@pytest.mark.parametrize("execution", ["exact", "dilated", "sampled"])
+def test_only_exact_cse_steps_by_one_exponential(monkeypatch, execution):
+    # exact execution builds one operator of the whole direction per plan;
+    # a dilated register runs the split factors, and sampled runs keep them
+    plans = _logged_plans(monkeypatch)
+    operators = []
+
+    def counted(links, basis):
+        operators.append(None)
+        return fock._link_operator(links, basis)
+
+    monkeypatch.setattr(solver, "_link_operator", counted)
+    estimator = EstimatorConfig(shots=16_000, seed=5) if execution == "sampled" else None
+    ham = build_hamiltonian(load_fixture("h4_d1.40"))
+    cqe_run(ham, CqeConfig(execution=execution, max_iterations=6, estimator=estimator))
+    assert len(plans) == 6
+    if execution == "exact":
+        assert len(operators) == len(plans)
+        assert not any(hasattr(plan, "op_a") or hasattr(plan, "op_h") for plan in plans)
+    else:
+        assert len(operators) == 2 * len(plans)
+        assert all(plan.op_a is not None and plan.op_h is not None for plan in plans)
 
 
 def test_fci_seed_converges_without_stepping():
