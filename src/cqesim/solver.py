@@ -3,20 +3,21 @@
 Each iteration contracts the chosen residual channel on the current state,
 takes its negative as a two-body generator J and moves
 
-    psi  <-  normalize( exp(eta J) psi )                    (exact)
-    psi  <-  normalize( exp(eta J_H) exp(eta J_A) psi )     (dilated, sampled)
+    psi  <-  normalize( exp(eta J) psi )                    (exact, sampled)
+    psi  <-  normalize( exp(eta J_H) exp(eta J_A) psi )     (dilated)
 
 with eta chosen by the configured line search (``LineSearch``).  The second
 form splits J into its anti-Hermitian (unitary) part J_A and Hermitian
-(non-unitary) part J_H, which is how a device runs the non-unitary part; it
-agrees with exp(eta J) to first order in eta, so both have the same initial
-slope.  Exact execution needs no split: one exponential serves every trial
-of its line search from one set of Taylor terms on psi.  The step
-rules are constants of this module: backtracking halves eta down a grid of
-at most 20 halvings of ``eta0``, and one sufficient-decrease slope of 1e-4
-serves the Armijo test, the acceptance and the stop of the interpolated
-steps and the dilated Wolfe reset.  The channel determines the fixed-point
-set:
+(non-unitary) part J_H, which is how a device runs the non-unitary part on
+an ancilla; it agrees with exp(eta J) to first order in eta, so both have
+the same initial slope.  Only the dilated register runs the split; every
+state update the simulator performs exactly takes one exponential, which
+serves every trial of its line search from one set of Taylor terms on psi.
+The step rules are constants of this module: backtracking halves eta down
+a grid of at most 20 halvings of ``eta0``, and one sufficient-decrease
+slope of 1e-4 serves the Armijo test, the acceptance and the stop of the
+interpolated steps and the dilated Wolfe reset.  The channel determines
+the fixed-point set:
 
     cse    J = -R        stationary only on eigenstates
     hcse   J = -S        stationary only on eigenstates (S Hermitian)
@@ -33,10 +34,9 @@ where the step direction comes from:
               epsilon, fused into one V-step per reset interval, and the
               ancilla is reset on a failed sufficient-decrease check or a
               slice-count cap, accumulating the post-selection probability
-    sampled   exact updates by the split factors, but the step direction
-              comes from the shot-sampled probe estimator with a
-              per-iteration seed spawned deterministically from the
-              configured one
+    sampled   exact updates by exp(eta J), but the step direction comes
+              from the shot-sampled probe estimator with a per-iteration
+              seed spawned deterministically from the configured one
 
 The steepest direction ``sd`` of an iteration is the negated channel:
 ``-R``, ``-S`` or ``-A``, exactly contracted or, in sampled execution,
@@ -284,13 +284,13 @@ class _StepPlan:
     ``direction`` is a link vector J (``fock``), and each factor's operator
     is its CSR data ``P @ c`` on the sector's shared CSR structure
     (``fock._link_operator``), so no matrix is assembled.  Unsplit (exact
-    execution) the plan has the one factor exp(eta J).  Split (dilated and
-    sampled execution) it has exp(eta J_H) exp(eta J_A), with the parts
-    ``(J -/+ J^+) / 2`` the channels of ``_residual_channels`` halved, and
-    an operator only for a nonzero part: an hcse direction is exactly
-    pair-Hermitian and an acse one exactly pair-anti-Hermitian, so the
-    other part is identically zero, ``op_a`` or ``op_h`` is None, and the
-    nonzero part is J bit for bit.  Only a split plan has ``op_a`` and
+    and sampled execution) the plan has the one factor exp(eta J).  Split
+    (dilated execution only) it has exp(eta J_H) exp(eta J_A), with the
+    parts ``(J -/+ J^+) / 2`` the channels of ``_residual_channels``
+    halved, and an operator only for a nonzero part: an hcse direction is
+    exactly pair-Hermitian and an acse one exactly pair-anti-Hermitian, so
+    the other part is identically zero, ``op_a`` or ``op_h`` is None, and
+    the nonzero part is J bit for bit.  Only a split plan has ``op_a`` and
     ``op_h``, which a dilated register runs.  Each operator's 1-norm is
     computed once from its column sums alone (``SparseOperator.norm1``).
     The first factor acts on the fixed psi, so every trial sums its kept
@@ -476,8 +476,6 @@ def cqe_run(
 
     register = _DilatedRegister(ham, psi, config.dilation) if config.execution == "dilated" else None
     sampled = config.execution == "sampled"
-    # a dilated register runs J_H as V-steps; sampled runs keep its split too
-    split = config.execution != "exact"
     est, ls = config.estimator, config.line_search
     start = ls.eta0  # where the sampled Armijo halving resumes
     records: list[IterationRecord] = []
@@ -514,7 +512,7 @@ def cqe_run(
                 if slope == 0.0:
                     raise _Stalled
                 previous = (steepest, direction)
-                plan = _StepPlan(ham, psi, direction, split)
+                plan = _StepPlan(ham, psi, direction, split=register is not None)
                 if ls.kind == "fixed":
                     eta = _search_fixed(plan, ls, e_now)
                 elif sampled:
