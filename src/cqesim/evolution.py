@@ -15,26 +15,32 @@ segment runs inline: each action returns a new array, which the kernel
 scales in place.  At the benchmark's sizes (dim <= 72) a product costs
 about as much as a numpy call, so the kernel spends no call, copy or
 wrapper per term that the recurrence does not need.  ``_FixedStart``
-keeps the terms ``(J / |J|_1)^k psi / k!`` of one generator on one state,
-so the first segment of ``exp(eta J) psi`` costs no product once a larger
+keeps the terms ``(J / |J|_1)^k psi / k!`` of one generator on one state
+as the rows of one block, each product made straight into its row, so
+the first segment of ``exp(eta J) psi`` costs no product once a larger
 eta has made them: a line search's trials from the same psi pay each
-product once.  An operator is a ``SparseOperator``: the
-Hamiltonian, or a solver step factor whose CSR data sits on the sector's
-shared structure arrays.  Every product reads the operator's bare CSR
-arrays (``SparseOperator.csr``) through ``fock._csr_product``, the
-sparsetools kernel behind scipy's ``@`` without its dispatch, so products
-are bit-identical to ``@`` and no exponential imports scipy.  The ancilla
-actions (a unitary factor on both branches, the V-step, the probe) run
-one vector product per branch, each into its half of one zeroed output,
-bit for bit the columns of the (dim, 2) block product.  The exception is
-a V-step of one Taylor segment on a register whose two halves are equal,
-as ``prepare_dilated`` makes them and a unitary factor keeps them: each
-term of its block generator has halves ``+-p_k``, so one product per term
-serves both branches, with the same bits (``_dilated_step``).  The probe
-of every estimate is such a step, and so is the dilated register's first
-V-step after a reset.  The states that come out are formed by
-``StateVector._closed``, without the public constructor's cast, checks
-and copy.
+product once.  A trial sums that segment as one column of coefficients
+times the block's rows and one reduction over them, which adds the rows
+in order and so has the bits of the term-by-term sum.  Its stops come
+from the kept term norms alone: the triangle bound and the lower bound
+``|psi| - sum_j |c_j t_j|`` decide most terms, and only a term between
+the two forms the exact partial sum.  An operator is a
+``SparseOperator``: the Hamiltonian, or a solver step factor whose CSR
+data sits on the sector's shared structure arrays.  Every product reads
+the operator's bare CSR arrays (``SparseOperator.csr``) through
+``fock._csr_product``, the sparsetools kernel behind scipy's ``@`` without
+its dispatch, so products are bit-identical to ``@`` and no exponential
+imports scipy.  The ancilla actions (a unitary factor on both branches,
+the V-step, the probe) run one vector product per branch, each into its
+half of one zeroed output, bit for bit the columns of the (dim, 2) block
+product.  The exception is a V-step of one Taylor segment on a register
+whose two halves are equal, as ``prepare_dilated`` makes them and a
+unitary factor keeps them: each term of its block generator has halves
+``+-p_k``, so one product per term serves both branches, with the same
+bits (``_dilated_step``).  The probe of every estimate is such a step, and
+so is the dilated register's first V-step after a reset.  The states that
+come out are formed by ``StateVector._closed``, without the public
+constructor's cast, checks and copy.
 
 Exact route
 -----------
@@ -151,6 +157,9 @@ _BOUND_MARGIN = 1.0 + 1e-6
 # the squared ratio-test factors, formed once with the bits of the per-term products
 _STOP2 = _TERM_STOP**2
 _STOP2_BOUND = _TERM_STOP**2 * _BOUND_MARGIN
+# rows of a _FixedStart's block before it first doubles; a line-search trial of
+# the benchmark's workloads reads a median of 5 to 12 kept terms, at most 22
+_KEPT_ROWS = 16
 # the signs of p_k in the top and bottom halves of the k-th term of
 # [[0, D], [-D, 0]] on [p; p], by k % 4: + + - - ... and + - - + ...
 _BRANCH_SIGNS = ((np.add, np.add), (np.add, np.subtract), (np.subtract, np.subtract), (np.subtract, np.add))
@@ -190,11 +199,13 @@ def _taylor_series(
     reads instead of forming it again.
 
     A fresh segment runs the term recurrence inline, ``t_k = G t_{k-1} /
-    (s k)``, scaling each new product in place.  ``first = (kept, phase)``
-    serves the first segment from kept terms instead: ``kept`` is the
-    ``_FixedStart`` of ``vec`` under a generator J, whose k-th term is
-    ``(J / |J|_1)^k vec / k!``, and ``G = phase |G|_1 J / |J|_1``, so that
-    segment's k-th term is ``(phase |G|_1 / s)^k`` times the k-th kept one.
+    (s k)``, scaling each new product in place.  ``first(s)`` serves the
+    first segment instead, with the same stops and bits, and returns its
+    sum and exact squared norm: ``_FixedStart._first_segment`` sums it from
+    the kept terms ``(J / |J|_1)^k vec / k!`` of ``vec`` under a generator
+    J with ``G = phase |G|_1 J / |J|_1``, whose k-th term is
+    ``(phase |G|_1 / s)^k`` times the k-th kept one.  The kernel then reads
+    neither ``vec`` nor its norm, except at ``|G|_1 = 0``.
 
     ``one_branch=True`` sums one segment (``|G|_1 <= theta``) of the block
     generator ``G = [[0, D], [-D, 0]]`` on a register ``vec = [p_0; p_0]``
@@ -207,35 +218,28 @@ def _taylor_series(
     """
     if not math.isfinite(norm1):
         raise RuntimeError("generator matrix contains non-finite entries")
-    out = vec.astype(complex, copy=True)
-    acc2 = np.vdot(out, out).real  # |out|^2; each segment ends on an exact |acc|^2
-    if norm1 == 0.0:
-        return out, acc2
+    if norm1 == 0.0 or first is None:
+        out = vec.astype(complex, copy=True)
+        acc2 = np.vdot(out, out).real  # |out|^2; each segment ends on an exact |acc|^2
+        if norm1 == 0.0:
+            return out, acc2
     segments = max(1, math.ceil(norm1 / _THETA))
     if segments > _MAX_SEGMENTS:
         raise RuntimeError(f"generator 1-norm {norm1:.4g} needs over {_MAX_SEGMENTS} Taylor segments")
-    for segment in range(segments):
-        kept = first[0] if segment == 0 and first is not None else None
-        if kept is not None:
-            made, ratio = kept.terms, first[1] * norm1 / segments
+    if first is not None:
+        out, acc2 = first(segments)
+    for _ in range(segments - (first is not None)):
         term = out
         acc = out.copy()
         if one_branch:
             half = len(out) // 2
             term, top, bottom = out[:half], acc[:half], acc[half:]
         bound = math.sqrt(acc2)  # the triangle bound on |acc|
-        power = 1.0
         small_streak = 0
         for k in range(1, _MAX_TAYLOR_TERMS + 1):
-            if kept is None:
-                term = matvec(term)
-                term *= 1.0 / (segments * k)
-                term2 = np.vdot(term, term).real
-            else:
-                term, term2 = made[k] if k < len(made) else kept[k]
-                if ratio != 1.0:
-                    power *= ratio
-                    term, term2 = power * term, abs(power) ** 2 * term2
+            term = matvec(term)
+            term *= 1.0 / (segments * k)
+            term2 = np.vdot(term, term).real
             if one_branch:
                 term2 *= 2.0
                 on_top, on_bottom = _BRANCH_SIGNS[k % 4]
@@ -250,18 +254,25 @@ def _taylor_series(
                 continue
             # squared norms: the ratio test |term| < tol |acc| without square roots
             acc2 = np.vdot(acc, acc).real
-            if not (math.isfinite(term2) and math.isfinite(acc2)):
-                raise RuntimeError("matrix exponential series produced non-finite values")
+            _check_finite(term2, acc2)
             small_streak = small_streak + 1 if term2 <= _STOP2 * acc2 else 0
             if small_streak >= 2 and (k + 1) * segments > norm1:
                 break
         else:
-            if term2 > _TERM_FAIL**2 * acc2:
-                raise RuntimeError(
-                    f"matrix exponential series still decaying at term {_MAX_TAYLOR_TERMS}"
-                )
+            _check_converged(term2, acc2)
         out = acc
     return out, acc2
+
+
+def _check_finite(term2: float, acc2: float):
+    if not (math.isfinite(term2) and math.isfinite(acc2)):
+        raise RuntimeError("matrix exponential series produced non-finite values")
+
+
+def _check_converged(term2: float, acc2: float):
+    """Raise if the last allowed term is still above ``_TERM_FAIL`` relative to the sum."""
+    if term2 > _TERM_FAIL**2 * acc2:
+        raise RuntimeError(f"matrix exponential series still decaying at term {_MAX_TAYLOR_TERMS}")
 
 
 def _booked(prob: float) -> float:
@@ -336,37 +347,101 @@ class _FixedStart:
     """``exp(eta J) psi`` with renormalization, for many step sizes eta from one bare state psi.
 
     It keeps the Taylor terms ``t_k = (J / |J|_1)^k psi / k!`` of its
-    generator on its state, made on demand: ``terms`` lists those made so
-    far, item k >= 1 as ``(t_k, |t_k|^2)`` and item 0 as ``(psi, None)``,
-    and indexing makes the missing ones by the recurrence
-    ``t_k = J t_{k-1} / (|J|_1 k)``, one product each when a trial first
-    needs it.  The first Taylor segment of every eta reads them
-    (``_taylor_series``), scaled by ``(eta |J|_1 / s)^k``; later segments
-    act on vectors that change with eta and run the recurrence inline.
-    ``|psi|^2`` is read once, for the renormalization of every trial.  The
-    result equals ``apply_exp_exact(op, psi, scale=eta, renormalize=True)``
-    up to rounding.
+    generator on its state as the rows of one block, ``rows``: row 0 is
+    psi, and ``norms2[k]`` is ``|t_k|^2``, so ``len(norms2) - 1`` terms are
+    made.  A missing term is made when a trial first needs it, one product
+    ``t_k = J t_{k-1} / (|J|_1 k)`` straight into its zeroed row, and the
+    block doubles when it runs out of rows.  The first Taylor segment of
+    every eta is summed from these rows (``_first_segment``); later segments
+    act on vectors that change with eta and run the kernel's recurrence.
+    The result equals ``apply_exp_exact(op, psi, scale=eta,
+    renormalize=True)`` up to rounding.
     """
 
     def __init__(self, op: SparseOperator, psi: StateVector):
         self.op = op
         self.psi = psi
-        self.terms = [(psi.amplitudes, None)]
-        self._norm2 = np.vdot(psi.amplitudes, psi.amplitudes).real
+        self.rows = np.zeros((_KEPT_ROWS, len(psi.amplitudes)), dtype=complex)
+        self.rows[0] = psi.amplitudes
+        self.norms2 = [np.vdot(self.rows[0], self.rows[0]).real]
 
-    def __getitem__(self, k: int) -> tuple[np.ndarray, float]:
-        terms = self.terms
-        while len(terms) <= k:
-            term = _csr_product(self.op.csr, terms[-1][0])
-            term *= 1.0 / (self.op.norm1 * len(terms))
-            terms.append((term, np.vdot(term, term).real))
-        return terms[k]
+    def _extend(self) -> float:
+        """Make the next kept term, ``t_k = J t_{k-1} / (|J|_1 k)``, in its
+        zeroed row, doubling the block when it is full; returns ``|t_k|^2``."""
+        k = len(self.norms2)
+        if k == len(self.rows):
+            grown = np.zeros((2 * k, self.rows.shape[1]), dtype=complex)
+            grown[:k] = self.rows
+            self.rows = grown
+        row = self.rows[k]
+        _csr_product(self.op.csr, self.rows[k - 1], out=row)
+        row *= 1.0 / (self.op.norm1 * k)
+        self.norms2.append(np.vdot(row, row).real)
+        return self.norms2[k]
+
+    def _sum(self, coeffs: list) -> tuple[np.ndarray, float]:
+        """``sum_k coeffs[k] t_k`` over rows 0..K and its squared norm.
+
+        The reduction adds the scaled rows in order, so the sum has the bits
+        of ``acc = psi; acc += c_k t_k`` term by term; a gemv sums in
+        another order.  A complex column multiplies as the scalar ``c_k``
+        does, and a real one would be cast element by element.
+        """
+        column = np.array(coeffs, dtype=complex)[:, None]
+        acc = np.add.reduce(column * self.rows[: len(coeffs)], axis=0)
+        return acc, np.vdot(acc, acc).real
+
+    def _first_segment(self, phase: complex, norm1: float, segments: int) -> tuple[np.ndarray, float]:
+        """The first of the kernel's ``segments`` segments of ``exp(G) psi``
+        with ``G = phase |G|_1 J / |J|_1`` and ``|G|_1 = norm1``, and its
+        exact squared norm.
+
+        Its k-th term is ``c_k t_k``, with ``c_k`` the sequential product of
+        k ratios ``phase |G|_1 / s``.  The stops are those of the kernel's
+        ratio test and are decided from the kept ``|t_k|^2`` alone: besides
+        the kernel's triangle bound, ``|acc| >= |psi| - sum_j |c_j t_j|``
+        bounds the partial sum from below (both with ``_BOUND_MARGIN`` over
+        their rounding), a term under ``_TERM_STOP`` times that lower bound
+        is small whatever ``|acc|`` is, and only a term between the two
+        bounds (or the last allowed one) forms the exact partial sum.
+        """
+        ratio = phase * norm1 / segments
+        norms2 = self.norms2
+        norm = math.sqrt(norms2[0])
+        coeffs = [1.0]
+        power = 1.0
+        bound = norm  # the triangle bound on |acc|
+        small_streak = 0
+        for k in range(1, _MAX_TAYLOR_TERMS + 1):
+            power *= ratio
+            term2 = abs(power) ** 2 * (norms2[k] if k < len(norms2) else self._extend())
+            coeffs.append(power)
+            bound += math.sqrt(term2)
+            acc = None
+            # a NaN or Inf term or bound fails both comparisons and takes the exact norm
+            if k < _MAX_TAYLOR_TERMS and term2 > _STOP2_BOUND * (bound * bound):
+                small_streak = 0
+                continue
+            lower = norm / _BOUND_MARGIN - (bound - norm) * _BOUND_MARGIN  # a lower bound on |acc|
+            proven_small = lower > 0.0 and term2 * _BOUND_MARGIN <= _STOP2 * (lower * lower)
+            if k == _MAX_TAYLOR_TERMS or not proven_small:
+                acc, acc2 = self._sum(coeffs)
+                _check_finite(term2, acc2)
+                if term2 > _STOP2 * acc2:
+                    small_streak = 0
+                    continue
+            small_streak += 1
+            if small_streak >= 2 and (k + 1) * segments > norm1:
+                break
+        else:
+            _check_converged(term2, acc2)
+        return (acc, acc2) if acc is not None else self._sum(coeffs)
 
     def apply(self, eta: complex) -> StateVector:
-        first = (self, eta / abs(eta) if eta else 1.0)
-        action = _scaled_product(self.op.csr, eta)
-        out, norm2 = _taylor_series(action, abs(eta) * self.op.norm1, self.psi.amplitudes, first)
-        return _renormalized(self.psi, out, norm2, self._norm2)
+        norm1 = abs(eta) * self.op.norm1
+        first = partial(self._first_segment, eta / abs(eta) if eta else 1.0, norm1)
+        out, norm2 = _taylor_series(_scaled_product(self.op.csr, eta), norm1, self.rows[0], first)
+        return _renormalized(self.psi, out, norm2, self.norms2[0])
 
 
 # ---------------------------------------------------------------------------

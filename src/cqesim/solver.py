@@ -321,13 +321,14 @@ class _StepPlan:
         """Trial state, energy and product ``H phi``; the energy is bit for bit
         that of ``energy``, and the loop hands the accepted trial's product to
         ``_moments``.  A step whose exponential fails (a Taylor series that
-        overflows) is booked at energy +inf, so every search rejects it."""
+        overflows) is booked at energy +inf, so every search rejects it.  The
+        overflow warnings of such a series are silenced once per search, by
+        ``cqe_run``'s ``np.errstate`` around its step rule, not per trial."""
         if eta not in self._trials:
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    out = self._first.apply(eta)
-                    for op in self._rest:
-                        out = apply_exp_exact(op, out, scale=eta, renormalize=True)
+                out = self._first.apply(eta)
+                for op in self._rest:
+                    out = apply_exp_exact(op, out, scale=eta, renormalize=True)
                 h_out = _csr_product(self.ham.csr, out.amplitudes)
                 self._trials[eta] = (out, _rayleigh(out.amplitudes, h_out)[1], h_out)
             except RuntimeError:
@@ -513,15 +514,17 @@ def cqe_run(
                     raise _Stalled
                 previous = (steepest, direction)
                 plan = _StepPlan(ham, psi, direction, split=register is not None)
-                if ls.kind == "fixed":
-                    eta = _search_fixed(plan, ls, e_now)
-                elif sampled:
-                    # no stretching of a step along a shot-noisy direction;
-                    # each halving resumes one grid step above the last eta
-                    eta = _search_armijo(plan, ls, e_now, slope, start)
-                    start = min(ls.eta0, eta / _SHRINK)
-                else:
-                    eta = _search_backtracking(plan, ls, e_now, slope)
+                # a trial whose series overflows is booked at +inf (_StepPlan.realize)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if ls.kind == "fixed":
+                        eta = _search_fixed(plan, ls, e_now)
+                    elif sampled:
+                        # no stretching of a step along a shot-noisy direction;
+                        # each halving resumes one grid step above the last eta
+                        eta = _search_armijo(plan, ls, e_now, slope, start)
+                        start = min(ls.eta0, eta / _SHRINK)
+                    else:
+                        eta = _search_backtracking(plan, ls, e_now, slope)
         except _Stalled:
             status = "stalled"
         records.append(IterationRecord(

@@ -643,7 +643,7 @@ def test_kernel_norm_skips_keep_the_stops_and_bits_on_kept_terms(monkeypatch, no
     monkeypatch.setattr(evolution, "_csr_product", _counted(_csr_product, products))
     start = evolution._FixedStart(op, psi)
     got = start.apply(eta)
-    first_products, kept = len(products), len(start.terms) - 1
+    first_products, kept = len(products), len(start.norms2) - 1
     products.clear()
     again = start.apply(eta)  # every kept term it reads is made already
     monkeypatch.undo()
@@ -659,6 +659,53 @@ def test_kernel_norm_skips_keep_the_stops_and_bits_on_kept_terms(monkeypatch, no
     assert len(products) == len(calls) - kept
     assert np.array_equal(got.amplitudes, ref)
     assert np.array_equal(again.amplitudes, ref)
+
+
+def _assert_kept_trial_matches_reference(monkeypatch, start, eta):
+    """One ``_FixedStart`` trial against ``_reference_taylor``: the same bits,
+    and products only for the kept terms it lacked and its fresh segments."""
+    op, psi = start.op, start.psi
+    kept = len(start.norms2) - 1
+    products = []
+    with monkeypatch.context() as patch:
+        patch.setattr(evolution, "_csr_product", _counted(_csr_product, products))
+        got = start.apply(eta)
+    first_calls, calls = [], []
+    unit = _counted(lambda v: _csr_product(op.csr, v), first_calls)
+    action = _counted(lambda v: eta * _csr_product(op.csr, v), calls)
+    ref = _reference_taylor(action, abs(eta) * op.norm1, psi.amplitudes, (unit, op.norm1, eta / abs(eta)))
+    ref /= math.sqrt(np.vdot(ref, ref).real)
+    assert np.array_equal(got.amplitudes, ref)
+    assert len(start.norms2) - 1 == max(kept, len(first_calls))
+    assert len(products) == max(0, len(first_calls) - kept) + len(calls)
+
+
+@pytest.mark.parametrize("phase", [1.0, -1.0, 1j])
+def test_kept_terms_keep_their_bits_as_the_block_grows(monkeypatch, phase):
+    # the first trial needs more kept terms than the block's first rows hold;
+    # the later ones read terms made before and after the block doubled
+    rng = np.random.default_rng(108)
+    basis = build_basis(8, 4, 0)
+    op = _kernel_generator(rng, "hermitian", basis)
+    start = evolution._FixedStart(op, _random_state(rng, basis, complex_valued=True))
+    rows = len(start.rows)
+    for norm1 in (0.98 * THETA, 0.3, 2.5 * THETA):
+        _assert_kept_trial_matches_reference(monkeypatch, start, phase * norm1 / op.norm1)
+        assert len(start.norms2) > rows
+
+
+@pytest.mark.parametrize("c", [6.0, 13.0, 24.0])
+def test_kept_terms_form_the_partial_sum_where_the_bounds_cannot_decide(monkeypatch, c):
+    # |acc| = exp(-c d) |psi| sits far under the triangle bound, and the lower
+    # bound |psi| - sum |c_j t_j| is negative: the terms between the two take
+    # the exact partial sum, and those it finds not small keep the series going
+    basis = build_basis(4, 2, 0)
+    op = SparseOperator(basis, np.diag(np.linspace(0.5, 1.0, len(basis))))
+    start = evolution._FixedStart(op, _random_state(np.random.default_rng(109), basis, complex_valued=True))
+    sums = []
+    monkeypatch.setattr(start, "_sum", _counted(start._sum, sums))
+    _assert_kept_trial_matches_reference(monkeypatch, start, -c / op.norm1)
+    assert len(sums) > 2
 
 
 @pytest.mark.parametrize("norm1", [0.3, 6.0, 13.0])
@@ -691,6 +738,28 @@ def test_kernel_norm_skips_keep_a_streak_broken_by_a_large_term():
     _, products = _counted_run(_reference_taylor, lambda v: g @ v, 0.3, vec)
     assert products == 4
     _assert_kernel_matches_reference(lambda v: g @ v, 0.3, vec)
+
+
+@pytest.mark.parametrize("width", [36, 400, 4900])
+@pytest.mark.parametrize("ratio", [0.37, -0.52, 0.3j])
+def test_summed_rows_have_the_bits_of_the_term_by_term_loop(width, ratio):
+    # _FixedStart sums a trial's first segment as np.add.reduce(c[:, None] * T,
+    # axis=0), the reduction of (c[:, None] * T).sum(axis=0), over rows 0..K of
+    # its block; numpy adds the rows in order, so the sum is bit for bit
+    # acc = T[0]; acc += c_k T[k].  A numpy release that changes this
+    # reduction order fails here before the trajectory tests do
+    rng = np.random.default_rng(110)
+    held = rng.normal(size=(24, width)) + 1j * rng.normal(size=(24, width))
+    coeffs = [1.0]
+    for _ in range(len(held) - 1):
+        coeffs.append(coeffs[-1] * ratio)
+    for rows in (9, len(held)):  # a row slice of the larger block, and all of it
+        acc = held[0].copy()
+        for k in range(1, rows):
+            acc += coeffs[k] * held[k]
+        scaled = np.array(coeffs[:rows], dtype=complex)[:, None] * held[:rows]
+        assert np.array_equal(scaled.sum(axis=0), acc)
+        assert np.array_equal(np.add.reduce(scaled, axis=0), acc)
 
 
 @pytest.mark.parametrize(

@@ -194,9 +194,9 @@ def test_plan_trials_share_the_first_factor_products(monkeypatch):
     ham, psi, direction = _plan_inputs("hcse")
     products = []
 
-    def counted(matrix, vec):
+    def counted(matrix, vec, out=None):
         products.append(None)
-        return fock._csr_product(matrix, vec)
+        return fock._csr_product(matrix, vec, out)
 
     monkeypatch.setattr(evolution, "_csr_product", counted)
     nu = _StepPlan(ham, psi, _links(direction, psi.basis)).op_h.norm1
@@ -253,9 +253,9 @@ def test_unsplit_cse_plan_trials_share_all_generator_products(monkeypatch):
     links = _links(direction, psi.basis)
     products = []
 
-    def counted(matrix, vec):
+    def counted(matrix, vec, out=None):
         products.append(None)
-        return fock._csr_product(matrix, vec)
+        return fock._csr_product(matrix, vec, out)
 
     monkeypatch.setattr(evolution, "_csr_product", counted)
     nu = _StepPlan(ham, psi, links, False)._first.op.norm1
