@@ -74,22 +74,32 @@ Residual estimator
 ``_estimate_links`` reads contracted residuals off the probe state
 ``exp(i d Y_a x (H - E)) |+> psi``, a V-step with the action
 ``(H - E) v = H v - E v`` (no shifted H is built) and the 1-norm of
-``H - E`` read off column sums that H keeps.  The ancilla-Z channel
+``H - E`` read off column sums that H keeps.  The solver hands the
+estimate the energy it has just measured, so the probe forms no second
+``H psi``; the public ``probe_state`` and ``estimate_residual_w``
+normalize psi and compute E themselves.  The ancilla-Z channel
 of the pair excitation ``a+_i a+_j a_l a_k`` yields the anticommutator
 residual S and the ancilla-Y channel the commutator residual A, each with
 O(d^2) bias and exactly even in d for real problems.  A pair excitation is
 a signed partial matching of determinants, so each Hermitian observable
 (real and imaginary part per channel) has at most the three outcome values
 {-v, 0, +v}; the class probabilities are quadratic forms read off the
-sector's excitation pattern, one product with ``|P^T|`` and one with
-``P^T`` (``fock._transition_elements``) for every vector of both channels,
-and no eigenbasis is ever formed (``pair_excitation_matrix`` with a dense
-``eigh`` is the test oracle).  The per-element tables (each element's
-pattern column, the diagonal and drawn masks, the outcome values) are
-fields of the pattern, built once with it, and the classes are written
-into one preallocated array.  Both modes read these classes: exact mode
+sector's excitation pattern, and no eigenbasis is ever formed
+(``pair_excitation_matrix`` with a dense ``eigh`` is the test oracle).
+One class pass (``_outcome_classes``) works from the probe's halves t
+and b alone: every class of both channels follows from m(t) + m(b), one
+product with ``|P^T|``, and from g(t) - g(b) (Z) and
+``d = <b|G|t> - <t|G|b>`` (Y), one column each of one product with
+``P^T``.  ``_estimate_links`` decides in one place which parts are
+formed and drawn: all four for a complex H or psi, and only Re Z and Im Y
+when both are exactly real, since the other two then have zero mean and
+carry only shot noise (Smart & Mazziotti, Phys. Rev. Lett. 126, 070504
+(2021)); a sampled run of a real problem therefore stays exactly real.
+The per-element tables (each element's pattern column, the diagonal and
+drawn masks, the outcome values) are fields of the pattern, built once
+with it.  Both modes read these classes: exact mode
 takes the expectation ``v (P+ - P-)``, and with ``shots`` set every
-observable gets multinomial counts over its classes, all drawn in one
+formed part gets multinomial counts over its classes, all drawn in one
 call, which reproduces hardware shot noise exactly rather than through a
 Gaussian surrogate.  The measured elements are the sector's linked
 canonical elements, which are its links ``m`` with pair(ij) <= pair(kl)
@@ -119,7 +129,6 @@ from .fock import (
     _excitations,
     _link_operator,
     _link_tensor,
-    _transition_elements,
 )
 from .residuals import RESIDUAL_VARIANTS, energy, residual_channel
 
@@ -630,7 +639,12 @@ def probe_state(ham: SparseOperator, psi: StateVector, delta: float) -> StateVec
     product per term (``_dilated_step``).
     """
     psi = psi.normalized()
-    e = energy(ham, psi)
+    return _probe(ham, psi, energy(ham, psi), delta)
+
+
+def _probe(ham: SparseOperator, psi: StateVector, e: float, delta: float) -> StateVector:
+    """``probe_state`` of a state taken as normalized whose energy E is ``e``,
+    as the solver has just read it off the state (``residuals._moments``)."""
     matrix = ham.csr
 
     def apply_shifted(v, out):
@@ -708,49 +722,69 @@ def estimate_residual_w(
     if variant not in RESIDUAL_VARIANTS:
         raise ValueError(f"unknown residual variant {variant!r}")
     config = EstimatorConfig(delta=delta, shots=shots, seed=seed)  # raises on a bad delta, shots or seed
-    links = _estimate_links(ham, psi, variant, config.probe_delta, shots, seed)
+    psi = psi.normalized()
+    links = _estimate_links(ham, psi, energy(ham, psi), variant, config.probe_delta, shots, seed)
     return TwoBodyTensor._closed(psi.basis.n_spin_orbitals, _link_tensor(psi.basis, links))
 
 
+# the parts formed, rows Z and Y by columns Re and Im: all four, or, for a real
+# H and a real psi, only Re Z and Im Y, the two that carry signal
+_SIGNAL = {False: np.ones((2, 2), dtype=bool), True: np.eye(2, dtype=bool)}
+
+
 def _estimate_links(
-    ham: SparseOperator, psi: StateVector, variant: str, delta: float, shots: int | None, seed: int | None
+    ham: SparseOperator,
+    psi: StateVector,
+    e: float,
+    variant: str,
+    delta: float,
+    shots: int | None,
+    seed: int | None,
 ) -> np.ndarray:
     """The link vector (``fock``) of the channel ``estimate_residual_w`` measures.
 
-    The inputs are not checked: the solver passes those its ``CqeConfig``
-    checked, and ``delta`` is resolved (``EstimatorConfig.probe_delta``).
-    Both measured channels come from one ``_outcome_classes`` pass, and in
-    shot mode all draws from one multinomial call, the Z rows before the Y
-    rows, over the parts ``_Excitations.drawn`` (a diagonal element's Im
-    part is zero and takes no draw).  The measured S and A form the link vector of R = (S + A) / 2,
-    with the channel not measured set to zero, and ``residual_channel``
-    maps it to the variant's channel with the sector's link adjoint.
+    ``psi`` is taken as normalized with energy ``e``, which the solver has
+    just read off it, and the other inputs are not checked: the solver
+    passes those its ``CqeConfig`` checked, and ``delta`` is resolved
+    (``EstimatorConfig.probe_delta``).  The measured channels, ancilla Z
+    unless the variant is ``'acse'`` and ancilla Y unless it is ``'hcse'``,
+    come from one ``_outcome_classes`` pass over the probe's halves.  This
+    is the one place that decides which parts are formed and drawn: all
+    four (Re and Im of each channel) for a complex H or psi, but only Re Z
+    and Im Y when both are exactly real.  Then R, S and A are real, and
+    the other two parts have zero mean and would add only shot noise
+    (Smart & Mazziotti, Phys. Rev. Lett. 126, 070504 (2021)); they read
+    exactly zero, so the link vector of a real problem is exactly real.
+    In shot mode all draws come from one multinomial call, over the formed
+    parts in the order Re Z, Im Z, Re Y, Im Y and, within a part, the
+    elements ``_Excitations.drawn`` (a diagonal element's Im part is zero
+    and takes no draw).  The measured S and A form the link vector of
+    R = (S + A) / 2, with the channel not measured set to zero, and
+    ``residual_channel`` maps it to the variant's channel with the
+    sector's link adjoint.
     """
     basis = psi.basis
     dim = len(basis)
-    probe = probe_state(ham, psi, delta).amplitudes
-    top, bottom = probe[:dim], probe[dim:]
-    channels = []
-    if variant != "acse":  # ancilla Z
-        channels.append((top, bottom))
-    if variant != "hcse":  # ancilla Y
-        turned = 1j * bottom
-        channels.append(((top - turned) / np.sqrt(2.0), (top + turned) / np.sqrt(2.0)))
-    probs = _outcome_classes(basis, channels)
     ex = _excitations(basis)
+    probe = _probe(ham, psi, e, delta).amplitudes
+    real = not (ham.csr.data.imag.any() or psi.amplitudes.imag.any())
+    formed = np.array([[variant != "acse"], [variant != "hcse"]]) & _SIGNAL[real]
+    probs = _outcome_classes(basis, probe[:dim], probe[dim:], formed)
     if shots is None:
-        mean = probs[..., 0] - probs[..., 1]
+        means = probs[..., 0] - probs[..., 1]
     else:
-        rows = np.clip(probs[:, ex.drawn], 0.0, None)
-        total = rows.sum(axis=2, keepdims=True)
+        drawn = ex.drawn[np.nonzero(formed)[1]]  # (formed parts, elements)
+        rows = np.clip(probs[drawn], 0.0, None)
+        total = rows.sum(axis=1, keepdims=True)
         if not np.all(np.isfinite(total)) or np.any(total <= 0):
             raise RuntimeError("invalid outcome distribution in shot sampler")
-        counts = np.random.default_rng(seed).multinomial(shots, (rows / total).reshape(-1, 3))
-        mean = np.zeros(probs.shape[:3])
-        mean[:, ex.drawn] = ((counts[:, 0] - counts[:, 1]) / shots).reshape(len(channels), -1)
-    readout = ex.outcome * (mean[:, 0] + 1j * mean[:, 1])
-    s = readout[0] / delta if variant != "acse" else 0.0
-    a = -1j * readout[-1] / delta if variant != "hcse" else 0.0
+        counts = np.random.default_rng(seed).multinomial(shots, rows / total)
+        means = np.zeros(drawn.shape)
+        means[drawn] = (counts[:, 0] - counts[:, 1]) / shots
+    mean = np.zeros((2, 2, len(ex.upper)))
+    mean[formed] = means
+    z, y = ex.outcome * (mean[:, 0] + 1j * mean[:, 1])
+    s, a = z / delta, -1j * y / delta
     # S is pair-Hermitian and A pair-anti-Hermitian, so R is (s + a) / 2 at
     # each element (i, j, k, l) and conj(s - a) / 2 at its pair adjoint
     # (k, l, i, j), the link of the element's pattern column
@@ -760,60 +794,70 @@ def _estimate_links(
     return residual_channel(raw, variant, ex.pair_adjoint)
 
 
-def _outcome_classes(basis: Basis, channels) -> np.ndarray:
-    """Closed-form outcome classes of probe channels for every measured element.
+def _outcome_classes(basis: Basis, top: np.ndarray, bottom: np.ndarray, formed: np.ndarray) -> np.ndarray:
+    """Closed-form outcome classes of the probe's channels for every measured element.
 
-    A channel ``(x, y)`` reads the Hermitian part ``(G + G^+)/2`` ("Re") and
-    the anti-Hermitian part ``(G - G^+)/2i`` ("Im") of
-    ``G = a+_i a+_j a_l a_k``: an eigenvalue ``lam`` of the part counts as
-    ``+lam`` on ``x`` and as ``-lam`` on ``y``.  Since ``G|D> = s|D'>`` is a
-    signed partial matching of determinants, an off-diagonal element has
-    both parts with spectrum {-1/2, 0, 1/2} on disjoint 2x2 blocks, and with
+    ``top`` and ``bottom`` are the probe's ancilla branches t and b.  The Z
+    channel is the pair ``(x, y) = (t, b)`` and the Y channel the pair
+    ``((t - i b) / sqrt 2, (t + i b) / sqrt 2)``.  A channel reads the
+    Hermitian part ``(G + G^+)/2`` ("Re") and the anti-Hermitian part
+    ``(G - G^+)/2i`` ("Im") of ``G = a+_i a+_j a_l a_k``: an eigenvalue
+    ``lam`` of the part counts as ``+lam`` on x and as ``-lam`` on y.  Since
+    ``G|D> = s|D'>`` is a signed partial matching of determinants, an
+    off-diagonal element has both parts with spectrum {-1/2, 0, 1/2} on
+    disjoint 2x2 blocks, and with
 
         m(x) = 1/2 sum_links (|x_D|^2 + |x_D'|^2),   g(x) = <x|G|x>
 
-    the classes are ``P(+1/2) = m(x) + Re g(x) + m(y) - Re g(y)`` and
-    ``P(-1/2) = m(x) - Re g(x) + m(y) + Re g(y)`` (Im g for the Im part).  A
-    diagonal element is ``n_i n_j`` with spectrum {0, 1}: ``P(+1) = m(x)``,
-    ``P(-1) = m(y)``, and its Im part vanishes.  ``P(0)`` is the rest of
-    ``|x|^2 + |y|^2``.  The m and g of every vector of every channel come
-    from one product each with ``|P^T|`` and ``P^T`` (``_transition_elements``)
-    on the block of their pattern-row inputs.
+    its classes are ``P(+-1/2) = M +- Re c`` (``Im c`` for the Im part), with
+    ``M = m(x) + m(y)`` and ``c = g(x) - g(y)``.  A diagonal element is
+    ``n_i n_j`` with spectrum {0, 1} and ``m = g``: ``P(+1) = m(x) = (M +
+    Re c) / 2`` and ``P(-1) = m(y) = (M - Re c) / 2``, and its Im part
+    vanishes.  ``P(0)`` is the rest of ``|x|^2 + |y|^2 = |t|^2 + |b|^2``.
 
-    The elements are the sector's linked canonical elements (i, j, k, l),
-    the links ``_Excitations.upper`` in ascending order, and each reads the
-    pattern column of ``G``, the link of its pair adjoint (k, l, i, j)
+    So every class of both channels follows from the halves alone:
+    ``M = m(t) + m(b)`` for either channel, ``c = g(t) - g(b)`` for Z and
+    ``c = i d`` for Y, where ``d = <b|G|t> - <t|G|b>``.  (The Y channel's
+    ``m(x) - m(y)``, ``|P^T|`` on the weights ``2 Im(conj(t) b)``, is
+    ``-Im d`` wherever a diagonal element reads it.)  M is one product with
+    ``|P^T|`` and the c of each measured channel one column of one product
+    with ``P^T``, each on its pattern-row inputs, since m and g are linear
+    in them.
+
+    ``formed`` is a (2, 2) mask of the parts to form, rows Z and Y and
+    columns Re and Im, which ``_estimate_links`` decides; a channel's
+    column is made only where one of its parts is formed.  The elements
+    are the sector's linked canonical elements (i, j, k, l), the links
+    ``_Excitations.upper`` in ascending order, and each reads the pattern
+    column of ``G``, the link of its pair adjoint (k, l, i, j)
     (``_Excitations.column``).  Returns the probabilities of +v, -v and 0,
-    shape (channels, 2, elements, 3) for the Re and Im parts, where v is
-    the element's outcome value ``_Excitations.outcome`` (1/2, or 1 on the
-    diagonal).  They are written into that array in the operation order of
-    the formulas above, ``m(x) + Re g(x) + m(y) - Re g(y)`` and so on.
+    shape (formed parts, elements, 3) in the order Re Z, Im Z, Re Y, Im Y,
+    where v is the element's outcome value ``_Excitations.outcome`` (1/2,
+    or 1 on the diagonal).
     """
     ex = _excitations(basis)
-    vecs = np.array([v for pair in channels for v in pair]).T  # columns x0, y0, x1, y1, ...
-    weight = np.abs(vecs) ** 2
-    pair_weight = np.take(weight, ex.rows, 0) + np.take(weight, ex.indices, 0)
-    m = _csr_product(ex.magnitudes, pair_weight)
-    g = _transition_elements(basis, vecs, vecs)
-    m = np.take(m.T, ex.column, 1) / 8.0  # (vectors, elements)
-    g = np.take(g.T, ex.column, 1) / 4.0
-    mx, my = m[0::2, None], m[1::2, None]  # (channels, 1, elements)
-    # (channels, 2, elements): views of the Re and Im parts of g
-    parts = g.view(float).reshape(len(g), -1, 2).transpose(0, 2, 1)
-    gx, gy = parts[0::2], parts[1::2]
-    probs = np.empty((len(channels), 2, len(ex.upper), 3))
-    plus, minus, rest = probs[..., 0], probs[..., 1], probs[..., 2]
-    np.add(mx, gx, out=plus)
-    plus += my
-    plus -= gy
-    np.subtract(mx, gx, out=minus)
-    minus += my
-    minus += gy
-    # a diagonal element has P(+1) = m(x), P(-1) = m(y) and no Im part
-    np.copyto(plus[:, 0], mx[:, 0], where=ex.diagonal)
-    np.copyto(minus[:, 0], my[:, 0], where=ex.diagonal)
-    probs[:, 1, ex.diagonal, :2] = 0.0
-    for c, (x, y) in enumerate(channels):
-        np.subtract(np.vdot(x, x).real + np.vdot(y, y).real, plus[c], out=rest[c])
+    weight = np.abs(top) ** 2 + np.abs(bottom) ** 2
+    pair_weight = np.take(weight, ex.rows) + np.take(weight, ex.indices)
+    both = np.take(_csr_product(ex.magnitudes, pair_weight), ex.column) / 8.0
+    halves = np.stack([top, bottom])
+    t_row, b_row = np.take(halves.conj(), ex.rows, 1)
+    t_col, b_col = np.take(halves, ex.indices, 1)
+    measured = formed.any(axis=1)  # Z, Y
+    pairs = [t_row * t_col - b_row * b_col] if measured[0] else []  # g(t) - g(b)
+    if measured[1]:
+        pairs.append(b_row * t_col - t_row * b_col)  # d
+    c = np.take(_csr_product(ex.by_link, np.stack(pairs, axis=1)), ex.column, 0) / 4.0
+    if measured[1]:
+        c[:, -1] *= 1j
+    channel, part = np.nonzero(formed)
+    c = c[:, np.cumsum(measured)[channel] - 1].T  # the c of each formed part's channel
+    signal = np.where(part[:, None], c.imag, c.real)
+    # P(+-v) per part is scale (M +- signal): 1/2 on the diagonal's Re part, 0 on its Im part
+    scale = np.where(ex.diagonal, np.array([[0.5], [0.0]])[part], 1.0)
+    probs = np.empty((len(part), len(ex.upper), 3))
+    plus, minus, rest = probs.transpose(2, 0, 1)
+    np.multiply(scale, both + signal, out=plus)
+    np.multiply(scale, both - signal, out=minus)
+    np.subtract(np.vdot(top, top).real + np.vdot(bottom, bottom).real, plus, out=rest)
     rest -= minus
     return probs

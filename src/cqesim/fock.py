@@ -24,8 +24,9 @@ Conventions used throughout the package:
   link vector, its canonical entries at the links; the solver works on
   link vectors alone.  Operator assembly (``_link_operator``), transition
   2-RDM elements (``_transition_elements``) for the residuals, the
-  estimator's outcome classes (the same product on a block of vectors)
-  and pair-excitation matrices in ``evolution`` all read the pattern.
+  estimator's outcome classes (``P^T`` and ``|P^T|`` on products of the
+  probe's halves) and pair-excitation matrices in ``evolution`` all read
+  the pattern.
 * ``antisymmetrize`` is the one image primitive: ``compute_2rdm``, the
   public residuals and the residual estimator (all through
   ``_link_tensor``) and ``reduced_hamiltonian_K`` build their n^4 tensors

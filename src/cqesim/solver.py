@@ -64,6 +64,8 @@ either coordinates.  In sampled execution
 the estimator hands the loop the measured channel's link vector
 (``evolution._estimate_links``), with the probe delta that
 ``EstimatorConfig`` resolves, so no execution style forms an n^4 tensor.
+The probe reuses the energy the measurement has just read off the state,
+so it neither normalizes the state again nor forms a second ``H psi``.
 
 One pass of the loop measures the state, tests the residual, picks eta
 with one step rule (fixed, the sampled resumed Armijo halving, or
@@ -496,7 +498,7 @@ def cqe_run(
         if not sampled:
             return e, var, norms, channels[config.variant], norms[config.variant]
         seed = int(np.random.SeedSequence(entropy=est.seed, spawn_key=(iteration,)).generate_state(1)[0])
-        channel = _estimate_links(ham, psi, config.variant, est.probe_delta, est.shots, seed)
+        channel = _estimate_links(ham, psi, e, config.variant, est.probe_delta, est.shots, seed)
         return e, var, norms, channel, _link_norm(channel)
 
     for n in range(config.max_iterations):

@@ -1184,7 +1184,7 @@ def test_outcome_classes_match_eigh_oracle(fixture):
         if e not in measured:
             assert not np.any(pair_excitation_matrix(basis, *e))
     readout = {}
-    classes = _outcome_classes(basis, list(channels.values()))
+    classes = _outcome_classes(basis, top, bottom, np.ones((2, 2), dtype=bool)).reshape(2, 2, -1, 3)
     value = evolution._excitations(basis).outcome
     for (name, (x, y)), probs in zip(channels.items(), classes):
         for e, (i, j, k, l) in enumerate(elements):
@@ -1223,7 +1223,9 @@ def test_estimate_links_are_the_link_entries_of_the_estimate(fixture, state, var
     for kwargs in ESTIMATOR_SETTINGS:
         config = EstimatorConfig(**kwargs)
         delta, shots, seed = config.probe_delta, config.shots, config.seed
-        links = evolution._estimate_links(ham, psi, variant, delta, shots, seed)
+        normalized = psi.normalized()
+        e = energy(ham, normalized)
+        links = evolution._estimate_links(ham, normalized, e, variant, delta, shots, seed)
         tensor = estimate_residual_w(ham, psi, variant=variant, **kwargs).coeffs
         assert (links + 0.0).tobytes() == (tensor.ravel()[support] + 0.0).tobytes()
 
@@ -1237,8 +1239,7 @@ def test_one_multinomial_call_draws_as_one_call_per_channel():
     dim = len(ham.basis)
     probe = probe_state(ham, psi, delta).amplitudes
     top, bottom = probe[:dim], probe[dim:]
-    channels = [(top, bottom), ((top - 1j * bottom) / np.sqrt(2.0), (top + 1j * bottom) / np.sqrt(2.0))]
-    classes = _outcome_classes(ham.basis, channels)
+    classes = _outcome_classes(ham.basis, top, bottom, np.ones((2, 2), dtype=bool)).reshape(2, 2, -1, 3)
     elements = _measured_elements(ham.basis)
     i, j, k, l = elements.T
     off = (i != k) | (j != l)  # a diagonal element's Im part takes no draw
@@ -1261,6 +1262,94 @@ def test_one_multinomial_call_draws_as_one_call_per_channel():
     i, j, k, l = elements[off].T  # R = (S + A) / 2 at each measured off-diagonal element
     assert np.abs(a[off]).max() > 0 and np.abs(s[off]).max() > 0
     np.testing.assert_array_equal(est[i, j, k, l], (0.5 * (s + a))[off])
+
+
+def _four_part_readouts(ham, psi, delta):
+    """Oracle: the Z and Y readouts of the measured elements with all four
+    parts, Re and Im of each channel, from dense pair excitation matrices.
+    An element's mean v (P+ - P-) is g(x) - g(y) with g(x) = <x|G|x>: off the
+    diagonal v = 1/2 and P+ - P- = 2 (g(x) - g(y)), and on it v = 1 and
+    P+ - P- = m(x) - m(y), where m = g."""
+    probe = probe_state(ham, psi, delta)
+    top, bottom = ancilla_branch(probe, 0).amplitudes, ancilla_branch(probe, 1).amplitudes
+    channels = {
+        "z": (top, bottom),
+        "y": ((top - 1j * bottom) / np.sqrt(2.0), (top + 1j * bottom) / np.sqrt(2.0)),
+    }
+    elements = _measured_elements(ham.basis)
+    readout = {name: np.zeros(len(elements), dtype=complex) for name in channels}
+    for e, (i, j, k, l) in enumerate(elements):
+        gamma = pair_excitation_matrix(ham.basis, i, j, k, l)
+        for name, (x, y) in channels.items():
+            readout[name][e] = np.vdot(x, gamma @ x) - np.vdot(y, gamma @ y)
+    return elements, readout
+
+
+@pytest.mark.parametrize("fixture", ["h2_d0.74", "h4_d1.00", "h4_d2.00"])
+@pytest.mark.parametrize("state", ["hf", "real"])
+def test_real_states_measure_only_re_z_and_im_y(fixture, state):
+    # for a real H and a real psi the Im Z and Re Y parts have zero mean;
+    # the estimate equals the four-part readout with those parts zeroed,
+    # and is exactly real
+    ham = build_hamiltonian(load_fixture(fixture))
+    psi = hf_state(ham) if state == "hf" else _random_state(np.random.default_rng(93), ham.basis)
+    for delta in (1e-3, -0.07):
+        elements, readout = _four_part_readouts(ham, psi, delta)
+        assert np.all(readout["z"].imag == 0.0) and np.all(readout["y"].real == 0.0)
+        s, a = readout["z"].real / delta, readout["y"].imag / delta
+        assert np.abs(s).max() > 1e-3 and np.abs(a).max() > 1e-3
+        i, j, k, l = elements.T
+        for variant, at_element, at_adjoint in (
+            ("cse", 0.5 * (s + a), 0.5 * (s - a)), ("hcse", s, s), ("acse", a, -a)
+        ):
+            est = estimate_residual_w(ham, psi, variant=variant, delta=delta).coeffs
+            assert not est.imag.any()
+            np.testing.assert_allclose(est[i, j, k, l], at_element, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(est[k, l, i, j], at_adjoint, rtol=0, atol=1e-12)
+
+
+def test_complex_states_draw_all_four_parts(multinomial_rows):
+    # a complex state reaches every part: each draws its shots, and every
+    # part's 3-sigma coverage over 10 seeds holds as criterion 6 forms it,
+    # with single-shot variances from the dense eigh classes
+    ham = build_hamiltonian(load_fixture("h4_d1.00"))
+    basis = ham.basis
+    psi = _random_state(np.random.default_rng(94), basis, complex_valued=True)
+    delta, shots = 0.1, 16000
+    probe = probe_state(ham, psi, delta)
+    top, bottom = ancilla_branch(probe, 0).amplitudes, ancilla_branch(probe, 1).amplitudes
+    channels = ((top, bottom), ((top - 1j * bottom) / np.sqrt(2.0), (top + 1j * bottom) / np.sqrt(2.0)))
+    elements = _measured_elements(basis)
+    value = evolution._excitations(basis).outcome
+    var = np.zeros((2, 2, len(elements)))  # (channel Z/Y, part Re/Im, element)
+    for e, (i, j, k, l) in enumerate(elements):
+        gamma = pair_excitation_matrix(basis, i, j, k, l)
+        for c, (x, y) in enumerate(channels):
+            for part in (0, 1):
+                (plus, minus, _), _ = _merged_eigh_classes(gamma, part, x, y, value[e])
+                var[c, part, e] = value[e] ** 2 * (plus + minus) - (value[e] * (plus - minus)) ** 2
+    sigma = np.sqrt(var / shots) / delta
+    i, j, k, l = elements.T
+    off = (i != k) | (j != l)
+
+    def split(r):  # S and A at each element from R = (S + A) / 2 and R at its pair adjoint
+        at_adjoint = np.conj(r[k, l, i, j])
+        return r[i, j, k, l] + at_adjoint, r[i, j, k, l] - at_adjoint
+
+    s_exact, a_exact = split(estimate_residual_w(ham, psi, variant="cse", delta=delta).coeffs)
+    within = {name: [] for name in ("re z", "im z", "re y", "im y")}
+    for seed in range(10):
+        s, a = split(estimate_residual_w(ham, psi, variant="cse", delta=delta, shots=shots, seed=seed).coeffs)
+        err_s, err_a = s - s_exact, a - a_exact
+        # Re(A) comes from the Im part of the Y channel and Im(A) from its Re part
+        within["re z"].append(np.abs(err_s.real) <= 3.0 * sigma[0, 0] + 1e-12)
+        within["im z"].append((np.abs(err_s.imag) <= 3.0 * sigma[0, 1] + 1e-12)[off])
+        within["re y"].append(np.abs(err_a.imag) <= 3.0 * sigma[1, 0] + 1e-12)
+        within["im y"].append((np.abs(err_a.real) <= 3.0 * sigma[1, 1] + 1e-12)[off])
+    assert multinomial_rows == [656] * 10
+    assert (sigma[:, :, off] > 1e-3).all()
+    for name, checks in within.items():
+        assert np.mean(checks) >= 0.99, name
 
 
 def test_probe_delta_defaults_by_mode():

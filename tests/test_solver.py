@@ -1175,6 +1175,29 @@ def test_exact_and_dilated_searches_start_at_eta0(monkeypatch):
     assert all(next(iter(plan._trials)) == LineSearch().eta0 for plan in plans)
 
 
+@pytest.mark.parametrize("variant, rows", [("cse", 328), ("hcse", 178), ("acse", 150)])
+def test_sampled_runs_of_real_problems_stay_real(monkeypatch, multinomial_rows, variant, rows):
+    # a real H from the real HF state: every estimate measures only Re Z and
+    # Im Y, so each draws half the rows, and every state the loop visits
+    # stays exactly real
+    ham = build_hamiltonian(load_fixture("h4_d1.40"))
+    estimate = solver._estimate_links
+    imag = []
+
+    def watched(ham, psi, *args):
+        imag.append(np.abs(psi.amplitudes.imag).max())
+        return estimate(ham, psi, *args)
+
+    monkeypatch.setattr(solver, "_estimate_links", watched)
+    config = CqeConfig(
+        variant=variant, execution="sampled", max_iterations=12, estimator=EstimatorConfig(shots=16000, seed=5)
+    )
+    result = cqe_run(ham, config)
+    assert len(imag) == len(result.iterations) + 1 == 13
+    assert imag == [0.0] * 13 and np.abs(result.state.amplitudes.imag).max() == 0.0
+    assert multinomial_rows == [rows] * 13
+
+
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_sampled_descends_toward_ground(seed):
     # the best energy's distance from FCI is shot noise: the residual noise
