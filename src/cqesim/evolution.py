@@ -7,26 +7,26 @@ sums segmented Taylor series from matrix-vector products alone, so no
 matrix (scaled, shifted, block or exponential) is built per call.  Segments
 have 1-norm at most theta_40 = 6.0 of Al-Mohy & Higham, at most
 ``_MAX_SEGMENTS`` of them, and a segment's series stops on two negligible
-terms only where the 1-norm bound already makes the terms contract.  The
-partial sum's norm is formed only for terms that a triangle bound cannot
-prove large; the last one is exact, and a renormalized step reads it.  The
-terms come from one recurrence, ``t_k = G t_{k-1} / (s k)``, which a fresh
-segment runs inline: each action returns a new array, which the kernel
-scales in place.  At the benchmark's sizes (dim <= 72) a product costs
-about as much as a numpy call, so the kernel spends no call, copy or
-wrapper per term that the recurrence does not need.  ``_FixedStart``
-keeps the terms ``(J / |J|_1)^k psi / k!`` of one generator on one state
-as the rows of one block, each product made straight into its row, so
-the first segment of ``exp(eta J) psi`` costs no product once a larger
-eta has made them: a line search's trials from the same psi pay each
-product once.  A trial sums that segment as one column of coefficients
-times the block's rows and one reduction over them, which adds the rows
-in order and so has the bits of the term-by-term sum.  Its stops come
-from the kept term norms alone: the triangle bound and the lower bound
-``|psi| - sum_j |c_j t_j|`` decide most terms, and only a term between
-the two forms the exact partial sum.  An operator is a
-``SparseOperator``: the Hamiltonian, or a solver step factor whose CSR
-data sits on the sector's shared structure arrays.  Every product reads
+terms only where the 1-norm bound already makes the terms contract.  Every
+segment is summed one way, from one block of terms (``_Terms``): row k
+holds ``t_k = A t_{k-1} / (d k)``, made the first time it is needed by one
+action straight into its zeroed row, and one ratio-test loop decides the
+stops from the term norms alone where a triangle bound or a lower bound
+can (both with a margin over their rounding), forming the exact partial
+sum only for a term between the two and the last allowed one.  That sum
+is one reduction over the rows under a coefficient column, which adds the
+rows in order and so has the bits of the term-by-term sum; the last one is
+exact, and a renormalized step reads it.  A fresh segment's block runs
+the scaled action with ``d = s`` and takes no column.  ``_FixedStart``
+keeps the block of ``(J / |J|_1)^k psi / k!`` for one generator on one
+state, so the first segment of ``exp(eta J) psi`` sums it under the powers
+of ``phase |G|_1 / s`` and costs no product once a larger eta has made the
+terms: a line search's trials from the same psi pay each product once.
+At the benchmark's sizes (dim <= 72) a product costs about as much as a
+numpy call, so a term costs its action, one scaling and one norm, and no
+call, copy or wrapper more.  An operator is a ``SparseOperator``: the
+Hamiltonian, or a solver step factor whose CSR data sits on the sector's
+shared structure arrays.  Every product reads
 the operator's bare CSR arrays (``SparseOperator.csr``) through
 ``fock._csr_product``, the sparsetools kernel behind scipy's ``@`` without
 its dispatch, so products are bit-identical to ``@`` and no exponential
@@ -36,11 +36,12 @@ half of one zeroed output, bit for bit the columns of the (dim, 2) block
 product.  The exception is a V-step of one Taylor segment on a register
 whose two halves are equal, as ``prepare_dilated`` makes them and a
 unitary factor keeps them: each term of its block generator has halves
-``+-p_k``, so one product per term serves both branches, with the same
-bits (``_dilated_step``).  The probe of every estimate is such a step, and
-so is the dilated register's first V-step after a reset.  The states that
-come out are formed by ``StateVector._closed``, without the public
-constructor's cast, checks and copy.
+``+-p_k``, so its block holds the ``p_k``, one product per term serves
+both branches, and the sign columns of its reduction give both halves
+with the same bits (``_dilated_step``).  The probe of every estimate is
+such a step, and so is the dilated register's first V-step after a
+reset.  The states that come out are formed by ``StateVector._closed``,
+without the public constructor's cast, checks and copy.
 
 Exact route
 -----------
@@ -160,128 +161,184 @@ _MAX_TAYLOR_TERMS = 60
 _MAX_SEGMENTS = 1000
 _TERM_STOP = 1e-16
 _TERM_FAIL = 1e-13
-# factor on the squared triangle bound of |acc|: it covers the rounding of the
-# norms and sums the bound and |acc|^2 are made of, below 1e-8 under dimension 1e7
+# factor on the squared triangle bound of |acc| and on the lower bound: it covers
+# the rounding of the norms and sums the bounds and |acc|^2 are made of, below
+# 1e-8 under dimension 1e7
 _BOUND_MARGIN = 1.0 + 1e-6
 # the squared ratio-test factors, formed once with the bits of the per-term products
 _STOP2 = _TERM_STOP**2
 _STOP2_BOUND = _TERM_STOP**2 * _BOUND_MARGIN
-# rows of a _FixedStart's block before it first doubles; a line-search trial of
-# the benchmark's workloads reads a median of 5 to 12 kept terms, at most 22
+# rows of a block of Taylor terms before it first doubles.  On the benchmark's
+# workloads a line-search trial reads a median of 5 to 12 kept terms (a plan
+# keeps at most 23), a probe makes 12 or 13 terms and a fresh segment at most
+# 15; a segment near theta makes from 27 terms up to the 42 that theta allows,
+# and its block doubles once or twice
 _KEPT_ROWS = 16
 # the signs of p_k in the top and bottom halves of the k-th term of
-# [[0, D], [-D, 0]] on [p; p], by k % 4: + + - - ... and + - - + ...
-_BRANCH_SIGNS = ((np.add, np.add), (np.add, np.subtract), (np.subtract, np.subtract), (np.subtract, np.add))
+# [[0, D], [-D, 0]] on [p; p], by k % 4: + + - - ... and + - - + ..., as
+# columns of a one-branch block's (2, K) reduction, K <= 61
+_BRANCH_SIGNS = np.tile(np.array([[1, 1, -1, -1], [1, -1, -1, 1]], dtype=complex), 16)[..., None]
 
 
 def _taylor_series(
-    matvec, norm1: float, vec: np.ndarray, first=None, one_branch: bool = False
+    matvec, norm1: float, vec: np.ndarray, kept=None, one_branch: bool = False
 ) -> tuple[np.ndarray, float]:
     """``exp(G) @ vec`` and its exact squared norm, from the action
-    ``matvec(v) = G v``, a new array that the kernel may scale in place,
+    ``matvec(v, out)``, which writes ``G v`` into the zeroed vector ``out``,
     and the 1-norm of G.
 
     G is split into ``s = max(1, ceil(|G|_1 / theta))`` equal segments with
     ``theta = 6.0``, the theta_40 of Al-Mohy & Higham (SIAM J. Sci. Comput.
     33, 488 (2011)): a degree-40 Taylor polynomial of a segment of 1-norm at
-    most theta_40 meets double precision; more than ``_MAX_SEGMENTS``
-    segments raise before any product.  Each segment's series is summed
-    from matrix-vector products alone and stops after two consecutive terms
-    below ``_TERM_STOP`` relative to the partial sum, but only once
-    ``(k + 1) s > |G|_1``: from there every later term is bounded by the
-    last one times ``|G|_1 / (s (k + 1)) < 1``, so a small term cannot be
-    followed by a large one.  A generator of 1-norm at most 0.5 takes one
-    segment.  Raises if the series fails to converge (NaN/Inf, or terms
-    still decaying at ``_MAX_TAYLOR_TERMS``), which would signal a bogus
-    norm rather than a physics problem.
+    most theta_40 meets double precision, so a generator of 1-norm up to 6.0
+    takes one segment; more than ``_MAX_SEGMENTS`` segments raise before any
+    product.  Each segment is one block of terms (``_Terms``) from the
+    segment's start, ``t_k = G t_{k-1} / (s k)``, summed by its one
+    ratio-test loop.
 
-    The ratio test needs ``|acc|`` only where a term may be small: the
-    partial sum obeys the triangle bound ``|acc| <= |v| + sum_j |t_j|``, made
-    from the term norms the recurrence computes anyway, and a term above
-    ``_TERM_STOP`` times the bound (with ``_BOUND_MARGIN`` over its
-    rounding) fails the test whatever ``|acc|`` is, so its ``|acc|^2`` is
-    never formed.  Every other term, a non-finite one, one under a
-    non-finite bound and the last allowed one take the exact norm, so the
-    stops, the errors and the output bits are those of a test that forms
-    ``|acc|^2`` at every term.  Each segment ends on an exact ``|acc|^2``,
-    so the last one is the output's squared norm, which renormalization
-    reads instead of forming it again.
-
-    A fresh segment runs the term recurrence inline, ``t_k = G t_{k-1} /
-    (s k)``, scaling each new product in place.  ``first(s)`` serves the
-    first segment instead, with the same stops and bits, and returns its
-    sum and exact squared norm: ``_FixedStart._first_segment`` sums it from
-    the kept terms ``(J / |J|_1)^k vec / k!`` of ``vec`` under a generator
-    J with ``G = phase |G|_1 J / |J|_1``, whose k-th term is
-    ``(phase |G|_1 / s)^k`` times the k-th kept one.  The kernel then reads
-    neither ``vec`` nor its norm, except at ``|G|_1 = 0``.
+    ``kept = (terms, phase)`` serves the first segment from a block already
+    made instead: the kept terms ``(J / |J|_1)^k vec / k!`` of ``vec`` under
+    a generator J with ``G = phase |G|_1 J / |J|_1`` (``_FixedStart``), whose
+    k-th term is ``(phase |G|_1 / s)^k`` times the k-th kept one.  The kernel
+    then reads neither ``vec`` nor its norm, except at ``|G|_1 = 0``.
 
     ``one_branch=True`` sums one segment (``|G|_1 <= theta``) of the block
     generator ``G = [[0, D], [-D, 0]]`` on a register ``vec = [p_0; p_0]``
-    whose halves are equal, from ``matvec(v) = D v`` on one half: the k-th
-    term is ``[+-p_k; +-p_k]`` with ``p_k = D p_{k-1} / k``, signs ``+ + -
-    - ...`` on top and ``+ - - + ...`` below, so each term costs one
-    product.  Its squared norm is ``2 |p_k|^2``, and each half of the sum
-    takes ``p_k`` by addition or subtraction, which gives the bits of the
-    two-branch action.
+    whose halves are equal, from ``matvec(v, out) = D v`` on one half: the
+    k-th term is ``[+-p_k; +-p_k]`` with ``p_k = D p_{k-1} / k``, signs ``+ +
+    - - ...`` on top and ``+ - - + ...`` below, so each term costs one
+    product, and the sum has the bits of the two-branch action.
     """
     if not math.isfinite(norm1):
         raise RuntimeError("generator matrix contains non-finite entries")
-    if norm1 == 0.0 or first is None:
+    if norm1 == 0.0:
         out = vec.astype(complex, copy=True)
-        acc2 = np.vdot(out, out).real  # |out|^2; each segment ends on an exact |acc|^2
-        if norm1 == 0.0:
-            return out, acc2
+        return out, np.vdot(out, out).real
     segments = max(1, math.ceil(norm1 / _THETA))
     if segments > _MAX_SEGMENTS:
         raise RuntimeError(f"generator 1-norm {norm1:.4g} needs over {_MAX_SEGMENTS} Taylor segments")
-    if first is not None:
-        out, acc2 = first(segments)
-    for _ in range(segments - (first is not None)):
-        term = out
-        acc = out.copy()
-        if one_branch:
-            half = len(out) // 2
-            term, top, bottom = out[:half], acc[:half], acc[half:]
-        bound = math.sqrt(acc2)  # the triangle bound on |acc|
+    if kept is None:
+        out, out2 = vec, np.vdot(vec, vec).real
+    else:
+        terms, phase = kept
+        out, out2 = terms._segment(norm1, segments, phase * norm1 / segments)
+    for _ in range(segments - (kept is not None)):
+        out, out2 = _Terms(out, out2, matvec, segments, one_branch)._segment(norm1, segments)
+    return out, out2
+
+
+class _Terms:
+    """The Taylor terms ``t_k = A t_{k-1} / (d k)`` of one segment start
+    ``t_0`` as the rows of one block, and the one loop that sums them.
+
+    Row 0 holds the start, and ``norms2[0]`` is the start's squared norm.
+    Term k is made the first time the loop needs it, one action
+    ``A t_{k-1}`` straight into its zeroed row, scaled in place, with
+    ``norms2[k] = |t_k|^2``; the block doubles when it runs out of rows, so
+    ``len(norms2) - 1`` terms are made.  A fresh segment of the kernel takes
+    its scaled action and ``d = s``.  A one-branch block starts from a
+    register ``[p_0; p_0]`` with equal halves and holds the halves ``p_k``,
+    so its term k has squared norm ``2 norms2[k]`` and its halves take the
+    sign columns ``_BRANCH_SIGNS``.
+    """
+
+    def __init__(self, start: np.ndarray, norm2: float, action, divisor: float, one_branch: bool = False):
+        width = len(start) // 2 if one_branch else len(start)
+        self.rows = np.zeros((_KEPT_ROWS, width), dtype=complex)
+        self.rows[0] = start[:width]
+        self.norms2 = [norm2]
+        self.action = action
+        self.divisor = divisor
+        self.weight, self.signs = (2.0, _BRANCH_SIGNS) if one_branch else (1.0, None)
+
+    def _sum(self, count: int, coeffs: list | None) -> tuple[np.ndarray, float]:
+        """``sum_k c_k t_k`` over rows 0..count-1 and its squared norm.
+
+        ``c_k`` is ``coeffs[k]`` where given, else the sign columns of a
+        one-branch block, whose (2, count) reduction, raveled, is ``[top;
+        bottom]``, else 1: a fresh segment takes no column.  The reduction
+        adds the rows in order, so the sum has the bits of ``acc = t_0; acc
+        += c_k t_k`` term by term; a gemv sums in another order.  A complex
+        column multiplies as the scalar ``c_k`` does, and a real one would
+        be cast element by element.
+        """
+        rows = self.rows[:count]
+        if coeffs is not None:
+            rows = np.array(coeffs, dtype=complex)[:, None] * rows
+        elif self.signs is not None:
+            rows = self.signs[:, :count] * rows
+        acc = np.add.reduce(rows, axis=-2).ravel()
+        return acc, np.vdot(acc, acc).real
+
+    def _segment(self, norm1: float, segments: int, ratio: complex | None = None) -> tuple[np.ndarray, float]:
+        """One of the kernel's ``segments`` segments of ``exp(G)`` with
+        ``|G|_1 = norm1``, summed from this block, and its exact squared
+        norm; with ``ratio``, the k-th term is ``ratio^k t_k``, the power a
+        sequential product.
+
+        The series stops after two consecutive terms below ``_TERM_STOP``
+        relative to the partial sum, but only once ``(k + 1) s > |G|_1``:
+        from there every later term is bounded by the last one times
+        ``|G|_1 / (s (k + 1)) < 1``, so a small term cannot be followed by a
+        large one.  It raises if the series fails (NaN/Inf, or terms still
+        decaying at ``_MAX_TAYLOR_TERMS``), which would signal a bogus norm
+        rather than a physics problem.
+
+        The stops are decided from the term norms alone where they can be:
+        the triangle bound ``|acc| <= |t_0| + sum_j |c_j t_j|`` proves a term
+        above ``_TERM_STOP`` times it not small, and the lower bound ``|acc|
+        >= |t_0| - sum_j |c_j t_j|`` proves a term under ``_TERM_STOP`` times
+        it small, both with ``_BOUND_MARGIN`` over their rounding.  Only a
+        term between the two, a non-finite one or the last allowed one forms
+        the exact partial sum, so the stops, the errors and the output bits
+        are those of a test that forms ``|acc|^2`` at every term.  The
+        segment ends on an exact ``|acc|^2``, so the last one is the
+        output's squared norm, which renormalization reads.
+        """
+        rows, norms2, weight = self.rows, self.norms2, self.weight
+        norm = math.sqrt(norms2[0])
+        coeffs = None if ratio is None else [1.0]
+        power = 1.0
+        bound = norm  # the triangle bound on |acc|
         small_streak = 0
         for k in range(1, _MAX_TAYLOR_TERMS + 1):
-            term = matvec(term)
-            term *= 1.0 / (segments * k)
-            term2 = np.vdot(term, term).real
-            if one_branch:
-                term2 *= 2.0
-                on_top, on_bottom = _BRANCH_SIGNS[k % 4]
-                on_top(top, term, out=top)
-                on_bottom(bottom, term, out=bottom)
-            else:
-                acc += term
+            if k == len(norms2):
+                if k == len(rows):
+                    grown = np.zeros((2 * k, rows.shape[1]), dtype=complex)
+                    grown[:k] = rows
+                    self.rows = rows = grown
+                row = rows[k]
+                self.action(rows[k - 1], row)
+                row *= 1.0 / (self.divisor * k)
+                norms2.append(np.vdot(row, row).real)
+            if coeffs is not None:
+                power *= ratio
+                coeffs.append(power)
+                weight = abs(power) ** 2
+            term2 = weight * norms2[k]
             bound += math.sqrt(term2)
-            # a NaN or Inf term or bound fails this comparison and takes the exact norm
+            acc = None
+            # a NaN or Inf term or bound fails both comparisons and takes the exact norm
             if k < _MAX_TAYLOR_TERMS and term2 > _STOP2_BOUND * (bound * bound):
                 small_streak = 0
                 continue
-            # squared norms: the ratio test |term| < tol |acc| without square roots
-            acc2 = np.vdot(acc, acc).real
-            _check_finite(term2, acc2)
-            small_streak = small_streak + 1 if term2 <= _STOP2 * acc2 else 0
+            lower = norm / _BOUND_MARGIN - (bound - norm) * _BOUND_MARGIN  # a lower bound on |acc|
+            proven_small = lower > 0.0 and term2 * _BOUND_MARGIN <= _STOP2 * (lower * lower)
+            if k == _MAX_TAYLOR_TERMS or not proven_small:
+                # squared norms: the ratio test |term| < tol |acc| without square roots
+                acc, acc2 = self._sum(k + 1, coeffs)
+                if not (math.isfinite(term2) and math.isfinite(acc2)):
+                    raise RuntimeError("matrix exponential series produced non-finite values")
+                if term2 > _STOP2 * acc2:
+                    small_streak = 0
+                    continue
+            small_streak += 1
             if small_streak >= 2 and (k + 1) * segments > norm1:
                 break
         else:
-            _check_converged(term2, acc2)
-        out = acc
-    return out, acc2
-
-
-def _check_finite(term2: float, acc2: float):
-    if not (math.isfinite(term2) and math.isfinite(acc2)):
-        raise RuntimeError("matrix exponential series produced non-finite values")
-
-
-def _check_converged(term2: float, acc2: float):
-    """Raise if the last allowed term is still above ``_TERM_FAIL`` relative to the sum."""
-    if term2 > _TERM_FAIL**2 * acc2:
-        raise RuntimeError(f"matrix exponential series still decaying at term {_MAX_TAYLOR_TERMS}")
+            if term2 > _TERM_FAIL**2 * acc2:
+                raise RuntimeError(f"matrix exponential series still decaying at term {_MAX_TAYLOR_TERMS}")
+        return (acc, acc2) if acc is not None else self._sum(k + 1, coeffs)
 
 
 def _booked(prob: float) -> float:
@@ -303,11 +360,11 @@ def _renormalized(psi: StateVector, out: np.ndarray, norm2_out: float, norm2_in:
 
 
 def _scaled_product(matrix, scale: complex):
-    """The action ``v -> scale * (matrix @ v)``, scaled in place."""
+    """The action ``scale * (matrix @ v)``, written into the zeroed ``out`` and scaled there."""
 
-    def action(v):
-        product = _csr_product(matrix, v)
-        return np.multiply(scale, product, out=product)
+    def action(v, out):
+        _csr_product(matrix, v, out=out)
+        np.multiply(scale, out, out=out)
 
     return action
 
@@ -337,11 +394,10 @@ def apply_exp_exact(
             raise ValueError("renormalize is not meaningful on a dilated state")
         dim = len(psi.basis)
 
-        def branches_action(w):  # each branch's product into its half of one output
-            out = np.zeros(2 * dim, dtype=complex)
+        def branches_action(w, out):  # each branch's product into its half of the output
             _csr_product(matrix, w[:dim], out=out[:dim])
             _csr_product(matrix, w[dim:], out=out[dim:])
-            return np.multiply(scale, out, out=out)
+            np.multiply(scale, out, out=out)
 
         out = _taylor_series(branches_action, norm1, psi.amplitudes)[0]
         return StateVector._closed(psi.basis, out, 1, psi.success_prob)
@@ -352,104 +408,33 @@ def apply_exp_exact(
     return _renormalized(psi, out, norm2, np.vdot(psi.amplitudes, psi.amplitudes).real)
 
 
-class _FixedStart:
+class _FixedStart(_Terms):
     """``exp(eta J) psi`` with renormalization, for many step sizes eta from one bare state psi.
 
-    It keeps the Taylor terms ``t_k = (J / |J|_1)^k psi / k!`` of its
-    generator on its state as the rows of one block, ``rows``: row 0 is
-    psi, and ``norms2[k]`` is ``|t_k|^2``, so ``len(norms2) - 1`` terms are
-    made.  A missing term is made when a trial first needs it, one product
-    ``t_k = J t_{k-1} / (|J|_1 k)`` straight into its zeroed row, and the
-    block doubles when it runs out of rows.  The first Taylor segment of
-    every eta is summed from these rows (``_first_segment``); later segments
-    act on vectors that change with eta and run the kernel's recurrence.
-    The result equals ``apply_exp_exact(op, psi, scale=eta,
+    Its block keeps the Taylor terms ``t_k = (J / |J|_1)^k psi / k!`` of its
+    generator on its state (row 0 is psi), so the first Taylor segment of
+    every eta sums these rows and makes only the terms that no earlier eta
+    made: a line search's trials from the same psi pay each product once.
+    Later segments act on vectors that change with eta and sum fresh
+    blocks.  The result equals ``apply_exp_exact(op, psi, scale=eta,
     renormalize=True)`` up to rounding.
     """
 
     def __init__(self, op: SparseOperator, psi: StateVector):
+        matrix = op.csr
+        amps = psi.amplitudes
+
+        def action(v, out):  # J v, looking _csr_product up at each product
+            _csr_product(matrix, v, out=out)
+
+        super().__init__(amps, np.vdot(amps, amps).real, action, op.norm1)
         self.op = op
         self.psi = psi
-        self.rows = np.zeros((_KEPT_ROWS, len(psi.amplitudes)), dtype=complex)
-        self.rows[0] = psi.amplitudes
-        self.norms2 = [np.vdot(self.rows[0], self.rows[0]).real]
-
-    def _extend(self) -> float:
-        """Make the next kept term, ``t_k = J t_{k-1} / (|J|_1 k)``, in its
-        zeroed row, doubling the block when it is full; returns ``|t_k|^2``."""
-        k = len(self.norms2)
-        if k == len(self.rows):
-            grown = np.zeros((2 * k, self.rows.shape[1]), dtype=complex)
-            grown[:k] = self.rows
-            self.rows = grown
-        row = self.rows[k]
-        _csr_product(self.op.csr, self.rows[k - 1], out=row)
-        row *= 1.0 / (self.op.norm1 * k)
-        self.norms2.append(np.vdot(row, row).real)
-        return self.norms2[k]
-
-    def _sum(self, coeffs: list) -> tuple[np.ndarray, float]:
-        """``sum_k coeffs[k] t_k`` over rows 0..K and its squared norm.
-
-        The reduction adds the scaled rows in order, so the sum has the bits
-        of ``acc = psi; acc += c_k t_k`` term by term; a gemv sums in
-        another order.  A complex column multiplies as the scalar ``c_k``
-        does, and a real one would be cast element by element.
-        """
-        column = np.array(coeffs, dtype=complex)[:, None]
-        acc = np.add.reduce(column * self.rows[: len(coeffs)], axis=0)
-        return acc, np.vdot(acc, acc).real
-
-    def _first_segment(self, phase: complex, norm1: float, segments: int) -> tuple[np.ndarray, float]:
-        """The first of the kernel's ``segments`` segments of ``exp(G) psi``
-        with ``G = phase |G|_1 J / |J|_1`` and ``|G|_1 = norm1``, and its
-        exact squared norm.
-
-        Its k-th term is ``c_k t_k``, with ``c_k`` the sequential product of
-        k ratios ``phase |G|_1 / s``.  The stops are those of the kernel's
-        ratio test and are decided from the kept ``|t_k|^2`` alone: besides
-        the kernel's triangle bound, ``|acc| >= |psi| - sum_j |c_j t_j|``
-        bounds the partial sum from below (both with ``_BOUND_MARGIN`` over
-        their rounding), a term under ``_TERM_STOP`` times that lower bound
-        is small whatever ``|acc|`` is, and only a term between the two
-        bounds (or the last allowed one) forms the exact partial sum.
-        """
-        ratio = phase * norm1 / segments
-        norms2 = self.norms2
-        norm = math.sqrt(norms2[0])
-        coeffs = [1.0]
-        power = 1.0
-        bound = norm  # the triangle bound on |acc|
-        small_streak = 0
-        for k in range(1, _MAX_TAYLOR_TERMS + 1):
-            power *= ratio
-            term2 = abs(power) ** 2 * (norms2[k] if k < len(norms2) else self._extend())
-            coeffs.append(power)
-            bound += math.sqrt(term2)
-            acc = None
-            # a NaN or Inf term or bound fails both comparisons and takes the exact norm
-            if k < _MAX_TAYLOR_TERMS and term2 > _STOP2_BOUND * (bound * bound):
-                small_streak = 0
-                continue
-            lower = norm / _BOUND_MARGIN - (bound - norm) * _BOUND_MARGIN  # a lower bound on |acc|
-            proven_small = lower > 0.0 and term2 * _BOUND_MARGIN <= _STOP2 * (lower * lower)
-            if k == _MAX_TAYLOR_TERMS or not proven_small:
-                acc, acc2 = self._sum(coeffs)
-                _check_finite(term2, acc2)
-                if term2 > _STOP2 * acc2:
-                    small_streak = 0
-                    continue
-            small_streak += 1
-            if small_streak >= 2 and (k + 1) * segments > norm1:
-                break
-        else:
-            _check_converged(term2, acc2)
-        return (acc, acc2) if acc is not None else self._sum(coeffs)
 
     def apply(self, eta: complex) -> StateVector:
         norm1 = abs(eta) * self.op.norm1
-        first = partial(self._first_segment, eta / abs(eta) if eta else 1.0, norm1)
-        out, norm2 = _taylor_series(_scaled_product(self.op.csr, eta), norm1, self.rows[0], first)
+        kept = (self, eta / abs(eta) if eta else 1.0)
+        out, norm2 = _taylor_series(_scaled_product(self.op.csr, eta), norm1, self.rows[0], kept)
         return _renormalized(self.psi, out, norm2, self.norms2[0])
 
 
@@ -500,22 +485,19 @@ def _dilated_step(psi: StateVector, apply_j, norm1: float, delta: float) -> Stat
     norm1 = abs(delta) * norm1
     if norm1 <= _THETA and amps[:dim].tobytes() == amps[dim:].tobytes():
 
-        def branch_action(v):  # delta J v on one branch
-            out = np.zeros(dim, dtype=complex)
+        def branch_action(v, out):  # delta J v on one branch
             apply_j(v, out=out)
-            return np.multiply(delta, out, out=out)
+            np.multiply(delta, out, out=out)
 
         out = _taylor_series(branch_action, norm1, amps, one_branch=True)[0]
     else:
 
-        def action(w):  # [delta J v; -delta J u] of w = [u; v]
-            out = np.zeros(2 * dim, dtype=complex)
+        def action(w, out):  # [delta J v; -delta J u] of w = [u; v]
             top, bottom = out[:dim], out[dim:]
             apply_j(w[dim:], out=top)
             apply_j(w[:dim], out=bottom)
             np.multiply(delta, top, out=top)
             np.multiply(-delta, bottom, out=bottom)
-            return out
 
         out = _taylor_series(action, norm1, amps)[0]
     return StateVector._closed(psi.basis, out, 1, psi.success_prob)

@@ -20,6 +20,9 @@ Each is pinned by its own tests (``test_fock.py`` for ``apply_string``,
   theirs bit for bit.  They
   share the package's Taylor kernel, which ``test_evolution.py`` pins
   against a series that forms the partial sum's norm at every term.
+* ``kernel_action`` turns an action between the kernel's form, which
+  writes ``A v`` into a zeroed output, and the returning form of the
+  suites' actions and of that series.
 """
 
 import numpy as np
@@ -102,6 +105,30 @@ def to_sphere(model: PairingModel, psi: StateVector, tol: float = 1e-8) -> Spher
     return SpherePoint(g / norm, m / norm, x / norm)
 
 
+def kernel_action(action, returning: bool = False):
+    """An action in the other of its two forms.
+
+    The package's Taylor kernel calls ``matvec(v, out)``, which writes
+    ``A v`` into the zeroed vector ``out``; the suites' actions and their
+    reference series call ``action(v)``, which returns ``A v``.  By default
+    ``action`` returns and the result writes; with ``returning=True``
+    ``action`` writes and the result returns, into a vector of ``v``'s length.
+    """
+    if returning:
+
+        def form(v):
+            out = np.zeros(len(v), dtype=complex)
+            action(v, out)
+            return out
+
+    else:
+
+        def form(v, out):
+            out[...] = action(v)
+
+    return form
+
+
 def block_exp_dilated(op: SparseOperator, psi: StateVector, scale: complex) -> np.ndarray:
     """Amplitudes of ``exp(scale * op)`` on both branches of a dilated state,
     as one Taylor series over the (dim, 2) block of the branches."""
@@ -110,7 +137,7 @@ def block_exp_dilated(op: SparseOperator, psi: StateVector, scale: complex) -> n
     def block_action(w):
         return scale * (matrix @ w.reshape(2, dim).T).T.ravel()
 
-    return evolution._taylor_series(block_action, abs(scale) * op.norm1, psi.amplitudes)[0]
+    return evolution._taylor_series(kernel_action(block_action), abs(scale) * op.norm1, psi.amplitudes)[0]
 
 
 def _block_vstep(apply_j, norm1: float, delta: float, amplitudes: np.ndarray) -> np.ndarray:
@@ -122,7 +149,7 @@ def _block_vstep(apply_j, norm1: float, delta: float, amplitudes: np.ndarray) ->
         jw = apply_j(w.reshape(2, dim).T)  # columns J u and J v
         return np.concatenate([delta * jw[:, 1], -delta * jw[:, 0]])
 
-    return evolution._taylor_series(action, abs(delta) * norm1, amplitudes)[0]
+    return evolution._taylor_series(kernel_action(action), abs(delta) * norm1, amplitudes)[0]
 
 
 def block_dilated_step(op: SparseOperator, psi: StateVector, delta: float) -> np.ndarray:
