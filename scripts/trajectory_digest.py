@@ -29,7 +29,14 @@ The cases:
   ``LineSearch("fixed", 0.3)``;
 * ``estimate_residual_w`` on four fixtures x three states (Hartree-Fock, a
   random real and a random complex one) x three variants x {delta = 1e-3,
-  delta = -0.07, 500 shots, 16 000 shots}.
+  delta = -0.07, 500 shots, 16 000 shots};
+* the complex Hamiltonians ``U H U^+`` of h4_d1.40 and h4_d2.00 under one
+  fixed orbital phase a_p -> exp(i phi_p) a_p (stem ``STEM~phased``) x
+  cse/hcse/acse, in exact and dilated execution and sampled with 16 000
+  shots, 12 iterations and seed 5.  Each is built by the orbital-phase
+  oracle of this repository's ``tests/_oracles.py`` through the checkout's
+  public ``SparseOperator`` constructor from a complex CSR matrix, which
+  every checkout takes as given, so both sides run the same arrays.
 
 Digests hash float bits, which depend on the CPU, the BLAS and the
 numpy build: compare two checkouts on one machine only, e.g.
@@ -59,6 +66,9 @@ ESTIMATOR_SETTINGS = (
     ("shots=16000", {"shots": 16000, "seed": 3}),
 )
 
+PHASED_FIXTURES = ("h4_d1.40", "h4_d2.00")
+PHASED_SEED = 131  # draws the orbital phases phi_p, uniform on [0, 2 pi)
+
 
 def _hex(value) -> bytes:
     return (float(value) + 0.0).hex().encode()
@@ -85,7 +95,9 @@ def _run_summary(result) -> str:
 
 def main(src: str) -> None:
     sys.path.insert(0, str(Path(src).resolve()))
+    sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
     import cqesim as cq
+    from _oracles import phase_rotated
 
     variants = cq.RESIDUAL_VARIANTS
     hams = {stem: cq.build_hamiltonian(cq.load_fixture(stem)) for stem in cq.list_fixtures()}
@@ -130,6 +142,22 @@ def main(src: str) -> None:
                     tensor = cq.estimate_residual_w(ham, psi, variant=variant, **kwargs)
                     digest = hashlib.sha256(_array_bytes(tensor.coeffs)).hexdigest()
                     print(f"estimate {stem} {state_name} {variant} {name} {digest}")
+    phased = {
+        "exact": {},
+        "dilated": {"execution": "dilated"},
+        "sampled-s5": {
+            "execution": "sampled",
+            "max_iterations": 12,
+            "estimator": cq.EstimatorConfig(shots=16000, seed=5),
+        },
+    }
+    for stem in PHASED_FIXTURES:
+        n = hams[stem].basis.n_spin_orbitals
+        ham = phase_rotated(hams[stem], np.random.default_rng(PHASED_SEED).uniform(0.0, 2.0 * np.pi, n))[0]
+        for variant in variants:
+            for name, kwargs in phased.items():
+                result = cq.cqe_run(ham, cq.CqeConfig(variant=variant, **kwargs))
+                print(f"run {stem}~phased {variant} {name} {_run_summary(result)}")
 
 
 def _label(line: str) -> str:

@@ -168,12 +168,6 @@ _BOUND_MARGIN = 1.0 + 1e-6
 # the squared ratio-test factors, formed once with the bits of the per-term products
 _STOP2 = _TERM_STOP**2
 _STOP2_BOUND = _TERM_STOP**2 * _BOUND_MARGIN
-# rows of a block of Taylor terms before it first doubles.  On the benchmark's
-# workloads a line-search trial reads a median of 5 to 12 kept terms (a plan
-# keeps at most 23), a probe makes 12 or 13 terms and a fresh segment at most
-# 15; a segment near theta makes from 27 terms up to the 42 that theta allows,
-# and its block doubles once or twice
-_KEPT_ROWS = 16
 # the signs of p_k in the top and bottom halves of the k-th term of
 # [[0, D], [-D, 0]] on [p; p], by k % 4: + + - - ... and + - - + ..., as
 # columns of a one-branch block's (2, K) reduction, K <= 61
@@ -200,7 +194,7 @@ def _taylor_series(
     made instead: the kept terms ``(J / |J|_1)^k vec / k!`` of ``vec`` under
     a generator J with ``G = phase |G|_1 J / |J|_1`` (``_FixedStart``), whose
     k-th term is ``(phase |G|_1 / s)^k`` times the k-th kept one.  The kernel
-    then reads neither ``vec`` nor its norm, except at ``|G|_1 = 0``.
+    then reads neither ``vec`` nor its norm.
 
     ``one_branch=True`` sums one segment (``|G|_1 <= theta``) of the block
     generator ``G = [[0, D], [-D, 0]]`` on a register ``vec = [p_0; p_0]``
@@ -211,9 +205,6 @@ def _taylor_series(
     """
     if not math.isfinite(norm1):
         raise RuntimeError("generator matrix contains non-finite entries")
-    if norm1 == 0.0:
-        out = vec.astype(complex, copy=True)
-        return out, np.vdot(out, out).real
     segments = max(1, math.ceil(norm1 / _THETA))
     if segments > _MAX_SEGMENTS:
         raise RuntimeError(f"generator 1-norm {norm1:.4g} needs over {_MAX_SEGMENTS} Taylor segments")
@@ -234,8 +225,9 @@ class _Terms:
     Row 0 holds the start, and ``norms2[0]`` is the start's squared norm.
     Term k is made the first time the loop needs it, one action
     ``A t_{k-1}`` straight into its zeroed row, scaled in place, with
-    ``norms2[k] = |t_k|^2``; the block doubles when it runs out of rows, so
-    ``len(norms2) - 1`` terms are made.  A fresh segment of the kernel takes
+    ``norms2[k] = |t_k|^2``, so ``len(norms2) - 1`` terms are made.  No
+    segment makes more than ``_MAX_TAYLOR_TERMS`` terms, so the block is
+    allocated once with a row for each.  A fresh segment of the kernel takes
     its scaled action and ``d = s``.  A one-branch block starts from a
     register ``[p_0; p_0]`` with equal halves and holds the halves ``p_k``,
     so its term k has squared norm ``2 norms2[k]`` and its halves take the
@@ -244,7 +236,7 @@ class _Terms:
 
     def __init__(self, start: np.ndarray, norm2: float, action, divisor: float, one_branch: bool = False):
         width = len(start) // 2 if one_branch else len(start)
-        self.rows = np.zeros((_KEPT_ROWS, width), dtype=complex)
+        self.rows = np.zeros((_MAX_TAYLOR_TERMS + 1, width), dtype=complex)
         self.rows[0] = start[:width]
         self.norms2 = [norm2]
         self.action = action
@@ -303,10 +295,6 @@ class _Terms:
         small_streak = 0
         for k in range(1, _MAX_TAYLOR_TERMS + 1):
             if k == len(norms2):
-                if k == len(rows):
-                    grown = np.zeros((2 * k, rows.shape[1]), dtype=complex)
-                    grown[:k] = rows
-                    self.rows = rows = grown
                 row = rows[k]
                 self.action(rows[k - 1], row)
                 row *= 1.0 / (self.divisor * k)
@@ -427,7 +415,8 @@ class _FixedStart(_Terms):
         def action(v, out):  # J v, looking _csr_product up at each product
             _csr_product(matrix, v, out=out)
 
-        super().__init__(amps, np.vdot(amps, amps).real, action, op.norm1)
+        # a zero operator's terms are zero under any divisor, and the kernel returns psi
+        super().__init__(amps, np.vdot(amps, amps).real, action, op.norm1 or 1.0)
         self.op = op
         self.psi = psi
 

@@ -35,7 +35,9 @@ Conventions used throughout the package:
   structure, in scipy's canonical order.  Every product runs a kernel of
   scipy's compiled sparsetools extension, which is loaded by itself
   (``_load_sparsetools``), so the package imports no scipy package; only
-  ``SparseOperator.matrix`` and ARPACK's branch of ``oracle.fci_solve`` do.
+  the public ``SparseOperator`` constructor, ``SparseOperator.matrix`` and
+  ARPACK's branch of ``oracle.fci_solve`` do.  Package operators come from
+  ``SparseOperator._from_csr``, which does not.
 
 Functions
 ---------
@@ -309,13 +311,6 @@ def _csr_rows(matrix: _Csr) -> np.ndarray:
     return np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
 
 
-def _dense_csr(dense: np.ndarray) -> _Csr:
-    """The CSR arrays of a dense matrix's nonzero entries, row by row."""
-    rows, cols = np.nonzero(dense)
-    indptr = np.searchsorted(rows, np.arange(dense.shape[0] + 1)).astype(np.int32)
-    return _Csr(dense.shape, indptr, cols.astype(np.int32), dense[rows, cols])
-
-
 def _hermitian_deviation(matrix: _Csr) -> float:
     """Largest entry of ``|H - H^+|`` from the CSR arrays of H.
 
@@ -341,10 +336,12 @@ class SparseOperator:
     ``csr`` holds the arrays (``_Csr``) that every product, 1-norm and
     column sum reads.  ``matrix`` is the same matrix as a
     ``scipy.sparse.csr_matrix`` on those arrays, built on first access:
-    the package reads it only in ARPACK's branch of ``fci_solve``.  A scipy
-    matrix given to the constructor is read from its arrays (a complex CSR
-    matrix as given, and it becomes ``matrix``); a dense array is converted
-    with numpy.  The arrays are never edited in place, so the column sums
+    the package reads it only in ARPACK's branch of ``fci_solve``.  The
+    public constructor converts what it is given with
+    ``scipy.sparse.csr_matrix`` (a complex CSR matrix is taken as given),
+    reads the arrays off the result and keeps it as ``matrix``; the package
+    builds its own operators with ``_from_csr`` and imports no scipy
+    package.  The arrays are never edited in place, so the column sums
     of ``|matrix|`` and the diagonal, from which its 1-norm (which every
     exponential of the operator needs) and every shifted 1-norm of the
     estimator's probe are read, and its deviation from Hermiticity, which
@@ -352,22 +349,16 @@ class SparseOperator:
     """
 
     def __init__(self, basis: Basis, matrix):
-        if hasattr(matrix, "tocsr"):  # a scipy matrix, so its caller has imported scipy
-            import scipy.sparse as sp
+        import scipy.sparse as sp
 
-            if not (isinstance(matrix, sp.csr_matrix) and matrix.dtype == complex):
-                matrix = sp.csr_matrix(matrix, dtype=complex)
-        else:
-            matrix = np.asarray(matrix, dtype=complex)
+        if not (isinstance(matrix, sp.csr_matrix) and matrix.dtype == complex):
+            matrix = sp.csr_matrix(matrix, dtype=complex)
         dim = len(basis)
         if matrix.shape != (dim, dim):
             raise ValueError(f"matrix shape {matrix.shape} does not match basis size {dim}")
         self.basis = basis
-        if isinstance(matrix, np.ndarray):
-            self.csr = _dense_csr(matrix)
-        else:
-            self.csr = _Csr(matrix.shape, matrix.indptr, matrix.indices, matrix.data)
-            self.matrix = matrix
+        self.csr = _Csr(matrix.shape, matrix.indptr, matrix.indices, matrix.data)
+        self.matrix = matrix
 
     @classmethod
     def _from_csr(cls, basis: Basis, csr: _Csr) -> "SparseOperator":
@@ -416,11 +407,10 @@ class SparseOperator:
     def shifted_norm1(self, shift: complex) -> float:
         """Exact 1-norm of ``matrix - shift * I`` from the kept column sums:
         ``|a_jj - shift|`` takes the place of ``|a_jj|`` on the diagonal
-        (``a_jj = 0`` where the entry is structurally absent).  The
-        diagonal is read only for a nonzero shift."""
-        cols = self._column_sums
-        if shift:
-            cols = cols + (np.abs(self.diagonal - shift) - np.abs(self.diagonal))
+        (``a_jj = 0`` where the entry is structurally absent).  At a zero
+        shift every column gains ``|a_jj| - |a_jj| = 0``, so the result has
+        the bits of ``norm1``."""
+        cols = self._column_sums + (np.abs(self.diagonal - shift) - np.abs(self.diagonal))
         return float(cols.max(initial=0.0))
 
     def dense(self) -> np.ndarray:

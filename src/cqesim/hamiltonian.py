@@ -246,16 +246,14 @@ def build_hamiltonian(
     ``reduced_hamiltonian_K``, so the sector needs at least two electrons.
     The core energy goes onto every diagonal entry of ``J[K]``, and the
     entries that then read exactly zero are dropped, so the arrays are those
-    of scipy's ``J[K] + core * identity``, which stores no zero.
+    of scipy's ``J[K] + core * identity``, which stores no zero, at a zero
+    core too.
     """
     n_elec = integrals.n_electrons if n_electrons is None else n_electrons
     sz = integrals.ms2 if sz_twice is None else sz_twice
     basis = build_basis(integrals.n_spin_orbitals, n_elec, sz)
     k_tensor = reduced_hamiltonian_K(integrals, basis.n_electrons)
-    op = two_body_to_operator(k_tensor, basis)
-    if not integrals.core:
-        return op
-    m = op.csr
+    m = two_body_to_operator(k_tensor, basis).csr
     rows = _csr_rows(m)
     # every determinant lowers a pair (N >= 2), so J[K] stores the whole diagonal;
     # adding 0.0 off it is scipy's arithmetic too (it turns -0.0 into 0.0)

@@ -23,10 +23,14 @@ Each is pinned by its own tests (``test_fock.py`` for ``apply_string``,
 * ``kernel_action`` turns an action between the kernel's form, which
   writes ``A v`` into a zeroed output, and the returning form of the
   suites' actions and of that series.
+* ``phase_rotated`` multiplies every spin orbital by a phase: a complex
+  Hamiltonian with the spectrum of a real one, whose runs must follow the
+  real one's to rounding (``test_solver.py``).
 """
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from cqesim import evolution
 from cqesim.fock import Determinant, SparseOperator, StateVector
@@ -166,3 +170,19 @@ def block_probe(ham: SparseOperator, psi: StateVector, delta: float) -> np.ndarr
     matrix = ham.matrix
     start = evolution.prepare_dilated(psi).amplitudes
     return _block_vstep(lambda block: matrix @ block - e * block, ham.shifted_norm1(e), delta, start)
+
+
+def phase_rotated(ham: SparseOperator, phases: np.ndarray) -> tuple[SparseOperator, np.ndarray]:
+    """``H' = U H U^+`` under ``a_p -> exp(i phi_p) a_p``, and the diagonal of U.
+
+    U is ``diag(exp(i sum_{p in D} phi_p))`` over the determinants D, so
+    ``H'`` keeps H's structure and takes the data ``h u[row] conj(u[column])``.
+    It is built through the public constructor from a complex CSR matrix,
+    which takes the arrays as given.
+    """
+    basis, m = ham.basis, ham.csr
+    occupied = (np.array(basis.determinants)[:, None] >> np.arange(basis.n_spin_orbitals)) & 1
+    u = np.exp(1j * (occupied @ phases))
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    data = m.data * u[rows] * np.conj(u[m.indices])
+    return SparseOperator(basis, sp.csr_matrix((data, m.indices, m.indptr), shape=m.shape)), u

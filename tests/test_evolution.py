@@ -347,7 +347,7 @@ def test_norm1_matches_dense_column_sums(name):
     ham = _probe_operator(name, rng)
     e = energy(ham, _random_state(rng, ham.basis))
     assert e != 0.0
-    for shift, got in ((0.0, ham.norm1), (e, ham.shifted_norm1(e))):
+    for shift, got in ((0.0, ham.norm1), (0.0, ham.shifted_norm1(0.0)), (e, ham.shifted_norm1(e))):
         dense = np.abs(ham.dense() - shift * np.eye(len(ham.basis))).sum(axis=0).max()
         assert got == pytest.approx(dense, rel=1e-14)
 
@@ -681,17 +681,49 @@ def _assert_kept_trial_matches_reference(monkeypatch, start, eta):
 
 
 @pytest.mark.parametrize("phase", [1.0, -1.0, 1j])
-def test_kept_terms_keep_their_bits_as_the_block_grows(monkeypatch, phase):
-    # the first trial needs more kept terms than the block's first rows hold;
-    # the later ones read terms made before and after the block doubled
+def test_kept_terms_keep_their_bits_as_more_are_made(monkeypatch, phase):
+    # the first trial makes many kept terms; the later ones read terms made
+    # by an earlier trial and, past them, make more
     rng = np.random.default_rng(108)
     basis = build_basis(8, 4, 0)
     op = _kernel_generator(rng, "hermitian", basis)
     start = evolution._FixedStart(op, _random_state(rng, basis, complex_valued=True))
-    rows = len(start.rows)
     for norm1 in (0.98 * THETA, 0.3, 2.5 * THETA):
         _assert_kept_trial_matches_reference(monkeypatch, start, phase * norm1 / op.norm1)
-        assert len(start.norms2) > rows
+
+
+def test_zero_norm_leaves_the_amplitudes_as_they_are():
+    # a generator of 1-norm 0 takes the kernel's one segment: its series stops
+    # after two zero terms and returns its start; np.array_equal counts -0.0
+    # and +0.0 as equal, the one way the sum may differ from the start
+    rng = np.random.default_rng(110)
+    basis = build_basis(6, 2, 0)
+    op = _random_generator(rng, basis, hermitian=True)
+    zero = SparseOperator(basis, np.zeros((len(basis), len(basis))))
+    assert zero.norm1 == 0.0
+    psi = _random_state(rng, basis, complex_valued=True)
+    amps = psi.amplitudes
+    normalized = amps / math.sqrt(np.vdot(amps, amps).real)
+    fresh = prepare_dilated(psi)
+    rotated = apply_dilated(fresh, op, 0.3)
+    assert not np.array_equal(rotated.amplitudes[: len(basis)], rotated.amplitudes[len(basis) :])
+    cases = [
+        (apply_exp_exact(op, psi, 0.0), amps),
+        (apply_exp_exact(op, psi, 0.0, renormalize=True), normalized),
+        (evolution._FixedStart(op, psi).apply(0.0), normalized),
+        (apply_exp_exact(zero, psi, 1.0), amps),
+        (apply_exp_exact(zero, psi, -2.5, renormalize=True), normalized),
+        (apply_exp_exact(zero, rotated, 1.0), rotated.amplitudes),
+        (evolution._FixedStart(zero, psi).apply(0.7), normalized),
+    ]
+    for register in (fresh, rotated):
+        cases += [
+            (apply_dilated(register, op, 0.0), register.amplitudes),
+            (apply_dilated(register, zero, 0.5), register.amplitudes),
+        ]
+    for got, want in cases:
+        assert np.array_equal(got.amplitudes, want)
+        assert got.success_prob == psi.success_prob
 
 
 @pytest.mark.parametrize("c", [6.0, 13.0, 24.0])

@@ -289,22 +289,30 @@ def _h6_chain():
     return integrals
 
 
-def _coulomb_only():
+def _coulomb_only(core=0.7):
     """Diagonal h and only (pp|qq) integrals: most of J[K]'s stored entries are exact zeros."""
     eri = np.zeros((3, 3, 3, 3))
     for p in range(3):
         for q in range(3):
             eri[p, p, q, q] = 0.5 + 0.1 * (p + q)
-    return IntegralSet(3, 2, 0, 0.7, np.diag([-1.0, -0.5, 0.2]), eri)
+    return IntegralSet(3, 2, 0, core, np.diag([-1.0, -0.5, 0.2]), eri)
 
 
 def _system(name):
-    """Basis, two-body tensor, core energy and built Hamiltonian of a test system."""
+    """Basis, two-body tensor, core energy and built Hamiltonian of a test system.
+
+    The pairing model's operator is J[K] as assembled, not built by
+    ``build_hamiltonian``: its core is None, and it adds none.
+    """
     if name == "pairing":
         model = models.PairingModel()
         ham = models.build_pairing_hamiltonian(model)
-        return ham.basis, models._pairing_tensor(model), 0.0, ham
-    built = {"h6_chain": _h6_chain, "coulomb_only": _coulomb_only}
+        return ham.basis, models._pairing_tensor(model), None, ham
+    built = {
+        "h6_chain": _h6_chain,
+        "coulomb_only": _coulomb_only,
+        "coulomb_only_zero_core": lambda: _coulomb_only(0.0),
+    }
     integrals = built[name]() if name in built else load_fixture(name)
     ham = build_hamiltonian(integrals)
     return ham.basis, reduced_hamiltonian_K(integrals), integrals.core, ham
@@ -334,11 +342,14 @@ def _assert_same_csr(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
-@pytest.mark.parametrize("name", [*list_fixtures(), "pairing", "h6_chain", "coulomb_only"])
+@pytest.mark.parametrize(
+    "name", [*list_fixtures(), "pairing", "h6_chain", "coulomb_only", "coulomb_only_zero_core"]
+)
 def test_numpy_built_arrays_equal_scipy_built_ones(name):
     # P^T and |P^T| are scipy's COO -> CSR of the lowering join, and the
     # Hamiltonian is scipy's J[K] + core * identity, array for array; that
-    # sum stores no zero, and J[K] of the Coulomb-only set stores many
+    # sum stores no zero, at a zero core too, and J[K] of the Coulomb-only
+    # set stores many
     basis, tensor, core, ham = _system(name)
     by_link, support, (rows, cols) = _scipy_pattern(basis)
     ex = fock._excitations(basis)
@@ -347,4 +358,4 @@ def test_numpy_built_arrays_equal_scipy_built_ones(name):
     _assert_same_csr(ex.magnitudes, abs(by_link))
     dim = len(basis)
     j_k = sp.csr_matrix((by_link.T @ tensor.coeffs.ravel()[support], (rows, cols)), shape=(dim, dim))
-    _assert_same_csr(ham.csr, j_k + core * sp.identity(dim, format="csr") if core else j_k)
+    _assert_same_csr(ham.csr, j_k if core is None else j_k + core * sp.identity(dim, format="csr"))

@@ -35,8 +35,8 @@ def _python(*args):
 
 def test_set_up_and_runs_import_no_scipy_package():
     # the package loads scipy's sparsetools extension by itself; scipy is
-    # imported only by ARPACK's branch of fci_solve and SparseOperator.matrix,
-    # and nothing below reaches them
+    # imported only by ARPACK's branch of fci_solve, SparseOperator.matrix and
+    # the public SparseOperator constructor, and nothing below reaches them
     probe = """
 import sys
 from cqesim import (

@@ -40,7 +40,7 @@ from cqesim.solver import (
     hf_state,
 )
 
-from _oracles import dense_expm_apply
+from _oracles import dense_expm_apply, phase_rotated
 
 
 def _h2():
@@ -1173,6 +1173,55 @@ def test_exact_and_dilated_searches_start_at_eta0(monkeypatch):
                 cqe_run(ham, CqeConfig(variant=variant, execution=execution))
     assert len(plans) > 100
     assert all(next(iter(plan._trials)) == LineSearch().eta0 for plan in plans)
+
+
+def _phase_rotated(fixture):
+    """A fixture's Hamiltonian H, its orbital-phase rotation U H U^+ and the diagonal of U."""
+    ham = build_hamiltonian(load_fixture(fixture))
+    phases = np.random.default_rng(131).uniform(0.0, 2.0 * np.pi, ham.basis.n_spin_orbitals)
+    return (ham, *phase_rotated(ham, phases))
+
+
+@pytest.mark.parametrize("fixture", ["h2_d0.74", "h4_d1.00", "h4_d1.40", "h4_d2.00"])
+@pytest.mark.parametrize("execution", ["exact", "dilated"])
+@pytest.mark.parametrize("variant", ["cse", "hcse", "acse"])
+def test_complex_hamiltonians_follow_their_real_rotations(fixture, execution, variant):
+    # a_p -> exp(i phi_p) a_p makes H complex with the same spectrum, and
+    # every step is covariant under it: energies agree to rounding per
+    # iterate and at the end.  Record counts may differ, since a run's
+    # last steps sit at the float floor (h4_d2.00 exact acse takes one fewer)
+    ham, rotated, u = _phase_rotated(fixture)
+    assert rotated.csr.data.imag.any() and rotated.is_hermitian()
+    hf, hf_rotated = hf_state(ham).amplitudes, hf_state(rotated).amplitudes
+    phase = np.vdot(u * hf, hf_rotated)  # U HF up to a global phase
+    assert abs(phase) == pytest.approx(1.0, abs=1e-14)
+    np.testing.assert_allclose(hf_rotated, phase * u * hf, rtol=0, atol=1e-14)
+    config = CqeConfig(variant=variant, execution=execution)
+    real, complex_ = cqe_run(ham, config), cqe_run(rotated, config)
+    assert real.status == complex_.status == "converged"
+    pairs = list(zip(real.iterations, complex_.iterations))
+    assert len(pairs) >= 3
+    for a, b in pairs:
+        assert b.energy == pytest.approx(a.energy, rel=0, abs=1e-10)
+    assert complex_.energy == pytest.approx(real.energy, rel=0, abs=1e-10)
+
+
+@pytest.mark.parametrize("fixture", ["h4_d1.40", "h4_d2.00"])
+@pytest.mark.parametrize("variant, rows", [("cse", 656), ("hcse", 328), ("acse", 328)])
+def test_sampled_runs_of_complex_hamiltonians_draw_all_four_parts(multinomial_rows, fixture, variant, rows):
+    # a complex H draws both parts of every measured channel, and its
+    # sampled runs still recover at least the benchmark's 0.75 of
+    # E_HF - E_FCI at every seed
+    _, rotated, _ = _phase_rotated(fixture)
+    e_fci, e_hf = fci_solve(rotated)[0][0], energy(rotated, hf_state(rotated))
+    for seed in range(1, 9):
+        multinomial_rows.clear()
+        config = CqeConfig(
+            variant=variant, execution="sampled", max_iterations=12, estimator=EstimatorConfig(shots=16000, seed=seed)
+        )
+        result = cqe_run(rotated, config)
+        assert multinomial_rows == [rows] * (len(result.iterations) + 1)
+        assert (e_hf - result.energy) / (e_hf - e_fci) >= 0.75, seed
 
 
 @pytest.mark.parametrize("variant, rows", [("cse", 328), ("hcse", 178), ("acse", 150)])
