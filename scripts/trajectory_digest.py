@@ -36,7 +36,11 @@ The cases:
   shots, 12 iterations and seed 5.  Each is built by the orbital-phase
   oracle of this repository's ``tests/_oracles.py`` through the checkout's
   public ``SparseOperator`` constructor from a complex CSR matrix, which
-  every checkout takes as given, so both sides run the same arrays.
+  every checkout takes as given, so both sides run the same arrays;
+* the default ``PairingModel`` (stem ``pairing~START``) from
+  ``equator_state(model, 0.3)`` and from ``SpherePoint(0.6, 0.64, 0.48)``
+  x cse/hcse/acse, in exact and dilated execution and sampled with 4 000
+  shots, 8 iterations and seed 3.
 
 Digests hash float bits, which depend on the CPU, the BLAS and the
 numpy build: compare two checkouts on one machine only, e.g.
@@ -68,6 +72,7 @@ ESTIMATOR_SETTINGS = (
 
 PHASED_FIXTURES = ("h4_d1.40", "h4_d2.00")
 PHASED_SEED = 131  # draws the orbital phases phi_p, uniform on [0, 2 pi)
+PAIRING_SPHERE_POINT = (0.6, 0.64, 0.48)
 
 
 def _hex(value) -> bytes:
@@ -158,6 +163,28 @@ def main(src: str) -> None:
             for name, kwargs in phased.items():
                 result = cq.cqe_run(ham, cq.CqeConfig(variant=variant, **kwargs))
                 print(f"run {stem}~phased {variant} {name} {_run_summary(result)}")
+    model = cq.PairingModel()
+    pairing = cq.build_pairing_hamiltonian(model)
+    starts = {
+        "equator0.3": cq.equator_state(model, 0.3),
+        "sphere" + ",".join(map(str, PAIRING_SPHERE_POINT)): cq.sphere_state(
+            model, cq.SpherePoint(*PAIRING_SPHERE_POINT)
+        ),
+    }
+    pairing_configs = {
+        "exact": {},
+        "dilated": {"execution": "dilated"},
+        "sampled-s3": {
+            "execution": "sampled",
+            "max_iterations": 8,
+            "estimator": cq.EstimatorConfig(shots=4000, seed=3),
+        },
+    }
+    for start, psi in starts.items():
+        for variant in variants:
+            for name, kwargs in pairing_configs.items():
+                result = cq.cqe_run(pairing, cq.CqeConfig(variant=variant, **kwargs), initial=psi)
+                print(f"run pairing~{start} {variant} {name} {_run_summary(result)}")
 
 
 def _label(line: str) -> str:

@@ -182,13 +182,6 @@ def _write_text(path: str | None, text: str):
 # ---------------------------------------------------------------------------
 
 
-def _config_dict(config: CqeConfig, init: str, seed) -> dict:
-    d = asdict(config)
-    d["init"] = init
-    d["seed"] = seed
-    return d
-
-
 def cmd_run(args) -> int:
     ham, model, label = _build_source(args)
     config = _build_config(args)
@@ -200,7 +193,7 @@ def cmd_run(args) -> int:
     (fci_energy,), _ = fci_solve(ham)
     document = {
         "source": label,
-        "config": _config_dict(config, args.init, args.seed),
+        "config": {**asdict(config), "init": args.init, "seed": args.seed},
         "iterations": [asdict(rec) for rec in result.iterations],
         "final_energy": result.energy,
         "final_residual_norm": result.residual_norm,

@@ -34,14 +34,17 @@ imports scipy.  The ancilla actions (a unitary factor on both branches,
 the V-step, the probe) run one vector product per branch, each into its
 half of one zeroed output, bit for bit the columns of the (dim, 2) block
 product.  The exception is a V-step of one Taylor segment on a register
-whose two halves are equal, as ``prepare_dilated`` makes them and a
-unitary factor keeps them: each term of its block generator has halves
-``+-p_k``, so its block holds the ``p_k``, one product per term serves
-both branches, and the sign columns of its reduction give both halves
-with the same bits (``_dilated_step``).  The probe of every estimate is
-such a step, and so is the dilated register's first V-step after a
-reset.  The states that come out are formed by ``StateVector._closed``,
-without the public constructor's cast, checks and copy.
+whose ancilla is untouched, its two halves bit for bit equal as
+``prepare_dilated`` makes them and a unitary factor keeps them
+(``_ancilla_untouched``, the one test of it, which the solver's register
+also reads to book no probability): each term of its block generator has
+halves ``+-p_k``, so a one-branch block holds the ``p_k``, one product
+per term serves both branches, and the sign columns of its reduction
+give both halves with the same bits (``_dilated_step``).  The probe of
+every estimate is such a step, and so is the dilated register's first
+V-step after a reset.  The states that come out are formed by
+``StateVector._closed``, without the public constructor's cast, checks
+and copy.
 
 Exact route
 -----------
@@ -174,9 +177,7 @@ _STOP2_BOUND = _TERM_STOP**2 * _BOUND_MARGIN
 _BRANCH_SIGNS = np.tile(np.array([[1, 1, -1, -1], [1, -1, -1, 1]], dtype=complex), 16)[..., None]
 
 
-def _taylor_series(
-    matvec, norm1: float, vec: np.ndarray, kept=None, one_branch: bool = False
-) -> tuple[np.ndarray, float]:
+def _taylor_series(matvec, norm1: float, vec: np.ndarray, kept=None) -> tuple[np.ndarray, float]:
     """``exp(G) @ vec`` and its exact squared norm, from the action
     ``matvec(v, out)``, which writes ``G v`` into the zeroed vector ``out``,
     and the 1-norm of G.
@@ -195,13 +196,6 @@ def _taylor_series(
     a generator J with ``G = phase |G|_1 J / |J|_1`` (``_FixedStart``), whose
     k-th term is ``(phase |G|_1 / s)^k`` times the k-th kept one.  The kernel
     then reads neither ``vec`` nor its norm.
-
-    ``one_branch=True`` sums one segment (``|G|_1 <= theta``) of the block
-    generator ``G = [[0, D], [-D, 0]]`` on a register ``vec = [p_0; p_0]``
-    whose halves are equal, from ``matvec(v, out) = D v`` on one half: the
-    k-th term is ``[+-p_k; +-p_k]`` with ``p_k = D p_{k-1} / k``, signs ``+ +
-    - - ...`` on top and ``+ - - + ...`` below, so each term costs one
-    product, and the sum has the bits of the two-branch action.
     """
     if not math.isfinite(norm1):
         raise RuntimeError("generator matrix contains non-finite entries")
@@ -214,7 +208,7 @@ def _taylor_series(
         terms, phase = kept
         out, out2 = terms._segment(norm1, segments, phase * norm1 / segments)
     for _ in range(segments - (kept is not None)):
-        out, out2 = _Terms(out, out2, matvec, segments, one_branch)._segment(norm1, segments)
+        out, out2 = _Terms(out, out2, matvec, segments)._segment(norm1, segments)
     return out, out2
 
 
@@ -228,16 +222,17 @@ class _Terms:
     ``norms2[k] = |t_k|^2``, so ``len(norms2) - 1`` terms are made.  No
     segment makes more than ``_MAX_TAYLOR_TERMS`` terms, so the block is
     allocated once with a row for each.  A fresh segment of the kernel takes
-    its scaled action and ``d = s``.  A one-branch block starts from a
-    register ``[p_0; p_0]`` with equal halves and holds the halves ``p_k``,
-    so its term k has squared norm ``2 norms2[k]`` and its halves take the
-    sign columns ``_BRANCH_SIGNS``.
+    its scaled action and ``d = s``.  A one-branch block is the one segment
+    of a V-step on a register ``[p_0; p_0]`` with equal halves
+    (``_dilated_step``): it starts from the top half ``p_0`` with the
+    register's squared norm and holds the halves ``p_k``, so its term k has
+    squared norm ``2 norms2[k]`` and its halves take the sign columns
+    ``_BRANCH_SIGNS``.
     """
 
     def __init__(self, start: np.ndarray, norm2: float, action, divisor: float, one_branch: bool = False):
-        width = len(start) // 2 if one_branch else len(start)
-        self.rows = np.zeros((_MAX_TAYLOR_TERMS + 1, width), dtype=complex)
-        self.rows[0] = start[:width]
+        self.rows = np.zeros((_MAX_TAYLOR_TERMS + 1, len(start)), dtype=complex)
+        self.rows[0] = start
         self.norms2 = [norm2]
         self.action = action
         self.divisor = divisor
@@ -457,28 +452,43 @@ def apply_dilated(psi: StateVector, op: SparseOperator, delta: float) -> StateVe
     return _dilated_step(psi, partial(_csr_product, op.csr), op.norm1, delta)
 
 
+def _ancilla_untouched(psi: StateVector) -> bool:
+    """Whether a dilated register's ancilla is still the ``|+>`` that
+    ``prepare_dilated`` attached: its two halves are bit for bit equal, as
+    ``prepare_dilated`` makes them and a unitary factor keeps them, and a
+    V-step that moves the state leaves them unequal.  The one test of an
+    untouched ancilla: a V-step reads it to run on one branch, and the
+    solver's register to book no probability on a reset."""
+    dim = len(psi.basis)
+    amps = psi.amplitudes
+    return amps[:dim].tobytes() == amps[dim:].tobytes()
+
+
 def _dilated_step(psi: StateVector, apply_j, norm1: float, delta: float) -> StateVector:
     """``exp(i delta Y_a x J)`` on a dilated state from the 1-norm of J and
     its action ``apply_j(v, out=vec)``, which writes ``J v`` into a zeroed
     vector of the sector's length.
 
-    A register whose halves are bit for bit equal, as ``prepare_dilated``
-    makes them and a unitary factor keeps them, takes one product per
-    Taylor term where the step is one segment (``|delta| |J|_1 <= theta``):
-    the kernel's ``one_branch`` series, with the bits of the two-branch
-    one.  Every other step writes each branch's product into its half of
-    one zeroed output.
+    A register whose ancilla is untouched (``_ancilla_untouched``) takes
+    one product per Taylor term where the step is one segment (``|delta|
+    |J|_1 <= theta``): the generator ``G = [[0, D], [-D, 0]]`` with ``D =
+    delta J`` has k-th term ``[+-p_k; +-p_k]`` with ``p_k = D p_{k-1} / k``,
+    signs ``+ + - - ...`` on top and ``+ - - + ...`` below, so a
+    one-branch block (``_Terms``) of the ``p_k`` sums the segment with the
+    bits of the two-branch one.  Every other step writes each branch's
+    product into its half of one zeroed output.
     """
     dim = len(psi.basis)
     amps = psi.amplitudes
     norm1 = abs(delta) * norm1
-    if norm1 <= _THETA and amps[:dim].tobytes() == amps[dim:].tobytes():
+    if norm1 <= _THETA and _ancilla_untouched(psi):
 
         def branch_action(v, out):  # delta J v on one branch
             apply_j(v, out=out)
             np.multiply(delta, out, out=out)
 
-        out = _taylor_series(branch_action, norm1, amps, one_branch=True)[0]
+        block = _Terms(amps[:dim], np.vdot(amps, amps).real, branch_action, 1, one_branch=True)
+        out = block._segment(norm1, 1)[0]
     else:
 
         def action(w, out):  # [delta J v; -delta J u] of w = [u; v]

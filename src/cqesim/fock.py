@@ -38,6 +38,12 @@ Conventions used throughout the package:
   the public ``SparseOperator`` constructor, ``SparseOperator.matrix`` and
   ARPACK's branch of ``oracle.fci_solve`` do.  Package operators come from
   ``SparseOperator._from_csr``, which does not.
+* An operator built from a tensor (``two_body_to_operator``,
+  ``one_body_to_operator``, ``hamiltonian.build_hamiltonian``, the pairing
+  model) comes from one assembly, ``_tensor_operator``: ``J[T] + core``,
+  its exact zeros dropped, with the arrays of scipy's sum.  A solver step
+  factor is ``_link_operator``'s ``P @ c`` on the sector's shared
+  structure, which drops nothing, so a step pays no per-iteration drop.
 
 Functions
 ---------
@@ -258,10 +264,10 @@ class TwoBodyTensor:
         if arr.shape != (n, n, n, n):
             raise ValueError(f"coeffs shape {arr.shape} does not match n_spin_orbitals={n}")
         sym = max(
-            np.max(np.abs(arr + arr.transpose(1, 0, 2, 3))),
-            np.max(np.abs(arr + arr.transpose(0, 1, 3, 2))),
-        ) if n else 0.0
-        scale = max(1.0, float(np.max(np.abs(arr)))) if n else 1.0
+            np.max(np.abs(arr + arr.transpose(1, 0, 2, 3)), initial=0.0),
+            np.max(np.abs(arr + arr.transpose(0, 1, 3, 2)), initial=0.0),
+        )
+        scale = max(1.0, float(np.max(np.abs(arr), initial=0.0)))
         if sym > 1e-10 * scale:
             raise ValueError("coefficient tensor is not antisymmetric in its index pairs")
         arr = arr.copy()
@@ -671,16 +677,39 @@ def _link_operator(links: np.ndarray, basis: Basis) -> SparseOperator:
     return SparseOperator._from_csr(basis, _Csr((dim, dim), ex.indptr, ex.indices, data))
 
 
+def _tensor_operator(tensor: TwoBodyTensor, basis: Basis, core: float) -> SparseOperator:
+    """Sector matrix of ``J[T] + core * I`` with the arrays of scipy's sum.
+
+    ``J[T]`` is the operator of T's link vector (``_link_operator``).  The
+    core goes onto every stored diagonal entry, the entries that then read
+    exactly zero are dropped and the row pointer is rebuilt, so the arrays
+    are those of scipy's ``J[T] + core * identity``, which stores no zero,
+    at a zero core too.  A sector of N >= 2 electrons stores the whole
+    diagonal (every determinant lowers a pair); at N < 2 the pattern is
+    empty, and only a zero core is meaningful.  Every operator built from a
+    tensor comes from here; a solver step factor keeps the shared structure
+    of ``_link_operator``, which drops nothing.
+    """
+    if tensor.n_spin_orbitals != basis.n_spin_orbitals:
+        raise ValueError("tensor and basis have different orbital counts")
+    ex = _excitations(basis)
+    m = _link_operator(tensor.coeffs.ravel()[ex.support], basis).csr
+    # adding 0.0 off the diagonal is scipy's arithmetic too (it turns -0.0 into 0.0)
+    data = m.data + core * (ex.rows == m.indices)
+    keep = data != 0
+    indptr = np.searchsorted(ex.rows[keep], np.arange(len(basis) + 1)).astype(np.int32)
+    return SparseOperator._from_csr(basis, _Csr(m.shape, indptr, m.indices[keep], data[keep]))
+
+
 def two_body_to_operator(tensor: TwoBodyTensor, basis: Basis) -> SparseOperator:
     """Sector matrix of ``sum_{pqst} T^{st;pq} a^+_p a^+_q a_t a_s``.
 
     Contributions that leave the (N, Sz) sector are dropped, so the result
     maps the sector into itself by construction: only the entries of T at
-    the sector's links are read.
+    the sector's links are read.  Entries that sum to exactly zero are not
+    stored (``_tensor_operator`` with core 0.0).
     """
-    if tensor.n_spin_orbitals != basis.n_spin_orbitals:
-        raise ValueError("tensor and basis have different orbital counts")
-    return _link_operator(tensor.coeffs.ravel()[_excitations(basis).support], basis)
+    return _tensor_operator(tensor, basis, 0.0)
 
 
 def _one_body_coeffs(h_so: np.ndarray, n_electrons: int) -> np.ndarray:

@@ -12,7 +12,9 @@ coefficient tensor K (core excluded): on the N-electron sector,
 ``J[K] + core * I`` equals the Hamiltonian exactly, which is the property
 tests pin down.  This makes the full energy and the energy variance
 expressible through two-body expectation values alone, and it is how
-``build_hamiltonian`` assembles the sector matrix.
+``build_hamiltonian`` assembles the sector matrix: ``fock._tensor_operator``
+of K with the integrals' core, the one assembly of every operator built
+from a tensor, so this module forms no CSR array itself.
 """
 
 from __future__ import annotations
@@ -28,12 +30,10 @@ import numpy as np
 from .fock import (
     SparseOperator,
     TwoBodyTensor,
-    _Csr,
-    _csr_rows,
     _one_body_coeffs,
+    _tensor_operator,
     antisymmetrize,
     build_basis,
-    two_body_to_operator,
 )
 
 __all__ = [
@@ -214,11 +214,6 @@ def write_fcidump(integrals: IntegralSet) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _spin_one_body(h: np.ndarray) -> np.ndarray:
-    """Expand a spatial one-body matrix to interleaved spin orbitals."""
-    return np.kron(h, np.eye(2))
-
-
 def _two_body_coeffs(eri: np.ndarray) -> np.ndarray:
     """Raw (non-antisymmetrized) coefficient tensor of the Coulomb term.
 
@@ -244,23 +239,14 @@ def build_hamiltonian(
     The sector defaults to the electron count and spin projection recorded
     in the integral header.  The matrix is ``J[K] + core`` with K from
     ``reduced_hamiltonian_K``, so the sector needs at least two electrons.
-    The core energy goes onto every diagonal entry of ``J[K]``, and the
-    entries that then read exactly zero are dropped, so the arrays are those
-    of scipy's ``J[K] + core * identity``, which stores no zero, at a zero
-    core too.
+    It is assembled as every operator of a tensor is
+    (``fock._tensor_operator``), with the integrals' core: the arrays are
+    those of scipy's ``J[K] + core * identity``, which stores no zero.
     """
     n_elec = integrals.n_electrons if n_electrons is None else n_electrons
     sz = integrals.ms2 if sz_twice is None else sz_twice
     basis = build_basis(integrals.n_spin_orbitals, n_elec, sz)
-    k_tensor = reduced_hamiltonian_K(integrals, basis.n_electrons)
-    m = two_body_to_operator(k_tensor, basis).csr
-    rows = _csr_rows(m)
-    # every determinant lowers a pair (N >= 2), so J[K] stores the whole diagonal;
-    # adding 0.0 off it is scipy's arithmetic too (it turns -0.0 into 0.0)
-    data = m.data + integrals.core * (rows == m.indices)
-    keep = data != 0
-    indptr = np.searchsorted(rows[keep], np.arange(len(basis) + 1)).astype(np.int32)
-    return SparseOperator._from_csr(basis, _Csr(m.shape, indptr, m.indices[keep], data[keep]))
+    return _tensor_operator(reduced_hamiltonian_K(integrals, basis.n_electrons), basis, integrals.core)
 
 
 def reduced_hamiltonian_K(integrals: IntegralSet, n_electrons: int | None = None) -> TwoBodyTensor:
@@ -271,7 +257,8 @@ def reduced_hamiltonian_K(integrals: IntegralSet, n_electrons: int | None = None
     the tensor depends on the electron count it is built for.
     """
     n_elec = integrals.n_electrons if n_electrons is None else n_electrons
-    raw = _two_body_coeffs(integrals.eri) + _one_body_coeffs(_spin_one_body(integrals.h), n_elec)
+    h_so = np.kron(integrals.h, np.eye(2))  # interleaved spin orbitals
+    raw = _two_body_coeffs(integrals.eri) + _one_body_coeffs(h_so, n_elec)
     return TwoBodyTensor(integrals.n_spin_orbitals, antisymmetrize(raw))
 
 

@@ -97,6 +97,7 @@ import numpy as np
 from .evolution import (
     DilationPolicy,
     EstimatorConfig,
+    _ancilla_untouched,
     _estimate_links,
     _FixedStart,
     _is_integer,
@@ -408,9 +409,10 @@ class _DilatedRegister:
     one Taylor call, not one per slice.  It runs the accepted plan's own
     operators, so every V-step reads the 1-norm that the plan computed
     once, and a zero factor (None) is never applied.  An ancilla that no
-    V-slice has rotated since it was prepared is still an unentangled
-    ``|+>``: post-selecting it discards it and books no probability, so a
-    purely unitary (acse) flow keeps ``success_prob`` at 1.
+    V-step has moved since it was prepared is still an unentangled ``|+>``
+    (``evolution._ancilla_untouched``, the test a V-step reads too):
+    post-selecting it discards it and books no probability, so a purely
+    unitary (acse) flow keeps ``success_prob`` at 1.
     """
 
     def __init__(self, ham: SparseOperator, psi: StateVector, policy: DilationPolicy):
@@ -419,7 +421,6 @@ class _DilatedRegister:
         self.cap = math.inf if policy.reset_mode == "never" else policy.max_steps_between_resets
         self.state = prepare_dilated(psi)
         self.steps_since_reset = 0
-        self.rotated = False
 
     def peek(self) -> StateVector:
         return ancilla_branch(self.state, 0).normalized()
@@ -427,12 +428,11 @@ class _DilatedRegister:
     def finish(self) -> StateVector:
         """The post-selected sector state."""
         out = reset_ancilla(self.state)
-        return out if self.rotated else replace(out, success_prob=self.state.success_prob)
+        return replace(out, success_prob=self.state.success_prob) if _ancilla_untouched(self.state) else out
 
     def _reset(self):
         self.state = prepare_dilated(self.finish())
         self.steps_since_reset = 0
-        self.rotated = False
 
     def execute(
         self, op_a: SparseOperator | None, op_h: SparseOperator | None, eta: float, e0: float, slope: float
@@ -448,7 +448,6 @@ class _DilatedRegister:
             # applied, but the slices still count toward the reset cap
             if op_h is not None:
                 self.state = apply_dilated(self.state, op_h, run * delta)
-                self.rotated = True
             self.steps_since_reset += run
             slices -= run
             if self.steps_since_reset >= self.cap:

@@ -372,31 +372,42 @@ def test_kernel_gets_the_exact_generator_norm(monkeypatch):
     op = _random_generator(rng, basis)
     ham = _hermitian_without_diagonal(rng, basis)
     psi = _random_state(rng, basis, complex_valued=True)
-    norms, routes = [], []
+    segments = []
 
-    def spy(matvec, norm1, vec, **route):
-        norms.append(norm1)
-        routes.append(route)
-        return kernel(matvec, norm1, vec, **route)
+    class Spy(evolution._Terms):  # every Taylor segment of every exponential is summed by one block
+        def _segment(self, norm1, count, ratio=None):
+            segments.append((norm1, count, self.signs is not None))
+            return super()._segment(norm1, count, ratio)
 
-    kernel = evolution._taylor_series
-    monkeypatch.setattr(evolution, "_taylor_series", spy)
-    apply_exp_exact(op, psi, scale=-2.5j)
-    apply_dilated(prepare_dilated(psi), op, 0.7)
-    apply_dilated(prepare_dilated(psi), op, 0.1)
-    probe_state(ham, psi, -0.3)
-    # V-steps from a |+> ancilla run on one branch where they fit one segment
-    one_branch = {"one_branch": True}
-    assert 0.7 * op.norm1 > THETA >= 0.1 * op.norm1
-    assert routes == [{}, {}, one_branch, one_branch]
+    monkeypatch.setattr(evolution, "_Terms", Spy)
     shifted = ham.matrix - energy(ham, psi) * sp.identity(len(basis))
-    generators = [
-        -2.5j * op.dense(),
-        sp.bmat([[None, 0.7 * op.matrix], [-0.7 * op.matrix, None]]).toarray(),
-        sp.bmat([[None, 0.1 * op.matrix], [-0.1 * op.matrix, None]]).toarray(),
-        sp.bmat([[None, -0.3 * shifted], [0.3 * shifted, None]]).toarray(),
+    # V-steps from a |+> ancilla run on one branch where they fit one segment
+    assert 0.7 * op.norm1 > THETA >= 0.1 * op.norm1
+    cases = [
+        (lambda: apply_exp_exact(op, psi, scale=-2.5j), -2.5j * op.dense(), False),
+        (
+            lambda: apply_dilated(prepare_dilated(psi), op, 0.7),
+            sp.bmat([[None, 0.7 * op.matrix], [-0.7 * op.matrix, None]]).toarray(),
+            False,
+        ),
+        (
+            lambda: apply_dilated(prepare_dilated(psi), op, 0.1),
+            sp.bmat([[None, 0.1 * op.matrix], [-0.1 * op.matrix, None]]).toarray(),
+            True,
+        ),
+        (
+            lambda: probe_state(ham, psi, -0.3),
+            sp.bmat([[None, -0.3 * shifted], [0.3 * shifted, None]]).toarray(),
+            True,
+        ),
     ]
-    assert norms == pytest.approx([np.abs(g).sum(axis=0).max() for g in generators], rel=1e-14)
+    for run, generator, one_branch in cases:
+        segments.clear()
+        run()
+        norm1 = np.abs(generator).sum(axis=0).max()
+        count = max(1, math.ceil(norm1 / THETA))
+        assert [segment[1:] for segment in segments] == [(count, one_branch)] * count
+        assert [segment[0] for segment in segments] == pytest.approx([norm1] * count, rel=1e-14)
 
 
 def test_dilated_step_and_probe_reject_nonfinite():

@@ -203,10 +203,11 @@ def test_two_body_tensor_validates_antisymmetry():
     with pytest.raises(ValueError):
         TwoBodyTensor(4, bad)
     good = antisymmetrize(bad)
-    t = TwoBodyTensor(4, good)
-    assert t.norm() == pytest.approx(np.linalg.norm(good))
-    np.testing.assert_array_equal(t.coeffs, good)
-    assert t.coeffs.dtype == complex and not t.coeffs.flags.writeable
+    for n, coeffs in ((4, good), (0, np.zeros((0, 0, 0, 0)))):  # an empty tensor is accepted too
+        t = TwoBodyTensor(n, coeffs)
+        assert t.norm() == pytest.approx(np.linalg.norm(coeffs))
+        np.testing.assert_array_equal(t.coeffs, coeffs)
+        assert t.coeffs.dtype == complex and not t.coeffs.flags.writeable
 
 
 # ---------------------------------------------------------------------------

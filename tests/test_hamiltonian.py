@@ -301,13 +301,13 @@ def _coulomb_only(core=0.7):
 def _system(name):
     """Basis, two-body tensor, core energy and built Hamiltonian of a test system.
 
-    The pairing model's operator is J[K] as assembled, not built by
-    ``build_hamiltonian``: its core is None, and it adds none.
+    The pairing model's operator is built from its tensor alone, not by
+    ``build_hamiltonian``, and has core 0.0.
     """
     if name == "pairing":
         model = models.PairingModel()
         ham = models.build_pairing_hamiltonian(model)
-        return ham.basis, models._pairing_tensor(model), None, ham
+        return ham.basis, models._pairing_tensor(model), 0.0, ham
     built = {
         "h6_chain": _h6_chain,
         "coulomb_only": _coulomb_only,
@@ -358,4 +358,4 @@ def test_numpy_built_arrays_equal_scipy_built_ones(name):
     _assert_same_csr(ex.magnitudes, abs(by_link))
     dim = len(basis)
     j_k = sp.csr_matrix((by_link.T @ tensor.coeffs.ravel()[support], (rows, cols)), shape=(dim, dim))
-    _assert_same_csr(ham.csr, j_k if core is None else j_k + core * sp.identity(dim, format="csr"))
+    _assert_same_csr(ham.csr, j_k + core * sp.identity(dim, format="csr"))

@@ -67,6 +67,14 @@ def test_block_matrix_is_two_level_product():
     np.testing.assert_allclose(ham.dense()[np.ix_(idx, other)], 0.0, atol=1e-12)
 
 
+def test_pairing_hamiltonian_stores_no_exact_zero():
+    # J[K] reads exactly zero at 939 of the sector's 972 structural nonzeros;
+    # like every operator built from a tensor, H stores only the 33 others
+    csr = build_pairing_hamiltonian(DEFAULT).csr
+    assert len(csr.data) == len(csr.indices) == csr.indptr[-1] == 33
+    assert np.count_nonzero(csr.data) == 33
+
+
 def test_broken_pair_determinants_are_diagonal():
     ham = build_pairing_hamiltonian(DEFAULT)
     basis = pairing_basis()
