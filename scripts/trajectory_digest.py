@@ -1,4 +1,4 @@
-"""Print one digest per solver run and per residual estimate, to compare two checkouts.
+"""Print one digest per solver run, residual estimate and set of reference matrices, to compare two checkouts.
 
 Usage:  python scripts/trajectory_digest.py SRC_DIR
         python scripts/trajectory_digest.py SRC_A SRC_B
@@ -40,7 +40,13 @@ The cases:
 * the default ``PairingModel`` (stem ``pairing~START``) from
   ``equator_state(model, 0.3)`` and from ``SpherePoint(0.6, 0.64, 0.48)``
   x cse/hcse/acse, in exact and dilated execution and sampled with 4 000
-  shots, 8 iterations and seed 3.
+  shots, 8 iterations and seed 3;
+* the reference paths of every bundled fixture and of the default
+  ``PairingModel`` (stem ``pairing``), one line each, ``reference STEM
+  <sha>``: the bytes of the Hamiltonian's ``dense()`` and ``diagonal``,
+  of ``canonical_elements(n)``, and of ``pair_excitation_matrix`` at
+  every canonical element (i, j, k, l) and at its swapped orders
+  (j, i, k, l) and (i, j, l, k).
 
 Digests hash float bits, which depend on the CPU, the BLAS and the
 numpy build: compare two checkouts on one machine only, e.g.
@@ -96,6 +102,21 @@ def _run_digest(result) -> str:
 
 def _run_summary(result) -> str:
     return f"{result.status} {len(result.iterations)} {_run_digest(result)}"
+
+
+def _reference_digest(cq, ham) -> str:
+    """SHA-256 of a Hamiltonian's reference matrices and of its sector's
+    pair-excitation matrices, the oracles of the FCI solver and of the
+    estimator."""
+    basis = ham.basis
+    elements = cq.canonical_elements(basis.n_spin_orbitals)
+    h = hashlib.sha256(_array_bytes(ham.dense()))
+    h.update(_array_bytes(ham.diagonal))
+    h.update(np.array(elements, dtype=np.int64).tobytes())
+    for i, j, k, l in elements:
+        for order in ((i, j, k, l), (j, i, k, l), (i, j, l, k)):
+            h.update(_array_bytes(cq.pair_excitation_matrix(basis, *order)))
+    return h.hexdigest()
 
 
 def main(src: str) -> None:
@@ -185,13 +206,15 @@ def main(src: str) -> None:
             for name, kwargs in pairing_configs.items():
                 result = cq.cqe_run(pairing, cq.CqeConfig(variant=variant, **kwargs), initial=psi)
                 print(f"run pairing~{start} {variant} {name} {_run_summary(result)}")
+    for stem, ham in {**hams, "pairing": pairing}.items():
+        print(f"reference {stem} {_reference_digest(cq, ham)}")
 
 
 def _label(line: str) -> str:
-    """A line's case label: ``run STEM VARIANT SETTING`` or
-    ``estimate STEM STATE VARIANT SETTING``."""
+    """A line's case label: ``run STEM VARIANT SETTING``, ``estimate STEM
+    STATE VARIANT SETTING`` or ``reference STEM``."""
     words = line.split()
-    return " ".join(words[:4] if words[0] == "run" else words[:5])
+    return " ".join(words[: {"run": 4, "estimate": 5, "reference": 2}[words[0]]])
 
 
 def compare(src_a: str, src_b: str) -> int:

@@ -84,9 +84,9 @@ def _parse_pairing(text: str) -> PairingModel:
 
 def _initial_state(spec: str, ham: SparseOperator, model: PairingModel | None) -> StateVector | None:
     kind, _, rest = spec.partition(":")
-    if kind == "hf":
+    if spec == "hf":
         return None  # cqe_run falls back to the mean-field seed
-    if kind == "fci":
+    if spec == "fci":
         _, (ground,) = fci_solve(ham)
         return ground
     if kind in ("equator", "sphere"):

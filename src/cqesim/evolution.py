@@ -91,21 +91,19 @@ a signed partial matching of determinants, so each Hermitian observable
 sector's excitation pattern, and no eigenbasis is ever formed
 (``pair_excitation_matrix`` with a dense ``eigh`` is the test oracle).
 One class pass (``_outcome_classes``) works from the probe's halves t
-and b alone: every class of both channels follows from m(t) + m(b), one
-product with ``|P^T|``, and from g(t) - g(b) (Z) and
-``d = <b|G|t> - <t|G|b>`` (Y), one column each of one product with
-``P^T``.  ``_estimate_links`` decides in one place which parts are
-formed and drawn: all four for a complex H or psi, and only Re Z and Im Y
-when both are exactly real, since the other two then have zero mean and
-carry only shot noise (Smart & Mazziotti, Phys. Rev. Lett. 126, 070504
-(2021)); a sampled run of a real problem therefore stays exactly real.
-The per-element tables (each element's pattern column, the diagonal and
-drawn masks, the outcome values) are fields of the pattern, built once
-with it.  Both modes read these classes: exact mode
-takes the expectation ``v (P+ - P-)``, and with ``shots`` set every
-formed part gets multinomial counts over its classes, all drawn in one
-call, which reproduces hardware shot noise exactly rather than through a
-Gaussian surrogate.  The measured elements are the sector's linked
+and b alone, taken as one (2, dim) block: every class of both channels
+follows from m(t) + m(b), one product with ``|P^T|``, and from g(t) -
+g(b) (Z) and ``d = <b|G|t> - <t|G|b>`` (Y), the two columns of one
+product with ``P^T``.  ``_estimate_links`` decides in one place which
+parts are formed and drawn: all four for a complex H or psi, and only Re
+Z and Im Y when both are exactly real, since the other two then have
+zero mean and carry only shot noise (Smart & Mazziotti, Phys. Rev. Lett.
+126, 070504 (2021)); a sampled run of a real problem therefore stays
+exactly real.  Both modes read these classes: exact mode takes the
+expectation ``v (P+ - P-)``, and with ``shots`` set every formed part
+gets multinomial counts over its classes, all drawn in one call, which
+reproduces hardware shot noise exactly rather than through a Gaussian
+surrogate.  The measured elements are the sector's linked
 canonical elements, which are its links ``m`` with pair(ij) <= pair(kl)
 (``_Excitations.upper``), each read through the pattern column of its pair
 adjoint.  Their S and A values form the link vector of R = (S + A) / 2
@@ -121,6 +119,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -131,8 +130,9 @@ from .fock import (
     TwoBodyTensor,
     _csr_product,
     _excitations,
-    _link_operator,
     _link_tensor,
+    antisymmetrize,
+    two_body_to_operator,
 )
 from .residuals import RESIDUAL_VARIANTS, energy, residual_channel
 
@@ -639,40 +639,28 @@ def canonical_elements(n_spin_orbitals: int) -> tuple[tuple[int, int, int, int],
     """Independent residual elements: ``i < j``, ``k < l``, pair(ij) <= pair(kl).
 
     Every other element follows from antisymmetry plus the (anti-)Hermitian
-    structure of the S and A tensors.
+    structure of the S and A tensors.  The pairs (i, j) ascend, and each is
+    followed by itself and every later pair (k, l).
     """
-    pairs = [
-        (i, j) for i in range(n_spin_orbitals) for j in range(i + 1, n_spin_orbitals)
-    ]
-    out = []
-    for a, (i, j) in enumerate(pairs):
-        for i2, j2 in pairs[a:]:
-            out.append((i, j, i2, j2))
-    return tuple(out)
+    pairs = combinations(range(n_spin_orbitals), 2)
+    return tuple(ij + kl for ij, kl in combinations_with_replacement(pairs, 2))
 
 
 def pair_excitation_matrix(basis: Basis, i: int, j: int, k: int, l: int) -> np.ndarray:
-    """Dense sector matrix of ``a+_i a+_j a_l a_k``: one column of the excitation pattern.
+    """Dense sector matrix of ``a+_i a+_j a_l a_k``, the test oracle of the estimator.
 
-    The column is that of the canonical index order ``k < l``, ``i < j``,
-    each swap flipping the sign; a repeated index gives zero.  It is built
-    as the operator of the link vector that holds the sign at the element's
-    link (``_link_operator``), so it reads the pattern as the solver does.
+    It is ``J[T]`` for the one-hot ``T[k, l, i, j] = 1``, antisymmetrized
+    (``fock.antisymmetrize``) and assembled by the one assembly of an
+    operator built from a tensor (``two_body_to_operator``), so the sign of
+    a swapped index order and the zero of a repeated index come from there.
+    An index outside ``[0, n_spin_orbitals)`` raises ``ValueError``.
     """
     n = basis.n_spin_orbitals
-    support = _excitations(basis).support
-    links = np.zeros(len(support), dtype=complex)
-    if i != j and k != l:
-        sign = 0.25  # the pattern stores 4 <D'| a+_i a+_j a_l a_k |D>
-        if i > j:
-            i, j, sign = j, i, -sign
-        if k > l:
-            k, l, sign = l, k, -sign
-        flat = ((k * n + l) * n + i) * n + j
-        link = np.searchsorted(support, flat)
-        if link < len(support) and support[link] == flat:
-            links[link] = sign
-    return _link_operator(links, basis).dense()
+    if not all(0 <= index < n for index in (i, j, k, l)):
+        raise ValueError(f"pair excitation indices {(i, j, k, l)} outside [0, {n})")
+    coeffs = np.zeros((n,) * 4)
+    coeffs[k, l, i, j] = 1.0
+    return two_body_to_operator(TwoBodyTensor(n, antisymmetrize(coeffs)), basis).dense()
 
 
 def estimate_residual_w(
@@ -708,11 +696,6 @@ def estimate_residual_w(
     return TwoBodyTensor._closed(psi.basis.n_spin_orbitals, _link_tensor(psi.basis, links))
 
 
-# the parts formed, rows Z and Y by columns Re and Im: all four, or, for a real
-# H and a real psi, only Re Z and Im Y, the two that carry signal
-_SIGNAL = {False: np.ones((2, 2), dtype=bool), True: np.eye(2, dtype=bool)}
-
-
 def _estimate_links(
     ham: SparseOperator,
     psi: StateVector,
@@ -737,24 +720,27 @@ def _estimate_links(
     (Smart & Mazziotti, Phys. Rev. Lett. 126, 070504 (2021)); they read
     exactly zero, so the link vector of a real problem is exactly real.
     In shot mode all draws come from one multinomial call, over the formed
-    parts in the order Re Z, Im Z, Re Y, Im Y and, within a part, the
-    elements ``_Excitations.drawn`` (a diagonal element's Im part is zero
-    and takes no draw).  The measured S and A form the link vector of
-    R = (S + A) / 2, with the channel not measured set to zero, and
-    ``residual_channel`` maps it to the variant's channel with the
-    sector's link adjoint.
+    parts in the order Re Z, Im Z, Re Y, Im Y and, within a part, every
+    element but, in an Im part, the diagonal ones (``_Excitations.diagonal``),
+    whose Im part is zero and takes no draw.  An element's outcome value v
+    is read off the same mask: 1 on the diagonal, else 1/2.  The measured S
+    and A form the link vector of R = (S + A) / 2, with the channel not
+    measured set to zero, and ``residual_channel`` maps it to the variant's
+    channel with the sector's link adjoint.
     """
     basis = psi.basis
-    dim = len(basis)
     ex = _excitations(basis)
-    probe = _probe(ham, psi, e, delta).amplitudes
+    probe = _probe(ham, psi, e, delta).amplitudes.reshape(2, -1)
     real = not (ham.csr.data.imag.any() or psi.amplitudes.imag.any())
-    formed = np.array([[variant != "acse"], [variant != "hcse"]]) & _SIGNAL[real]
-    probs = _outcome_classes(basis, probe[:dim], probe[dim:], formed)
+    # rows Z and Y by columns Re and Im: all four parts, or only Re Z and Im Y
+    # (the diagonal of the mask) for a real H and a real psi
+    formed = np.array([[variant != "acse"], [variant != "hcse"]]) & (np.eye(2, dtype=bool) | (not real))
+    probs = _outcome_classes(basis, probe, formed)
     if shots is None:
         means = probs[..., 0] - probs[..., 1]
     else:
-        drawn = ex.drawn[np.nonzero(formed)[1]]  # (formed parts, elements)
+        # (formed parts, elements): a Re part draws every element, an Im part all but the diagonal
+        drawn = (np.nonzero(formed)[1] == 0)[:, None] | ~ex.diagonal
         rows = np.clip(probs[drawn], 0.0, None)
         total = rows.sum(axis=1, keepdims=True)
         if not np.all(np.isfinite(total)) or np.any(total <= 0):
@@ -764,7 +750,7 @@ def _estimate_links(
         means[drawn] = (counts[:, 0] - counts[:, 1]) / shots
     mean = np.zeros((2, 2, len(ex.upper)))
     mean[formed] = means
-    z, y = ex.outcome * (mean[:, 0] + 1j * mean[:, 1])
+    z, y = np.where(ex.diagonal, 1.0, 0.5) * (mean[:, 0] + 1j * mean[:, 1])
     s, a = z / delta, -1j * y / delta
     # S is pair-Hermitian and A pair-anti-Hermitian, so R is (s + a) / 2 at
     # each element (i, j, k, l) and conj(s - a) / 2 at its pair adjoint
@@ -775,10 +761,11 @@ def _estimate_links(
     return residual_channel(raw, variant, ex.pair_adjoint)
 
 
-def _outcome_classes(basis: Basis, top: np.ndarray, bottom: np.ndarray, formed: np.ndarray) -> np.ndarray:
+def _outcome_classes(basis: Basis, halves: np.ndarray, formed: np.ndarray) -> np.ndarray:
     """Closed-form outcome classes of the probe's channels for every measured element.
 
-    ``top`` and ``bottom`` are the probe's ancilla branches t and b.  The Z
+    ``halves`` is the probe as one (2, dim) block, its ancilla branches t
+    and b (a view of the probe's amplitudes serves).  The Z
     channel is the pair ``(x, y) = (t, b)`` and the Y channel the pair
     ``((t - i b) / sqrt 2, (t + i b) / sqrt 2)``.  A channel reads the
     Hermitian part ``(G + G^+)/2`` ("Re") and the anti-Hermitian part
@@ -801,37 +788,32 @@ def _outcome_classes(basis: Basis, top: np.ndarray, bottom: np.ndarray, formed: 
     ``c = i d`` for Y, where ``d = <b|G|t> - <t|G|b>``.  (The Y channel's
     ``m(x) - m(y)``, ``|P^T|`` on the weights ``2 Im(conj(t) b)``, is
     ``-Im d`` wherever a diagonal element reads it.)  M is one product with
-    ``|P^T|`` and the c of each measured channel one column of one product
+    ``|P^T|`` and the c of both channels the two columns of one product
     with ``P^T``, each on its pattern-row inputs, since m and g are linear
     in them.
 
     ``formed`` is a (2, 2) mask of the parts to form, rows Z and Y and
-    columns Re and Im, which ``_estimate_links`` decides; a channel's
-    column is made only where one of its parts is formed.  The elements
+    columns Re and Im, which ``_estimate_links`` decides.  The elements
     are the sector's linked canonical elements (i, j, k, l), the links
     ``_Excitations.upper`` in ascending order, and each reads the pattern
     column of ``G``, the link of its pair adjoint (k, l, i, j)
     (``_Excitations.column``).  Returns the probabilities of +v, -v and 0,
     shape (formed parts, elements, 3) in the order Re Z, Im Z, Re Y, Im Y,
-    where v is the element's outcome value ``_Excitations.outcome`` (1/2,
-    or 1 on the diagonal).
+    where v is the element's outcome value (1/2, or 1 on the diagonal,
+    ``_Excitations.diagonal``).
     """
     ex = _excitations(basis)
+    top, bottom = halves
     weight = np.abs(top) ** 2 + np.abs(bottom) ** 2
     pair_weight = np.take(weight, ex.rows) + np.take(weight, ex.indices)
     both = np.take(_csr_product(ex.magnitudes, pair_weight), ex.column) / 8.0
-    halves = np.stack([top, bottom])
     t_row, b_row = np.take(halves.conj(), ex.rows, 1)
     t_col, b_col = np.take(halves, ex.indices, 1)
-    measured = formed.any(axis=1)  # Z, Y
-    pairs = [t_row * t_col - b_row * b_col] if measured[0] else []  # g(t) - g(b)
-    if measured[1]:
-        pairs.append(b_row * t_col - t_row * b_col)  # d
-    c = np.take(_csr_product(ex.by_link, np.stack(pairs, axis=1)), ex.column, 0) / 4.0
-    if measured[1]:
-        c[:, -1] *= 1j
+    pairs = np.stack([t_row * t_col - b_row * b_col, b_row * t_col - t_row * b_col], axis=1)  # g(t) - g(b), d
+    c = np.take(_csr_product(ex.by_link, pairs), ex.column, 0) / 4.0
+    c[:, 1] *= 1j
     channel, part = np.nonzero(formed)
-    c = c[:, np.cumsum(measured)[channel] - 1].T  # the c of each formed part's channel
+    c = c[:, channel].T  # the c of each formed part's channel
     signal = np.where(part[:, None], c.imag, c.real)
     # P(+-v) per part is scale (M +- signal): 1/2 on the diagonal's Re part, 0 on its Im part
     scale = np.where(ex.diagonal, np.array([[0.5], [0.0]])[part], 1.0)

@@ -23,27 +23,29 @@ Conventions used throughout the package:
   determinants.  A tensor that acts inside the sector is carried as its
   link vector, its canonical entries at the links; the solver works on
   link vectors alone.  Operator assembly (``_link_operator``), transition
-  2-RDM elements (``_transition_elements``) for the residuals, the
+  2-RDM elements (``_transition_elements``) for the residuals and the
   estimator's outcome classes (``P^T`` and ``|P^T|`` on products of the
-  probe's halves) and pair-excitation matrices in ``evolution`` all read
-  the pattern.
+  probe's halves, in ``evolution``) all read the pattern; the
+  pair-excitation matrices of ``evolution`` come through the assembly.
 * ``antisymmetrize`` is the one image primitive: ``compute_2rdm``, the
   public residuals and the residual estimator (all through
   ``_link_tensor``) and ``reduced_hamiltonian_K`` build their n^4 tensors
   from canonical or raw entries and let it fill every index image.
 * Sector matrices are bare CSR arrays (``_Csr``): complex data on int32
-  structure, in scipy's canonical order.  Every product runs a kernel of
-  scipy's compiled sparsetools extension, which is loaded by itself
+  structure, in scipy's canonical order.  Every product, and every read
+  of an operator's diagonal or dense form, runs a kernel of scipy's
+  compiled sparsetools extension, which is loaded by itself
   (``_load_sparsetools``), so the package imports no scipy package; only
   the public ``SparseOperator`` constructor, ``SparseOperator.matrix`` and
   ARPACK's branch of ``oracle.fci_solve`` do.  Package operators come from
   ``SparseOperator._from_csr``, which does not.
 * An operator built from a tensor (``two_body_to_operator``,
   ``one_body_to_operator``, ``hamiltonian.build_hamiltonian``, the pairing
-  model) comes from one assembly, ``_tensor_operator``: ``J[T] + core``,
-  its exact zeros dropped, with the arrays of scipy's sum.  A solver step
-  factor is ``_link_operator``'s ``P @ c`` on the sector's shared
-  structure, which drops nothing, so a step pays no per-iteration drop.
+  model, ``evolution.pair_excitation_matrix``) comes from one assembly,
+  ``_tensor_operator``: ``J[T] + core``, its exact zeros dropped, with
+  the arrays of scipy's sum.  A solver step factor is ``_link_operator``'s
+  ``P @ c`` on the sector's shared structure, which drops nothing, so a
+  step pays no per-iteration drop.
 
 Functions
 ---------
@@ -70,9 +72,11 @@ import numpy as np
 def _load_sparsetools():
     """scipy's compiled sparsetools extension, loaded by itself.
 
-    The package calls five of its kernels: the three behind scipy's ``@``
-    (``csr_matvec``, ``csr_matvecs``, ``csc_matvec``) in every product, and
-    the two behind ``H - H.getH()`` in the Hermiticity check.  ``import
+    The package calls seven of its kernels: the three behind scipy's ``@``
+    (``csr_matvec``, ``csr_matvecs``, ``csc_matvec``) in every product, the
+    two behind ``H - H.getH()`` in the Hermiticity check, and those behind
+    ``.diagonal()`` and ``.toarray()`` (``csr_diagonal``, ``csr_todense``)
+    for ``SparseOperator.diagonal`` and ``dense``.  ``import
     scipy.sparse`` would run ``scipy/__init__`` and ``scipy/sparse/__init__``
     too, which take longer than the rest of a cold set-up.  The extension
     file is found in the installed scipy and loaded under its own name,
@@ -312,11 +316,6 @@ class _Csr(NamedTuple):
     data: np.ndarray
 
 
-def _csr_rows(matrix: _Csr) -> np.ndarray:
-    """Row of each stored entry of a CSR matrix."""
-    return np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-
-
 def _hermitian_deviation(matrix: _Csr) -> float:
     """Largest entry of ``|H - H^+|`` from the CSR arrays of H.
 
@@ -401,12 +400,12 @@ class SparseOperator:
 
     @cached_property
     def diagonal(self) -> np.ndarray:
-        """The main diagonal, read-only (bit for bit ``matrix.diagonal()``)."""
+        """The main diagonal, read-only: the sparsetools kernel behind
+        ``matrix.diagonal()``, ``csr_diagonal``, so bit for bit scipy's,
+        duplicate entries summed and a row without a stored diagonal zero."""
         m = self.csr
-        rows = _csr_rows(m)
-        on = rows == m.indices
-        diag = np.zeros(m.shape[0], dtype=complex)
-        np.add.at(diag, rows[on], m.data[on])
+        diag = np.empty(m.shape[0], dtype=complex)
+        _sparsetools.csr_diagonal(0, *m.shape, m.indptr, m.indices, m.data, diag)
         diag.setflags(write=False)
         return diag
 
@@ -420,9 +419,12 @@ class SparseOperator:
         return float(cols.max(initial=0.0))
 
     def dense(self) -> np.ndarray:
+        """The matrix as a dense array: the sparsetools kernel behind
+        ``matrix.toarray()``, ``csr_todense``, which adds every stored entry
+        into a zeroed array, so bit for bit scipy's."""
         m = self.csr
         out = np.zeros(m.shape, dtype=complex)
-        np.add.at(out, (_csr_rows(m), m.indices), m.data)
+        _sparsetools.csr_todense(*m.shape, m.indptr, m.indices, m.data, out)
         return out
 
     @cached_property
@@ -529,9 +531,12 @@ def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Excitations:
-    """A sector's excitation pattern, with the tables that the residual
-    estimator (``evolution._outcome_classes``) reads for its measured
-    elements, the links ``upper``, built once with the pattern."""
+    """A sector's excitation pattern, with the two tables that the residual
+    estimator (``evolution._estimate_links``, ``_outcome_classes``) reads
+    for its measured elements, the links ``upper``, built once with the
+    pattern: each element's pattern column and the diagonal mask, from
+    which the estimator reads which parts take draws and each element's
+    outcome value."""
 
     by_link: _Csr            # P^T, (links, sector nonzeros), entries 4 s' s
     magnitudes: _Csr         # |P^T|, real 4 at every entry: the shot estimator's pair weights
@@ -542,9 +547,7 @@ class _Excitations:
     indices: np.ndarray      # sector column of each nonzero (CSR indices)
     indptr: np.ndarray       # CSR row pointer of the sector matrix
     column: np.ndarray       # adjoint[upper]: the pattern column of each measured element
-    diagonal: np.ndarray     # column == upper: the elements n_i n_j, whose Im part vanishes
-    drawn: np.ndarray        # (2, elements): the Re and Im parts that take shots, all but diagonal Im
-    outcome: np.ndarray      # outcome value of each element: 1 on the diagonal, else 1/2
+    diagonal: np.ndarray     # column == upper: the elements n_i n_j, of outcome value 1 and no Im part
 
     def pair_adjoint(self, links: np.ndarray) -> np.ndarray:
         """The link vector of ``T^+``: ``conj(links)`` at each link's pair adjoint."""
@@ -619,11 +622,8 @@ def _excitations(basis: Basis) -> _Excitations:
         structure.setflags(write=False)  # shared by every operator of the sector's links
     magnitudes = by_link._replace(data=np.abs(by_link.data))
     column = adjoint[upper]
-    diagonal = column == upper
-    drawn = np.stack([np.ones(len(upper), dtype=bool), ~diagonal])
-    outcome = np.where(diagonal, 1.0, 0.5)
     return _Excitations(
-        by_link, magnitudes, support, adjoint, upper, rows, indices, indptr, column, diagonal, drawn, outcome
+        by_link, magnitudes, support, adjoint, upper, rows, indices, indptr, column, column == upper
     )
 
 

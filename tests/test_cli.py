@@ -230,6 +230,14 @@ def test_bad_init_spec_exits_one(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", ["hf:0.3", "fci:1", "hf:"])
+def test_hf_and_fci_inits_take_no_suffix(tmp_path, capsys, spec):
+    code, out = _run(tmp_path, "s.json", ["run", "--fcidump", "h2_d0.74", "--init", spec])
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"error: unknown init {spec!r}")
+
+
 @pytest.mark.parametrize(
     "flags, named",
     [

@@ -1051,6 +1051,17 @@ def test_pair_excitation_matrix_matches_oracle():
     assert not pair_excitation_matrix(basis, 0, 2, 1, 3).any()
 
 
+def test_pair_excitation_matrix_refuses_indices_outside_the_orbitals():
+    basis = build_basis(8, 4, 0)
+    for element in [(0, 8, 1, 2), (-1, 2, 0, 1), (0, 1, -2, 3), (0, 1, 2, 11)]:
+        with pytest.raises(ValueError, match="outside"):
+            pair_excitation_matrix(basis, *element)
+    # a repeated index is in range and gives the zero matrix
+    for element in [(3, 3, 0, 1), (0, 1, 7, 7)]:
+        got = pair_excitation_matrix(basis, *element)
+        assert got.shape == (len(basis),) * 2 and not got.any()
+
+
 # ---------------------------------------------------------------------------
 # Residual estimator, exact mode
 # ---------------------------------------------------------------------------
@@ -1227,8 +1238,10 @@ def test_outcome_classes_match_eigh_oracle(fixture):
         if e not in measured:
             assert not np.any(pair_excitation_matrix(basis, *e))
     readout = {}
-    classes = _outcome_classes(basis, top, bottom, np.ones((2, 2), dtype=bool)).reshape(2, 2, -1, 3)
-    value = evolution._excitations(basis).outcome
+    halves = probe.amplitudes.reshape(2, -1)
+    classes = _outcome_classes(basis, halves, np.ones((2, 2), dtype=bool)).reshape(2, 2, -1, 3)
+    # 1/2, or 1 on the diagonal elements n_i n_j, those with (i, j) = (k, l)
+    value = np.where((elements[:, :2] != elements[:, 2:]).any(axis=1), 0.5, 1.0)
     for (name, (x, y)), probs in zip(channels.items(), classes):
         for e, (i, j, k, l) in enumerate(elements):
             gamma = pair_excitation_matrix(basis, i, j, k, l)
@@ -1279,19 +1292,16 @@ def test_one_multinomial_call_draws_as_one_call_per_channel():
     ham = build_hamiltonian(load_fixture("h4_d1.00"))
     psi = _random_state(np.random.default_rng(92), ham.basis, complex_valued=True)
     delta, shots, seed = 0.1, 2000, 7
-    dim = len(ham.basis)
-    probe = probe_state(ham, psi, delta).amplitudes
-    top, bottom = probe[:dim], probe[dim:]
-    classes = _outcome_classes(ham.basis, top, bottom, np.ones((2, 2), dtype=bool)).reshape(2, 2, -1, 3)
+    halves = probe_state(ham, psi, delta).amplitudes.reshape(2, -1)
+    classes = _outcome_classes(ham.basis, halves, np.ones((2, 2), dtype=bool)).reshape(2, 2, -1, 3)
     elements = _measured_elements(ham.basis)
     i, j, k, l = elements.T
     off = (i != k) | (j != l)  # a diagonal element's Im part takes no draw
     drawn = np.stack([np.ones_like(off), off])
     value = np.where(off, 0.5, 1.0)
-    # the pattern's tables hold the same masks and values
+    # the pattern's tables mark the same diagonal and read the adjoint columns
     ex = evolution._excitations(ham.basis)
-    assert np.array_equal(ex.drawn, drawn) and np.array_equal(ex.diagonal, ~off)
-    assert np.array_equal(ex.outcome, value) and np.array_equal(ex.column, ex.adjoint[ex.upper])
+    assert np.array_equal(ex.diagonal, ~off) and np.array_equal(ex.column, ex.adjoint[ex.upper])
     rng = np.random.default_rng(seed)
     readout = []
     for probs in classes:
@@ -1363,7 +1373,8 @@ def test_complex_states_draw_all_four_parts(multinomial_rows):
     top, bottom = ancilla_branch(probe, 0).amplitudes, ancilla_branch(probe, 1).amplitudes
     channels = ((top, bottom), ((top - 1j * bottom) / np.sqrt(2.0), (top + 1j * bottom) / np.sqrt(2.0)))
     elements = _measured_elements(basis)
-    value = evolution._excitations(basis).outcome
+    # 1/2, or 1 on the diagonal elements n_i n_j, those with (i, j) = (k, l)
+    value = np.where((elements[:, :2] != elements[:, 2:]).any(axis=1), 0.5, 1.0)
     var = np.zeros((2, 2, len(elements)))  # (channel Z/Y, part Re/Im, element)
     for e, (i, j, k, l) in enumerate(elements):
         gamma = pair_excitation_matrix(basis, i, j, k, l)

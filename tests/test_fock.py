@@ -382,10 +382,22 @@ def _skewed_h4():
 def test_operator_reads_equal_scipy_ones():
     # the Hermiticity deviation, diagonal and dense form are read off the
     # CSR arrays, bit for bit as scipy reads them, on a Hermitian and on a
-    # skewed operator
+    # skewed operator, on one that stores entries twice (scipy keeps them
+    # and sums them on reading) and on one with rows that store no diagonal
     ham, skewed = _skewed_h4()
     assert ham.is_hermitian() and not skewed.is_hermitian(1e-4)
-    for op in (ham, skewed):
+    base = skewed.matrix
+    twice = np.repeat(np.arange(base.nnz), 2)  # each entry stored twice, split 0.3 and 0.7 - 0.1i
+    parts = base.data[twice] * np.tile([0.3, 0.7 - 0.1j], base.nnz)
+    doubled = sp.csr_matrix((parts, base.indices[twice], 2 * base.indptr), shape=base.shape)
+    assert not doubled.has_canonical_format and doubled.nnz == 2 * base.nnz
+    rows = np.repeat(np.arange(base.shape[0]), np.diff(base.indptr))
+    on = rows == base.indices
+    keep = ~on | (rows % 3 != 0)  # rows 0, 3, 6, ... lose their stored diagonal entry
+    indptr = np.searchsorted(rows[keep], np.arange(base.shape[0] + 1))
+    holed = sp.csr_matrix((base.data[keep], base.indices[keep], indptr), shape=base.shape)
+    assert on.sum() == base.shape[0] and holed.nnz == base.nnz - len(range(0, base.shape[0], 3))
+    for op in (ham, skewed, SparseOperator(ham.basis, doubled), SparseOperator(ham.basis, holed)):
         m = op.matrix
         assert op._deviation == fock._hermitian_deviation(op.csr) == abs(m - m.getH()).max()
         assert np.array_equal(op.diagonal, m.diagonal()) and not op.diagonal.flags.writeable
