@@ -21,8 +21,11 @@ the sign of an exact zero is not part of an outcome.
 The cases:
 
 * every bundled fixture x cse/hcse/acse, in exact execution, in dilated
-  execution with the default policy and with epsilon = 0.05 "wolfe", and
-  in exact execution with ``LineSearch("fixed", 0.3)``;
+  execution with the default policy, with epsilon = 0.05 "wolfe" and with
+  a reset after every slice (``DilationPolicy(reset_mode="every_k",
+  max_steps_between_resets=1)``, setting ``dilated-cap1``, where every
+  unitary factor and V-step starts from an untouched ancilla), and in
+  exact execution with ``LineSearch("fixed", 0.3)``;
 * sampled runs with 16 000 shots, 12 iterations and seeds 5 and 9 on
   h2_d0.74, h4_d1.40 and h4_d2.00, each variant, at the default probe
   delta and, with seed 5, at delta = -0.07 and with
@@ -133,6 +136,10 @@ def main(src: str) -> None:
         "dilated-eps0.05": {
             "execution": "dilated",
             "dilation": cq.DilationPolicy(epsilon=0.05, reset_mode="wolfe"),
+        },
+        "dilated-cap1": {
+            "execution": "dilated",
+            "dilation": cq.DilationPolicy(reset_mode="every_k", max_steps_between_resets=1),
         },
         "fixed0.3": {"line_search": cq.LineSearch("fixed", 0.3)},
     }

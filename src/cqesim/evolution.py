@@ -30,19 +30,22 @@ shared structure arrays.  Every product reads
 the operator's bare CSR arrays (``SparseOperator.csr``) through
 ``fock._csr_product``, the sparsetools kernel behind scipy's ``@`` without
 its dispatch, so products are bit-identical to ``@`` and no exponential
-imports scipy.  The ancilla actions (a unitary factor on both branches,
-the V-step, the probe) run one vector product per branch, each into its
-half of one zeroed output, bit for bit the columns of the (dim, 2) block
-product.  The exception is a V-step of one Taylor segment on a register
-whose ancilla is untouched, its two halves bit for bit equal as
-``prepare_dilated`` makes them and a unitary factor keeps them
-(``_ancilla_untouched``, the one test of it, which the solver's register
-also reads to book no probability): each term of its block generator has
-halves ``+-p_k``, so a one-branch block holds the ``p_k``, one product
-per term serves both branches, and the sign columns of its reduction
-give both halves with the same bits (``_dilated_step``).  The probe of
-every estimate is such a step, and so is the dilated register's first
-V-step after a reset.  The states that come out are formed by
+imports scipy.  Every exponential on a dilated register (a unitary factor
+on both branches, the V-step, the probe) runs through one ancilla kernel,
+``_dilated_step``, which takes the branch map of its generator: the
+identity map of a unitary factor or the rotation of a V-step and a probe.
+It runs one vector product per branch, each into its half of one zeroed
+output, bit for bit the columns of the (dim, 2) block product, except for
+an exponential of one Taylor segment on a register whose ancilla is
+untouched, its two halves bit for bit equal as ``prepare_dilated`` makes
+them and a unitary factor keeps them (``_ancilla_untouched``, the one
+test of it, which the solver's register also reads to book no
+probability): each term of its block generator has halves ``+-p_k``, so
+a one-branch block holds the ``p_k``, one product per term serves both
+branches, and the map's sign columns of its reduction give both halves
+with the same bits.  The probe of every estimate is such a step, and so
+is the dilated register's first unitary factor or V-step after a reset.
+The states that come out are formed by
 ``StateVector._closed``, without the public constructor's cast, checks
 and copy.
 
@@ -70,8 +73,9 @@ dilation error; ``reset_ancilla`` performs the post-selection and books the
 success probability.  V-steps of one generator compose exactly,
 ``U(d1) U(d2) = U(d1 + d2)``, so the solver applies every run of slices
 between two resets as one V-step (``DilationPolicy``).  A unitary factor
-``exp(d J)`` acts identically on both branches and runs as one Taylor series
-over both branches (``apply_exp_exact``).
+``exp(d J)`` acts identically on both branches, the generator ``[[dJ, 0],
+[0, dJ]]`` with action ``[dJ u; dJ v]``, and runs through the same kernel
+as a V-step (``apply_exp_exact``).
 
 Residual estimator
 ------------------
@@ -171,10 +175,16 @@ _BOUND_MARGIN = 1.0 + 1e-6
 # the squared ratio-test factors, formed once with the bits of the per-term products
 _STOP2 = _TERM_STOP**2
 _STOP2_BOUND = _TERM_STOP**2 * _BOUND_MARGIN
-# the signs of p_k in the top and bottom halves of the k-th term of
-# [[0, D], [-D, 0]] on [p; p], by k % 4: + + - - ... and + - - + ..., as
-# columns of a one-branch block's (2, K) reduction, K <= 61
-_BRANCH_SIGNS = np.tile(np.array([[1, 1, -1, -1], [1, -1, -1, 1]], dtype=complex), 16)[..., None]
+# the signs of p_k in the top and bottom halves of the k-th term of a
+# generator on [p; p], by k % 4, as columns of a one-branch block's (2, K)
+# reduction, K <= 61, indexed by whether the branch map rotates: + + + + ...
+# on both halves under the identity map [[D, 0], [0, D]] of a unitary factor,
+# and + + - - ... on top and + - - + ... below under the rotation [[0, D],
+# [-D, 0]] of a V-step or a probe
+_BRANCH_SIGNS = (
+    np.ones((2, 64, 1), dtype=complex),
+    np.tile(np.array([[1, 1, -1, -1], [1, -1, -1, 1]], dtype=complex), 16)[..., None],
+)
 
 
 def _taylor_series(matvec, norm1: float, vec: np.ndarray, kept=None) -> tuple[np.ndarray, float]:
@@ -222,21 +232,21 @@ class _Terms:
     ``norms2[k] = |t_k|^2``, so ``len(norms2) - 1`` terms are made.  No
     segment makes more than ``_MAX_TAYLOR_TERMS`` terms, so the block is
     allocated once with a row for each.  A fresh segment of the kernel takes
-    its scaled action and ``d = s``.  A one-branch block is the one segment
-    of a V-step on a register ``[p_0; p_0]`` with equal halves
-    (``_dilated_step``): it starts from the top half ``p_0`` with the
-    register's squared norm and holds the halves ``p_k``, so its term k has
-    squared norm ``2 norms2[k]`` and its halves take the sign columns
-    ``_BRANCH_SIGNS``.
+    its scaled action and ``d = s``.  A block given ``signs`` is a
+    one-branch block, the one segment of an ancilla exponential on a
+    register ``[p_0; p_0]`` with equal halves (``_dilated_step``): it starts
+    from the top half ``p_0`` with the register's squared norm and holds
+    the halves ``p_k``, so its term k has squared norm ``2 norms2[k]`` and
+    its halves take the caller's sign columns, one of ``_BRANCH_SIGNS``.
     """
 
-    def __init__(self, start: np.ndarray, norm2: float, action, divisor: float, one_branch: bool = False):
+    def __init__(self, start: np.ndarray, norm2: float, action, divisor: float, signs: np.ndarray | None = None):
         self.rows = np.zeros((_MAX_TAYLOR_TERMS + 1, len(start)), dtype=complex)
         self.rows[0] = start
         self.norms2 = [norm2]
         self.action = action
         self.divisor = divisor
-        self.weight, self.signs = (2.0, _BRANCH_SIGNS) if one_branch else (1.0, None)
+        self.signs, self.weight = signs, (1.0 if signs is None else 2.0)
 
     def _sum(self, count: int, coeffs: list | None) -> tuple[np.ndarray, float]:
         """``sum_k c_k t_k`` over rows 0..count-1 and its squared norm.
@@ -342,11 +352,12 @@ def _renormalized(psi: StateVector, out: np.ndarray, norm2_out: float, norm2_in:
     return StateVector._closed(psi.basis, out, 0, _booked(psi.success_prob * retained))
 
 
-def _scaled_product(matrix, scale: complex):
-    """The action ``scale * (matrix @ v)``, written into the zeroed ``out`` and scaled there."""
+def _scaled(apply_j, scale: complex):
+    """The action ``scale * (J v)`` from ``apply_j(v, out=vec)``, which
+    writes ``J v`` into the zeroed ``vec``, scaled there."""
 
     def action(v, out):
-        _csr_product(matrix, v, out=out)
+        apply_j(v, out=out)
         np.multiply(scale, out, out=out)
 
     return action
@@ -360,32 +371,22 @@ def apply_exp_exact(
     ``op`` is a sector operator or a solver step factor (``fock._link_operator``).
 
     On a dilated state the exponential acts identically on both ancilla
-    branches, as one Taylor series over the two, whose action writes each
-    branch's product into its half of one output (``renormalize`` is
-    disallowed there; norm accounting happens only at ancilla resets).
-    With ``renormalize=True`` the result is normalized and the retained
-    weight ``min(1, |out|^2/|in|^2)`` multiplies ``success_prob``; this is
-    the classical-exact stand-in for the post-selected dilated step.
+    branches: it is the ancilla kernel ``_dilated_step`` under the identity
+    branch map, so an untouched ancilla makes one product per term where
+    the factor fits one Taylor segment (``renormalize`` is disallowed
+    there; norm accounting happens only at ancilla resets).  With
+    ``renormalize=True`` the result is normalized and the retained weight
+    ``min(1, |out|^2/|in|^2)`` multiplies ``success_prob``; this is the
+    classical-exact stand-in for the post-selected dilated step.
     """
     if op.basis != psi.basis:
         raise ValueError("operator and state use different bases")
-    matrix = op.csr
-    norm1 = abs(scale) * op.norm1
-
+    apply_j = partial(_csr_product, op.csr)
     if psi.n_ancilla == 1:
         if renormalize:
             raise ValueError("renormalize is not meaningful on a dilated state")
-        dim = len(psi.basis)
-
-        def branches_action(w, out):  # each branch's product into its half of the output
-            _csr_product(matrix, w[:dim], out=out[:dim])
-            _csr_product(matrix, w[dim:], out=out[dim:])
-            np.multiply(scale, out, out=out)
-
-        out = _taylor_series(branches_action, norm1, psi.amplitudes)[0]
-        return StateVector._closed(psi.basis, out, 1, psi.success_prob)
-
-    out, norm2 = _taylor_series(_scaled_product(matrix, scale), norm1, psi.amplitudes)
+        return _dilated_step(psi, apply_j, op.norm1, scale, rotation=False)
+    out, norm2 = _taylor_series(_scaled(apply_j, scale), abs(scale) * op.norm1, psi.amplitudes)
     if not renormalize:
         return StateVector._closed(psi.basis, out, 0, psi.success_prob)
     return _renormalized(psi, out, norm2, np.vdot(psi.amplitudes, psi.amplitudes).real)
@@ -418,7 +419,7 @@ class _FixedStart(_Terms):
     def apply(self, eta: complex) -> StateVector:
         norm1 = abs(eta) * self.op.norm1
         kept = (self, eta / abs(eta) if eta else 1.0)
-        out, norm2 = _taylor_series(_scaled_product(self.op.csr, eta), norm1, self.rows[0], kept)
+        out, norm2 = _taylor_series(_scaled(partial(_csr_product, self.op.csr), eta), norm1, self.rows[0], kept)
         return _renormalized(self.psi, out, norm2, self.norms2[0])
 
 
@@ -449,7 +450,7 @@ def apply_dilated(psi: StateVector, op: SparseOperator, delta: float) -> StateVe
         raise ValueError("apply_dilated expects a single-ancilla state")
     if op.basis != psi.basis:
         raise ValueError("operator and state use different bases")
-    return _dilated_step(psi, partial(_csr_product, op.csr), op.norm1, delta)
+    return _dilated_step(psi, partial(_csr_product, op.csr), op.norm1, delta, rotation=True)
 
 
 def _ancilla_untouched(psi: StateVector) -> bool:
@@ -457,46 +458,54 @@ def _ancilla_untouched(psi: StateVector) -> bool:
     ``prepare_dilated`` attached: its two halves are bit for bit equal, as
     ``prepare_dilated`` makes them and a unitary factor keeps them, and a
     V-step that moves the state leaves them unequal.  The one test of an
-    untouched ancilla: a V-step reads it to run on one branch, and the
-    solver's register to book no probability on a reset."""
+    untouched ancilla: the ancilla kernel ``_dilated_step`` reads it to run
+    a unitary factor, a V-step or a probe on one branch, and the solver's
+    register to book no probability on a reset."""
     dim = len(psi.basis)
     amps = psi.amplitudes
     return amps[:dim].tobytes() == amps[dim:].tobytes()
 
 
-def _dilated_step(psi: StateVector, apply_j, norm1: float, delta: float) -> StateVector:
-    """``exp(i delta Y_a x J)`` on a dilated state from the 1-norm of J and
-    its action ``apply_j(v, out=vec)``, which writes ``J v`` into a zeroed
-    vector of the sector's length.
+def _dilated_step(psi: StateVector, apply_j, norm1: float, scale: complex, rotation: bool) -> StateVector:
+    """The one kernel of every exponential on a dilated register, ``exp(G)
+    [u; v]`` from the 1-norm of J and its action ``apply_j(v, out=vec)``,
+    which writes ``J v`` into a zeroed vector of the sector's length.
+
+    ``G`` is ``D = scale J`` under a branch map: the identity map, ``G =
+    [[D, 0], [0, D]]`` with action ``[D u; D v]``, is the unitary factor
+    ``exp(scale J)`` on both branches (``apply_exp_exact``), and with
+    ``rotation`` the map ``G = [[0, D], [-D, 0]]`` with action ``[D v; -D
+    u]`` is the V-step ``exp(i scale Y_a x J)`` (``apply_dilated``, the
+    probe).  Either way ``|G|_1 = |scale| |J|_1``.
 
     A register whose ancilla is untouched (``_ancilla_untouched``) takes
-    one product per Taylor term where the step is one segment (``|delta|
-    |J|_1 <= theta``): the generator ``G = [[0, D], [-D, 0]]`` with ``D =
-    delta J`` has k-th term ``[+-p_k; +-p_k]`` with ``p_k = D p_{k-1} / k``,
-    signs ``+ + - - ...`` on top and ``+ - - + ...`` below, so a
-    one-branch block (``_Terms``) of the ``p_k`` sums the segment with the
-    bits of the two-branch one.  Every other step writes each branch's
-    product into its half of one zeroed output.
+    one product per Taylor term where the exponential is one segment
+    (``|G|_1 <= theta``): G's k-th term on ``[p_0; p_0]`` is ``[+-p_k;
+    +-p_k]`` with ``p_k = D p_{k-1} / k`` and the signs of the map's
+    ``_BRANCH_SIGNS``, so a one-branch block (``_Terms``) of the ``p_k``
+    sums the segment with the bits of the two-branch one.  Every other
+    exponential writes each branch's product into its half of one zeroed
+    output and scales both halves at once under the identity map, each
+    half by its sign under the rotation.
     """
     dim = len(psi.basis)
     amps = psi.amplitudes
-    norm1 = abs(delta) * norm1
+    norm1 = abs(scale) * norm1
     if norm1 <= _THETA and _ancilla_untouched(psi):
-
-        def branch_action(v, out):  # delta J v on one branch
-            apply_j(v, out=out)
-            np.multiply(delta, out, out=out)
-
-        block = _Terms(amps[:dim], np.vdot(amps, amps).real, branch_action, 1, one_branch=True)
+        block = _Terms(amps[:dim], np.vdot(amps, amps).real, _scaled(apply_j, scale), 1, _BRANCH_SIGNS[rotation])
         out = block._segment(norm1, 1)[0]
     else:
+        first, second = (slice(dim, None), slice(dim)) if rotation else (slice(dim), slice(dim, None))
 
-        def action(w, out):  # [delta J v; -delta J u] of w = [u; v]
+        def action(w, out):  # [D u; D v], or [D v; -D u] under the rotation, of w = [u; v]
             top, bottom = out[:dim], out[dim:]
-            apply_j(w[dim:], out=top)
-            apply_j(w[:dim], out=bottom)
-            np.multiply(delta, top, out=top)
-            np.multiply(-delta, bottom, out=bottom)
+            apply_j(w[first], out=top)
+            apply_j(w[second], out=bottom)
+            if rotation:
+                np.multiply(scale, top, out=top)
+                np.multiply(-scale, bottom, out=bottom)
+            else:
+                np.multiply(scale, out, out=out)
 
         out = _taylor_series(action, norm1, amps)[0]
     return StateVector._closed(psi.basis, out, 1, psi.success_prob)
@@ -632,7 +641,7 @@ def _probe(ham: SparseOperator, psi: StateVector, e: float, delta: float) -> Sta
         _csr_product(matrix, v, out=out)
         out -= e * v
 
-    return _dilated_step(prepare_dilated(psi), apply_shifted, ham.shifted_norm1(e), delta)
+    return _dilated_step(prepare_dilated(psi), apply_shifted, ham.shifted_norm1(e), delta, rotation=True)
 
 
 def canonical_elements(n_spin_orbitals: int) -> tuple[tuple[int, int, int, int], ...]:

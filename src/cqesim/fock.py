@@ -306,8 +306,10 @@ class _Csr(NamedTuple):
     The package forms complex data (real only for the pattern's ``|P^T|``)
     on int32 structure in scipy's canonical order (columns ascending within
     a row, none twice): the arrays of the ``scipy.sparse.csr_matrix`` of
-    the same matrix.  A scipy matrix given to ``SparseOperator`` lends its
-    own arrays.
+    the same matrix.  A canonical complex scipy matrix given to
+    ``SparseOperator`` lends its own arrays, and scipy's conversion of other
+    input may share some of the input's; a non-canonical matrix is summed
+    and sorted into new arrays.
     """
 
     shape: tuple[int, int]
@@ -343,11 +345,15 @@ class SparseOperator:
     ``scipy.sparse.csr_matrix`` on those arrays, built on first access:
     the package reads it only in ARPACK's branch of ``fci_solve``.  The
     public constructor converts what it is given with
-    ``scipy.sparse.csr_matrix`` (a complex CSR matrix is taken as given),
-    reads the arrays off the result and keeps it as ``matrix``; the package
-    builds its own operators with ``_from_csr`` and imports no scipy
-    package.  The arrays are never edited in place, so the column sums
-    of ``|matrix|`` and the diagonal, from which its 1-norm (which every
+    ``scipy.sparse.csr_matrix`` (a canonical complex CSR matrix is taken as
+    given), reads the arrays off the result and keeps it as ``matrix``.  A
+    non-canonical result, with an entry stored twice or columns out of
+    order, is first canonicalized into new arrays (``tocoo().tocsr()``):
+    the column sums then read ``|a + b|`` for an entry stored as ``a`` and
+    ``b``, and the caller's arrays, which scipy's dtype cast may share, are
+    never edited.  The package builds its own operators with ``_from_csr``
+    and imports no scipy package.  The arrays are never edited in place, so
+    the column sums of ``|matrix|`` and the diagonal, from which its 1-norm (which every
     exponential of the operator needs) and every shifted 1-norm of the
     estimator's probe are read, and its deviation from Hermiticity, which
     every solver run checks, are computed on first use and kept.
@@ -358,6 +364,8 @@ class SparseOperator:
 
         if not (isinstance(matrix, sp.csr_matrix) and matrix.dtype == complex):
             matrix = sp.csr_matrix(matrix, dtype=complex)
+        if not matrix.has_canonical_format:  # summed and sorted into arrays of its own
+            matrix = matrix.tocoo().tocsr()
         dim = len(basis)
         if matrix.shape != (dim, dim):
             raise ValueError(f"matrix shape {matrix.shape} does not match basis size {dim}")

@@ -106,9 +106,11 @@ _HEADER_KV = re.compile(r"([A-Za-z0-9_]+)\s*=\s*([^=&/]*?)(?=(?:[,\s][A-Za-z0-9_
 def parse_fcidump(text: str) -> IntegralSet:
     """Parse an FCIDUMP string (namelist header plus ``value i j k l`` records).
 
-    One-body records carry ``k = l = 0``, the scalar core term carries four
-    zero indices, and orbital-energy records (``j = k = l = 0``) are ignored.
-    Indices in the file are 1-based.
+    One-body records carry ``k = l = 0`` and a nonzero ``i``, the scalar
+    core term carries four zero indices, and orbital-energy records (``j =
+    k = l = 0``) are ignored.  Indices in the file are 1-based, so any other
+    record with a zero index (``v 0 j 0 0`` among them) is an unsupported
+    index pattern.
     """
     upper = text.upper()
     start = upper.find("&FCI")
@@ -154,7 +156,7 @@ def parse_fcidump(text: str) -> IntegralSet:
             raise ValueError(f"orbital index out of range in record: {line!r}")
         if i == j == k == l == 0:
             core = value
-        elif k == 0 and l == 0:
+        elif i and k == 0 and l == 0:
             if j == 0:
                 continue  # orbital-energy record, not used
             h[i - 1, j - 1] = value

@@ -410,9 +410,11 @@ class _DilatedRegister:
     operators, so every V-step reads the 1-norm that the plan computed
     once, and a zero factor (None) is never applied.  An ancilla that no
     V-step has moved since it was prepared is still an unentangled ``|+>``
-    (``evolution._ancilla_untouched``, the test a V-step reads too):
-    post-selecting it discards it and books no probability, so a purely
-    unitary (acse) flow keeps ``success_prob`` at 1.
+    (``evolution._ancilla_untouched``, the test the ancilla kernel reads
+    too, so a unitary factor or V-step of one Taylor segment on it makes
+    one product per term): post-selecting it discards it and books no
+    probability, so a purely unitary (acse) flow keeps ``success_prob`` at
+    1.
     """
 
     def __init__(self, ham: SparseOperator, psi: StateVector, policy: DilationPolicy):
@@ -437,7 +439,7 @@ class _DilatedRegister:
     def execute(
         self, op_a: SparseOperator | None, op_h: SparseOperator | None, eta: float, e0: float, slope: float
     ):
-        if op_a is not None:  # the unitary factor acts directly on both branches
+        if op_a is not None:  # the unitary factor acts identically on both branches
             self.state = apply_exp_exact(op_a, self.state, scale=eta)
         slices = max(1, math.ceil(eta / self.policy.epsilon))
         delta = eta / slices

@@ -178,6 +178,8 @@ def _broken_fcidump(tmp_path, defect):
         header, records = text.split("&END\n")
         first, rest = records.split("\n", 1)
         text = f"{header}&END\n{first.rsplit(None, 1)[0]}\n{rest}"
+    elif defect == "zero first index":
+        text += "0.25 0 2 0 0\n"
     else:
         text = text.replace("NELEC=2", "NELEC=3")
     path = tmp_path / "broken.fcidump"
@@ -185,7 +187,7 @@ def _broken_fcidump(tmp_path, defect):
     return path
 
 
-@pytest.mark.parametrize("defect", ["four-field record", "NELEC=3 with MS2=0"])
+@pytest.mark.parametrize("defect", ["four-field record", "NELEC=3 with MS2=0", "zero first index"])
 @pytest.mark.parametrize(
     "command", [["run", "--fcidump"], ["residual-study", "--fixture"], ["scan", "--fixtures"]]
 )

@@ -381,10 +381,20 @@ def test_kernel_gets_the_exact_generator_norm(monkeypatch):
 
     monkeypatch.setattr(evolution, "_Terms", Spy)
     shifted = ham.matrix - energy(ham, psi) * sp.identity(len(basis))
-    # V-steps from a |+> ancilla run on one branch where they fit one segment
+    # unitary factors and V-steps from a |+> ancilla run on one branch where they fit one segment
     assert 0.7 * op.norm1 > THETA >= 0.1 * op.norm1
     cases = [
         (lambda: apply_exp_exact(op, psi, scale=-2.5j), -2.5j * op.dense(), False),
+        (
+            lambda: apply_exp_exact(op, prepare_dilated(psi), scale=-0.1j),
+            sp.block_diag([-0.1j * op.matrix] * 2).toarray(),
+            True,
+        ),
+        (
+            lambda: apply_exp_exact(op, prepare_dilated(psi), scale=0.7),
+            sp.block_diag([0.7 * op.matrix] * 2).toarray(),
+            False,
+        ),
         (
             lambda: apply_dilated(prepare_dilated(psi), op, 0.7),
             sp.bmat([[None, 0.7 * op.matrix], [-0.7 * op.matrix, None]]).toarray(),
@@ -968,11 +978,12 @@ def _taylor_terms(reference, *args):
 @pytest.mark.parametrize("size", [0.05, 1.3, 5.9, 15.0])
 def test_v_steps_from_a_plus_ancilla_make_one_product_per_term(monkeypatch, size):
     # a register with equal halves needs one sector product per Taylor term
-    # where the step is one segment; any other V-step needs one per branch
+    # where the V-step or unitary factor is one segment; any other needs one
+    # per branch
     rng = np.random.default_rng(106)
     ham, factors = _h4_step_factors()
-    op = factors["h4_herm"]
-    step = size / op.norm1
+    op, anti = factors["h4_herm"], factors["h4_anti"]
+    step, scale = size / op.norm1, size / anti.norm1
     fresh, rotated = _fresh_registers(rng, ham, factors)
     stepped = apply_dilated(fresh, op, 0.01)
     psi = _random_state(rng, ham.basis, complex_valued=True)
@@ -982,6 +993,9 @@ def test_v_steps_from_a_plus_ancilla_make_one_product_per_term(monkeypatch, size
         (lambda: apply_dilated(rotated, op, step), _taylor_terms(block_dilated_step, op, rotated, step), 1),
         (lambda: probe_state(ham, psi, delta), _taylor_terms(block_probe, ham, psi, delta), 1),
         (lambda: apply_dilated(stepped, op, step), _taylor_terms(block_dilated_step, op, stepped, step), 2),
+        (lambda: apply_exp_exact(anti, fresh, scale), _taylor_terms(block_exp_dilated, anti, fresh, scale), 1),
+        (lambda: apply_exp_exact(anti, rotated, scale), _taylor_terms(block_exp_dilated, anti, rotated, scale), 1),
+        (lambda: apply_exp_exact(anti, stepped, scale), _taylor_terms(block_exp_dilated, anti, stepped, scale), 2),
     ]
     products = []
     monkeypatch.setattr(evolution, "_csr_product", _counted(_csr_product, products))

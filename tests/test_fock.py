@@ -381,9 +381,10 @@ def _skewed_h4():
 
 def test_operator_reads_equal_scipy_ones():
     # the Hermiticity deviation, diagonal and dense form are read off the
-    # CSR arrays, bit for bit as scipy reads them, on a Hermitian and on a
-    # skewed operator, on one that stores entries twice (scipy keeps them
-    # and sums them on reading) and on one with rows that store no diagonal
+    # CSR arrays, bit for bit as scipy reads the matrix given, on a Hermitian
+    # and on a skewed operator, on one given with every entry stored twice
+    # (the operator sums them, scipy keeps them and sums them on reading) and
+    # on one with rows that store no diagonal
     ham, skewed = _skewed_h4()
     assert ham.is_hermitian() and not skewed.is_hermitian(1e-4)
     base = skewed.matrix
@@ -397,11 +398,33 @@ def test_operator_reads_equal_scipy_ones():
     indptr = np.searchsorted(rows[keep], np.arange(base.shape[0] + 1))
     holed = sp.csr_matrix((base.data[keep], base.indices[keep], indptr), shape=base.shape)
     assert on.sum() == base.shape[0] and holed.nnz == base.nnz - len(range(0, base.shape[0], 3))
-    for op in (ham, skewed, SparseOperator(ham.basis, doubled), SparseOperator(ham.basis, holed)):
-        m = op.matrix
+    given = [(ham, ham.matrix), (skewed, skewed.matrix)]
+    for op, m in given + [(SparseOperator(ham.basis, m), m) for m in (doubled, holed)]:
         assert op._deviation == fock._hermitian_deviation(op.csr) == abs(m - m.getH()).max()
         assert np.array_equal(op.diagonal, m.diagonal()) and not op.diagonal.flags.writeable
         assert np.array_equal(op.dense(), m.toarray())
+
+
+def test_entries_stored_twice_are_summed_on_a_copy():
+    # H4 with every entry stored as a 1.5 and a -0.5 part: the 1-norms read
+    # the summed entries, not |1.5 a| + |0.5 a|, and the caller's arrays stay
+    # as given, also where scipy's cast of real data to complex shares the
+    # structure arrays
+    ham = build_hamiltonian(load_fixture("h4_d1.40"))
+    m = ham.csr
+    twice = np.repeat(np.arange(len(m.data)), 2)
+    parts = m.data[twice] * np.tile([1.5, -0.5], len(m.data))
+    names = ("data", "indices", "indptr")
+    for data in (parts, parts.real):
+        split = sp.csr_matrix((data, m.indices[twice], 2 * m.indptr), shape=m.shape)
+        given = [getattr(split, name).tobytes() for name in names]
+        op = SparseOperator(ham.basis, split)
+        dense = split.toarray()
+        assert op.norm1 == pytest.approx(np.abs(dense).sum(axis=0).max(), rel=1e-14)
+        shifted = np.abs(dense + np.eye(len(dense))).sum(axis=0).max()
+        assert op.shifted_norm1(-1.0) == pytest.approx(shifted, rel=1e-14)
+        assert [getattr(split, name).tobytes() for name in names] == given
+        assert not split.has_canonical_format and op.matrix.has_canonical_format
 
 
 def test_matrix_is_a_scipy_view_of_the_operator_arrays():

@@ -111,6 +111,8 @@ def test_parser_ignores_orbital_energy_records():
         "&FCI NORB=1,NELEC=2,MS2=0,&END\n 1.0 1 1 1\n",
         "&FCI NORB=1,NELEC=2,MS2=0,&END\n 1.0 3 1 1 1\n",
         "&FCI NORB=1,NELEC=2,MS2=0,&END\n 1.0 1 1 1 0\n",
+        # a one-body record with a zero first index, which would wrap to the last orbital
+        "&FCI NORB=2,NELEC=2,MS2=0,&END\n 0.5 0 2 0 0\n",
     ],
 )
 def test_parser_rejects_malformed_input(bad):
