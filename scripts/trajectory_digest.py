@@ -1,4 +1,4 @@
-"""Print one digest per solver run, residual estimate and set of reference matrices, to compare two checkouts.
+"""Print one digest per solver run, residual estimate, set of reference matrices and CLI call, to compare two checkouts.
 
 Usage:  python scripts/trajectory_digest.py SRC_DIR
         python scripts/trajectory_digest.py SRC_A SRC_B
@@ -49,7 +49,21 @@ The cases:
   <sha>``: the bytes of the Hamiltonian's ``dense()`` and ``diagonal``,
   of ``canonical_elements(n)``, and of ``pair_excitation_matrix`` at
   every canonical element (i, j, k, l) and at its swapped orders
-  (j, i, k, l) and (i, j, l, k).
+  (j, i, k, l) and (i, j, l, k);
+* a fixed battery of ``cqesim`` command lines (``CLI_BATTERY``), each run
+  in-process through ``cli.main``, one line each, ``cli ARGV... EXIT
+  <sha>``: the digest covers the exit code, the stderr text, the stdout
+  text and the bytes of the ``--output`` file (or its absence), with the
+  temporary directory and the checkout's ``src`` path written as ``<tmp>``
+  and ``<src>``.  The battery holds successful ``run`` calls (exact,
+  dilated, sampled, pairing, ``--init fci``, unconverged, a file path, a
+  fixture name with ``.fcidump``, stdout), ``scan`` and ``residual-study``
+  calls, ``--help``, and inputs with one error each: bad flags, a missing
+  or malformed input, a bad model, init, setting, line search or variant,
+  an FCIDUMP with a four-field record, an impossible sector, a zero first
+  index or a non-finite integral (under every command that reads one), a
+  probe beyond the Taylor bound, no scan point, and an ``--output`` in a
+  missing directory or on a directory.
 
 Digests hash float bits, which depend on the CPU, the BLAS and the
 numpy build: compare two checkouts on one machine only, e.g.
@@ -58,8 +72,12 @@ numpy build: compare two checkouts on one machine only, e.g.
 """
 
 import hashlib
+import io
+import shlex
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +100,93 @@ ESTIMATOR_SETTINGS = (
 PHASED_FIXTURES = ("h4_d1.40", "h4_d2.00")
 PHASED_SEED = 131  # draws the orbital phases phi_p, uniform on [0, 2 pi)
 PAIRING_SPHERE_POINT = (0.6, 0.64, 0.48)
+
+# {tmp} is the battery's temporary directory, {fixtures} the checkout's
+# bundled fixture directory; every call but the --output ones and those
+# marked "stdout" writes to {tmp}/out.
+_RUN = "run --fcidump h2_d0.74"
+_SAMPLED = _RUN + " --execution sampled --shots 100 --seed 1"
+_PAIRING = "run --model pairing"
+_STUDY = "residual-study --fixture h2_d0.74"
+CLI_BATTERY = (
+    _RUN + " --variant cse",
+    "stdout " + _RUN,
+    _RUN + " --variant acse --execution dilated",
+    _RUN + " --execution sampled --shots 300 --max-iterations 4 --seed 9",
+    _RUN + " --shots 100",
+    _RUN + " --line-search fixed:0.3 --variant hcse",
+    _RUN + ".fcidump",
+    "run --fcidump {fixtures}/h2_d0.74.fcidump",
+    "run --fcidump {tmp}/copy.fcidump",
+    "run --fcidump h4_d1.20 --init fci",
+    "run --fcidump h4_d1.20 --max-iterations 3 --tolerance 1e-12",
+    _PAIRING + " --variant acse",
+    _PAIRING + " --init sphere:1,1,1 --max-iterations 5",
+    "scan --fixtures h2_*",
+    "stdout scan --fixtures h2_d0.74 h2_d1.00",
+    "scan --fixtures {tmp}/copy.fcidump h2_d1.00",
+    "scan --fixtures h4_d1.20 --variant hcse --execution dilated",
+    "residual-study --fixture h4_d1.20 --max-iterations 40",
+    _STUDY + " --variants cse --init fci",
+    _STUDY + " --variant acse",
+    _STUDY + ".fcidump --variants hcse,cse",
+    "stdout --help",
+    _RUN + " --variant bogus",
+    "frobnicate",
+    "run --fcidump does_not_exist",
+    "run",
+    "run --model ising",
+    _PAIRING + " --pairing-constants 1,2,3",
+    _PAIRING + " --pairing-constants a,1,2,3",
+    _PAIRING + " --pairing-constants nan,1,2,3",
+    _PAIRING + " --pairing-constants 0,1,2,inf",
+    _PAIRING + " --pairing-constants 0,1,5,0.5",
+    _RUN + " --init equator:0.3",
+    _RUN + " --init hf:0.3",
+    _RUN + " --init fci:1",
+    _RUN + " --init hf:",
+    _RUN + " --init bogus",
+    _PAIRING + " --init sphere:nan,0,0",
+    _PAIRING + " --init sphere:1,inf,0",
+    _PAIRING + " --init sphere:0,0,0",
+    _PAIRING + " --init sphere:1,2",
+    _PAIRING + " --init equator:inf",
+    _PAIRING + " --init equator:x",
+    _RUN + " --execution sampled --shots 100",
+    _RUN + " --execution sampled --shots 0 --seed 1",
+    _RUN + " --execution sampled --shots 100 --seed -1",
+    _SAMPLED + " --delta 0",
+    _SAMPLED + " --delta nan",
+    _SAMPLED + " --delta 1e9",
+    _RUN + " --epsilon 0",
+    _RUN + " --execution dilated --epsilon inf",
+    _RUN + " --reset-cap 0",
+    _RUN + " --max-iterations 0",
+    _RUN + " --tolerance nan",
+    _RUN + " --line-search fixed:inf",
+    _RUN + " --line-search golden",
+    "scan --fixtures xe2_*",
+    "scan --fixtures h2_d0.74 --tolerance nan",
+    "scan --fixtures h2_d0.74 --line-search golden",
+    _STUDY + " --variants cse,magic",
+    _STUDY + " --variants ,",
+    _STUDY + " --max-iterations 0",
+    _STUDY + " --tolerance nan",
+    _STUDY + " --line-search golden",
+    _STUDY + " --init fci:1",
+    _STUDY + " --init equator:0.3",
+    "residual-study --fixture nope",
+    *(
+        f"{command} {{tmp}}/{defect}.fcidump"
+        for defect in ("four-field", "nelec3", "zero-first-index", "nan-h", "inf-eri", "inf-core")
+        for command in ("run --fcidump", "scan --fixtures", "residual-study --fixture")
+    ),
+    *(
+        f"{command} --output {output}"
+        for output in ("{tmp}/nodir/x.out", "{tmp}")
+        for command in (_RUN, "scan --fixtures h2_d0.74", _STUDY)
+    ),
+)
 
 
 def _hex(value) -> bytes:
@@ -215,13 +320,67 @@ def main(src: str) -> None:
                 print(f"run pairing~{start} {variant} {name} {_run_summary(result)}")
     for stem, ham in {**hams, "pairing": pairing}.items():
         print(f"reference {stem} {_reference_digest(cq, ham)}")
+    for line in _cli_lines(Path(src).resolve()):
+        print(line)
+
+
+def _write_cli_inputs(tmp: Path, fixtures: Path) -> None:
+    """The FCIDUMP files of the battery: a copy of h2_d0.74 and six defective ones."""
+    text = (fixtures / "h2_d0.74.fcidump").read_text()
+    header, records = text.split("&END\n")
+    first, rest = records.split("\n", 1)
+    inputs = {
+        "copy": text,
+        "four-field": f"{header}&END\n{first.rsplit(None, 1)[0]}\n{rest}",
+        "nelec3": text.replace("NELEC=2", "NELEC=3"),
+        "zero-first-index": text + "0.25 0 2 0 0\n",
+        "nan-h": text + "nan 1 1 0 0\n",
+        "inf-eri": text + "inf 1 1 1 1\n",
+        "inf-core": text + "inf 0 0 0 0\n",
+    }
+    for name, body in inputs.items():
+        (tmp / f"{name}.fcidump").write_text(body)
+
+
+def _cli_lines(src: Path) -> list[str]:
+    """One ``cli ARGV... EXIT <sha>`` line per call of ``CLI_BATTERY``."""
+    from cqesim import cli
+
+    fixtures = src / "cqesim" / "fixtures"
+    lines = []
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        _write_cli_inputs(tmp, fixtures)
+        out = tmp / "out"
+
+        def normalized(text: str) -> bytes:
+            return text.replace(str(tmp), "<tmp>").replace(str(src), "<src>").encode()
+
+        for case in CLI_BATTERY:
+            argv = case.format(tmp=tmp, fixtures=fixtures).split()
+            if argv[0] == "stdout":
+                argv = argv[1:]
+            elif "--output" not in argv:
+                argv += ["--output", str(out)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = cli.main(argv)
+            written = normalized(out.read_text()) if out.exists() else b"(no file)"
+            out.unlink(missing_ok=True)
+            h = hashlib.sha256(str(code).encode())
+            for part in (normalized(stderr.getvalue()), normalized(stdout.getvalue()), written):
+                h.update(hashlib.sha256(part).digest())
+            label = normalized(shlex.join(argv)).decode()
+            lines.append(f"cli {label} {code} {h.hexdigest()}")
+    return lines
 
 
 def _label(line: str) -> str:
     """A line's case label: ``run STEM VARIANT SETTING``, ``estimate STEM
-    STATE VARIANT SETTING`` or ``reference STEM``."""
+    STATE VARIANT SETTING``, ``reference STEM`` or ``cli ARGV...`` (every
+    word but the exit code and the digest)."""
     words = line.split()
-    return " ".join(words[: {"run": 4, "estimate": 5, "reference": 2}[words[0]]])
+    return " ".join(words[: {"run": 4, "estimate": 5, "reference": 2, "cli": -2}[words[0]]])
 
 
 def compare(src_a: str, src_b: str) -> int:

@@ -2,10 +2,15 @@
 
 Everything emitted is plain data (JSON or CSV) with a fixed field order and
 no timestamps, so identical inputs and seeds reproduce byte-identical
-files.  Exit codes: 0 for a converged run, 2 for a run that terminated
-without meeting its residual tolerance (stalled or out of budget), 1 for
-unusable input or a solver failure (say, a probe exponential too large for
-the Taylor kernel), with no output file.
+files.  Exit codes: 0 for success, 1 for unusable input or a solver or
+oracle failure (say, a probe exponential too large for the Taylor kernel),
+with no output file.  ``run`` alone exits 2, for a run that terminated
+without meeting its residual tolerance (stalled or out of budget); ``scan``
+and ``residual-study`` exit 0 whatever their runs' status.  ``main`` is the
+one error boundary: every ``ValueError`` or ``RuntimeError`` a command
+raises, from these helpers or from the library's own checks, becomes
+``error: <message>`` on stderr and exit 1.  ``--fcidump``, ``--fixture``
+and ``--fixtures`` take a fixture name with or without ``.fcidump``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -55,10 +60,6 @@ SCAN_COLUMNS = (
 STUDY_COLUMNS = ("variant", "n", "norm2", "variance")
 
 
-class CliError(Exception):
-    """Input problem; maps to exit code 1 and produces no output file."""
-
-
 # ---------------------------------------------------------------------------
 # flag parsing helpers
 # ---------------------------------------------------------------------------
@@ -69,17 +70,17 @@ def _parse_line_search(text: str) -> LineSearch:
     try:
         return LineSearch(kind, float(rest)) if rest else LineSearch(kind)
     except ValueError as exc:
-        raise CliError(f"bad line search spec {text!r}: {exc}") from exc
+        raise ValueError(f"bad line search spec {text!r}: {exc}") from exc
 
 
 def _parse_pairing(text: str) -> PairingModel:
     parts = text.split(",")
     if len(parts) != 4:
-        raise CliError("pairing constants must be four comma-separated numbers e0,e1,e3,t")
+        raise ValueError("pairing constants must be four comma-separated numbers e0,e1,e3,t")
     try:
         return PairingModel(*(float(p) for p in parts))
     except ValueError as exc:
-        raise CliError(f"bad pairing constants {text!r}: {exc}") from exc
+        raise ValueError(f"bad pairing constants {text!r}: {exc}") from exc
 
 
 def _initial_state(spec: str, ham: SparseOperator, model: PairingModel | None) -> StateVector | None:
@@ -91,7 +92,7 @@ def _initial_state(spec: str, ham: SparseOperator, model: PairingModel | None) -
         return ground
     if kind in ("equator", "sphere"):
         if model is None:
-            raise CliError(f"init {spec!r} needs --model pairing")
+            raise ValueError(f"init {spec!r} needs --model pairing")
         try:
             coords = [float(p) for p in rest.split(",")]
             if not all(math.isfinite(c) for c in coords):
@@ -105,8 +106,8 @@ def _initial_state(spec: str, ham: SparseOperator, model: PairingModel | None) -
                 raise ValueError("zero vector")
             return sphere_state(model, SpherePoint(g / norm, m / norm, x / norm))
         except ValueError as exc:
-            raise CliError(f"bad init spec {spec!r}: {exc}") from exc
-    raise CliError(f"unknown init {spec!r}; expected hf, fci, equator:THETA or sphere:G,M,X")
+            raise ValueError(f"bad init spec {spec!r}: {exc}") from exc
+    raise ValueError(f"unknown init {spec!r}; expected hf, fci, equator:THETA or sphere:G,M,X")
 
 
 def _load_hamiltonian(token: str):
@@ -116,45 +117,46 @@ def _load_hamiltonian(token: str):
         integrals = parse_fcidump(path.read_text()) if path.is_file() else load_fixture(token)
         return build_hamiltonian(integrals), path.name.removesuffix(".fcidump")
     except FileNotFoundError as exc:
-        raise CliError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
     except ValueError as exc:  # a malformed record or an impossible sector
-        raise CliError(f"{token}: {exc}") from exc
+        raise ValueError(f"{token}: {exc}") from exc
 
 
 def _build_source(args):
     """Returns (hamiltonian, model-or-None, label)."""
     if args.model is not None:
         if args.model != "pairing":
-            raise CliError(f"unknown model {args.model!r}; only 'pairing' is built in")
+            raise ValueError(f"unknown model {args.model!r}; only 'pairing' is built in")
         model = _parse_pairing(args.pairing_constants)
         return build_pairing_hamiltonian(model), model, "pairing"
     if args.fcidump is None:
-        raise CliError("pick an input: --fcidump PATH/NAME or --model pairing")
+        raise ValueError("pick an input: --fcidump PATH/NAME or --model pairing")
     ham, label = _load_hamiltonian(args.fcidump)
     return ham, None, label
 
 
+def _solver_config(args, **fields) -> CqeConfig:
+    """The ``CqeConfig`` of the solver flags that every command takes, plus ``fields``."""
+    return CqeConfig(
+        max_iterations=args.max_iterations,
+        residual_tolerance=args.tolerance,
+        line_search=_parse_line_search(args.line_search),
+        **fields,
+    )
+
+
 def _build_config(args) -> CqeConfig:
-    try:
-        estimator = None
-        if args.execution == "sampled":
-            estimator = EstimatorConfig(delta=args.delta, shots=args.shots, seed=args.seed)
-        dilation = DilationPolicy(
-            epsilon=args.epsilon,
-            reset_mode=args.reset_mode,
-            max_steps_between_resets=args.reset_cap,
-        )
-        return CqeConfig(
-            variant=args.variant,
-            execution=args.execution,
-            max_iterations=args.max_iterations,
-            residual_tolerance=args.tolerance,
-            line_search=_parse_line_search(args.line_search),
-            estimator=estimator,
-            dilation=dilation,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    estimator = None
+    if args.execution == "sampled":
+        estimator = EstimatorConfig(delta=args.delta, shots=args.shots, seed=args.seed)
+    dilation = DilationPolicy(
+        epsilon=args.epsilon,
+        reset_mode=args.reset_mode,
+        max_steps_between_resets=args.reset_cap,
+    )
+    return _solver_config(
+        args, variant=args.variant, execution=args.execution, estimator=estimator, dilation=dilation
+    )
 
 
 def _check_output(path: str | None):
@@ -163,11 +165,11 @@ def _check_output(path: str | None):
         return
     target = Path(path)
     if target.is_dir():
-        raise CliError(f"output {path!r} is a directory")
+        raise ValueError(f"output {path!r} is a directory")
     if not target.parent.is_dir():
-        raise CliError(f"output directory {str(target.parent)!r} does not exist")
+        raise ValueError(f"output directory {str(target.parent)!r} does not exist")
     if not os.access(target if target.exists() else target.parent, os.W_OK):
-        raise CliError(f"output {path!r} is not writable")
+        raise ValueError(f"output {path!r} is not writable")
 
 
 def _write_text(path: str | None, text: str):
@@ -177,19 +179,22 @@ def _write_text(path: str | None, text: str):
         Path(path).write_text(text)
 
 
+def _csv(columns, rows) -> str:
+    return "".join(",".join(map(str, row)) + "\n" for row in [columns, *rows])
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_run(args) -> int:
+    if args.init is None:
+        args.init = "equator:0.3" if args.model == "pairing" else "hf"
     ham, model, label = _build_source(args)
     config = _build_config(args)
     initial = _initial_state(args.init, ham, model)
-    try:
-        result = cqe_run(ham, config, initial=initial)
-    except (ValueError, RuntimeError) as exc:
-        raise CliError(str(exc)) from exc
+    result = cqe_run(ham, config, initial=initial)
     (fci_energy,), _ = fci_solve(ham)
     document = {
         "source": label,
@@ -213,12 +218,13 @@ def _scan_points(patterns) -> list[str]:
         if Path(pattern).is_file():
             points.append(pattern)
             continue
-        hits = [name for name in known if fnmatch.fnmatch(name, pattern)]
-        if not hits and pattern in known:
-            hits = [pattern]
+        stem = pattern.removesuffix(".fcidump")
+        hits = [name for name in known if fnmatch.fnmatch(name, stem)]
+        if not hits and stem in known:
+            hits = [stem]
         points.extend(hits)
     if not points:
-        raise CliError(f"no scan points match {list(patterns)!r}; known fixtures: {known}")
+        raise ValueError(f"no scan points match {list(patterns)!r}; known fixtures: {known}")
     return list(dict.fromkeys(points))
 
 
@@ -227,52 +233,39 @@ def cmd_scan(args) -> int:
     config = _build_config(args)
     rows = []
     for token in points:
+        ham, label = _load_hamiltonian(token)
         try:
-            ham, label = _load_hamiltonian(token)
             (e_fci,), _ = fci_solve(ham)
             e_hf = energy(ham, hf_state(ham))
             result = cqe_run(ham, config)
         except (ValueError, RuntimeError) as exc:
-            raise CliError(f"scan point {token!r} failed: {exc}") from exc
+            raise ValueError(f"scan point {token!r} failed: {exc}") from exc
         rows.append(
             (label, e_hf, e_fci, result.energy, len(result.iterations),
              result.residual_norm, result.variance)
         )
-    lines = [",".join(SCAN_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
-    _write_text(args.output, "\n".join(lines) + "\n")
+    _write_text(args.output, _csv(SCAN_COLUMNS, rows))
     return 0
 
 
 def cmd_residual_study(args) -> int:
     ham, label = _load_hamiltonian(args.fixture)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    for v in variants:
-        if v not in RESIDUAL_VARIANTS:
-            raise CliError(f"unknown variant {v!r}; expected one of {RESIDUAL_VARIANTS}")
     if not variants:
-        raise CliError("need at least one variant")
-    try:
-        config = CqeConfig(
-            max_iterations=args.max_iterations,
-            residual_tolerance=args.tolerance,
-            line_search=_parse_line_search(args.line_search),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise ValueError("need at least one variant")
+    configs = [_solver_config(args, variant=variant) for variant in variants]
     norm_field = {"cse": "norm_r", "hcse": "norm_s", "acse": "norm_a"}
-    lines = [",".join(STUDY_COLUMNS)]
     initial = _initial_state(args.init, ham, None)
-    for variant in variants:
+    rows = []
+    for config in configs:
         try:
-            result = cqe_run(ham, replace(config, variant=variant), initial=initial)
+            result = cqe_run(ham, config, initial=initial)
         except (ValueError, RuntimeError) as exc:
-            raise CliError(f"variant {variant!r} failed: {exc}") from exc
+            raise ValueError(f"variant {config.variant!r} failed: {exc}") from exc
         for rec in result.iterations:
-            norm2 = getattr(rec, norm_field[variant]) ** 2
-            lines.append(f"{variant},{rec.n},{norm2},{rec.variance}")
-    _write_text(args.output, "\n".join(lines) + "\n")
+            norm2 = getattr(rec, norm_field[config.variant]) ** 2
+            rows.append((config.variant, rec.n, norm2, rec.variance))
+    _write_text(args.output, _csv(STUDY_COLUMNS, rows))
     return 0
 
 
@@ -346,12 +339,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad flags; report input error
         return 0 if exc.code in (0, None) else 1
-    if hasattr(args, "init") and args.init is None:
-        args.init = "equator:0.3" if getattr(args, "model", None) == "pairing" else "hf"
     try:
         _check_output(args.output)
         return args.func(args)
-    except CliError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

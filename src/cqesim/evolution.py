@@ -197,7 +197,8 @@ def _taylor_series(matvec, norm1: float, vec: np.ndarray, kept=None) -> tuple[np
     33, 488 (2011)): a degree-40 Taylor polynomial of a segment of 1-norm at
     most theta_40 meets double precision, so a generator of 1-norm up to 6.0
     takes one segment; more than ``_MAX_SEGMENTS`` segments raise before any
-    product.  Each segment is one block of terms (``_Terms``) from the
+    product, and so does a non-finite 1-norm, whether G's entries or its
+    scale make it.  Each segment is one block of terms (``_Terms``) from the
     segment's start, ``t_k = G t_{k-1} / (s k)``, summed by its one
     ratio-test loop.
 
@@ -208,7 +209,7 @@ def _taylor_series(matvec, norm1: float, vec: np.ndarray, kept=None) -> tuple[np
     then reads neither ``vec`` nor its norm.
     """
     if not math.isfinite(norm1):
-        raise RuntimeError("generator matrix contains non-finite entries")
+        raise RuntimeError(f"generator 1-norm {norm1} is not finite")
     segments = max(1, math.ceil(norm1 / _THETA))
     if segments > _MAX_SEGMENTS:
         raise RuntimeError(f"generator 1-norm {norm1:.4g} needs over {_MAX_SEGMENTS} Taylor segments")

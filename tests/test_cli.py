@@ -158,18 +158,36 @@ def test_probe_beyond_the_taylor_bound_exits_one_without_output(tmp_path, capsys
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_RUN = ["run", "--fcidump", "h2_d0.74"]
+_STUDY = ["residual-study", "--fixture", "h2_d0.74"]
+_SCAN = ["scan", "--fixtures", "h2_d0.74"]
+
+
 @pytest.mark.parametrize(
-    "argv", [["run", "--fcidump", "h2_d0.74"], ["residual-study", "--fixture", "h2_d0.74"]]
+    "patched, argv",
+    [
+        pytest.param("cqe_run", _RUN, id="cqe_run-run"),
+        pytest.param("cqe_run", _RUN + ["--init", "fci"], id="cqe_run-run-fci"),
+        pytest.param("cqe_run", _STUDY, id="cqe_run-study"),
+        pytest.param("cqe_run", _STUDY + ["--init", "fci"], id="cqe_run-study-fci"),
+        pytest.param("cqe_run", _SCAN, id="cqe_run-scan"),
+        # the FCI oracle serves the run report, the fci seed and the scan row
+        pytest.param("fci_solve", _RUN, id="fci_solve-run"),
+        pytest.param("fci_solve", _RUN + ["--init", "fci"], id="fci_solve-run-fci"),
+        pytest.param("fci_solve", _STUDY + ["--init", "fci"], id="fci_solve-study-fci"),
+        pytest.param("fci_solve", _SCAN, id="fci_solve-scan"),
+    ],
 )
-def test_solver_runtime_error_exits_one_without_output(tmp_path, capsys, monkeypatch, argv):
+def test_solver_runtime_error_exits_one_without_output(tmp_path, capsys, monkeypatch, patched, argv):
     def failing(*args, **kwargs):
         raise RuntimeError("matrix exponential series produced non-finite values")
 
-    monkeypatch.setattr(cli, "cqe_run", failing)
+    monkeypatch.setattr(cli, patched, failing)
     code, out = _run(tmp_path, "x.out", argv)
     assert code == 1
     assert not out.exists()
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("produced non-finite values\n")
 
 
 def _broken_fcidump(tmp_path, defect):
@@ -336,6 +354,16 @@ def test_scan_is_byte_identical(tmp_path):
     _, a = _run(tmp_path, "a.csv", argv)
     _, b = _run(tmp_path, "b.csv", argv)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("pattern", ["h2_d0.74.fcidump", "h2_*.fcidump"])
+def test_scan_takes_fixture_names_with_the_suffix(tmp_path, monkeypatch, pattern):
+    monkeypatch.chdir(tmp_path)  # no file of that name beside the run
+    code, out = _run(tmp_path, "s.csv", ["scan", "--fixtures", pattern])
+    assert code == 0
+    labels = [row.split(",")[0] for row in out.read_text().strip().split("\n")[1:]]
+    assert "h2_d0.74" in labels
+    assert len(labels) == (8 if "*" in pattern else 1)
 
 
 def test_scan_empty_glob_exits_one(tmp_path):

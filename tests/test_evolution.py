@@ -159,8 +159,12 @@ def test_apply_exp_exact_rejects_nonfinite():
     bad[0, 0] = np.inf
     op = SparseOperator(basis, bad)
     psi = StateVector(basis, np.ones(4) / 2.0)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="1-norm"):
         apply_exp_exact(op, psi)
+    # a non-finite scale on a finite H is named by the 1-norm, not the matrix
+    ham = build_hamiltonian(load_fixture("h2_d0.74"))
+    with pytest.raises(RuntimeError, match="1-norm nan is not finite"):
+        apply_exp_exact(ham, hf_state(ham), scale=math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +430,17 @@ def test_dilated_step_and_probe_reject_nonfinite():
     bad[0, 1] = bad[1, 0] = np.inf
     op = SparseOperator(basis, bad)
     psi = StateVector(basis, np.ones(4) / 2.0)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="1-norm"):
         apply_dilated(prepare_dilated(psi), op, 0.1)
-    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError):
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="1-norm"):
         probe_state(op, psi, 0.1)
+    # a non-finite scale on a finite H is named by the 1-norm, not the matrix
+    ham = build_hamiltonian(load_fixture("h2_d0.74"))
+    hf = hf_state(ham)
+    with pytest.raises(RuntimeError, match="1-norm inf is not finite"):
+        apply_dilated(prepare_dilated(hf), ham, math.inf)
+    with pytest.raises(RuntimeError, match="1-norm nan is not finite"):
+        probe_state(ham, hf, math.nan)
 
 
 def test_dilated_paths_build_no_matrix(monkeypatch):
