@@ -1,4 +1,4 @@
-"""Print one digest per solver run, residual estimate, set of reference matrices and CLI call, to compare two checkouts.
+"""Print one digest per run, residual, 2-RDM, estimate, set of reference matrices and CLI call, to compare two checkouts.
 
 Usage:  python scripts/trajectory_digest.py SRC_DIR
         python scripts/trajectory_digest.py SRC_A SRC_B
@@ -13,8 +13,8 @@ records before the digest, e.g. ``run h4_d1.00 acse exact converged 92
 <sha>``, so a diff of two checkouts shows which runs changed iteration
 count.  A run's digest covers the status, every field of every iteration
 record as ``float.hex``, the final state's amplitude bytes and the result's
-energy, residual norm, variance and success probability.  An estimate's
-digest covers the bytes of the returned tensor.  Every number is hashed
+energy, residual norm, variance and success probability.  The digest of a
+residual, a 2-RDM or an estimate covers the bytes of the returned tensor.  Every number is hashed
 plus 0.0, which maps -0.0 to +0.0 and leaves every other value as it is:
 the sign of an exact zero is not part of an outcome.
 
@@ -32,7 +32,11 @@ The cases:
   ``LineSearch("fixed", 0.3)``;
 * ``estimate_residual_w`` on four fixtures x three states (Hartree-Fock, a
   random real and a random complex one) x three variants x {delta = 1e-3,
-  delta = -0.07, 500 shots, 16 000 shots};
+  delta = -0.07, 500 shots, 16 000 shots}, and on the same fixtures and
+  states the exact ``residual`` of each variant (``residual STEM STATE
+  VARIANT <sha>``), ``compute_2rdm`` of each state (``rdm2 STEM STATE
+  <sha>``) and the transition ``compute_2rdm(real, complex)`` (``rdm2 STEM
+  real,complex <sha>``);
 * the complex Hamiltonians ``U H U^+`` of h4_d1.40 and h4_d2.00 under one
   fixed orbital phase a_p -> exp(i phi_p) a_p (stem ``STEM~phased``) x
   cse/hcse/acse, in exact and dilated execution and sampled with 16 000
@@ -197,6 +201,10 @@ def _array_bytes(array: np.ndarray) -> bytes:
     return (array + 0.0).tobytes()
 
 
+def _tensor_digest(tensor: np.ndarray) -> str:
+    return hashlib.sha256(_array_bytes(tensor)).hexdigest()
+
+
 def _run_digest(result) -> str:
     h = hashlib.sha256(result.status.encode())
     for rec in result.iterations:
@@ -278,8 +286,12 @@ def main(src: str) -> None:
             for variant in variants:
                 for name, kwargs in ESTIMATOR_SETTINGS:
                     tensor = cq.estimate_residual_w(ham, psi, variant=variant, **kwargs)
-                    digest = hashlib.sha256(_array_bytes(tensor.coeffs)).hexdigest()
-                    print(f"estimate {stem} {state_name} {variant} {name} {digest}")
+                    print(f"estimate {stem} {state_name} {variant} {name} {_tensor_digest(tensor.coeffs)}")
+                tensor = cq.residual(ham, psi, variant)
+                print(f"residual {stem} {state_name} {variant} {_tensor_digest(tensor.coeffs)}")
+            print(f"rdm2 {stem} {state_name} {_tensor_digest(cq.compute_2rdm(psi).tensor)}")
+        transition = cq.compute_2rdm(states["real"], states["complex"]).tensor
+        print(f"rdm2 {stem} real,complex {_tensor_digest(transition)}")
     phased = {
         "exact": {},
         "dilated": {"execution": "dilated"},
@@ -377,10 +389,12 @@ def _cli_lines(src: Path) -> list[str]:
 
 def _label(line: str) -> str:
     """A line's case label: ``run STEM VARIANT SETTING``, ``estimate STEM
-    STATE VARIANT SETTING``, ``reference STEM`` or ``cli ARGV...`` (every
-    word but the exit code and the digest)."""
+    STATE VARIANT SETTING``, ``residual STEM STATE VARIANT``, ``rdm2 STEM
+    STATE``, ``reference STEM`` or ``cli ARGV...`` (every word but the exit
+    code and the digest)."""
     words = line.split()
-    return " ".join(words[: {"run": 4, "estimate": 5, "reference": 2, "cli": -2}[words[0]]])
+    counts = {"run": 4, "estimate": 5, "residual": 4, "rdm2": 3, "reference": 2, "cli": -2}
+    return " ".join(words[: counts[words[0]]])
 
 
 def compare(src_a: str, src_b: str) -> int:

@@ -531,7 +531,9 @@ def reset_ancilla(psi: StateVector) -> StateVector:
     """Post-select the ancilla-0 branch and book its probability.
 
     Returns the normalized sector state with
-    ``success_prob *= |u|^2 / |[u; v]|^2``, booked by ``_booked``.
+    ``success_prob *= |u|^2 / |[u; v]|^2``, booked by ``_booked``.  Where
+    the ancilla-1 branch is negligible that product can round above the
+    old probability, so the new one is capped at the old.
     """
     if psi.n_ancilla != 1:
         raise ValueError("reset_ancilla expects a single-ancilla state")
@@ -541,7 +543,8 @@ def reset_ancilla(psi: StateVector) -> StateVector:
     kept = float(np.vdot(u, u).real)
     if kept == 0.0:
         raise RuntimeError("ancilla-0 branch has zero weight; nothing to post-select")
-    return StateVector._closed(psi.basis, u / np.sqrt(kept), 0, _booked(psi.success_prob * kept / total))
+    prob = min(psi.success_prob, psi.success_prob * kept / total)
+    return StateVector._closed(psi.basis, u / np.sqrt(kept), 0, _booked(prob))
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +561,11 @@ def _is_integer(value) -> bool:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """How the sampled execution path measures residuals; the one check of estimator inputs."""
+    """How the sampled execution path measures residuals; the one check of estimator inputs.
+
+    ``shots`` is a positive integer of at most ``np.iinfo(np.int64).max``,
+    the most that numpy's multinomial draw takes.
+    """
 
     delta: float | None = None
     shots: int | None = None
@@ -568,6 +575,8 @@ class EstimatorConfig:
         if self.shots is not None:
             if not _is_integer(self.shots) or self.shots <= 0:
                 raise ValueError("shots must be a positive integer")
+            if self.shots > np.iinfo(np.int64).max:
+                raise ValueError(f"shots {self.shots} exceed {np.iinfo(np.int64).max}, the most numpy draws")
             if self.seed is None:
                 raise ValueError("shot sampling requires a seed for reproducibility")
         if self.seed is not None and not (_is_integer(self.seed) and self.seed >= 0):
@@ -602,7 +611,11 @@ class DilationPolicy:
     same generator compose exactly, so ``epsilon`` changes the realized
     state only through the resets interleaved between sub-steps: the solver
     counts ``ceil(eta / epsilon)`` sub-steps toward the cap but applies all
-    those between two resets as one V-step.
+    those between two resets as one V-step.  It refuses, with
+    ``RuntimeError`` and before the register changes, a step whose
+    ``eta / epsilon`` is not finite or that needs more than 10 000 cap
+    resets (``solver._MAX_CAP_RESETS``); under "never" a finite count is
+    one V-step.
     """
 
     epsilon: float = 0.5
@@ -703,7 +716,7 @@ def estimate_residual_w(
     config = EstimatorConfig(delta=delta, shots=shots, seed=seed)  # raises on a bad delta, shots or seed
     psi = psi.normalized()
     links = _estimate_links(ham, psi, energy(ham, psi), variant, config.probe_delta, shots, seed)
-    return TwoBodyTensor._closed(psi.basis.n_spin_orbitals, _link_tensor(psi.basis, links))
+    return TwoBodyTensor(psi.basis.n_spin_orbitals, _link_tensor(psi.basis, links))
 
 
 def _estimate_links(

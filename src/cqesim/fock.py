@@ -22,15 +22,18 @@ Conventions used throughout the package:
   links: the canonical elements (i < j, k < l) that connect two of its
   determinants.  A tensor that acts inside the sector is carried as its
   link vector, its canonical entries at the links; the solver works on
-  link vectors alone.  Operator assembly (``_link_operator``), transition
-  2-RDM elements (``_transition_elements``) for the residuals and the
-  estimator's outcome classes (``P^T`` and ``|P^T|`` on products of the
-  probe's halves, in ``evolution``) all read the pattern; the
-  pair-excitation matrices of ``evolution`` come through the assembly.
+  link vectors alone.  Operator assembly (``_link_operator``), the link
+  vector of a transition 2-RDM (``_rdm2_links``) for the residuals and
+  ``compute_2rdm``, and the estimator's outcome classes (``P^T`` and
+  ``|P^T|`` on products of the probe's halves, in ``evolution``) all read
+  the pattern; the pair-excitation matrices of ``evolution`` come through
+  the assembly.
 * ``antisymmetrize`` is the one image primitive: ``compute_2rdm``, the
   public residuals and the residual estimator (all through
   ``_link_tensor``) and ``reduced_hamiltonian_K`` build their n^4 tensors
-  from canonical or raw entries and let it fill every index image.
+  from canonical or raw entries and let it fill every index image.  Every
+  ``TwoBodyTensor`` comes from its one constructor, which checks the
+  antisymmetry; only these public n^4 results pay that check.
 * Sector matrices are bare CSR arrays (``_Csr``): complex data on int32
   structure, in scipy's canonical order.  Every product, and every read
   of an operator's diagonal or dense form, runs a kernel of scipy's
@@ -228,12 +231,11 @@ class StateVector:
     ) -> "StateVector":
         """A state on amplitudes the package has just formed.
 
-        Skips the cast, the checks and the copy of the public constructor,
-        as ``TwoBodyTensor._closed`` skips its checks: ``amplitudes`` must be
-        a complex vector of the length that ``basis`` and ``n_ancilla`` give,
-        that nothing else writes to, either a fresh one, which becomes
-        read-only, or a view of a read-only one; ``success_prob`` must lie
-        in (0, 1].
+        Skips the cast, the checks and the copy of the public constructor:
+        ``amplitudes`` must be a complex vector of the length that ``basis``
+        and ``n_ancilla`` give, that nothing else writes to, either a fresh
+        one, which becomes read-only, or a view of a read-only one;
+        ``success_prob`` must lie in (0, 1].
         """
         out = object.__new__(cls)
         amplitudes.setflags(write=False)
@@ -277,23 +279,6 @@ class TwoBodyTensor:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
-
-    @classmethod
-    def _closed(cls, n_spin_orbitals: int, coeffs: np.ndarray) -> "TwoBodyTensor":
-        """A tensor from an operation closed over antisymmetric tensors.
-
-        Skips the n^4 antisymmetry check of the public constructor, and the
-        copy: ``coeffs`` must be an antisymmetric complex array that nothing
-        else writes to, either a fresh one, which becomes read-only, or one
-        that is read-only already.
-        """
-        if coeffs.shape != (n_spin_orbitals,) * 4:
-            raise ValueError(f"coeffs shape {coeffs.shape} does not match n_spin_orbitals={n_spin_orbitals}")
-        out = object.__new__(cls)
-        coeffs.setflags(write=False)
-        object.__setattr__(out, "n_spin_orbitals", n_spin_orbitals)
-        object.__setattr__(out, "coeffs", coeffs)
-        return out
 
     def norm(self) -> float:
         """Frobenius norm over all four indices (no deduplication)."""
@@ -377,9 +362,9 @@ class SparseOperator:
     def _from_csr(cls, basis: Basis, csr: _Csr) -> "SparseOperator":
         """An operator on CSR arrays formed by the package itself.
 
-        Skips the conversion and the shape check of the public constructor,
-        as ``TwoBodyTensor._closed`` skips its checks: ``csr`` must be a
-        square ``_Csr`` of the basis size that nothing writes to.
+        Skips the conversion and the shape check of the public constructor:
+        ``csr`` must be a square ``_Csr`` of the basis size that nothing
+        writes to.
         """
         out = object.__new__(cls)
         out.basis = basis
@@ -635,12 +620,16 @@ def _excitations(basis: Basis) -> _Excitations:
     )
 
 
-def _transition_elements(basis: Basis, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """``P^T (conj(bra)[rows] * ket[cols])``: 4 <bra| a^+_k a^+_l a_j a_i |ket>
-    at every link (i, j, k, l) of the sector; ``bra`` and ``ket`` are vectors
-    or (dim, k) blocks, whose columns give the columns of the result."""
+def _rdm2_links(basis: Basis, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """The link vector of the transition 2-RDM ``<bra| a+_i a+_j a_l a_k |ket>``.
+
+    ``P^T (conj(bra)[rows] * ket[cols])`` holds 4 <bra| a^+_k a^+_l a_j a_i
+    |ket> at each link (i, j, k, l), four times the 2-RDM element at the
+    link's pair adjoint (k, l, i, j).  ``bra`` and ``ket`` are vectors or
+    (dim, k) blocks, whose columns give the columns of the result.
+    """
     ex = _excitations(basis)
-    return _csr_product(ex.by_link, np.take(bra.conj(), ex.rows, 0) * np.take(ket, ex.indices, 0))
+    return 0.25 * _csr_product(ex.by_link, np.take(bra.conj(), ex.rows, 0) * np.take(ket, ex.indices, 0))[ex.adjoint]
 
 
 def _link_norm(links: np.ndarray) -> float:

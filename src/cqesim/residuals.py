@@ -23,12 +23,17 @@ Two contraction identities are load-bearing and pinned by tests:
 ``<a, b>`` is the Frobenius inner product ``sum conj(a) * b``.
 
 The residual is contracted as a link vector, the transition 2-RDM link
-vector between psi and ``(H - E) psi`` (``_rdm2_links``; see ``fock``),
-which the solver uses as it is; ``compute_2rdm`` and the public
-residual functions expand link vectors into n^4 tensors.  ``_moments``
-reads the energy, the variance and ``(H - E) psi``, the ket of the raw
-residual, off one product ``H psi``: the solver pays that one product per
-visited state, and ``variance`` and ``residual`` use the same helper.
+vector between psi and ``(H - E) psi`` (``fock._rdm2_links``, the one
+2-RDM primitive, beside the excitation pattern it reads), which the
+solver uses as it is; ``compute_2rdm`` and the public residual functions
+expand link vectors into n^4 tensors through the public ``Rdm2`` and
+``TwoBodyTensor`` constructors.  The S/A split has one path,
+``_residual_channels``, which forms all three channels from one
+application of the adjoint map; ``residual_channel`` picks one of them.
+``_moments`` reads the energy, the variance and ``(H - E) psi``, the ket
+of the raw residual, off one product ``H psi``: the solver pays that one
+product per visited state, and ``variance`` and ``residual`` use the same
+helper.
 """
 
 from __future__ import annotations
@@ -38,14 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
-    Basis,
     SparseOperator,
     StateVector,
     TwoBodyTensor,
     _csr_product,
     _excitations,
     _link_tensor,
-    _transition_elements,
+    _rdm2_links,
     pair_adjoint,
 )
 
@@ -108,16 +112,6 @@ def compute_2rdm(bra: StateVector, ket: StateVector | None = None) -> Rdm2:
     return Rdm2(bra.basis.n_spin_orbitals, _link_tensor(bra.basis, links))
 
 
-def _rdm2_links(basis: Basis, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """The link vector of the transition 2-RDM ``<bra| a+_i a+_j a_l a_k |ket>``.
-
-    ``_transition_elements`` holds 4 <bra| a+_k a+_l a_j a_i |ket> at each
-    link (i, j, k, l), which is four times the 2-RDM element at the link's
-    pair adjoint (k, l, i, j).
-    """
-    return 0.25 * _transition_elements(basis, bra, ket)[_excitations(basis).adjoint]
-
-
 def _check_basis(ham: SparseOperator, psi: StateVector):
     if ham.basis != psi.basis:
         raise ValueError("hamiltonian and state use different bases")
@@ -173,12 +167,11 @@ def residual_channel(raw: np.ndarray, variant: str, adjoint=None) -> np.ndarray:
 
     ``adjoint`` maps ``raw`` to ``R^+``: ``pair_adjoint`` for an n^4 tensor
     (the default), or a sector's ``_Excitations.pair_adjoint`` for a link
-    vector.
+    vector.  The channel is one of ``_residual_channels``, so 'cse' returns
+    ``raw`` itself.
     """
     if variant not in RESIDUAL_VARIANTS:
         raise ValueError(f"unknown residual variant {variant!r}; expected one of {RESIDUAL_VARIANTS}")
-    if variant == "cse":
-        return raw
     return _residual_channels(raw, pair_adjoint if adjoint is None else adjoint)[variant]
 
 
@@ -195,7 +188,7 @@ def residual(ham: SparseOperator, psi: StateVector, variant: str) -> TwoBodyTens
     psi = psi.normalized()
     raw = _rdm2_links(psi.basis, psi.amplitudes, _moments(ham, psi)[2])
     channel = residual_channel(raw, variant, _excitations(psi.basis).pair_adjoint)
-    return TwoBodyTensor._closed(psi.basis.n_spin_orbitals, _link_tensor(psi.basis, channel))
+    return TwoBodyTensor(psi.basis.n_spin_orbitals, _link_tensor(psi.basis, channel))
 
 
 def residual_cse(ham: SparseOperator, psi: StateVector) -> TwoBodyTensor:

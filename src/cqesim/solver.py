@@ -114,12 +114,12 @@ from .fock import (
     _excitations,
     _link_norm,
     _link_operator,
+    _rdm2_links,
 )
 from .residuals import (
     RESIDUAL_VARIANTS,
     _moments,
     _rayleigh,
-    _rdm2_links,
     _residual_channels,
     energy,
 )
@@ -141,6 +141,7 @@ LINE_SEARCH_KINDS = ("fixed", "backtracking")
 _SHRINK = 0.5
 _C1 = 1e-4  # sufficient-decrease slope: Armijo test, interpolated steps, dilated Wolfe reset
 _MAX_SHRINKS = 20
+_MAX_CAP_RESETS = 10_000  # the most ancilla cap resets one dilated step may make
 _MONOTONE_SLACK = 1e-12
 
 
@@ -406,15 +407,17 @@ class _DilatedRegister:
     or, under "never", unbounded (``math.inf``).  Slices of one generator
     compose exactly, so each run of slices up to the next cap reset is
     applied as one V-step of the run's summed scale: a reset interval pays
-    one Taylor call, not one per slice.  It runs the accepted plan's own
-    operators, so every V-step reads the 1-norm that the plan computed
-    once, and a zero factor (None) is never applied.  An ancilla that no
-    V-step has moved since it was prepared is still an unentangled ``|+>``
-    (``evolution._ancilla_untouched``, the test the ancilla kernel reads
-    too, so a unitary factor or V-step of one Taylor segment on it makes
-    one product per term): post-selecting it discards it and books no
-    probability, so a purely unitary (acse) flow keeps ``success_prob`` at
-    1.
+    one Taylor call, not one per slice.  A step of infinitely many slices,
+    or one that needs more than ``_MAX_CAP_RESETS`` cap resets, raises
+    ``RuntimeError`` before it changes the register.  It runs the accepted
+    plan's own operators, so every V-step reads the 1-norm that the plan
+    computed once, and a zero factor (None) is never applied.  An ancilla
+    that no V-step has moved since it was prepared is still an unentangled
+    ``|+>`` (``evolution._ancilla_untouched``, the test the ancilla kernel
+    reads too, so a unitary factor or V-step of one Taylor segment on it
+    makes one product per term): post-selecting it discards it and books
+    no probability, so a purely unitary (acse) flow keeps ``success_prob``
+    at 1.
     """
 
     def __init__(self, ham: SparseOperator, psi: StateVector, policy: DilationPolicy):
@@ -439,9 +442,14 @@ class _DilatedRegister:
     def execute(
         self, op_a: SparseOperator | None, op_h: SparseOperator | None, eta: float, e0: float, slope: float
     ):
+        ratio = eta / self.policy.epsilon
+        if not math.isfinite(ratio):
+            raise RuntimeError(f"a dilated step of eta {eta} is {ratio} slices of epsilon {self.policy.epsilon}")
+        slices = max(1, math.ceil(ratio))
+        if self.cap < math.inf and (self.steps_since_reset + slices) // self.cap > _MAX_CAP_RESETS:
+            raise RuntimeError(f"a dilated step of eta {eta} needs more than {_MAX_CAP_RESETS} ancilla resets")
         if op_a is not None:  # the unitary factor acts identically on both branches
             self.state = apply_exp_exact(op_a, self.state, scale=eta)
-        slices = max(1, math.ceil(eta / self.policy.epsilon))
         delta = eta / slices
         while slices:
             # the slices up to the next cap reset compose into one V-step

@@ -320,6 +320,7 @@ def test_shots_without_sampled_execution_builds_no_estimator(tmp_path):
         ["--tolerance", "nan"],
         ["--line-search", "fixed:inf"],
         ["--line-search", "golden"],
+        ["--execution", "sampled", "--shots", str(2**63), "--seed", "1"],
     ],
 )
 def test_bad_estimator_or_dilation_setting_is_input_error(tmp_path, flags):

@@ -265,6 +265,19 @@ def test_reset_ancilla_books_branch_weight():
     assert reset.norm() == pytest.approx(1.0)
 
 
+def test_reset_of_a_negligible_ancilla_1_branch_books_at_most_the_old_probability():
+    # |u|^2 / |[u; v]|^2 can round to 1 + ulp when |v| is negligible; the
+    # booked product must still lie in (0, 1] and never grow
+    basis = build_hamiltonian(load_fixture("h4_d1.40")).basis
+    rng = np.random.default_rng(77)
+    dim = len(basis)
+    for _ in range(400):
+        u, w = (rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(2))
+        for prob in (1.0, 0.3):
+            psi = StateVector(basis, np.concatenate([u, 1e-30 * w]), 1, prob)
+            assert reset_ancilla(psi).success_prob <= prob
+
+
 def test_booked_products_that_underflow_keep_the_least_positive_float():
     # a retained weight that takes success_prob below the float64 range books
     # math.ulp(0.0) = 5e-324 rather than 0.0, which no StateVector accepts
@@ -1475,7 +1488,7 @@ def test_config_dataclasses_have_expected_defaults():
     [{"shots": 0, "seed": 1}, {"shots": -3, "seed": 1}, {"delta": 0.0},
      {"delta": float("nan")}, {"delta": float("inf")}, {"shots": 100},
      {"shots": 100.5, "seed": 1}, {"shots": 100, "seed": 1.5}, {"shots": 100, "seed": -1},
-     {"shots": True, "seed": 1}, {"shots": 5, "seed": True}],
+     {"shots": True, "seed": 1}, {"shots": 5, "seed": True}, {"shots": 2**63, "seed": 1}],
 )
 def test_estimator_config_rejects_bad_values_at_construction(kwargs):
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from cqesim.fock import (
     TwoBodyTensor,
     _excitations,
     _link_tensor,
-    _transition_elements,
+    _rdm2_links,
     antisymmetrize,
     build_basis,
     hermitian_part,
@@ -20,7 +20,6 @@ from cqesim.hamiltonian import build_hamiltonian, list_fixtures, load_fixture, r
 from cqesim.oracle import fci_solve
 from cqesim.residuals import (
     _moments,
-    _rdm2_links,
     compute_2rdm,
     energy,
     energy_slope,
@@ -63,16 +62,16 @@ def test_compute_2rdm_matches_brute_force(n, n_elec, sz):
     np.testing.assert_allclose(got_d, ref_d, atol=1e-12)
 
 
-def test_transition_elements_of_a_block_are_those_of_its_columns():
-    # the estimator's outcome classes read a (dim, k) block through the same
-    # product that the residuals read one bra and ket through
+def test_rdm2_links_of_a_block_are_those_of_its_columns():
+    # the one 2-RDM link primitive takes a (dim, k) block of bras and kets,
+    # and each column of its result is bitwise that of the column's vectors
     basis = build_hamiltonian(load_fixture("h4_d1.00")).basis
     rng = np.random.default_rng(62)
     bra, ket = (rng.normal(size=(len(basis), 4)) + 1j * rng.normal(size=(len(basis), 4)) for _ in range(2))
-    block = _transition_elements(basis, bra, ket)
+    block = _rdm2_links(basis, bra, ket)
     assert block.shape == (len(_excitations(basis).support), 4)
     for c in range(4):
-        assert block[:, c].tobytes() == _transition_elements(basis, bra[:, c], ket[:, c]).tobytes()
+        assert block[:, c].tobytes() == _rdm2_links(basis, bra[:, c], ket[:, c]).tobytes()
 
 
 def test_rdm2_invariants_on_random_states():

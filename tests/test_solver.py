@@ -385,6 +385,41 @@ def test_dilated_execute_takes_one_vstep_per_reset_interval(monkeypatch, mode, r
     assert len(resets) == len(runs) - 1
 
 
+# a step of eta / epsilon = inf slices, and one of 10 001 slices with a reset
+# after each, one cap reset more than solver._MAX_CAP_RESETS allows; its zero
+# factor keeps those resets cheap, so the case cannot hang without the bound
+@pytest.mark.parametrize(
+    "policy, eta, zero, match",
+    [
+        (DilationPolicy(epsilon=5e-324), 0.13, False, "inf slices"),
+        (DilationPolicy(epsilon=1.0, reset_mode="every_k", max_steps_between_resets=1), 10_001.0, True, "resets"),
+    ],
+)
+def test_dilated_step_beyond_its_bounds_raises_before_it_changes_the_register(policy, eta, zero, match):
+    ham, psi, direction = _plan_inputs("hcse")
+    plan = _StepPlan(ham, psi, _links(direction, psi.basis))
+    register = _DilatedRegister(ham, psi, policy)
+    state = register.state
+    with pytest.raises(RuntimeError, match=match):
+        register.execute(*((None, None) if zero else (plan.op_a, plan.op_h)), eta, energy(ham, psi), -1.0)
+    assert register.state is state and register.steps_since_reset == 0
+
+
+def test_dilated_step_within_its_bounds_runs():
+    ham, psi, direction = _plan_inputs("hcse")
+    plan = _StepPlan(ham, psi, _links(direction, psi.basis))
+    # exactly solver._MAX_CAP_RESETS cap resets, of a zero factor
+    policy = DilationPolicy(epsilon=1.0, reset_mode="every_k", max_steps_between_resets=1)
+    register = _DilatedRegister(ham, psi, policy)
+    register.execute(None, None, 10_000.0, energy(ham, psi), -1.0)
+    assert register.steps_since_reset == 0
+    # under "never" a finite count of 1.3e299 slices is one V-step and no reset
+    register = _DilatedRegister(ham, psi, DilationPolicy(epsilon=1e-300, reset_mode="never"))
+    register.execute(plan.op_a, plan.op_h, 0.13, energy(ham, psi), -1.0)
+    assert register.steps_since_reset == math.ceil(0.13 / 1e-300)
+    assert not evolution._ancilla_untouched(register.state)
+
+
 # ---------------------------------------------------------------------------
 # mean-field seed
 # ---------------------------------------------------------------------------
@@ -1045,15 +1080,13 @@ def _n4_spies(monkeypatch, ham):
         for name in ("antisymmetrize", "pair_adjoint", "compute_2rdm"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    # every two-body tensor passes its one constructor, and so this spy
     monkeypatch.setattr(TwoBodyTensor, "__post_init__", spy("TwoBodyTensor", TwoBodyTensor.__post_init__))
-    closed = TwoBodyTensor._closed.__func__
-    monkeypatch.setattr(TwoBodyTensor, "_closed", classmethod(spy("TwoBodyTensor._closed", closed)))
     # the spies are live: the public n^4 functions call them all
     residuals.compute_2rdm(hf_state(ham))
     residuals.residual(ham, hf_state(ham), "cse")
     residuals.residual_channel(np.zeros((8,) * 4), "hcse")
-    TwoBodyTensor(8, np.zeros((8,) * 4))
-    assert set(calls) == {"antisymmetrize", "pair_adjoint", "compute_2rdm", "TwoBodyTensor", "TwoBodyTensor._closed"}
+    assert set(calls) == {"antisymmetrize", "pair_adjoint", "compute_2rdm", "TwoBodyTensor"}
     calls.clear()
     return calls
 
