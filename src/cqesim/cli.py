@@ -4,7 +4,9 @@ Everything emitted is plain data (JSON or CSV) with a fixed field order and
 no timestamps, so identical inputs and seeds reproduce byte-identical
 files.  Exit codes: 0 for success, 1 for unusable input or a solver or
 oracle failure (say, a probe exponential too large for the Taylor kernel),
-with no output file.  ``run`` alone exits 2, for a run that terminated
+with no output file.  A ``run`` report that would hold a NaN or an
+infinity, which JSON cannot carry, is refused the same way: exit 1 and no
+output file.  ``run`` alone exits 2, for a run that terminated
 without meeting its residual tolerance (stalled or out of budget); ``scan``
 and ``residual-study`` exit 0 whatever their runs' status.  ``main`` is the
 one error boundary: every ``ValueError`` or ``RuntimeError`` a command
@@ -18,7 +20,6 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -95,8 +96,6 @@ def _initial_state(spec: str, ham: SparseOperator, model: PairingModel | None) -
             raise ValueError(f"init {spec!r} needs --model pairing")
         try:
             coords = [float(p) for p in rest.split(",")]
-            if not all(math.isfinite(c) for c in coords):
-                raise ValueError("coordinates must be finite")
             if kind == "equator":
                 (theta,) = coords
                 return equator_state(model, theta)
@@ -207,7 +206,7 @@ def cmd_run(args) -> int:
         "fci_energy": fci_energy,
         "status": result.status,
     }
-    _write_text(args.output, json.dumps(document, indent=2) + "\n")
+    _write_text(args.output, json.dumps(document, indent=2, allow_nan=False) + "\n")
     return 0 if result.status == "converged" else 2
 
 

@@ -202,9 +202,11 @@ class StateVector:
     followed by the ancilla-1 block.  ``success_prob`` accumulates the branch
     weight retained across non-unitary steps and ancilla resets; a product
     below the float64 range is booked as 5e-324 (``evolution._booked``).
-    The amplitudes are read-only: the constructor copies what it is given,
-    and the states that the package forms from arrays it has just made go
-    through ``_closed``, which skips the cast, the checks and the copy.
+    The amplitudes are read-only and finite: the constructor refuses a NaN
+    or an infinity and copies what it is given, and the states that the
+    package forms from arrays it has just made go through ``_closed``,
+    which skips the cast, the checks and the copy, so no solver iteration
+    pays for them.
     """
 
     basis: Basis
@@ -221,6 +223,8 @@ class StateVector:
             raise ValueError(f"n_ancilla must be 0 or 1, got {self.n_ancilla}")
         if not 0.0 < self.success_prob <= 1.0:
             raise ValueError(f"success_prob {self.success_prob} outside (0, 1]")
+        if not np.isfinite(amp).all():
+            raise ValueError("amplitudes must be finite")
         amp = amp.copy()
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
@@ -259,7 +263,12 @@ class StateVector:
 
 @dataclass(frozen=True)
 class TwoBodyTensor:
-    """Antisymmetric rank-4 coefficient tensor of a two-body operator."""
+    """Antisymmetric rank-4 coefficient tensor of a two-body operator.
+
+    The constructor, the one way in, refuses a non-finite coefficient and a
+    tensor that is not antisymmetric in its index pairs, and stores a
+    read-only copy.
+    """
 
     n_spin_orbitals: int
     coeffs: np.ndarray
@@ -269,6 +278,9 @@ class TwoBodyTensor:
         arr = np.asarray(self.coeffs, dtype=complex)
         if arr.shape != (n, n, n, n):
             raise ValueError(f"coeffs shape {arr.shape} does not match n_spin_orbitals={n}")
+        # a NaN would pass the antisymmetry test below: NaN > bound is false
+        if not np.isfinite(arr).all():
+            raise ValueError("coefficients must be finite")
         sym = max(
             np.max(np.abs(arr + arr.transpose(1, 0, 2, 3)), initial=0.0),
             np.max(np.abs(arr + arr.transpose(0, 1, 3, 2)), initial=0.0),

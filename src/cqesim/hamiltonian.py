@@ -52,7 +52,11 @@ FIXTURE_DIR_ENV = "CQESIM_FIXTURE_DIR"
 
 @dataclass(frozen=True)
 class IntegralSet:
-    """Spatial-orbital integrals plus the sector bookkeeping from the header."""
+    """Spatial-orbital integrals plus the sector bookkeeping from the header.
+
+    The header's ``n_electrons`` and ``ms2`` are the one input that decides
+    the sector of ``build_hamiltonian`` and ``reduced_hamiltonian_K``.
+    """
 
     n_orbitals: int
     n_electrons: int
@@ -231,36 +235,32 @@ def _two_body_coeffs(eri: np.ndarray) -> np.ndarray:
     return 0.5 * eri_so.transpose(1, 3, 0, 2)
 
 
-def build_hamiltonian(
-    integrals: IntegralSet,
-    n_electrons: int | None = None,
-    sz_twice: int | None = None,
-) -> SparseOperator:
+def build_hamiltonian(integrals: IntegralSet) -> SparseOperator:
     """Sector matrix of the molecular Hamiltonian.
 
-    The sector defaults to the electron count and spin projection recorded
-    in the integral header.  The matrix is ``J[K] + core`` with K from
-    ``reduced_hamiltonian_K``, so the sector needs at least two electrons.
-    It is assembled as every operator of a tensor is
-    (``fock._tensor_operator``), with the integrals' core: the arrays are
-    those of scipy's ``J[K] + core * identity``, which stores no zero.
+    The sector is the one the integral header records, its electron count
+    and spin projection (``n_electrons``, ``ms2``); another sector is
+    another header (``dataclasses.replace`` on the integrals).  The matrix
+    is ``J[K] + core`` with K from ``reduced_hamiltonian_K``, so the sector
+    needs at least two electrons.  It is assembled as every operator of a
+    tensor is (``fock._tensor_operator``), with the integrals' core: the
+    arrays are those of scipy's ``J[K] + core * identity``, which stores no
+    zero.
     """
-    n_elec = integrals.n_electrons if n_electrons is None else n_electrons
-    sz = integrals.ms2 if sz_twice is None else sz_twice
-    basis = build_basis(integrals.n_spin_orbitals, n_elec, sz)
-    return _tensor_operator(reduced_hamiltonian_K(integrals, basis.n_electrons), basis, integrals.core)
+    basis = build_basis(integrals.n_spin_orbitals, integrals.n_electrons, integrals.ms2)
+    return _tensor_operator(reduced_hamiltonian_K(integrals), basis, integrals.core)
 
 
-def reduced_hamiltonian_K(integrals: IntegralSet, n_electrons: int | None = None) -> TwoBodyTensor:
+def reduced_hamiltonian_K(integrals: IntegralSet) -> TwoBodyTensor:
     """Two-body coefficient tensor reconstructing ``H - core`` on the sector.
 
     The one-body part is absorbed via the pair-counting identity
     ``sum_l a+_k a+_l a_l a_i = (N - 1) a+_k a_i`` on N-electron states, so
-    the tensor depends on the electron count it is built for.
+    the tensor depends on the electron count, which is the header's
+    ``n_electrons``.
     """
-    n_elec = integrals.n_electrons if n_electrons is None else n_electrons
     h_so = np.kron(integrals.h, np.eye(2))  # interleaved spin orbitals
-    raw = _two_body_coeffs(integrals.eri) + _one_body_coeffs(h_so, n_elec)
+    raw = _two_body_coeffs(integrals.eri) + _one_body_coeffs(h_so, integrals.n_electrons)
     return TwoBodyTensor(integrals.n_spin_orbitals, antisymmetrize(raw))
 
 

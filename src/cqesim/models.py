@@ -152,13 +152,19 @@ def dressed_states(model: PairingModel) -> dict[str, StateVector]:
 
 @dataclass(frozen=True)
 class SpherePoint:
-    """Real coefficients ``(g, m, x)`` of a unit state ``g G + m M + x X``."""
+    """Real coefficients ``(g, m, x)`` of a unit state ``g G + m M + x X``.
+
+    The coordinates must be finite (a NaN would pass the norm test) and of
+    unit norm within 1e-9; otherwise the constructor raises ``ValueError``.
+    """
 
     g: float
     m: float
     x: float
 
     def __post_init__(self):
+        if not np.isfinite([self.g, self.m, self.x]).all():
+            raise ValueError("coordinates must be finite")
         norm = np.sqrt(self.g ** 2 + self.m ** 2 + self.x ** 2)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"sphere point has norm {norm}, expected 1")
@@ -172,7 +178,12 @@ def sphere_state(model: PairingModel, point: SpherePoint) -> StateVector:
 
 
 def equator_state(model: PairingModel, theta: float) -> StateVector:
-    """Equatorial state ``cos(theta) G + sin(theta) X`` (theta = 0 gives G)."""
+    """Equatorial state ``cos(theta) G + sin(theta) X`` (theta = 0 gives G).
+
+    A non-finite theta raises ``ValueError`` before any trigonometry.
+    """
+    if not math.isfinite(theta):
+        raise ValueError("coordinates must be finite")
     return sphere_state(model, SpherePoint(np.cos(theta), 0.0, np.sin(theta)))
 
 

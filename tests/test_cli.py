@@ -1,6 +1,7 @@
 """CLI contract: document shape, determinism, exit codes."""
 
 import json
+import math
 import time
 import warnings
 from importlib import resources
@@ -11,7 +12,8 @@ import pytest
 from cqesim import cli
 from cqesim.cli import main
 from cqesim.evolution import RESET_MODES
-from cqesim.residuals import RESIDUAL_VARIANTS
+from cqesim.models import PairingModel, SpherePoint, build_pairing_hamiltonian, sphere_state
+from cqesim.residuals import RESIDUAL_VARIANTS, energy
 from cqesim.solver import EXECUTION_MODES, LINE_SEARCH_KINDS
 
 
@@ -136,6 +138,22 @@ def test_unconverged_run_exits_two(tmp_path):
     jsonschema.validate(doc, _schema())
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the estimator's own, at delta 1e-320
+@pytest.mark.parametrize("delta, value", [("1e-200", "inf"), ("1e-320", "nan")])
+def test_report_that_json_cannot_carry_exits_one_without_output(tmp_path, capsys, delta, value):
+    # a probe step this small overflows the residual estimate; JSON has no
+    # Infinity and no NaN, so the report is refused rather than written
+    code, out = _run(
+        tmp_path, "x.json",
+        ["run", "--fcidump", "h2_d0.74", "--execution", "sampled", "--shots", "100", "--seed", "1",
+         "--delta", delta],
+    )
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: Out of range float values are not JSON compliant") and value in err
+
+
 def test_missing_input_exits_one_without_output(tmp_path, capsys):
     code, out = _run(tmp_path, "x.json", ["run", "--fcidump", "does_not_exist"])
     assert code == 1
@@ -248,6 +266,36 @@ def test_bad_init_spec_exits_one(tmp_path):
     )
     assert code == 1  # equator init needs the pairing model
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["run"], "pick an input"),
+        (["run", "--model", "ising"], "unknown model 'ising'"),
+        (["run", "--model", "pairing", "--pairing-constants", "1,2,3"], "must be four"),
+        (["run", "--model", "pairing", "--init", "sphere:0,0,0"], "zero vector"),
+        (["residual-study", "--fixture", "h2_d0.74", "--variants", ","], "at least one variant"),
+    ],
+)
+def test_bad_source_or_init_exits_one_naming_it(tmp_path, capsys, argv, named):
+    code, out = _run(tmp_path, "b.out", argv)
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+def test_sphere_init_starts_from_the_normalized_point(tmp_path):
+    code, out = _run(
+        tmp_path, "s.json", ["run", "--model", "pairing", "--init", "sphere:2,2,0", "--max-iterations", "1"]
+    )
+    assert code in (0, 2)
+    doc = json.loads(out.read_text())
+    jsonschema.validate(doc, _schema())
+    model = PairingModel()
+    start = sphere_state(model, SpherePoint(math.sqrt(0.5), math.sqrt(0.5), 0.0))
+    assert doc["iterations"][0]["energy"] == pytest.approx(energy(build_pairing_hamiltonian(model), start), abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", ["hf:0.3", "fci:1", "hf:"])

@@ -310,6 +310,16 @@ def test_dilation_input_validation():
     op = SparseOperator(basis, np.eye(4))
     with pytest.raises(ValueError):
         apply_dilated(psi, op, 0.1)
+    other = SparseOperator(build_basis(4, 2, 2), np.eye(1))
+    with pytest.raises(ValueError, match="different bases"):
+        apply_exp_exact(other, psi)
+    with pytest.raises(ValueError, match="different bases"):
+        apply_dilated(dilated, other, 0.1)
+    with pytest.raises(ValueError, match="renormalize"):
+        apply_exp_exact(op, dilated, renormalize=True)
+    upper = StateVector(basis, np.concatenate([np.zeros(4), np.ones(4) / 2.0]), n_ancilla=1)
+    with pytest.raises(RuntimeError, match="zero weight"):
+        reset_ancilla(upper)
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,8 @@ def test_two_body_tensor_validates_antisymmetry():
     bad[0, 1, 2, 3] = 1.0  # missing the -1 partners
     with pytest.raises(ValueError):
         TwoBodyTensor(4, bad)
+    with pytest.raises(ValueError, match="does not match n_spin_orbitals=4"):
+        TwoBodyTensor(4, np.zeros((4, 4, 4)))
     good = antisymmetrize(bad)
     for n, coeffs in ((4, good), (0, np.zeros((0, 0, 0, 0)))):  # an empty tensor is accepted too
         t = TwoBodyTensor(n, coeffs)
@@ -267,6 +269,10 @@ def test_two_body_to_operator_rejects_mismatched_sizes():
     t = TwoBodyTensor(6, np.zeros((6, 6, 6, 6)))
     with pytest.raises(ValueError):
         two_body_to_operator(t, basis)
+    with pytest.raises(ValueError, match="one-body matrix shape"):
+        one_body_to_operator(np.eye(6), basis)
+    with pytest.raises(ValueError, match="does not match basis size 4"):
+        SparseOperator(basis, np.eye(5))
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +365,36 @@ def test_state_vector_validation():
         StateVector(basis, np.zeros(3))
     with pytest.raises(ValueError):
         StateVector(basis, np.zeros(4), n_ancilla=2)
+    with pytest.raises(ValueError, match="n_ancilla must be 0 or 1"):
+        StateVector(basis, np.zeros(16), n_ancilla=2)
     with pytest.raises(ValueError):
         StateVector(basis, np.zeros(4), success_prob=0.0)
     psi = StateVector(basis, np.ones(4))
     with pytest.raises(ValueError):
         psi.amplitudes[0] = 2.0
+    with pytest.raises(ValueError, match="zero vector"):
+        StateVector(basis, np.zeros(4)).normalized()
+    for other in (StateVector(build_basis(4, 2, 2), np.ones(1)), StateVector(basis, np.ones(8), n_ancilla=1)):
+        with pytest.raises(ValueError, match="different spaces"):
+            psi.inner(other)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_states_and_tensors_refuse_non_finite_values(value):
+    # a NaN passes the tensor's antisymmetry test (NaN > bound is false) and
+    # would run the solver to a NaN energy, so the constructors name it
+    basis = build_basis(4, 2, 0)
+    amps = np.zeros(4, dtype=complex)
+    amps[0] = value
+    with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+        StateVector(basis, amps)
+    with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+        StateVector(basis, np.concatenate([np.ones(4), amps]), n_ancilla=1)
+    coeffs = np.zeros((4, 4, 4, 4), dtype=complex)
+    for index, sign in (((0, 1, 2, 3), 1), ((1, 0, 2, 3), -1), ((0, 1, 3, 2), -1), ((1, 0, 3, 2), 1)):
+        coeffs[index] = sign * value
+    with pytest.raises(ValueError, match="^coefficients must be finite$"):
+        TwoBodyTensor(4, coeffs)
 
 
 # ---------------------------------------------------------------------------

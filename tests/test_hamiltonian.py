@@ -1,5 +1,6 @@
 """FCIDUMP I/O, Hamiltonian assembly, and the reduced two-body form."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -113,6 +114,8 @@ def test_parser_ignores_orbital_energy_records():
         "&FCI NORB=1,NELEC=2,MS2=0,&END\n 1.0 1 1 1 0\n",
         # a one-body record with a zero first index, which would wrap to the last orbital
         "&FCI NORB=2,NELEC=2,MS2=0,&END\n 0.5 0 2 0 0\n",
+        "&FCI NORB=1,NELEC=2,MS2=0,\n 1.0 1 1 1 1\n",  # neither &END nor /
+        "&FCI NORB=0,NELEC=2,MS2=0,&END\n",
     ],
 )
 def test_parser_rejects_malformed_input(bad):
@@ -156,6 +159,10 @@ def test_integral_set_validation():
         IntegralSet(2, 2, 0, 0.0, np.zeros((2, 2)), np.zeros((2,) * 4), orbsym=(1,))
     with pytest.raises(ValueError, match="non-finite integral in core"):
         IntegralSet(2, 2, 0, float("-inf"), np.zeros((2, 2)), np.zeros((2,) * 4))
+    with pytest.raises(ValueError, match="h shape"):
+        IntegralSet(2, 2, 0, 0.0, np.zeros((3, 3)), np.zeros((2,) * 4))
+    with pytest.raises(ValueError, match="eri shape"):
+        IntegralSet(2, 2, 0, 0.0, np.zeros((2, 2)), np.zeros((2,) * 3))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +175,7 @@ def test_build_hamiltonian_matches_definition(n_orb, n_elec, sz):
     rng = np.random.default_rng(40 + n_orb + n_elec)
     integrals = _random_integrals(rng, n_orb)
     basis = build_basis(2 * n_orb, n_elec, sz)
-    ham = build_hamiltonian(integrals, n_electrons=n_elec, sz_twice=sz)
+    ham = build_hamiltonian(dataclasses.replace(integrals, n_electrons=n_elec, ms2=sz))
     assert ham.basis == basis
     ref = jw.project(basis, _dense_reference(integrals))
     np.testing.assert_allclose(ham.dense(), ref, atol=1e-11)
@@ -229,8 +236,9 @@ def test_reduced_hamiltonian_random_integrals_and_sector():
     integrals = _random_integrals(rng, 3)
     for n_elec, sz in ((2, 0), (3, 1), (4, 0)):
         basis = build_basis(6, n_elec, sz)
-        ham = build_hamiltonian(integrals, n_electrons=n_elec, sz_twice=sz)
-        k = reduced_hamiltonian_K(integrals, n_electrons=n_elec)
+        sector = dataclasses.replace(integrals, n_electrons=n_elec, ms2=sz)
+        ham = build_hamiltonian(sector)
+        k = reduced_hamiltonian_K(sector)
         rebuilt = two_body_to_operator(k, basis).dense() + integrals.core * np.eye(len(basis))
         assert np.max(np.abs(rebuilt - ham.dense())) < 1e-10
         assert isinstance(k, TwoBodyTensor)
@@ -239,7 +247,7 @@ def test_reduced_hamiltonian_random_integrals_and_sector():
 def test_reduced_hamiltonian_needs_two_electrons():
     integrals = load_fixture("h2_d0.74")
     with pytest.raises(ValueError):
-        reduced_hamiltonian_K(integrals, n_electrons=1)
+        reduced_hamiltonian_K(dataclasses.replace(integrals, n_electrons=1))
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,8 @@ def test_to_sphere_rejects_foreign_states():
 def test_sphere_point_validation_and_sampling():
     with pytest.raises(ValueError):
         SpherePoint(1.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="sphere point has norm 0.0"):
+        SpherePoint(0.0, 0.0, 0.0)
     rng = np.random.default_rng(92)
     a = random_sphere_point(rng)
     assert np.linalg.norm(_coords(a)) == pytest.approx(1.0)
@@ -215,6 +217,19 @@ def test_residual_flow_stays_on_sphere():
         stepped = apply_exp_exact(op, psi, scale=0.2, renormalize=True)
         point = to_sphere(DEFAULT, stepped)  # raises if the flow left the frame
         assert abs(np.linalg.norm(_coords(point)) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_sphere_and_equator_refuse_non_finite_coordinates(value):
+    # refused before any norm or trigonometry could warn; a NaN would pass
+    # the norm test, since NaN > 1e-9 is false
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for coords in ((value, 0.0, 0.0), (0.0, value, 0.0), (0.0, 0.0, value)):
+            with pytest.raises(ValueError, match="^coordinates must be finite$"):
+                SpherePoint(*coords)
+        with pytest.raises(ValueError, match="^coordinates must be finite$"):
+            equator_state(DEFAULT, value)
 
 
 def test_equator_states_validation():

@@ -1,5 +1,6 @@
 """Eigensolver oracle: dense and sparse (ARPACK) paths against independent references."""
 
+import dataclasses
 import json
 import pathlib
 
@@ -144,7 +145,9 @@ def test_golden_eigenvalues_match_committed_files():
         record = json.loads(path.read_text())
         integrals = load_fixture(record["fixture"])
         ham = build_hamiltonian(
-            integrals, n_electrons=record["n_electrons"], sz_twice=record["sz_twice"]
+            dataclasses.replace(
+                integrals, n_electrons=record["n_electrons"], ms2=record["sz_twice"]
+            )
         )
         energies, _ = fci_solve(ham, n_states=len(record["eigenvalues"]))
         np.testing.assert_allclose(

@@ -19,6 +19,7 @@ from cqesim.evolution import estimate_residual_w, prepare_dilated
 from cqesim.hamiltonian import build_hamiltonian, list_fixtures, load_fixture, reduced_hamiltonian_K
 from cqesim.oracle import fci_solve
 from cqesim.residuals import (
+    Rdm2,
     _moments,
     compute_2rdm,
     energy,
@@ -102,6 +103,8 @@ def test_compute_2rdm_input_validation():
     dilated = StateVector(basis_a, np.ones(8) / np.sqrt(8), n_ancilla=1)
     with pytest.raises(ValueError):
         compute_2rdm(dilated)
+    with pytest.raises(ValueError, match="tensor shape"):
+        Rdm2(4, np.zeros((4, 4, 4)))
 
 
 # ---------------------------------------------------------------------------

@@ -670,6 +670,15 @@ def test_initial_state_validation():
     amps[0] = 1.0
     with pytest.raises(ValueError):
         cqe_run(ham, initial=StateVector(other, amps))
+    with pytest.raises(ValueError, match="ancilla-free"):
+        cqe_run(ham, initial=evolution.prepare_dilated(hf_state(ham)))
+
+
+def test_a_non_finite_start_is_refused_before_any_run():
+    # a NaN start would run to a stalled NaN energy; the state refuses it
+    _, ham = _h2()
+    with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+        cqe_run(ham, initial=StateVector(ham.basis, [math.nan, 0.0, 0.0, 0.0]))
 
 
 def test_hermiticity_is_checked_once_per_operator(monkeypatch):
