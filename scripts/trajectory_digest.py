@@ -7,8 +7,12 @@ With one directory, ``cqesim`` is imported from ``SRC_DIR`` (a checkout's
 ``src`` directory), and one line per case goes to stdout: the case label
 and a SHA-256 of its outcome.  With two, each directory is digested in a
 process of its own, the label of every case whose lines differ is printed
-(with both sides' status and record count where those differ too), and
-the exit status is 1 on any difference, 0 when all lines are equal.  A run's line also shows its status and its number of iteration
+(with both sides' status and record count where those differ too), then
+the count of differing lines, and last one summary line: the differing
+lines counted by kind and setting (``run SETTING``, ``estimate SETTING``,
+or the kind of any other line, e.g. ``cli``) and the number of runs whose
+status and whose record count changed.  The exit status is 1 on any
+difference, 0 when all lines are equal.  A run's line also shows its status and its number of iteration
 records before the digest, e.g. ``run h4_d1.00 acse exact converged 92
 <sha>``, so a diff of two checkouts shows which runs changed iteration
 count.  A run's digest covers the status, every field of every iteration
@@ -81,6 +85,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -397,9 +402,17 @@ def _label(line: str) -> str:
     return " ".join(words[: counts[words[0]]])
 
 
+def _kind(line: str) -> str:
+    """The key a differing line is counted under: ``run SETTING``,
+    ``estimate SETTING``, or the kind of any other line."""
+    words = line.split()
+    setting = {"run": 3, "estimate": 4}.get(words[0])
+    return words[0] if setting is None else f"{words[0]} {words[setting]}"
+
+
 def compare(src_a: str, src_b: str) -> int:
-    """Digest both checkouts, print the labels of the cases that differ, and
-    return 1 if any does, else 0."""
+    """Digest both checkouts, print the labels of the cases that differ and
+    a summary of them, and return 1 if any does, else 0."""
     lines = [
         subprocess.run(
             [sys.executable, __file__, src], check=True, capture_output=True, text=True
@@ -409,14 +422,20 @@ def compare(src_a: str, src_b: str) -> int:
     if [_label(line) for line in lines[0]] != [_label(line) for line in lines[1]]:
         print("the two checkouts digest different cases")
         return 1
-    differ = 0
+    kinds = Counter()
+    statuses = records = 0
     for a, b in zip(*lines):
         if a != b:
-            differ += 1
+            kinds[_kind(a)] += 1
             counts = a.split()[4:6], b.split()[4:6]
             moved = a.startswith("run") and counts[0] != counts[1]
+            statuses += moved and counts[0][0] != counts[1][0]
+            records += moved and counts[0][1] != counts[1][1]
             print(_label(a) + (f": {' '.join(counts[0])} -> {' '.join(counts[1])}" if moved else ""))
+    differ = sum(kinds.values())
     print(f"{differ} of {len(lines[0])} lines differ")
+    by_kind = ", ".join(f"{kind} {count}" for kind, count in kinds.items()) or "none"
+    print(f"differing lines by kind and setting: {by_kind}; {statuses} status changes, {records} record-count changes")
     return 1 if differ else 0
 
 

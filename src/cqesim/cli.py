@@ -20,12 +20,11 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from .evolution import RESET_MODES, DilationPolicy, EstimatorConfig
 from .fock import SparseOperator, StateVector
@@ -100,7 +99,7 @@ def _initial_state(spec: str, ham: SparseOperator, model: PairingModel | None) -
                 (theta,) = coords
                 return equator_state(model, theta)
             g, m, x = coords
-            norm = float(np.sqrt(g * g + m * m + x * x))
+            norm = math.hypot(g, m, x)
             if norm == 0.0:
                 raise ValueError("zero vector")
             return sphere_state(model, SpherePoint(g / norm, m / norm, x / norm))

@@ -1,27 +1,32 @@
 """Non-unitary two-body exponentials: exact action and ancilla dilation.
 
 Every exponential below runs through one Taylor kernel, ``_taylor_series``:
-it takes the action of the generator on a vector and the generator's exact
-1-norm (``norm1``, the largest of the column sums an operator keeps) and
-sums segmented Taylor series from matrix-vector products alone, so no
-matrix (scaled, shifted, block or exponential) is built per call.  Segments
-have 1-norm at most theta_40 = 6.0 of Al-Mohy & Higham, at most
-``_MAX_SEGMENTS`` of them, and a segment's series stops on two negligible
-terms only where the 1-norm bound already makes the terms contract.  Every
-segment is summed one way, from one block of terms (``_Terms``): row k
-holds ``t_k = A t_{k-1} / (d k)``, made the first time it is needed by one
-action straight into its zeroed row, and one ratio-test loop decides the
-stops from the term norms alone where a triangle bound or a lower bound
-can (both with a margin over their rounding), forming the exact partial
-sum only for a term between the two and the last allowed one.  That sum
-is one reduction over the rows under a coefficient column, which adds the
-rows in order and so has the bits of the term-by-term sum; the last one is
-exact, and a renormalized step reads it.  A fresh segment's block runs
-the scaled action with ``d = s`` and takes no column.  ``_FixedStart``
-keeps the block of ``(J / |J|_1)^k psi / k!`` for one generator on one
-state, so the first segment of ``exp(eta J) psi`` sums it under the powers
-of ``phase |G|_1 / s`` and costs no product once a larger eta has made the
-terms: a line search's trials from the same psi pay each product once.
+``exp(scale J)`` on a vector, from the action of the generator J and its
+exact 1-norm (``norm1``, the largest of the column sums an operator
+keeps), summed as segmented Taylor series from matrix-vector products
+alone, so no matrix (scaled, shifted, block or exponential) is built per
+call.  Segments have 1-norm at most theta_40 = 6.0 of Al-Mohy & Higham, at
+most ``_MAX_SEGMENTS`` of them, and a segment's series stops on two
+negligible terms only where the 1-norm bound already makes the terms
+contract.  Every segment is summed one way, from one block of terms
+(``_Terms``) of the bare generator: row k holds ``t_k = J t_{k-1} / (|J|_1
+k)``, made the first time it is needed by one action straight into its
+zeroed row, and the segment sums ``ratio^k t_k`` with the one ratio
+``phase |G|_1 / s`` of ``G = scale J`` in s segments.  The terms follow J
+and the start alone; the scale enters only the coefficients.  One
+ratio-test loop decides the stops from the term norms alone where a
+triangle bound or a lower bound can (both with a margin over their
+rounding), forming the exact partial sum only for a term between the two
+and the last allowed one.  That sum is one reduction over the rows under
+the coefficient column, which adds the rows in order and so has the bits
+of the term-by-term sum; the last one is exact, and a renormalized step
+reads it.  ``_FixedStart`` keeps the block of one generator on one state,
+so the first segment of ``exp(eta J) psi`` costs no product once a larger
+eta has made the terms: a line search's trials from the same psi pay each
+product once, and every bare exponential is such a block, so
+``apply_exp_exact`` and a trial of the same eta have the same bits.
+Later segments start from vectors that change with eta and sum fresh
+blocks of the same action.
 At the benchmark's sizes (dim <= 72) a product costs about as much as a
 numpy call, so a term costs its action, one scaling and one norm, and no
 call, copy or wrapper more.  An operator is a ``SparseOperator``: the
@@ -34,27 +39,29 @@ imports scipy.  Every exponential on a dilated register (a unitary factor
 on both branches, the V-step, the probe) runs through one ancilla kernel,
 ``_dilated_step``, which takes the branch map of its generator: the
 identity map of a unitary factor or the rotation of a V-step and a probe.
-It runs one vector product per branch, each into its half of one zeroed
-output, bit for bit the columns of the (dim, 2) block product, except for
-an exponential of one Taylor segment on a register whose ancilla is
-untouched, its two halves bit for bit equal as ``prepare_dilated`` makes
-them and a unitary factor keeps them (``_ancilla_untouched``, the one
-test of it, which the solver's register also reads to book no
-probability): each term of its block generator has halves ``+-p_k``, so
-a one-branch block holds the ``p_k``, one product per term serves both
-branches, and the map's sign columns of its reduction give both halves
-with the same bits.  The probe of every estimate is such a step, and so
-is the dilated register's first unitary factor or V-step after a reset.
+The map's action only maps branches (the rotation negates the bottom
+half) and no action scales.  It runs one vector product per branch, each
+into its half of one zeroed output, bit for bit the columns of the (dim,
+2) block product, except for an exponential of one Taylor segment on a
+register whose ancilla is untouched, its two halves bit for bit equal as
+``prepare_dilated`` makes them and a unitary factor keeps them
+(``_ancilla_untouched``, the one test of it, which the solver's register
+also reads to book no probability): each term of its block generator has
+halves ``+-p_k``, so a one-branch block holds the ``p_k``, one product per
+term serves both branches, and the map's sign columns, folded into the
+coefficient column of its reduction, give both halves with the same
+bits.  The probe of every estimate is such a step, and so is the dilated
+register's first unitary factor or V-step after a reset.
 The states that come out are formed by
 ``StateVector._closed``, without the public constructor's cast, checks
 and copy.
 
 Exact route
 -----------
-``apply_exp_exact`` applies ``exp(scale * J)`` to a state through the
-action ``scale * (J v)``; with ``renormalize=True`` the output is
-normalized and the retained weight ``min(1, |out|^2 / |in|^2)`` is folded
-into ``success_prob``.
+``apply_exp_exact`` applies ``exp(scale * J)`` to a state from the terms
+of J on it, summed under the powers of the segment ratio; with
+``renormalize=True`` the output is normalized and the retained weight
+``min(1, |out|^2 / |in|^2)`` is folded into ``success_prob``.
 
 Dilated route
 -------------
@@ -64,17 +71,17 @@ A single ancilla qubit turns ``exp(d J)`` into the unitary
 
     U [u; v] = [cos(dJ) u + sin(dJ) v,  -sin(dJ) u + cos(dJ) v].
 
-Its generator ``[[0, dJ], [-dJ, 0]]`` is applied as its action
-``[dJ v; -dJ u]`` on the stacked branches, and its 1-norm is ``|d|`` times
-that of J.  Starting from the ancilla in ``|+>`` the ancilla-0 branch carries
+Its generator is ``d`` times the branch map ``[[0, J], [-J, 0]]``, whose
+action ``[J v; -J u]`` on the stacked branches makes the terms, and its
+1-norm is ``|d|`` times that of J.  Starting from the ancilla in ``|+>`` the ancilla-0 branch carries
 ``(cos + sin)(dJ) psi / sqrt(2) = exp(dJ) psi / sqrt(2) + O(d^2)``, so one
 V-step realizes the non-unitary product-ansatz factor up to a second-order
 dilation error; ``reset_ancilla`` performs the post-selection and books the
 success probability.  V-steps of one generator compose exactly,
 ``U(d1) U(d2) = U(d1 + d2)``, so the solver applies every run of slices
 between two resets as one V-step (``DilationPolicy``).  A unitary factor
-``exp(d J)`` acts identically on both branches, the generator ``[[dJ, 0],
-[0, dJ]]`` with action ``[dJ u; dJ v]``, and runs through the same kernel
+``exp(d J)`` acts identically on both branches, ``d`` times the map ``[[J,
+0], [0, J]]`` with action ``[J u; J v]``, and runs through the same kernel
 as a V-step (``apply_exp_exact``).
 
 Residual estimator
@@ -175,104 +182,97 @@ _BOUND_MARGIN = 1.0 + 1e-6
 # the squared ratio-test factors, formed once with the bits of the per-term products
 _STOP2 = _TERM_STOP**2
 _STOP2_BOUND = _TERM_STOP**2 * _BOUND_MARGIN
-# the signs of p_k in the top and bottom halves of the k-th term of a
-# generator on [p; p], by k % 4, as columns of a one-branch block's (2, K)
+# the signs of p_k in the top and bottom halves of the k-th term of a branch
+# map on [p; p], by k % 4, as columns of a one-branch block's (2, K)
 # reduction, K <= 61, indexed by whether the branch map rotates: + + + + ...
-# on both halves under the identity map [[D, 0], [0, D]] of a unitary factor,
-# and + + - - ... on top and + - - + ... below under the rotation [[0, D],
-# [-D, 0]] of a V-step or a probe
+# on both halves under the identity map [[J, 0], [0, J]] of a unitary factor,
+# and + + - - ... on top and + - - + ... below under the rotation [[0, J],
+# [-J, 0]] of a V-step or a probe
 _BRANCH_SIGNS = (
     np.ones((2, 64, 1), dtype=complex),
     np.tile(np.array([[1, 1, -1, -1], [1, -1, -1, 1]], dtype=complex), 16)[..., None],
 )
 
 
-def _taylor_series(matvec, norm1: float, vec: np.ndarray, kept=None) -> tuple[np.ndarray, float]:
-    """``exp(G) @ vec`` and its exact squared norm, from the action
-    ``matvec(v, out)``, which writes ``G v`` into the zeroed vector ``out``,
-    and the 1-norm of G.
+def _taylor_series(block: _Terms, scale: complex) -> tuple[np.ndarray, float]:
+    """``exp(scale J) @ t_0`` and its exact squared norm, from a block of
+    the terms of J on ``t_0`` (``_Terms``), which serves the first segment.
 
-    G is split into ``s = max(1, ceil(|G|_1 / theta))`` equal segments with
-    ``theta = 6.0``, the theta_40 of Al-Mohy & Higham (SIAM J. Sci. Comput.
-    33, 488 (2011)): a degree-40 Taylor polynomial of a segment of 1-norm at
-    most theta_40 meets double precision, so a generator of 1-norm up to 6.0
-    takes one segment; more than ``_MAX_SEGMENTS`` segments raise before any
-    product, and so does a non-finite 1-norm, whether G's entries or its
-    scale make it.  Each segment is one block of terms (``_Terms``) from the
-    segment's start, ``t_k = G t_{k-1} / (s k)``, summed by its one
-    ratio-test loop.
-
-    ``kept = (terms, phase)`` serves the first segment from a block already
-    made instead: the kept terms ``(J / |J|_1)^k vec / k!`` of ``vec`` under
-    a generator J with ``G = phase |G|_1 J / |J|_1`` (``_FixedStart``), whose
-    k-th term is ``(phase |G|_1 / s)^k`` times the k-th kept one.  The kernel
-    then reads neither ``vec`` nor its norm.
+    ``G = scale J`` has 1-norm ``|scale| |J|_1`` and is split into ``s =
+    max(1, ceil(|G|_1 / theta))`` equal segments with ``theta = 6.0``, the
+    theta_40 of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488 (2011)): a
+    degree-40 Taylor polynomial of a segment of 1-norm at most theta_40
+    meets double precision, so a generator of 1-norm up to 6.0 takes one
+    segment; more than ``_MAX_SEGMENTS`` segments raise before any product,
+    and so does a non-finite 1-norm, whether J's entries or the scale make
+    it.  Every segment sums the terms of J on its start under the powers of
+    one ratio, ``phase |G|_1 / s`` with ``phase = scale / |scale|`` (1 for a
+    zero scale): the first from ``block``, each later one from a fresh
+    block of the same action on the last segment's output.
     """
+    norm1 = abs(scale) * block.norm1
     if not math.isfinite(norm1):
         raise RuntimeError(f"generator 1-norm {norm1} is not finite")
     segments = max(1, math.ceil(norm1 / _THETA))
     if segments > _MAX_SEGMENTS:
         raise RuntimeError(f"generator 1-norm {norm1:.4g} needs over {_MAX_SEGMENTS} Taylor segments")
-    if kept is None:
-        out, out2 = vec, np.vdot(vec, vec).real
-    else:
-        terms, phase = kept
-        out, out2 = terms._segment(norm1, segments, phase * norm1 / segments)
-    for _ in range(segments - (kept is not None)):
-        out, out2 = _Terms(out, out2, matvec, segments)._segment(norm1, segments)
+    ratio = (scale / abs(scale) if scale else 1.0) * norm1 / segments
+    out, out2 = block._segment(norm1, segments, ratio)
+    for _ in range(segments - 1):
+        out, out2 = _Terms(out, out2, block.action, block.norm1)._segment(norm1, segments, ratio)
     return out, out2
 
 
 class _Terms:
-    """The Taylor terms ``t_k = A t_{k-1} / (d k)`` of one segment start
-    ``t_0`` as the rows of one block, and the one loop that sums them.
+    """The Taylor terms ``t_k = J t_{k-1} / (|J|_1 k)`` of a generator J on
+    one segment start ``t_0`` as the rows of one block, and the one loop
+    that sums them.
 
+    The terms follow J and the start alone: the divisor is J's 1-norm
+    ``norm1``, or 1 for a zero J, whose terms are zero under any divisor,
+    and a segment's scale enters only the coefficients it sums them under.
     Row 0 holds the start, and ``norms2[0]`` is the start's squared norm.
-    Term k is made the first time the loop needs it, one action
-    ``A t_{k-1}`` straight into its zeroed row, scaled in place, with
+    Term k is made the first time the loop needs it, one action ``J
+    t_{k-1}`` straight into its zeroed row, scaled in place, with
     ``norms2[k] = |t_k|^2``, so ``len(norms2) - 1`` terms are made.  No
     segment makes more than ``_MAX_TAYLOR_TERMS`` terms, so the block is
-    allocated once with a row for each.  A fresh segment of the kernel takes
-    its scaled action and ``d = s``.  A block given ``signs`` is a
+    allocated once with a row for each.  A block given ``signs`` is a
     one-branch block, the one segment of an ancilla exponential on a
     register ``[p_0; p_0]`` with equal halves (``_dilated_step``): it starts
     from the top half ``p_0`` with the register's squared norm and holds
-    the halves ``p_k``, so its term k has squared norm ``2 norms2[k]`` and
-    its halves take the caller's sign columns, one of ``_BRANCH_SIGNS``.
+    the halves ``p_k``, so its term k weighs ``2 |c_k|^2 norms2[k]`` and its
+    halves take the caller's sign columns, one of ``_BRANCH_SIGNS``.
     """
 
-    def __init__(self, start: np.ndarray, norm2: float, action, divisor: float, signs: np.ndarray | None = None):
+    def __init__(self, start: np.ndarray, norm2: float, action, norm1: float, signs: np.ndarray | None = None):
         self.rows = np.zeros((_MAX_TAYLOR_TERMS + 1, len(start)), dtype=complex)
         self.rows[0] = start
         self.norms2 = [norm2]
         self.action = action
-        self.divisor = divisor
+        self.norm1 = norm1
         self.signs, self.weight = signs, (1.0 if signs is None else 2.0)
 
-    def _sum(self, count: int, coeffs: list | None) -> tuple[np.ndarray, float]:
+    def _sum(self, count: int, coeffs: list) -> tuple[np.ndarray, float]:
         """``sum_k c_k t_k`` over rows 0..count-1 and its squared norm.
 
-        ``c_k`` is ``coeffs[k]`` where given, else the sign columns of a
-        one-branch block, whose (2, count) reduction, raveled, is ``[top;
-        bottom]``, else 1: a fresh segment takes no column.  The reduction
-        adds the rows in order, so the sum has the bits of ``acc = t_0; acc
-        += c_k t_k`` term by term; a gemv sums in another order.  A complex
-        column multiplies as the scalar ``c_k`` does, and a real one would
-        be cast element by element.
+        ``c_k`` is ``coeffs[k]``, times the sign columns of a one-branch
+        block, whose (2, count) reduction, raveled, is ``[top; bottom]``.
+        The reduction adds the rows in order, so the sum has the bits of
+        ``acc = t_0; acc += c_k t_k`` term by term; a gemv sums in another
+        order.  A complex column multiplies as the scalar ``c_k`` does, and a
+        real one would be cast element by element.
         """
-        rows = self.rows[:count]
-        if coeffs is not None:
-            rows = np.array(coeffs, dtype=complex)[:, None] * rows
-        elif self.signs is not None:
-            rows = self.signs[:, :count] * rows
-        acc = np.add.reduce(rows, axis=-2).ravel()
+        column = np.array(coeffs, dtype=complex)[:, None]
+        if self.signs is not None:
+            column = self.signs[:, :count] * column
+        acc = np.add.reduce(column * self.rows[:count], axis=-2).ravel()
         return acc, np.vdot(acc, acc).real
 
-    def _segment(self, norm1: float, segments: int, ratio: complex | None = None) -> tuple[np.ndarray, float]:
+    def _segment(self, norm1: float, segments: int, ratio: complex) -> tuple[np.ndarray, float]:
         """One of the kernel's ``segments`` segments of ``exp(G)`` with
         ``|G|_1 = norm1``, summed from this block, and its exact squared
-        norm; with ``ratio``, the k-th term is ``ratio^k t_k``, the power a
-        sequential product.
+        norm: the k-th term is ``ratio^k t_k``, the power a sequential
+        product.
 
         The series stops after two consecutive terms below ``_TERM_STOP``
         relative to the partial sum, but only once ``(k + 1) s > |G|_1``:
@@ -293,9 +293,10 @@ class _Terms:
         segment ends on an exact ``|acc|^2``, so the last one is the
         output's squared norm, which renormalization reads.
         """
-        rows, norms2, weight = self.rows, self.norms2, self.weight
+        rows, norms2 = self.rows, self.norms2
+        divisor = self.norm1 or 1.0
         norm = math.sqrt(norms2[0])
-        coeffs = None if ratio is None else [1.0]
+        coeffs = [1.0]
         power = 1.0
         bound = norm  # the triangle bound on |acc|
         small_streak = 0
@@ -303,13 +304,11 @@ class _Terms:
             if k == len(norms2):
                 row = rows[k]
                 self.action(rows[k - 1], row)
-                row *= 1.0 / (self.divisor * k)
+                row *= 1.0 / (divisor * k)
                 norms2.append(np.vdot(row, row).real)
-            if coeffs is not None:
-                power *= ratio
-                coeffs.append(power)
-                weight = abs(power) ** 2
-            term2 = weight * norms2[k]
+            power *= ratio
+            coeffs.append(power)
+            term2 = self.weight * abs(power) ** 2 * norms2[k]
             bound += math.sqrt(term2)
             acc = None
             # a NaN or Inf term or bound fails both comparisons and takes the exact norm
@@ -353,15 +352,32 @@ def _renormalized(psi: StateVector, out: np.ndarray, norm2_out: float, norm2_in:
     return StateVector._closed(psi.basis, out, 0, _booked(psi.success_prob * retained))
 
 
-def _scaled(apply_j, scale: complex):
-    """The action ``scale * (J v)`` from ``apply_j(v, out=vec)``, which
-    writes ``J v`` into the zeroed ``vec``, scaled there."""
+class _FixedStart(_Terms):
+    """``exp(eta J) psi`` with renormalization, for many step sizes eta from one bare state psi.
 
-    def action(v, out):
-        apply_j(v, out=out)
-        np.multiply(scale, out, out=out)
+    Its block keeps the Taylor terms ``t_k = (J / |J|_1)^k psi / k!`` of its
+    generator on its state (row 0 is psi), so the first Taylor segment of
+    every eta sums these rows under the powers of its ratio and makes only
+    the terms that no earlier eta made: a line search's trials from the
+    same psi pay each product once.  Later segments act on vectors that
+    change with eta and sum fresh blocks of the same action.  Every bare
+    exponential runs through one (``apply_exp_exact``), so ``apply(eta)`` is
+    ``apply_exp_exact(op, psi, scale=eta, renormalize=True)`` bit for bit.
+    """
 
-    return action
+    def __init__(self, op: SparseOperator, psi: StateVector):
+        matrix = op.csr
+        amps = psi.amplitudes
+
+        def action(v, out):  # J v, looking _csr_product up at each product
+            _csr_product(matrix, v, out=out)
+
+        super().__init__(amps, np.vdot(amps, amps).real, action, op.norm1)
+        self.psi = psi
+
+    def apply(self, eta: complex) -> StateVector:
+        out, norm2 = _taylor_series(self, eta)
+        return _renormalized(self.psi, out, norm2, self.norms2[0])
 
 
 def apply_exp_exact(
@@ -371,7 +387,9 @@ def apply_exp_exact(
 
     ``op`` is a sector operator or a solver step factor (``fock._link_operator``).
 
-    On a dilated state the exponential acts identically on both ancilla
+    On a bare state the exponential sums the Taylor terms of ``op`` on psi
+    under the powers of one ratio (``_FixedStart``, as a line-search trial
+    does).  On a dilated state it acts identically on both ancilla
     branches: it is the ancilla kernel ``_dilated_step`` under the identity
     branch map, so an untouched ancilla makes one product per term where
     the factor fits one Taylor segment (``renormalize`` is disallowed
@@ -382,46 +400,14 @@ def apply_exp_exact(
     """
     if op.basis != psi.basis:
         raise ValueError("operator and state use different bases")
-    apply_j = partial(_csr_product, op.csr)
     if psi.n_ancilla == 1:
         if renormalize:
             raise ValueError("renormalize is not meaningful on a dilated state")
-        return _dilated_step(psi, apply_j, op.norm1, scale, rotation=False)
-    out, norm2 = _taylor_series(_scaled(apply_j, scale), abs(scale) * op.norm1, psi.amplitudes)
-    if not renormalize:
-        return StateVector._closed(psi.basis, out, 0, psi.success_prob)
-    return _renormalized(psi, out, norm2, np.vdot(psi.amplitudes, psi.amplitudes).real)
-
-
-class _FixedStart(_Terms):
-    """``exp(eta J) psi`` with renormalization, for many step sizes eta from one bare state psi.
-
-    Its block keeps the Taylor terms ``t_k = (J / |J|_1)^k psi / k!`` of its
-    generator on its state (row 0 is psi), so the first Taylor segment of
-    every eta sums these rows and makes only the terms that no earlier eta
-    made: a line search's trials from the same psi pay each product once.
-    Later segments act on vectors that change with eta and sum fresh
-    blocks.  The result equals ``apply_exp_exact(op, psi, scale=eta,
-    renormalize=True)`` up to rounding.
-    """
-
-    def __init__(self, op: SparseOperator, psi: StateVector):
-        matrix = op.csr
-        amps = psi.amplitudes
-
-        def action(v, out):  # J v, looking _csr_product up at each product
-            _csr_product(matrix, v, out=out)
-
-        # a zero operator's terms are zero under any divisor, and the kernel returns psi
-        super().__init__(amps, np.vdot(amps, amps).real, action, op.norm1 or 1.0)
-        self.op = op
-        self.psi = psi
-
-    def apply(self, eta: complex) -> StateVector:
-        norm1 = abs(eta) * self.op.norm1
-        kept = (self, eta / abs(eta) if eta else 1.0)
-        out, norm2 = _taylor_series(_scaled(partial(_csr_product, self.op.csr), eta), norm1, self.rows[0], kept)
-        return _renormalized(self.psi, out, norm2, self.norms2[0])
+        return _dilated_step(psi, partial(_csr_product, op.csr), op.norm1, scale, rotation=False)
+    start = _FixedStart(op, psi)
+    if renormalize:
+        return start.apply(scale)
+    return StateVector._closed(psi.basis, _taylor_series(start, scale)[0], 0, psi.success_prob)
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +426,10 @@ def prepare_dilated(psi: StateVector) -> StateVector:
 def apply_dilated(psi: StateVector, op: SparseOperator, delta: float) -> StateVector:
     """Evolve a dilated state by ``exp(i delta Y_a x op)`` (``op`` as in ``apply_exp_exact``).
 
-    The generator ``[[0, delta*J], [-delta*J, 0]]`` is applied as its action
-    ``[delta J v; -delta J u]`` on the stacked branches ``[u; v]``, with the
-    same Taylor kernel as the exact route; its 1-norm is ``|delta|`` times
-    that of J.  For Hermitian ``op`` (the intended use: dilating a
+    The generator ``[[0, delta*J], [-delta*J, 0]]`` is summed from the terms
+    of the branch map's action ``[J v; -J u]`` on the stacked branches ``[u;
+    v]``, with the same Taylor kernel as the exact route; its 1-norm is
+    ``|delta|`` times that of J.  For Hermitian ``op`` (the intended use: dilating a
     non-unitary Hermitian generator) the step is exactly unitary; norm
     conservation is never assumed downstream either way.
     """
@@ -468,48 +454,43 @@ def _ancilla_untouched(psi: StateVector) -> bool:
 
 
 def _dilated_step(psi: StateVector, apply_j, norm1: float, scale: complex, rotation: bool) -> StateVector:
-    """The one kernel of every exponential on a dilated register, ``exp(G)
-    [u; v]`` from the 1-norm of J and its action ``apply_j(v, out=vec)``,
+    """The one kernel of every exponential on a dilated register, ``exp(scale
+    M) [u; v]`` from the 1-norm of J and its action ``apply_j(v, out=vec)``,
     which writes ``J v`` into a zeroed vector of the sector's length.
 
-    ``G`` is ``D = scale J`` under a branch map: the identity map, ``G =
-    [[D, 0], [0, D]]`` with action ``[D u; D v]``, is the unitary factor
-    ``exp(scale J)`` on both branches (``apply_exp_exact``), and with
-    ``rotation`` the map ``G = [[0, D], [-D, 0]]`` with action ``[D v; -D
-    u]`` is the V-step ``exp(i scale Y_a x J)`` (``apply_dilated``, the
-    probe).  Either way ``|G|_1 = |scale| |J|_1``.
+    ``M`` is J under a branch map: the identity map, ``M = [[J, 0], [0,
+    J]]`` with action ``[J u; J v]``, makes the unitary factor ``exp(scale
+    J)`` on both branches (``apply_exp_exact``), and with ``rotation`` the
+    map ``M = [[0, J], [-J, 0]]`` with action ``[J v; -J u]`` makes the
+    V-step ``exp(i scale Y_a x J)`` (``apply_dilated``, the probe).  Either
+    way ``|M|_1 = |J|_1``, and the scale enters only the coefficients of the
+    kernel's sums (``_taylor_series``); the action only maps branches.
 
     A register whose ancilla is untouched (``_ancilla_untouched``) takes
     one product per Taylor term where the exponential is one segment
-    (``|G|_1 <= theta``): G's k-th term on ``[p_0; p_0]`` is ``[+-p_k;
-    +-p_k]`` with ``p_k = D p_{k-1} / k`` and the signs of the map's
-    ``_BRANCH_SIGNS``, so a one-branch block (``_Terms``) of the ``p_k``
-    sums the segment with the bits of the two-branch one.  Every other
-    exponential writes each branch's product into its half of one zeroed
-    output and scales both halves at once under the identity map, each
-    half by its sign under the rotation.
+    (``|scale| |J|_1 <= theta``): M's k-th term on ``[p_0; p_0]`` is
+    ``[+-p_k; +-p_k]`` with ``p_k = J p_{k-1} / (|J|_1 k)`` and the signs of
+    the map's ``_BRANCH_SIGNS``, so a one-branch block (``_Terms``) of the
+    ``p_k`` sums the segment with the bits of the two-branch one.  Every
+    other exponential writes each branch's product into its half of one
+    zeroed output and, under the rotation, negates the bottom half.
     """
     dim = len(psi.basis)
     amps = psi.amplitudes
-    norm1 = abs(scale) * norm1
-    if norm1 <= _THETA and _ancilla_untouched(psi):
-        block = _Terms(amps[:dim], np.vdot(amps, amps).real, _scaled(apply_j, scale), 1, _BRANCH_SIGNS[rotation])
-        out = block._segment(norm1, 1)[0]
+    norm2 = np.vdot(amps, amps).real
+    if abs(scale) * norm1 <= _THETA and _ancilla_untouched(psi):
+        block = _Terms(amps[:dim], norm2, apply_j, norm1, _BRANCH_SIGNS[rotation])
     else:
         first, second = (slice(dim, None), slice(dim)) if rotation else (slice(dim), slice(dim, None))
 
-        def action(w, out):  # [D u; D v], or [D v; -D u] under the rotation, of w = [u; v]
-            top, bottom = out[:dim], out[dim:]
-            apply_j(w[first], out=top)
-            apply_j(w[second], out=bottom)
+        def action(w, out):  # [J u; J v], or [J v; -J u] under the rotation, of w = [u; v]
+            apply_j(w[first], out=out[:dim])
+            apply_j(w[second], out=out[dim:])
             if rotation:
-                np.multiply(scale, top, out=top)
-                np.multiply(-scale, bottom, out=bottom)
-            else:
-                np.multiply(scale, out, out=out)
+                np.negative(out[dim:], out=out[dim:])
 
-        out = _taylor_series(action, norm1, amps)[0]
-    return StateVector._closed(psi.basis, out, 1, psi.success_prob)
+        block = _Terms(amps, norm2, action, norm1)
+    return StateVector._closed(psi.basis, _taylor_series(block, scale)[0], 1, psi.success_prob)
 
 
 def ancilla_branch(psi: StateVector, outcome: int = 0) -> StateVector:

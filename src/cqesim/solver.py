@@ -500,7 +500,8 @@ def cqe_run(
         """Energy, variance, the three diagnostic norms, and the followed
         channel's link vector with its norm, all off the one product H psi;
         sampled runs estimate the channel with a seed spawned from the
-        configured one for each iteration."""
+        configured one for each iteration, and refuse an estimate whose norm
+        is not finite, as a probe delta too small for its division makes it."""
         e, var, shifted = _moments(ham, psi, h_psi)
         channels = _residual_channels(_rdm2_links(psi.basis, psi.amplitudes, shifted), adjoint)
         norms = {v: _link_norm(channels[v]) for v in RESIDUAL_VARIANTS}
@@ -508,7 +509,10 @@ def cqe_run(
             return e, var, norms, channels[config.variant], norms[config.variant]
         seed = int(np.random.SeedSequence(entropy=est.seed, spawn_key=(iteration,)).generate_state(1)[0])
         channel = _estimate_links(ham, psi, e, config.variant, est.probe_delta, est.shots, seed)
-        return e, var, norms, channel, _link_norm(channel)
+        norm = _link_norm(channel)
+        if not math.isfinite(norm):
+            raise RuntimeError(f"estimated residual norm {norm} is not finite at probe delta {est.probe_delta}")
+        return e, var, norms, channel, norm
 
     for n in range(config.max_iterations):
         if register is not None:

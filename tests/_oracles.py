@@ -18,11 +18,13 @@ Each is pinned by its own tests (``test_fock.py`` for ``apply_string``,
   output, and before a one-segment V-step on a register with equal
   halves made one product for both: the package's results must equal
   theirs bit for bit.  They
-  share the package's Taylor kernel, which ``test_evolution.py`` pins
-  against a series that forms the partial sum's norm at every term.
+  share the package's Taylor kernel (``taylor_series``), which
+  ``test_evolution.py`` pins against a series that forms the partial
+  sum's norm at every term.
 * ``kernel_action`` turns an action between the kernel's form, which
   writes ``A v`` into a zeroed output, and the returning form of the
   suites' actions and of that series.
+* ``taylor_series`` runs the package's Taylor kernel on a returning action.
 * ``phase_rotated`` multiplies every spin orbital by a phase: a complex
   Hamiltonian with the spectrum of a real one, whose runs must follow the
   real one's to rounding (``test_solver.py``).
@@ -133,15 +135,24 @@ def kernel_action(action, returning: bool = False):
     return form
 
 
+def taylor_series(action, norm1: float, vec: np.ndarray, scale: complex = 1.0) -> tuple[np.ndarray, float]:
+    """The package's ``exp(scale J) vec`` and its squared norm, from the
+    returning action ``action(v) = J v`` and ``norm1 = |J|_1``: a block of
+    J's terms on vec (``evolution._Terms``) summed by the kernel
+    ``evolution._taylor_series``."""
+    block = evolution._Terms(vec, np.vdot(vec, vec).real, kernel_action(action), norm1)
+    return evolution._taylor_series(block, scale)
+
+
 def block_exp_dilated(op: SparseOperator, psi: StateVector, scale: complex) -> np.ndarray:
     """Amplitudes of ``exp(scale * op)`` on both branches of a dilated state,
     as one Taylor series over the (dim, 2) block of the branches."""
     matrix, dim = op.matrix, len(psi.basis)
 
     def block_action(w):
-        return scale * (matrix @ w.reshape(2, dim).T).T.ravel()
+        return (matrix @ w.reshape(2, dim).T).T.ravel()
 
-    return evolution._taylor_series(kernel_action(block_action), abs(scale) * op.norm1, psi.amplitudes)[0]
+    return taylor_series(block_action, op.norm1, psi.amplitudes, scale)[0]
 
 
 def _block_vstep(apply_j, norm1: float, delta: float, amplitudes: np.ndarray) -> np.ndarray:
@@ -151,9 +162,9 @@ def _block_vstep(apply_j, norm1: float, delta: float, amplitudes: np.ndarray) ->
 
     def action(w):
         jw = apply_j(w.reshape(2, dim).T)  # columns J u and J v
-        return np.concatenate([delta * jw[:, 1], -delta * jw[:, 0]])
+        return np.concatenate([jw[:, 1], -jw[:, 0]])
 
-    return evolution._taylor_series(kernel_action(action), abs(delta) * norm1, amplitudes)[0]
+    return taylor_series(action, norm1, amplitudes, delta)[0]
 
 
 def block_dilated_step(op: SparseOperator, psi: StateVector, delta: float) -> np.ndarray:

@@ -138,11 +138,11 @@ def test_unconverged_run_exits_two(tmp_path):
     jsonschema.validate(doc, _schema())
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the estimator's own, at delta 1e-320
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the estimator's own, at delta 1e-200 and 1e-320
 @pytest.mark.parametrize("delta, value", [("1e-200", "inf"), ("1e-320", "nan")])
 def test_report_that_json_cannot_carry_exits_one_without_output(tmp_path, capsys, delta, value):
-    # a probe step this small overflows the residual estimate; JSON has no
-    # Infinity and no NaN, so the report is refused rather than written
+    # a probe step this small overflows the residual estimate, which JSON
+    # could not carry; the run refuses it at its first estimate, naming the delta
     code, out = _run(
         tmp_path, "x.json",
         ["run", "--fcidump", "h2_d0.74", "--execution", "sampled", "--shots", "100", "--seed", "1",
@@ -151,7 +151,7 @@ def test_report_that_json_cannot_carry_exits_one_without_output(tmp_path, capsys
     assert code == 1
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith("error: Out of range float values are not JSON compliant") and value in err
+    assert err == f"error: estimated residual norm {value} is not finite at probe delta {delta}\n"
 
 
 def test_missing_input_exits_one_without_output(tmp_path, capsys):
@@ -296,6 +296,22 @@ def test_sphere_init_starts_from_the_normalized_point(tmp_path):
     model = PairingModel()
     start = sphere_state(model, SpherePoint(math.sqrt(0.5), math.sqrt(0.5), 0.0))
     assert doc["iterations"][0]["energy"] == pytest.approx(energy(build_pairing_hamiltonian(model), start), abs=1e-12)
+
+
+@pytest.mark.parametrize("point", ["1e200,0,0", "1e-200,0,0"])
+def test_sphere_init_of_any_finite_scale_starts_where_its_unit_point_starts(tmp_path, point):
+    # the norm of a point that squares beyond the float range, or below it,
+    # is still its length: hypot neither overflows nor underflows
+    docs = []
+    for spec in (point, "1,0,0"):
+        code, out = _run(
+            tmp_path, "s.json", ["run", "--model", "pairing", "--init", f"sphere:{spec}", "--max-iterations", "1"]
+        )
+        assert code in (0, 2)
+        doc = json.loads(out.read_text())
+        assert doc["config"].pop("init") == f"sphere:{spec}"
+        docs.append(doc)
+    assert docs[0] == docs[1]
 
 
 @pytest.mark.parametrize("spec", ["hf:0.3", "fci:1", "hf:"])

@@ -46,7 +46,14 @@ from cqesim.residuals import (
 from cqesim.solver import CqeConfig, _StepPlan, cqe_run, hf_state
 
 import _jw_dense as jw
-from _oracles import block_dilated_step, block_exp_dilated, block_probe, dense_expm_apply, kernel_action
+from _oracles import (
+    block_dilated_step,
+    block_exp_dilated,
+    block_probe,
+    dense_expm_apply,
+    kernel_action,
+    taylor_series,
+)
 
 
 def _random_state(rng, basis, complex_valued=False):
@@ -401,12 +408,13 @@ def test_kernel_gets_the_exact_generator_norm(monkeypatch):
     psi = _random_state(rng, basis, complex_valued=True)
     segments = []
 
-    class Spy(evolution._Terms):  # every Taylor segment of every exponential is summed by one block
-        def _segment(self, norm1, count, ratio=None):
-            segments.append((norm1, count, self.signs is not None))
-            return super()._segment(norm1, count, ratio)
+    segment = evolution._Terms._segment
 
-    monkeypatch.setattr(evolution, "_Terms", Spy)
+    def spy(self, norm1, count, ratio):  # every Taylor segment of every exponential is summed by one block
+        segments.append((norm1, count, self.signs is not None))
+        return segment(self, norm1, count, ratio)
+
+    monkeypatch.setattr(evolution._Terms, "_segment", spy)
     shifted = ham.matrix - energy(ham, psi) * sp.identity(len(basis))
     # unitary factors and V-steps from a |+> ancilla run on one branch where they fit one segment
     assert 0.7 * op.norm1 > THETA >= 0.1 * op.norm1
@@ -542,6 +550,23 @@ def test_fixed_start_matches_dense_expm_in_any_order(kind):
             assert got.success_prob == pytest.approx(min(1.0, np.vdot(ref, ref).real), rel=1e-12)
 
 
+# one Taylor segment and several; a real, a negative and an imaginary step
+@pytest.mark.parametrize("norm", [0.3, 0.98 * THETA, 2.5 * THETA])
+@pytest.mark.parametrize("phase", [1.0, -1.0, 1j])
+def test_bare_exponential_is_the_kept_block_computation_bit_for_bit(norm, phase):
+    # every bare exponential sums the terms of J on psi under the powers of
+    # one ratio, as a line-search trial does: no series of scaled terms is left
+    rng = np.random.default_rng(111)
+    basis = build_basis(8, 4, 0)
+    op = _kernel_generator(rng, "hermitian", basis)
+    psi = StateVector(basis, _random_state(rng, basis, complex_valued=True).amplitudes, 0, 0.5)
+    eta = phase * norm / op.norm1
+    got = apply_exp_exact(op, psi, scale=eta, renormalize=True)
+    want = evolution._FixedStart(op, psi).apply(eta)
+    assert np.array_equal(got.amplitudes, want.amplitudes)
+    assert got.success_prob == want.success_prob
+
+
 def _count_products(matvec, norm1, vec):
     calls = []
 
@@ -549,7 +574,7 @@ def _count_products(matvec, norm1, vec):
         calls.append(None)
         return matvec(v)
 
-    evolution._taylor_series(kernel_action(counted), norm1, vec)
+    taylor_series(counted, norm1, vec)
     return len(calls)
 
 
@@ -581,7 +606,7 @@ def test_kernel_refuses_more_segments_than_its_bound_before_any_product():
 
     for norm1 in (np.nextafter(largest, np.inf), 1e12):
         with pytest.raises(RuntimeError, match="Taylor segments"):
-            evolution._taylor_series(forbidden, norm1, vec)
+            taylor_series(forbidden, norm1, vec)
 
 
 @pytest.mark.parametrize("norm1, segments, per_segment", [(0.3, 1, 2), (6.0, 1, 6), (13.0, 3, 4)])
@@ -593,41 +618,40 @@ def test_kernel_stops_only_where_terms_contract(norm1, segments, per_segment):
     assert count == segments * per_segment
 
 
-def _reference_taylor(matvec, norm1, vec, first=None):
-    """The kernel's segmented series with ``|acc|^2`` formed at every term:
-    the stops, errors and output bits that ``_taylor_series`` must keep.
+def _reference_taylor(matvec, norm1, vec, scale=1.0, first=None):
+    """The kernel's segmented series of ``exp(scale J) vec`` with ``|acc|^2``
+    formed at every term: the stops, errors and output bits that
+    ``_taylor_series`` must keep.
 
-    Every term comes from this function's own recurrence.  ``first =
-    (unit, divisor, phase)`` serves the first segment as ``_FixedStart``
-    serves the kernel: from the terms ``(J / divisor)^k vec / k!`` of the
-    action ``unit(v) = J v``, scaled by ``(phase norm1 / s)^k``.
+    Every term comes from this function's own recurrence on the action
+    ``matvec(v) = J v`` and ``norm1 = |J|_1``: each segment makes the terms
+    ``(J / d)^k t_0 / k!`` of its start, with ``d = norm1`` (1 for a zero
+    norm), and sums them under the powers of ``phase |G|_1 / s``, ``G =
+    scale J``.  ``first``, where given, is the action of the first
+    segment's terms, so a caller counts the products that ``_FixedStart``
+    keeps apart from those of the later segments.
     """
     out = vec.astype(complex, copy=True)
-    if norm1 == 0.0:
-        return out
-    segments = max(1, int(np.ceil(norm1 / THETA)))
+    norm_g = abs(scale) * norm1
+    segments = max(1, int(np.ceil(norm_g / THETA)))
+    ratio = (scale / abs(scale) if scale else 1.0) * norm_g / segments
     for segment in range(segments):
-        if segment == 0 and first is not None:
-            action, divisor, ratio = first[0], first[1], first[2] * norm1 / segments
-        else:
-            action, divisor, ratio = matvec, segments, 1.0
+        action = first if segment == 0 and first is not None else matvec
         made = out
         acc = out.copy()
         power = 1.0
         streak = 0
         for k in range(1, evolution._MAX_TAYLOR_TERMS + 1):
             made = action(made)
-            made *= 1.0 / (divisor * k)
-            term, term2 = made, np.vdot(made, made).real
-            if ratio != 1.0:
-                power *= ratio
-                term, term2 = power * term, abs(power) ** 2 * term2
-            acc += term
+            made *= 1.0 / ((norm1 or 1.0) * k)
+            power *= ratio
+            term2 = abs(power) ** 2 * np.vdot(made, made).real
+            acc += power * made
             acc2 = np.vdot(acc, acc).real
             if not (np.isfinite(term2) and np.isfinite(acc2)):
                 raise RuntimeError("non-finite")
             streak = streak + 1 if term2 <= evolution._TERM_STOP**2 * acc2 else 0
-            if streak >= 2 and (k + 1) * segments > norm1:
+            if streak >= 2 and (k + 1) * segments > norm_g:
                 break
         else:
             if term2 > evolution._TERM_FAIL**2 * acc2:
@@ -646,18 +670,18 @@ def _counted(action, calls):
     return counted
 
 
-def _counted_run(kernel, matvec, norm1, vec):
+def _counted_run(kernel, matvec, norm1, vec, scale=1.0):
     calls = []
-    return kernel(_counted(matvec, calls), norm1, vec), len(calls)
+    return kernel(_counted(matvec, calls), norm1, vec, scale), len(calls)
 
 
-def _kernel_output(matvec, norm1, vec):
-    return evolution._taylor_series(kernel_action(matvec), norm1, vec)[0]
+def _kernel_output(matvec, norm1, vec, scale=1.0):
+    return taylor_series(matvec, norm1, vec, scale)[0]
 
 
-def _assert_kernel_matches_reference(matvec, norm1, vec):
-    got, got_products = _counted_run(_kernel_output, matvec, norm1, vec)
-    ref, ref_products = _counted_run(_reference_taylor, matvec, norm1, vec)
+def _assert_kernel_matches_reference(matvec, norm1, vec, scale=1.0):
+    got, got_products = _counted_run(_kernel_output, matvec, norm1, vec, scale)
+    ref, ref_products = _counted_run(_reference_taylor, matvec, norm1, vec, scale)
     assert got_products == ref_products
     assert np.array_equal(got, ref)
 
@@ -673,14 +697,14 @@ def test_kernel_norm_skips_keep_the_stops_and_bits(norm1, kind, sign):
     op = _kernel_generator(rng, kind, basis)
     vec = _random_state(rng, basis, complex_valued=True).amplitudes
     scale = sign * norm1 / op.norm1
-    _assert_kernel_matches_reference(lambda v: scale * _csr_product(op.matrix, v), norm1, vec)
+    _assert_kernel_matches_reference(lambda v: _csr_product(op.matrix, v), op.norm1, vec, scale)
 
 
 @pytest.mark.parametrize("c", [6.0, 13.0, 24.0])
 def test_kernel_norm_skips_keep_the_stops_and_bits_on_a_contracting_shift(c):
     # |acc| = exp(-c) |v| sits far under the bound |v| exp(c): most norms are taken
     vec = np.arange(1.0, 5.0) + 1j * np.arange(4.0, 0.0, -1.0)
-    _assert_kernel_matches_reference(lambda v: -c * v, c, vec)
+    _assert_kernel_matches_reference(lambda v: -v, 1.0, vec, c)
 
 
 @pytest.mark.parametrize("norm1", [0.3, 6.0, 13.0])
@@ -704,10 +728,7 @@ def test_kernel_norm_skips_keep_the_stops_and_bits_on_kept_terms(monkeypatch, no
     monkeypatch.undo()
 
     calls = []
-    unit = _counted(lambda v: _csr_product(op.csr, v), calls)
-    action = _counted(lambda v: eta * _csr_product(op.csr, v), calls)
-    first = (unit, op.norm1, eta / abs(eta))
-    ref = _reference_taylor(action, abs(eta) * op.norm1, psi.amplitudes, first)
+    ref = _reference_taylor(_counted(lambda v: _csr_product(op.csr, v), calls), op.norm1, psi.amplitudes, eta)
     ref /= math.sqrt(np.vdot(ref, ref).real)
     assert kept > 0
     assert first_products == len(calls)
@@ -716,10 +737,10 @@ def test_kernel_norm_skips_keep_the_stops_and_bits_on_kept_terms(monkeypatch, no
     assert np.array_equal(again.amplitudes, ref)
 
 
-def _assert_kept_trial_matches_reference(monkeypatch, start, eta):
+def _assert_kept_trial_matches_reference(monkeypatch, op, start, eta):
     """One ``_FixedStart`` trial against ``_reference_taylor``: the same bits,
     and products only for the kept terms it lacked and its fresh segments."""
-    op, psi = start.op, start.psi
+    psi = start.psi
     kept = len(start.norms2) - 1
     products = []
     with monkeypatch.context() as patch:
@@ -727,8 +748,8 @@ def _assert_kept_trial_matches_reference(monkeypatch, start, eta):
         got = start.apply(eta)
     first_calls, calls = [], []
     unit = _counted(lambda v: _csr_product(op.csr, v), first_calls)
-    action = _counted(lambda v: eta * _csr_product(op.csr, v), calls)
-    ref = _reference_taylor(action, abs(eta) * op.norm1, psi.amplitudes, (unit, op.norm1, eta / abs(eta)))
+    later = _counted(lambda v: _csr_product(op.csr, v), calls)
+    ref = _reference_taylor(later, op.norm1, psi.amplitudes, eta, unit)
     ref /= math.sqrt(np.vdot(ref, ref).real)
     assert np.array_equal(got.amplitudes, ref)
     assert len(start.norms2) - 1 == max(kept, len(first_calls))
@@ -744,7 +765,7 @@ def test_kept_terms_keep_their_bits_as_more_are_made(monkeypatch, phase):
     op = _kernel_generator(rng, "hermitian", basis)
     start = evolution._FixedStart(op, _random_state(rng, basis, complex_valued=True))
     for norm1 in (0.98 * THETA, 0.3, 2.5 * THETA):
-        _assert_kept_trial_matches_reference(monkeypatch, start, phase * norm1 / op.norm1)
+        _assert_kept_trial_matches_reference(monkeypatch, op, start, phase * norm1 / op.norm1)
 
 
 def test_zero_norm_leaves_the_amplitudes_as_they_are():
@@ -791,7 +812,7 @@ def test_kept_terms_form_the_partial_sum_where_the_bounds_cannot_decide(monkeypa
     start = evolution._FixedStart(op, _random_state(np.random.default_rng(109), basis, complex_valued=True))
     sums = []
     monkeypatch.setattr(start, "_sum", _counted(start._sum, sums))
-    _assert_kept_trial_matches_reference(monkeypatch, start, -c / op.norm1)
+    _assert_kept_trial_matches_reference(monkeypatch, op, start, -c / op.norm1)
     assert len(sums) > 2
 
 
@@ -806,13 +827,13 @@ def test_kernel_norm_skips_keep_the_stops_and_bits_on_dilated_blocks(monkeypatch
     dilated = StateVector(basis, amps / np.linalg.norm(amps), 1)
     delta = norm1 / op.norm1
     calls = []
-    monkeypatch.setattr(evolution, "_taylor_series", lambda *args: calls.append(args) or (args[2], None))
+    monkeypatch.setattr(evolution, "_taylor_series", lambda *args: calls.append(args) or (args[0].rows[0], None))
     apply_dilated(dilated, op, delta)
     apply_exp_exact(op, dilated, scale=-1j * delta)
     monkeypatch.undo()
-    assert [norm for _, norm, _ in calls] == pytest.approx([norm1, norm1], rel=1e-14)
-    for matvec, norm1, vec in calls:
-        _assert_kernel_matches_reference(kernel_action(matvec, returning=True), norm1, vec)
+    assert [abs(scale) * block.norm1 for block, scale in calls] == pytest.approx([norm1, norm1], rel=1e-14)
+    for block, scale in calls:
+        _assert_kernel_matches_reference(kernel_action(block.action, returning=True), block.norm1, block.rows[0], scale)
 
 
 def test_kernel_norm_skips_keep_a_streak_broken_by_a_large_term():
@@ -1003,8 +1024,13 @@ def _taylor_terms(reference, *args):
     """The Taylor terms of a block-formulation reference run: one block action each."""
     calls = []
     kernel = evolution._taylor_series
+
+    def counted(block, scale):
+        block.action = _counted(block.action, calls)
+        return kernel(block, scale)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(evolution, "_taylor_series", lambda matvec, *rest: kernel(_counted(matvec, calls), *rest))
+        patch.setattr(evolution, "_taylor_series", counted)
         reference(*args)
     return len(calls)
 

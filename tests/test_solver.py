@@ -169,7 +169,9 @@ def test_plan_trials_match_dense_expm(variant):
         ref = ref.amplitudes / np.linalg.norm(ref.amplitudes)
         got, _, _ = plan.realize(eta)
         assert np.linalg.norm(got.amplitudes - ref) <= 1e-12
-        assert got.success_prob == pytest.approx(chained.success_prob, rel=1e-12)
+        # the plan's kept terms serve the first factor as apply_exp_exact's own block does
+        assert np.array_equal(got.amplitudes, chained.amplitudes)
+        assert got.success_prob == chained.success_prob
 
 
 @pytest.mark.parametrize("variant, built", [("cse", 2), ("hcse", 1), ("acse", 1)])
@@ -238,7 +240,7 @@ def test_unsplit_plan_trials_equal_split_ones_where_one_part_vanishes(variant):
     ham, psi, direction = _plan_inputs(variant)
     links = _links(direction, psi.basis)
     split, whole = _StepPlan(ham, psi, links), _StepPlan(ham, psi, links, False)
-    past_theta = 1.5 * THETA / whole._first.op.norm1
+    past_theta = 1.5 * THETA / whole._first.norm1
     for eta in (1e-3, 0.5, -0.7, 0.3j, past_theta):
         (a, e_a, h_a), (b, e_b, h_b) = split.realize(eta), whole.realize(eta)
         assert np.array_equal(a.amplitudes, b.amplitudes) and np.array_equal(h_a, h_b)
@@ -258,7 +260,7 @@ def test_unsplit_cse_plan_trials_share_all_generator_products(monkeypatch):
         return fock._csr_product(matrix, vec, out)
 
     monkeypatch.setattr(evolution, "_csr_product", counted)
-    nu = _StepPlan(ham, psi, links, False)._first.op.norm1
+    nu = _StepPlan(ham, psi, links, False)._first.norm1
     etas = [f * THETA / nu for f in (0.9, 0.45, 0.225, 0.675)]  # one segment each
 
     def products_of(trials, split):
@@ -679,6 +681,21 @@ def test_a_non_finite_start_is_refused_before_any_run():
     _, ham = _h2()
     with pytest.raises(ValueError, match="^amplitudes must be finite$"):
         cqe_run(ham, initial=StateVector(ham.basis, [math.nan, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the estimator's own division by delta
+@pytest.mark.parametrize("delta, norm", [(1e-200, "inf"), (1e-320, "nan")])
+def test_a_probe_delta_too_small_for_a_finite_estimate_stops_the_run_at_once(monkeypatch, delta, norm):
+    # the estimate divides by delta: its norm overflows at 1e-200 and is NaN
+    # at 1e-320, which a run would follow to a stall or a NaN residual
+    _, ham = _h2()
+    estimates = []
+    estimate = solver._estimate_links
+    monkeypatch.setattr(solver, "_estimate_links", lambda *args: estimates.append(None) or estimate(*args))
+    config = CqeConfig(execution="sampled", estimator=EstimatorConfig(delta=delta, shots=100, seed=1))
+    with pytest.raises(RuntimeError, match=f"^estimated residual norm {norm} is not finite at probe delta {delta}$"):
+        cqe_run(ham, config)
+    assert len(estimates) == 1
 
 
 def test_hermiticity_is_checked_once_per_operator(monkeypatch):
